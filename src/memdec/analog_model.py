@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .rnn_decoder import DecoderParams, logits_to_bits
+from .surface_code_sim import table_accuracy
 
 HIDDEN_SIZE = 16
 
@@ -264,9 +265,13 @@ def analog_forward_batch(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
 
 
 def analog_accuracy(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                    events: np.ndarray, labels: np.ndarray) -> float:
-    pred = analog_forward_batch(programmed, cfg, events)
-    return float((pred == np.asarray(labels).reshape(-1)).mean())
+                    rows: np.ndarray, counts: np.ndarray) -> float:
+    """Accuracy of one programmed chip over a syndrome table: `rows` are the
+    distinct event rows of a test set and `counts` (u, 2) their label-0 and
+    label-1 shot counts, as `surface_code_sim.syndrome_table` returns them.
+    Equals the per-shot accuracy over the full set."""
+    return table_accuracy(lambda r: analog_forward_batch(programmed, cfg, r),
+                          rows, counts)
 
 
 def fit_variability_model(rows: Sequence[tuple[float, float]], degree: int,

@@ -166,8 +166,8 @@ def validate_config(raw: str) -> RunConfig:
         p_max = values.get("dataset.p_max", DatasetConfig.p_max)
         if p_min > p_max:
             errors.append("dataset.p_min exceeds dataset.p_max")
-    g_hcs = values.get("crossbar.g_hcs", 200.0)
-    g_lcs = values.get("crossbar.g_lcs", 60.0)
+    g_hcs = values.get("crossbar.g_hcs", CrossbarConfig.g_hcs)
+    g_lcs = values.get("crossbar.g_lcs", CrossbarConfig.g_lcs)
     if not g_hcs > g_lcs:
         errors.append("crossbar.g_hcs must exceed crossbar.g_lcs")
     if errors:
@@ -190,10 +190,12 @@ def validate_config(raw: str) -> RunConfig:
     fallback = xb.pop("fallback_relative", 0.008)
     crossbar = CrossbarConfig(variability=VariabilityModel(tuple(coeffs), fallback), **xb)
     ev = pick("eval")
+    eval_p = ev.get("p", 1e-2)
     protocol = EvalProtocol(
         n_train_runs=ev.get("n_train_runs", 10),
         n_infer_runs=ev.get("n_infer_runs", 100),
         test_shots=ev.get("test_shots", 100_000),
+        p_values=(eval_p,),
         rounds=dataset.rounds,
     )
     return RunConfig(
@@ -201,7 +203,7 @@ def validate_config(raw: str) -> RunConfig:
         schemes=values.get("schemes", ("baseline", "fp_mnd", "hwa_mnd", "ds_mnd")),
         dataset=dataset, train=train, retrain=retrain, crossbar=crossbar,
         protocol=protocol,
-        eval_p=ev.get("p", 1e-2),
+        eval_p=eval_p,
         curve_p_min=ev.get("curve_p_min", 1e-4),
         curve_p_max=ev.get("curve_p_max", 1e-2),
         curve_points=ev.get("curve_points", 8),

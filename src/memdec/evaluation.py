@@ -4,8 +4,9 @@ A scheme evaluation follows the error-bar protocol: several independent
 training runs, each measured under many fresh programming draws ("inference
 runs"), with accuracy aggregated per fault rate across every (training,
 inference) pair. One inference run = one complete re-programming of both
-crossbar units (variability plus, where applicable, a fresh fault map)
-followed by full test-set classification.
+crossbar units (variability plus, where applicable, a fresh fault map),
+after which the run classifies the test set's distinct syndromes, weighted
+by their label counts; that equals the per-shot accuracy exactly.
 
 Schemes:
   * baseline  — digital inference, no analog channel (one run per training),
@@ -128,7 +129,11 @@ def pseudo_threshold(fit: CurveFit) -> float:
     """
     if fit.b == 1.0:
         raise DegenerateFitError("b = 1: curve is parallel to lfr = p")
-    return float(fit.a ** (1.0 / (1.0 - fit.b)))
+    try:
+        return float(fit.a ** (1.0 / (1.0 - fit.b)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DegenerateFitError(
+            f"a^(1/(1-b)) overflows for a = {fit.a}, b = {fit.b}") from exc
 
 
 def _default_test_sets(protocol: EvalProtocol, master_seed: int,
@@ -170,6 +175,8 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     xcfg = replace(configs.crossbar_config, stuck_rate=stuck_rate)
+    tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
+              for p in protocol.p_values]
 
     runs: list[list[float]] = []
     for i in range(protocol.n_train_runs):
@@ -202,9 +209,8 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
             rng = spawn_generator(master_seed, Stage.PROGRAM, i, j)
             fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
             programmed = am.program_decoder(params, xcfg, fmap, rng)
-            accs = [am.analog_accuracy(programmed, xcfg,
-                                       test_sets[p].events, test_sets[p].labels)
-                    for p in protocol.p_values]
+            accs = [am.analog_accuracy(programmed, xcfg, rows, counts)
+                    for rows, counts in tables]
             runs.append(accs)
 
     per_run = np.asarray(runs)
@@ -218,9 +224,11 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     usable = sum(1 for p, l in lfr_points if p > 0 and l > 0)
     if usable >= 2:
         curve = fit_monomial(lfr_points)
-        if curve.b != 1.0:
+        try:
             p_star = pseudo_threshold(curve)
             in_range = 0.0 < p_star < 1.0
+        except DegenerateFitError:
+            in_range = False
     return EvalReport(scheme, stuck_rate, protocol.p_values,
                       tuple(float(a) for a in acc_mean),
                       tuple(float(s) for s in acc_std),

@@ -31,7 +31,7 @@ from .rng import Stage, spawn_generator
 from .rnn_decoder import (AdamState, DecoderParams, TrainConfig, _as_arrays,
                           _check_events, _softmax, adam_step_inplace,
                           logits_to_bits)
-from .surface_code_sim import Dataset
+from .surface_code_sim import Dataset, syndrome_table, table_accuracy
 
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
@@ -193,11 +193,11 @@ def masked_loss_and_grads(params: DecoderParams, masks: _Masks,
 
 
 def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, masks_fixed,
-                     events: np.ndarray, labels: np.ndarray, seed_key: int,
+                     rows: np.ndarray, counts: np.ndarray, seed_key: int,
                      ) -> float:
-    """Validation accuracy under the training-time noise/drop statistics,
-    averaged over `val_draws` independent draws."""
-    labels = np.asarray(labels).reshape(-1)
+    """Validation accuracy over a syndrome table (see
+    `surface_code_sim.syndrome_table`) under the training-time noise/drop
+    statistics, averaged over `val_draws` independent draws."""
     total = 0.0
     for draw in range(cfg.val_draws):
         if masks_fixed is not None:
@@ -207,15 +207,16 @@ def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, masks_fixed,
                                   spawn_generator(cfg.seed, Stage.MASK, seed_key, draw))
         noise_rng = spawn_generator(cfg.seed, Stage.NOISE, seed_key, draw)
         eff = _perturbed(params, masks, cfg.noise_relative, noise_rng)
-        _, _, _, logits = _forward_hwa(eff, events, cfg.io_discretize)
-        total += float((logits_to_bits(logits) == labels).mean())
+        total += table_accuracy(
+            lambda r: logits_to_bits(_forward_hwa(eff, r, cfg.io_discretize)[3]),
+            rows, counts)
     return total / cfg.val_draws
 
 
 def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
              cfg: RetrainConfig, masks_fixed: _Masks | None) -> DecoderParams:
     events, labels = _as_arrays(dataset)
-    val_events, val_labels = _as_arrays(val)
+    val_rows, val_counts = syndrome_table(*_as_arrays(val))
     train_cfg = TrainConfig(epochs=cfg.epochs, seed=cfg.seed)
 
     params = params.copy()
@@ -248,8 +249,8 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
                 # pinned weights stay exactly zero (clip or numeric drift)
                 for p, m in zip(params.tensors(), masks_fixed.tensors()):
                     p[~m] = 0.0
-        val_acc = _masked_accuracy(params, cfg, masks_fixed, val_events,
-                                   val_labels, 1_000_000 + epoch)
+        val_acc = _masked_accuracy(params, cfg, masks_fixed, val_rows,
+                                   val_counts, 1_000_000 + epoch)
         if val_acc > best[0]:
             best = (val_acc, params.copy())
     return best[1]

@@ -110,10 +110,16 @@ def load_checkpoint(path) -> tuple[DecoderParams, dict]:
             data = np.frombuffer(_read_exact(fh, 8 * count, "tensor data"), dtype="<f8")
             tensors.append(data.reshape(rows, cols) if cols else data.copy())
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        meta = json.loads(_read_exact(fh, meta_len, "metadata") or b"{}")
+        try:
+            meta = json.loads(_read_exact(fh, meta_len, "metadata") or b"{}")
+        except ValueError as exc:
+            raise CorruptFileError(f"checkpoint metadata is not valid JSON: {exc}") from exc
         if fh.read(1):
             raise CorruptFileError("trailing bytes after checkpoint payload")
-    return DecoderParams(*tensors), meta
+    try:
+        return DecoderParams(*tensors), meta
+    except ValueError as exc:
+        raise CorruptFileError(f"checkpoint tensors do not fit the decoder: {exc}") from exc
 
 
 def save_fault_map(fmap: FaultMap, path) -> None:

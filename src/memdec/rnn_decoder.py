@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericError
 from .rng import spawn_generator
-from .surface_code_sim import Dataset
+from .surface_code_sim import Dataset, syndrome_table, table_accuracy
 
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
@@ -218,11 +218,10 @@ def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
 
 def accuracy(params: DecoderParams, dataset: Dataset | tuple[np.ndarray, np.ndarray],
              ) -> float:
-    """Fraction of samples whose prediction equals the label."""
-    events, labels = _as_arrays(dataset)
-    if events.shape[0] == 0:
-        raise ValueError("dataset must be non-empty")
-    return float((predict_batch(params, events) == labels).mean())
+    """Fraction of samples whose prediction equals the label; each distinct
+    syndrome is decoded once."""
+    rows, counts = syndrome_table(*_as_arrays(dataset))
+    return table_accuracy(lambda r: predict_batch(params, r), rows, counts)
 
 
 def _as_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:

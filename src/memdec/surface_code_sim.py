@@ -177,6 +177,51 @@ class Dataset:
                        self.p_values, self.rounds, self.seed, self.split_tag)
 
 
+def syndrome_table(events: np.ndarray, labels: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a labelled set to its distinct event rows.
+
+    Returns (rows, counts): `rows` (u, ...) holds each distinct row of
+    `events` once, in byte order; `counts` (u, 2) int64 holds how many shots
+    with that row carry label 0 and label 1. Rows are keyed on their raw
+    bytes, so any dtype works.
+    """
+    events = np.ascontiguousarray(events)
+    labels = np.asarray(labels).reshape(-1)
+    n = events.shape[0]
+    if labels.shape[0] != n:
+        raise ValueError(f"{n} samples but {labels.shape[0]} labels")
+    if n and not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    width = int(np.prod(events.shape[1:]))
+    keys = events.reshape(n, width).view(np.dtype((np.void, events.itemsize * width)))
+    _, first, inverse = np.unique(keys.reshape(-1), return_index=True,
+                                  return_inverse=True)
+    u = len(first)
+    counts = np.bincount(inverse * 2 + labels.astype(np.int64),
+                         minlength=2 * u).reshape(u, 2)
+    return events[first], counts
+
+
+def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
+    """Fraction of the shots a syndrome table stands for that `predict`
+    (rows -> bits) classifies correctly; equal to the per-shot
+    `(predict(events) == labels).mean()`.
+
+    A batch of one row takes a different BLAS path (gemv) whose bits can
+    differ from a row of a larger product, so a single row that stands for
+    several shots is decoded twice and counted once.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("syndrome table must be non-empty")
+    if len(rows) == 1 and total > 1:
+        pred = predict(np.concatenate([rows, rows]))[:1]
+    else:
+        pred = predict(rows)
+    return float(counts[np.arange(len(rows)), pred].sum() / total)
+
+
 def validate_circuit(circuit: CircuitSpec) -> None:
     mz_qubits: list[int] = []
     mx_count = 0

@@ -1,0 +1,46 @@
+import pytest
+
+from memdec import config as cf
+from memdec.analog_model import CrossbarConfig
+from memdec.errors import ConfigError
+
+
+def test_default_config_round_trip():
+    cfg = cf.validate_config("")
+    assert cfg == cf.RunConfig()
+    assert cf.validate_config(cf.serialize_config(cfg)) == cfg
+
+
+def test_eval_p_reaches_protocol_and_round_trips():
+    text = "\n".join([
+        "seed = 7",
+        "eval.p = 0.005",
+        "eval.n_train_runs = 2",
+        "crossbar.g_hcs = 150.0",
+        "crossbar.g_lcs = 20.0",
+        "crossbar.variability_coeffs = 0.5,0.01",
+        "retrain.clip_scale = 2.5",
+        "hwa.p_drop = 0.05",
+    ])
+    cfg = cf.validate_config(text)
+    assert cfg.eval_p == 0.005
+    assert cfg.protocol.p_values == (0.005,)
+    assert (cfg.crossbar.g_hcs, cfg.crossbar.g_lcs) == (150.0, 20.0)
+    again = cf.validate_config(cf.serialize_config(cfg))
+    assert again == cfg
+    assert again.protocol.p_values == (0.005,)
+
+
+@pytest.mark.parametrize("text", [
+    f"crossbar.g_hcs = {CrossbarConfig.g_lcs / 2}",
+    f"crossbar.g_lcs = {CrossbarConfig.g_hcs * 2}",
+    "crossbar.g_hcs = 100\ncrossbar.g_lcs = 100",
+])
+def test_conductance_order_checked_against_defaults(text):
+    with pytest.raises(ConfigError, match="g_hcs must exceed"):
+        cf.validate_config(text)
+
+
+def test_one_sided_conductance_override_accepted():
+    cfg = cf.validate_config(f"crossbar.g_lcs = {CrossbarConfig.g_hcs / 2}")
+    assert cfg.crossbar.g_lcs == CrossbarConfig.g_hcs / 2

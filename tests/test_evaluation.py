@@ -1,0 +1,226 @@
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memdec import analog_model as am
+from memdec import evaluation as ev
+from memdec import hwa_training as hwa
+from memdec import rnn_decoder as rd
+from memdec import surface_code_sim as sc
+from memdec.errors import DegenerateFitError, InsufficientDataError
+from memdec.rng import Stage, derive_seed, spawn_generator
+
+TEST_P = (1e-3, 1e-2)
+MASTER = 91
+STUCK = 0.1
+
+
+class TestSyndromeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           steps=st.integers(1, 5), density=st.floats(0.0, 0.5),
+           dtype=st.sampled_from([np.uint8, np.float64, np.bool_]))
+    def test_rows_distinct_counts_exact_accuracy_equal(self, seed, n, steps,
+                                                       density, dtype):
+        rng = np.random.default_rng(seed)
+        events = (rng.random((n, steps, 4)) < density).astype(dtype)
+        labels = rng.integers(0, 2, n)
+        rows, counts = sc.syndrome_table(events, labels)
+        u = len(rows)
+        assert rows.shape == (u, steps, 4) and rows.dtype == events.dtype
+        assert counts.shape == (u, 2) and counts.dtype == np.int64
+        keys = [r.tobytes() for r in rows]
+        assert len(set(keys)) == u
+        assert counts.sum() == n and (counts.sum(axis=1) >= 1).all()
+        shots = Counter((e.tobytes(), int(y)) for e, y in zip(events, labels))
+        for key, (c0, c1) in zip(keys, counts):
+            assert (shots[key, 0], shots[key, 1]) == (c0, c1)
+
+        weights = rng.integers(-3, 4, steps * 4)
+
+        def predict(x):
+            return (x.reshape(len(x), -1).astype(np.int64) @ weights) % 2
+
+        assert (sc.table_accuracy(predict, rows, counts)
+                == (predict(events) == labels).mean())
+
+    def test_labels_must_be_bits(self):
+        with pytest.raises(ValueError):
+            sc.syndrome_table(np.zeros((2, 4, 4)), [0, 2])
+        with pytest.raises(ValueError):
+            sc.syndrome_table(np.zeros((2, 4, 4)), [0])
+
+    def test_empty_table_rejected(self):
+        rows, counts = sc.syndrome_table(np.zeros((0, 4, 4), np.uint8), np.zeros(0))
+        assert rows.shape == (0, 4, 4) and counts.shape == (0, 2)
+        with pytest.raises(ValueError):
+            sc.table_accuracy(lambda r: np.zeros(len(r), int), rows, counts)
+
+
+class TestSingleSyndrome:
+    """A one-row batch goes through gemv, whose bits can differ from a row of
+    a gemm; a table of one row standing for several shots must still decode
+    as the per-shot batch does."""
+
+    EVENTS = np.repeat(np.array([[[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0]]],
+                                np.uint8), 5, axis=0)
+    LABELS = np.array([0, 1, 1, 0, 1], np.uint8)
+
+    def test_single_row_decoded_as_a_batch(self):
+        seen = []
+
+        def predict(r):
+            seen.append(len(r))
+            return np.zeros(len(r), np.int64)
+
+        rows, counts = sc.syndrome_table(self.EVENTS, self.LABELS)
+        assert len(rows) == 1
+        assert sc.table_accuracy(predict, rows, counts) == 0.4
+        assert seen == [2]
+        # one shot is one row on the per-shot path too
+        seen.clear()
+        rows, counts = sc.syndrome_table(self.EVENTS[:1], self.LABELS[1:2])
+        assert sc.table_accuracy(predict, rows, counts) == 0.0
+        assert seen == [1]
+
+    def test_analog_and_digital_match_per_shot(self):
+        params = rd.DecoderParams.initial(5)
+        xcfg = am.CrossbarConfig(stuck_rate=STUCK)
+        table = sc.syndrome_table(self.EVENTS, self.LABELS)
+        for j in range(5):
+            rng = spawn_generator(MASTER, j)
+            chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
+            per_shot = (am.analog_forward_batch(chip, xcfg, self.EVENTS) == self.LABELS).mean()
+            assert am.analog_accuracy(chip, xcfg, *table) == per_shot
+        per_shot = (rd.predict_batch(params, self.EVENTS) == self.LABELS).mean()
+        assert rd.accuracy(params, (self.EVENTS, self.LABELS)) == per_shot
+
+
+@pytest.fixture(scope="module")
+def setup():
+    train = sc.generate_dataset([5e-3], 3000, 3, seed=71)
+    val = sc.generate_dataset([5e-3], 800, 3, seed=72, split_tag="validation")
+    configs = ev.SchemeConfigs(train, val, rd.TrainConfig(epochs=2),
+                               hwa.RetrainConfig(epochs=1))
+    base = [rd.train_fp(train, val, rd.TrainConfig(epochs=2, seed=s)) for s in (1, 2)]
+    tests = {p: sc.generate_dataset([p], 3000, 3, seed=73 + i, split_tag="test")
+             for i, p in enumerate(TEST_P)}
+    protocol = ev.EvalProtocol(n_train_runs=2, n_infer_runs=3, test_shots=3000,
+                               p_values=TEST_P, rounds=3)
+    return configs, base, tests, protocol
+
+
+def per_shot_reference(scheme, protocol, configs, tests, base):
+    """The error-bar protocol with every test shot decoded on its own."""
+    xcfg = replace(configs.crossbar_config, stuck_rate=STUCK)
+    runs = []
+    for i in range(protocol.n_train_runs):
+        params, chip_map = base[i], None
+        if scheme == "ds_mnd":
+            chip_map = am.FaultMap.sample(STUCK, spawn_generator(MASTER, Stage.CHIP, i))
+            rcfg = replace(configs.retrain_config, p_drop=0.0, ds_mask=chip_map,
+                           seed=derive_seed(MASTER, Stage.RETRAIN, i))
+            params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg)
+        for j in range(protocol.n_infer_runs):
+            rng = spawn_generator(MASTER, Stage.PROGRAM, i, j)
+            fmap = chip_map if chip_map is not None else am.FaultMap.sample(STUCK, rng)
+            chip = am.program_decoder(params, xcfg, fmap, rng)
+            runs.append([(am.analog_forward_batch(chip, xcfg, tests[p].events)
+                          == tests[p].labels).mean() for p in protocol.p_values])
+    return np.asarray(runs)
+
+
+class TestEvaluateScheme:
+    @pytest.mark.parametrize("scheme", ["fp_mnd", "ds_mnd"])
+    def test_per_run_acc_equals_per_shot_reference(self, setup, scheme):
+        configs, base, tests, protocol = setup
+        report = ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
+                                    test_sets=tests, base_params=base)
+        assert report.per_run_acc.shape == (6, 2)
+        assert np.array_equal(report.per_run_acc,
+                              per_shot_reference(scheme, protocol, configs, tests, base))
+
+    @pytest.mark.parametrize("scheme", ev.SCHEMES)
+    def test_lookup_table_ceiling(self, setup, scheme):
+        """No deterministic decoder beats the test set's in-sample lookup
+        table: the majority label of every distinct syndrome."""
+        configs, base, tests, protocol = setup
+        report = ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
+                                    test_sets=tests, base_params=base)
+        for k, p in enumerate(protocol.p_values):
+            _, counts = sc.syndrome_table(tests[p].events, tests[p].labels)
+            ceiling = counts.max(axis=1).sum() / counts.sum()
+            assert (report.per_run_acc[:, k] <= ceiling).all()
+
+    def test_digital_accuracy_equals_per_shot(self, setup):
+        _, base, tests, _ = setup
+        for params in base:
+            for d in tests.values():
+                assert (rd.accuracy(params, d)
+                        == (rd.predict_batch(params, d.events) == d.labels).mean())
+
+    def test_retrain_validation_equals_per_shot(self, setup):
+        configs, base, _, _ = setup
+        val = configs.val_set
+        cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, val_draws=3, seed=4)
+        table = sc.syndrome_table(val.events, val.labels)
+        per_shot = 0.0
+        for draw in range(cfg.val_draws):
+            masks = hwa._Masks.random(cfg.p_drop,
+                                      spawn_generator(cfg.seed, Stage.MASK, 9, draw))
+            noise_rng = spawn_generator(cfg.seed, Stage.NOISE, 9, draw)
+            eff = hwa._perturbed(base[0], masks, cfg.noise_relative, noise_rng)
+            logits = hwa._forward_hwa(eff, val.events, cfg.io_discretize)[3]
+            per_shot += float((rd.logits_to_bits(logits) == val.labels).mean())
+        assert (hwa._masked_accuracy(base[0], cfg, None, *table, 9)
+                == per_shot / cfg.val_draws)
+
+    def test_overflowing_threshold_reported_out_of_range(self, setup, monkeypatch):
+        configs, _, tests, protocol = setup
+        monkeypatch.setattr(ev, "fit_monomial",
+                            lambda points: ev.CurveFit(a=10.0, b=0.999, residual=0.0))
+        report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
+                                    test_sets=tests,
+                                    base_params=[rd.DecoderParams.zeros()])
+        assert report.curve is not None
+        assert report.pseudo_threshold is None
+        assert report.pseudo_threshold_in_range is False
+
+
+class TestCurveFit:
+    def test_recovers_monomial(self):
+        points = [(p, 30.0 * p ** 1.8) for p in np.geomspace(1e-4, 1e-2, 6)]
+        fit = ev.fit_monomial(points)
+        assert fit.a == pytest.approx(30.0, rel=1e-9)
+        assert fit.b == pytest.approx(1.8, rel=1e-12)
+        assert fit.residual < 1e-12 and fit.n_excluded == 0
+
+    def test_zero_lfr_points_excluded(self):
+        fit = ev.fit_monomial([(1e-3, 0.0), (1e-3, 1e-4), (1e-2, 1e-2)])
+        assert fit.n_excluded == 1
+        assert fit.b == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(InsufficientDataError):
+            ev.fit_monomial([(1e-3, 0.0), (1e-2, 1e-2)])
+
+    def test_pseudo_threshold_crosses_lfr_equals_p(self):
+        fit = ev.fit_monomial([(p, 100.0 * p ** 2) for p in (1e-4, 1e-3, 1e-2)])
+        p_star = ev.pseudo_threshold(fit)
+        assert p_star == pytest.approx(0.01, rel=1e-9)
+        assert fit.a * p_star ** fit.b == pytest.approx(p_star, rel=1e-9)
+
+    def test_parallel_curve_degenerate(self):
+        with pytest.raises(DegenerateFitError):
+            ev.pseudo_threshold(ev.CurveFit(a=2.0, b=1.0, residual=0.0))
+
+    def test_overflow_degenerate(self):
+        # 10^(1/(1-0.999)) = 10^1000 is beyond float range
+        fit = ev.fit_monomial([(p, 10.0 * p ** 0.999) for p in (1e-4, 1e-3, 1e-2)])
+        assert fit.b == pytest.approx(0.999, rel=1e-12)
+        with pytest.raises(DegenerateFitError):
+            ev.pseudo_threshold(fit)
+        with pytest.raises(DegenerateFitError):
+            ev.pseudo_threshold(ev.CurveFit(a=0.0, b=2.0, residual=0.0))
