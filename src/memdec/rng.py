@@ -7,9 +7,12 @@ any execution order or degree of parallelism.
 
 The syndrome sampler additionally needs one uniform per (shot, noise
 location) that can be evaluated for any subset of shots without replaying a
-sequential generator. `counter_uniforms` provides that: draw i of stream k
-is the splitmix64 output at state k + (i+1)*GOLDEN, vectorised over numpy
-uint64 arrays.
+sequential generator. `counter_draws` provides that: draw i of stream k
+is the top 53 bits of the splitmix64 output at state k + (i+1)*GOLDEN,
+vectorised over numpy uint64 arrays; `counter_uniforms` scales it to [0, 1).
+The vectorised hash is `mix53`, which the syndrome sampler also applies in
+place to blocks of states; `derive_seed` runs the same finalizer on Python
+ints (`_mix`), whose per-call cost stays far below a numpy call's.
 """
 
 from __future__ import annotations
@@ -60,21 +63,56 @@ def spawn_generator(master: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master, *path)))
 
 
-_U64_GOLDEN = np.uint64(_GOLDEN)
+GOLDEN = np.uint64(_GOLDEN)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
 
-def counter_uniforms(key: int, indices: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) doubles for draw `indices` of the stream `key`.
-
-    `indices` is a uint64 array; entry i is independent of every other index,
-    so callers may evaluate any subset of a stream in any order. uint64
-    arithmetic wraps mod 2^64 by construction.
-    """
+def mix53(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, in place on the uint64 states `z`, keeping the
+    top 53 bits: afterwards `z` holds integer draws in [0, 2^53). `scratch`,
+    if given, is a uint64 buffer of z's shape that the shifts write into.
+    Returns `z`."""
+    if scratch is None:
+        scratch = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = np.uint64(key) + (indices + np.uint64(1)) * _U64_GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        np.right_shift(z, np.uint64(30), out=scratch)
+        z ^= scratch
+        z *= _U64_MIX1
+        np.right_shift(z, np.uint64(27), out=scratch)
+        z ^= scratch
+        z *= _U64_MIX2
+        np.right_shift(z, np.uint64(31), out=scratch)
+        z ^= scratch
+        z >>= np.uint64(11)
+    return z
+
+
+def counter_draws(key: int, indices) -> np.ndarray:
+    """53-bit integer draws (uint64) for draw `indices` of the stream `key`.
+
+    Entry i is independent of every other index, so callers may evaluate any
+    subset of a stream in any order. uint64 arithmetic wraps mod 2^64 by
+    construction.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(key) + (indices + np.uint64(1)) * GOLDEN
+    return mix53(z)
+
+
+def counter_uniforms(key: int, indices) -> np.ndarray:
+    """Uniform [0,1) doubles for draw `indices` of the stream `key`: the
+    `counter_draws` scaled by 2^-53, which is exact."""
+    return counter_draws(key, indices).astype(np.float64) * 2.0**-53
+
+
+def draw_limit(prob) -> np.ndarray:
+    """Integer bound with `counter_draws(k, i) < draw_limit(prob)` exactly when
+    `counter_uniforms(k, i) < prob`, for prob in [0, 1].
+
+    Scaling by 2^53 is exact, so u < prob iff m < prob * 2^53 iff
+    m < ceil(prob * 2^53) for the integer m; prob = 1 gives 2^53, above
+    every draw.
+    """
+    return np.ceil(np.asarray(prob, dtype=np.float64) * 2.0**53).astype(np.uint64)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from memdec import surface_code_sim as sc
+from memdec.rng import counter_uniforms
 
 # manual enumeration of the fixed surface-17 schedule, rounds=3:
 #   init: 9 data resets + 8 ancilla resets                    = 17
@@ -95,6 +98,56 @@ class TestSampleShot:
             assert np.array_equal(data, data_b[i])
 
 
+def _replay(circuit, key, shot):
+    """One shot drawn by the sampler's contract and run through the reference
+    simulator with all its faults at once; uses no fault table."""
+    noisy = [(i, ins) for i, ins in enumerate(circuit.instructions)
+             if ins.noise is not None]
+    u = counter_uniforms(key, shot * len(noisy) + np.arange(len(noisy), dtype=np.uint64))
+    faults = []
+    for (i, ins), draw in zip(noisy, u):
+        prob, kind = ins.noise.prob, ins.noise.kind
+        if not draw < prob:
+            continue
+        if kind is sc.NoiseKind.DEPOL1:
+            pauli = int(min(draw / prob * 3.0, 2.0))
+        elif kind is sc.NoiseKind.DEPOL2:
+            pauli = int(min(draw / prob * 15.0, 14.0)) + 1
+        else:
+            pauli = 0
+        faults.append(sc.FaultLocation(i, kind, ins.qubits, pauli))
+    return sc._simulate_fault(circuit, faults)
+
+
+class TestFaultTableSampler:
+    @pytest.mark.parametrize("rounds, p", [(3, 0.05), (3, 1.0), (2, 0.05)])
+    def test_batch_matches_multi_fault_replay(self, rounds, p):
+        circuit = sc.build_memory_x_circuit(rounds, sc.NoiseParams(p))
+        key = 2**64 - 5
+        shots = np.arange(1000, 1050, dtype=np.uint64)
+        anc_b, data_b = sc._simulate_batch(circuit, key, shots)
+        for row, shot in enumerate(shots):
+            anc, data = _replay(circuit, key, int(shot))
+            assert np.array_equal(anc, anc_b[row]), (p, shot)
+            assert np.array_equal(data, data_b[row]), (p, shot)
+
+    def test_any_subset_and_order_of_shots(self, noisy_circuit):
+        shots = np.array([3, 2**40, 0, 77, 3], dtype=np.uint64)
+        anc, data = sc._simulate_batch(noisy_circuit, 5, shots)
+        for row, shot in enumerate(shots):
+            a1, d1 = sc.sample_shot(noisy_circuit, sc.ShotStream(5, int(shot)))
+            assert np.array_equal(a1, anc[row]) and np.array_equal(d1, data[row])
+
+    def test_empty_batch(self, noisy_circuit):
+        anc, data = sc._simulate_batch(noisy_circuit, 5, np.zeros(0, dtype=np.uint64))
+        assert anc.shape == (0, 3, 8) and data.shape == (0, 9)
+
+    def test_fault_twice_on_one_instruction_rejected(self, noisy_circuit):
+        fault = sc.FaultLocation(0, sc.NoiseKind.PREP_FLIP, (0,), 0)
+        with pytest.raises(ValueError):
+            sc._simulate_fault(noisy_circuit, [fault, fault])
+
+
 class TestToSample:
     def test_all_zero(self):
         s = sc.to_sample(np.zeros((3, 8), np.uint8), np.zeros(9, np.uint8))
@@ -161,13 +214,33 @@ class TestGenerateDataset:
         assert np.array_equal(a.events, b.events)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_chunking_and_threads_do_not_change_bits(self):
+    def test_chunking_does_not_change_bits(self):
         base = sc.generate_dataset([1e-2], 500, 3, seed=9, chunk_size=4096)
-        odd = sc.generate_dataset([1e-2], 500, 3, seed=9, chunk_size=7)
-        thr = sc.generate_dataset([1e-2], 500, 3, seed=9, chunk_size=64, threads=4)
-        assert np.array_equal(base.events, odd.events)
-        assert np.array_equal(base.events, thr.events)
-        assert np.array_equal(base.labels, thr.labels)
+        for chunk_size in (7, 64):
+            other = sc.generate_dataset([1e-2], 500, 3, seed=9, chunk_size=chunk_size)
+            assert np.array_equal(base.events, other.events)
+            assert np.array_equal(base.labels, other.labels)
+
+    # sha256(events + labels + p_index) of datasets sampled by the Pauli-frame
+    # gate interpreter that the fault table replaced; the sampler must keep
+    # these bytes.
+    @pytest.mark.parametrize("args, digest", [
+        (([0.0, 1e-5, 1e-3, 1e-2, 0.2, 1.0], 3000, 3, 2307),
+         "129a7c613949ca6a40d7453e0dd54263951ecc5b7dddb924a3a574538d31a355"),
+        (([1e-2], 2000, 1, 7),
+         "ae6c694f139edee3d7613d8c1174505801c008f9fc33a535fa1b562531940445"),
+        (([1e-2], 2000, 5, 7),
+         "5f22df48f8651295d970275d8a30b5c489de934732c5131409ec3f91d9354719"),
+        # 7 rounds: 65 measurements, a record of two 64-bit words
+        (([0.3, 0.05], 700, 7, 11),
+         "0f6aab76112e80209204fee09fbcf75d4475fb28f45cd1e7b62775128b5acdc2"),
+    ])
+    def test_golden_bytes(self, args, digest):
+        p_values, shots, rounds, seed = args
+        ds = sc.generate_dataset(p_values, shots, rounds, seed=seed)
+        h = hashlib.sha256(ds.events.tobytes() + ds.labels.tobytes()
+                           + ds.p_index.tobytes())
+        assert h.hexdigest() == digest
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
