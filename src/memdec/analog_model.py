@@ -22,10 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .rnn_decoder import DecoderParams, logits_to_bits
+from .rnn_decoder import (HIDDEN_SIZE, INPUT_SIZE, OUTPUT_SIZE, DecoderParams,
+                          logits_to_bits)
 from .surface_code_sim import table_accuracy
 
-HIDDEN_SIZE = 16
+# crossbar unit shapes: each layer's weight rows plus its bias row
+RECURRENT_UNIT = (INPUT_SIZE + HIDDEN_SIZE + 1, HIDDEN_SIZE)
+EVALUATION_UNIT = (HIDDEN_SIZE + 1, OUTPUT_SIZE)
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,19 @@ class FaultMap:
     def __post_init__(self):
         object.__setattr__(self, "recurrent", np.asarray(self.recurrent, dtype=bool))
         object.__setattr__(self, "evaluation", np.asarray(self.evaluation, dtype=bool))
-        if self.recurrent.shape != (21, HIDDEN_SIZE) or self.evaluation.shape != (17, 2):
+        if (self.recurrent.shape != RECURRENT_UNIT
+                or self.evaluation.shape != EVALUATION_UNIT):
             raise ValueError(f"fault map shapes {self.recurrent.shape}, "
                              f"{self.evaluation.shape} do not match the decoder units")
 
     @staticmethod
     def none() -> "FaultMap":
-        return FaultMap(np.zeros((21, HIDDEN_SIZE), bool), np.zeros((17, 2), bool))
+        return FaultMap(np.zeros(RECURRENT_UNIT, bool), np.zeros(EVALUATION_UNIT, bool))
 
     @staticmethod
     def sample(stuck_rate: float, rng: np.random.Generator) -> "FaultMap":
-        return FaultMap(sample_fault_map((21, HIDDEN_SIZE), stuck_rate, rng),
-                        sample_fault_map((17, 2), stuck_rate, rng))
+        return FaultMap(sample_fault_map(RECURRENT_UNIT, stuck_rate, rng),
+                        sample_fault_map(EVALUATION_UNIT, stuck_rate, rng))
 
 
 @dataclass(frozen=True)

@@ -192,13 +192,15 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
             rate = stuck_rate if p_drop is None else p_drop
             rcfg = replace(configs.retrain_config, p_drop=rate, ds_mask=None,
                            seed=derive_seed(master_seed, Stage.RETRAIN, i))
-            params = hwa.retrain_hwa(params, configs.train_set, configs.val_set, rcfg)
+            params = hwa.retrain_hwa(params, configs.train_set, configs.val_set, rcfg,
+                                     configs.train_config, xcfg)
         elif scheme == "ds_mnd":
             chip_rng = spawn_generator(master_seed, Stage.CHIP, i)
             chip_map = am.FaultMap.sample(stuck_rate, chip_rng)
             rcfg = replace(configs.retrain_config, p_drop=0.0, ds_mask=chip_map,
                            seed=derive_seed(master_seed, Stage.RETRAIN, i))
-            params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg)
+            params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg,
+                                    configs.train_config, xcfg)
 
         if scheme == "baseline":
             accs = [rd.accuracy(params, test_sets[p]) for p in protocol.p_values]

@@ -1,8 +1,8 @@
 """Hardware-aware retraining of the decoder.
 
 Starting from floating-point-trained parameters, a short retraining phase
-(default 10 epochs, optimizer meta-parameters unchanged) applies any
-combination of:
+(default 10 epochs) trains the network of `rnn_decoder` (its forward pass,
+BPTT and Adam) and applies any combination of:
 
   * random dropconnect: a fresh Bernoulli keep-mask per batch zeroes weights
     (biases included) for the forward pass; gradients flow only through
@@ -10,10 +10,15 @@ combination of:
   * Gaussian noise injection: surviving weights are perturbed for the
     forward pass by N(0, noise_relative * w_max) per unit, mirroring the
     programming variability seen at inference; the perturbation is not kept,
-  * input/output discretization at the converter resolution with a
-    straight-through gradient,
+  * input/output discretization by the crossbar's DAC and ADC, i.e.
+    `analog_model`'s converters under the caller's `CrossbarConfig` (levels,
+    adc_bound, dac_bound), with a straight-through gradient,
   * weight clipping to [-alpha * sigma, alpha * sigma] per unit after each
     update.
+
+The optimizer meta-parameters (learning rate, batch size, Adam betas and
+eps) come from the caller's `TrainConfig`; epochs and seed come from
+`RetrainConfig`.
 
 Device-specific retraining replaces the random mask with the measured
 stuck-pair map of one characterized crossbar: those weights are pinned to
@@ -26,15 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog_model import FaultMap, quantize
+from . import rnn_decoder as rd
+from .analog_model import (EVALUATION_UNIT, RECURRENT_UNIT, CrossbarConfig,
+                           FaultMap, _adc, _dac)
 from .rng import Stage, spawn_generator
-from .rnn_decoder import (AdamState, DecoderParams, TrainConfig, _as_arrays,
-                          _check_events, _softmax, adam_step_inplace,
-                          logits_to_bits)
+from .rnn_decoder import DecoderParams, TrainConfig
 from .surface_code_sim import Dataset, syndrome_table, table_accuracy
-
-INPUT_SIZE = 4
-HIDDEN_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -91,19 +93,20 @@ class _Masks:
 
     @staticmethod
     def full() -> "_Masks":
-        return _Masks(np.ones((20, 16), bool), np.ones(16, bool),
-                      np.ones((16, 2), bool), np.ones(2, bool))
+        return _Masks.from_fault_map(FaultMap.none())
 
     @staticmethod
     def random(p_drop: float, rng: np.random.Generator) -> "_Masks":
-        rec = dropconnect_mask((21, 16), p_drop, rng)
-        ev = dropconnect_mask((17, 2), p_drop, rng)
-        return _Masks(rec[:20], rec[20], ev[:16], ev[16])
+        return _Masks.from_units(dropconnect_mask(RECURRENT_UNIT, p_drop, rng),
+                                 dropconnect_mask(EVALUATION_UNIT, p_drop, rng))
 
     @staticmethod
     def from_fault_map(fmap: FaultMap) -> "_Masks":
-        keep_rec, keep_ev = ~fmap.recurrent, ~fmap.evaluation
-        return _Masks(keep_rec[:20], keep_rec[20], keep_ev[:16], keep_ev[16])
+        return _Masks.from_units(~fmap.recurrent, ~fmap.evaluation)
+
+    @staticmethod
+    def from_units(keep_rec: np.ndarray, keep_ev: np.ndarray) -> "_Masks":
+        return _Masks(keep_rec[:-1], keep_rec[-1], keep_ev[:-1], keep_ev[-1])
 
     def tensors(self):
         return self.w_rec, self.b_rec, self.w_eval, self.b_eval
@@ -129,72 +132,33 @@ def _perturbed(params: DecoderParams, masks: _Masks, noise_relative: float,
     return DecoderParams(w_rec, b_rec, w_eval, b_eval)
 
 
-def _forward_hwa(eff: DecoderParams, events: np.ndarray, discretize: bool,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward with optional 8-bit IO discretization (values only; the
-    backward pass treats the quantizers as identity)."""
-    x = _check_events(events)
-    n, steps, _ = x.shape
-    z = np.zeros((n, steps, HIDDEN_SIZE))
-    h = np.zeros((n, steps + 1, HIDDEN_SIZE))
-    inputs = np.zeros((n, steps, INPUT_SIZE + HIDDEN_SIZE))
-    for t in range(steps):
-        inp = np.concatenate([x[:, t], h[:, t]], axis=1)
-        if discretize:
-            inp = quantize(inp / 6.0, 1.0, 256) * 6.0
-        inputs[:, t] = inp
-        zt = inp @ eff.w_rec + eff.b_rec
-        if discretize:
-            zt = quantize(zt, 6.0, 256)
-        z[:, t] = zt
-        h[:, t + 1] = np.maximum(zt, 0.0)
-    last = h[:, -1]
-    if discretize:
-        last = quantize(last / 6.0, 1.0, 256) * 6.0
-    logits = last @ eff.w_eval + eff.b_eval
-    if discretize:
-        logits = quantize(logits, 6.0, 256)
-    return z, inputs, last, logits
+def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | None:
+    """The crossbar's DAC (inputs scaled into the DAC range by the ADC bound
+    and restored after conversion) and ADC, as `rd.forward_batch` applies
+    them; None when IO discretization is off."""
+    if not cfg.io_discretize:
+        return None
+    return (lambda v: _dac(v, xcfg) * xcfg.adc_bound, lambda v: _adc(v, xcfg))
 
 
 def masked_loss_and_grads(params: DecoderParams, masks: _Masks,
                           events: np.ndarray, labels: np.ndarray,
                           noise_relative: float = 0.0,
                           rng: np.random.Generator | None = None,
-                          discretize: bool = False,
+                          io: rd.Converters | None = None,
                           ) -> tuple[float, DecoderParams]:
     """Cross-entropy loss/grads of the masked (and optionally noised and
     discretized) forward pass; gradients are zero at dropped weights."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
     eff = _perturbed(params, masks, noise_relative, rng)
-    z, inputs, last, logits = _forward_hwa(eff, events, discretize)
-    n = y.shape[0]
-    probs = _softmax(logits)
-    loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
-
-    dlogits = probs
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    g_w_eval = (last.T @ dlogits) * masks.w_eval
-    g_b_eval = dlogits.sum(axis=0) * masks.b_eval
-    dh = dlogits @ eff.w_eval.T
-    g_w_rec = np.zeros((INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE))
-    g_b_rec = np.zeros(HIDDEN_SIZE)
-    for t in range(z.shape[1] - 1, -1, -1):
-        dz = dh * (z[:, t] > 0.0)
-        g_w_rec += inputs[:, t].T @ dz
-        g_b_rec += dz.sum(axis=0)
-        dh = (dz @ eff.w_rec.T)[:, INPUT_SIZE:]
-    g_w_rec *= masks.w_rec
-    g_b_rec *= masks.b_rec
-    return loss, DecoderParams(g_w_rec, g_b_rec, g_w_eval, g_b_eval)
+    loss, grads = rd.loss_and_grads(eff, events, labels, io)
+    for g, m in zip(grads.tensors(), masks.tensors()):
+        g *= m
+    return loss, grads
 
 
 def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, masks_fixed,
                      rows: np.ndarray, counts: np.ndarray, seed_key: int,
-                     ) -> float:
+                     io: rd.Converters | None) -> float:
     """Validation accuracy over a syndrome table (see
     `surface_code_sim.syndrome_table`) under the training-time noise/drop
     statistics, averaged over `val_draws` independent draws."""
@@ -208,23 +172,23 @@ def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, masks_fixed,
         noise_rng = spawn_generator(cfg.seed, Stage.NOISE, seed_key, draw)
         eff = _perturbed(params, masks, cfg.noise_relative, noise_rng)
         total += table_accuracy(
-            lambda r: logits_to_bits(_forward_hwa(eff, r, cfg.io_discretize)[3]),
-            rows, counts)
+            lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io)[2]), rows, counts)
     return total / cfg.val_draws
 
 
 def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
-             cfg: RetrainConfig, masks_fixed: _Masks | None) -> DecoderParams:
-    events, labels = _as_arrays(dataset)
-    val_rows, val_counts = syndrome_table(*_as_arrays(val))
-    train_cfg = TrainConfig(epochs=cfg.epochs, seed=cfg.seed)
+             cfg: RetrainConfig, masks_fixed: _Masks | None,
+             train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
+    events, labels = rd._as_arrays(dataset)
+    val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
+    io = _converters(cfg, xcfg)
 
     params = params.copy()
     if masks_fixed is not None:
         for p, m in zip(params.tensors(), masks_fixed.tensors()):
             p[~m] = 0.0
 
-    state = AdamState()
+    state = rd.AdamState()
     shuffle_rng = spawn_generator(cfg.seed, Stage.RETRAIN)
     best = (-1.0, params.copy())
     n = events.shape[0]
@@ -239,8 +203,8 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
                                       spawn_generator(cfg.seed, Stage.MASK, epoch, batch_idx))
             noise_rng = spawn_generator(cfg.seed, Stage.NOISE, epoch, batch_idx)
             _, grads = masked_loss_and_grads(params, masks, events[idx], labels[idx],
-                                             cfg.noise_relative, noise_rng, cfg.io_discretize)
-            adam_step_inplace(params, grads, state, train_cfg)
+                                             cfg.noise_relative, noise_rng, io)
+            rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
                 clipped = clip_weights(params, cfg.clip_scale)
                 for p, c in zip(params.tensors(), clipped.tensors()):
@@ -250,27 +214,30 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
                 for p, m in zip(params.tensors(), masks_fixed.tensors()):
                     p[~m] = 0.0
         val_acc = _masked_accuracy(params, cfg, masks_fixed, val_rows,
-                                   val_counts, 1_000_000 + epoch)
+                                   val_counts, 1_000_000 + epoch, io)
         if val_acc > best[0]:
             best = (val_acc, params.copy())
     return best[1]
 
 
 def retrain_hwa(params: DecoderParams, dataset: Dataset, val: Dataset,
-                config: RetrainConfig) -> DecoderParams:
+                config: RetrainConfig, train_config: TrainConfig = TrainConfig(),
+                crossbar_config: CrossbarConfig = CrossbarConfig()) -> DecoderParams:
     """Hardware-aware retraining with random dropconnect (plus optional noise
     injection, IO discretization, and weight clipping)."""
     if config.ds_mask is not None:
         raise ValueError("retrain_hwa takes no device map; use retrain_ds")
     if config.p_drop >= 1.0:
         raise ValueError("p_drop = 1 drops every weight; degenerate retraining")
-    return _retrain(params, dataset, val, config, None)
+    return _retrain(params, dataset, val, config, None, train_config, crossbar_config)
 
 
 def retrain_ds(params: DecoderParams, dataset: Dataset, val: Dataset,
-               config: RetrainConfig) -> DecoderParams:
+               config: RetrainConfig, train_config: TrainConfig = TrainConfig(),
+               crossbar_config: CrossbarConfig = CrossbarConfig()) -> DecoderParams:
     """Device-specific retraining: weights at the measured stuck locations are
     pinned to zero and frozen; survivors train under noise injection."""
     if config.ds_mask is None:
         raise ValueError("retrain_ds requires the measured fault map")
-    return _retrain(params, dataset, val, config, _Masks.from_fault_map(config.ds_mask))
+    return _retrain(params, dataset, val, config, _Masks.from_fault_map(config.ds_mask),
+                    train_config, crossbar_config)

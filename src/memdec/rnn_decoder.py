@@ -5,11 +5,18 @@ Forward, exact BPTT gradients, Adam, and mini-batch cross-entropy training
 are implemented directly on numpy arrays; no autodiff framework. Meta choices
 follow the decoder's training recipe: ReLU activation, softmax cross-entropy,
 Adam at learning rate 1e-3 with batch size 32.
+
+This is the one implementation of the network; hardware-aware retraining
+reuses it. `forward_batch` and `loss_and_grads` take an optional converter
+pair `io = (dac, adc)`: `dac` is applied to each layer's input and `adc` to
+each layer's output (the bias is added digitally, before the ADC). The
+backward pass treats both as identity (a straight-through estimator).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +27,10 @@ from .surface_code_sim import Dataset, syndrome_table, table_accuracy
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
 OUTPUT_SIZE = 2
+
+# (dac, adc): elementwise converters on each layer's input and output
+Converters = tuple[Callable[[np.ndarray], np.ndarray],
+                   Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -109,23 +120,39 @@ def _check_events(events: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(params: DecoderParams, events: np.ndarray,
+                  io: Converters | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised forward; returns (z (n,T,16), h (n,T+1,16), logits (n,2))."""
+    """Vectorised forward; returns (z (n,T,16), inputs (n,T+1,20), logits (n,2)).
+
+    `z` holds the recurrent layer's outputs (after the ADC under `io`).
+    `inputs[:, t]` is the recurrent layer's input [x_t | h_t] at step t and
+    `inputs[:, T, 4:]` the evaluation layer's input h_T, each as the layer
+    received it (after the DAC under `io`); `inputs[:, T, :4]` is zero.
+    """
     x = _check_events(events)
     n, steps, _ = x.shape
+    dac, adc = io if io is not None else (_identity, _identity)
     z = np.zeros((n, steps, HIDDEN_SIZE))
-    h = np.zeros((n, steps + 1, HIDDEN_SIZE))
+    inputs = np.zeros((n, steps + 1, INPUT_SIZE + HIDDEN_SIZE))
+    h = np.zeros((n, HIDDEN_SIZE))
     for t in range(steps):
-        inp = np.concatenate([x[:, t], h[:, t]], axis=1)
-        z[:, t] = inp @ params.w_rec + params.b_rec
-        h[:, t + 1] = np.maximum(z[:, t], 0.0)
-    logits = h[:, -1] @ params.w_eval + params.b_eval
-    return z, h, logits
+        inp = dac(np.concatenate([x[:, t], h], axis=1))
+        inputs[:, t] = inp
+        z[:, t] = adc(inp @ params.w_rec + params.b_rec)
+        h = np.maximum(z[:, t], 0.0)
+    last = dac(h)
+    inputs[:, steps, INPUT_SIZE:] = last
+    logits = adc(last @ params.w_eval + params.b_eval)
+    return z, inputs, logits
+
+
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v
 
 
 def forward(params: DecoderParams, sample_events: np.ndarray) -> ForwardTrace:
-    z, h, logits = forward_batch(params, sample_events)
-    return ForwardTrace(z[0], h[0], logits[0])
+    z, inputs, logits = forward_batch(params, sample_events)
+    return ForwardTrace(z[0], inputs[0, :, INPUT_SIZE:], logits[0])
 
 
 def predict(params: DecoderParams, sample_events: np.ndarray) -> int:
@@ -149,11 +176,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray,
-                   ) -> tuple[float, DecoderParams]:
+                   io: Converters | None = None) -> tuple[float, DecoderParams]:
     """Mean softmax cross-entropy and exact BPTT gradients.
 
-    ReLU uses subgradient 0 at z=0. Gradients come back in a
-    DecoderParams-shaped container.
+    ReLU uses subgradient 0 at z=0; the converters in `io` pass gradients
+    straight through. Gradients come back in a DecoderParams-shaped
+    container.
     """
     x = _check_events(events)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -163,15 +191,13 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
     if y.shape[0] != n:
         raise ValueError(f"{n} samples but {y.shape[0]} labels")
 
-    z, h, logits = forward_batch(params, x)
-    probs = _softmax(logits)
-    loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
-
-    dlogits = probs.copy()
+    z, inputs, logits = forward_batch(params, x, io)
+    dlogits = _softmax(logits)
+    loss = float(-np.log(dlogits[np.arange(n), y] + 1e-300).mean())
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    g_w_eval = h[:, -1].T @ dlogits
+    g_w_eval = inputs[:, -1, INPUT_SIZE:].T @ dlogits
     g_b_eval = dlogits.sum(axis=0)
     dh = dlogits @ params.w_eval.T
 
@@ -179,8 +205,7 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
     g_b_rec = np.zeros_like(params.b_rec)
     for t in range(x.shape[1] - 1, -1, -1):
         dz = dh * (z[:, t] > 0.0)
-        inp = np.concatenate([x[:, t], h[:, t]], axis=1)
-        g_w_rec += inp.T @ dz
+        g_w_rec += inputs[:, t].T @ dz
         g_b_rec += dz.sum(axis=0)
         dh = (dz @ params.w_rec.T)[:, INPUT_SIZE:]
 
@@ -192,28 +217,6 @@ class AdamState:
     m: DecoderParams = field(default_factory=DecoderParams.zeros)
     v: DecoderParams = field(default_factory=DecoderParams.zeros)
     step: int = 0
-
-
-def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
-              config: TrainConfig) -> tuple[DecoderParams, AdamState]:
-    """One bias-corrected Adam update; pure (inputs untouched)."""
-    for g in grads.tensors():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in adam_step")
-    t = state.step + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params.tensors(), grads.tensors(),
-                          state.m.tensors(), state.v.tensors()):
-        m1 = b1 * m + (1 - b1) * g
-        v1 = b2 * v + (1 - b2) * g * g
-        m_hat = m1 / (1 - b1 ** t)
-        v_hat = v1 / (1 - b2 ** t)
-        new_p.append(p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps))
-        new_m.append(m1)
-        new_v.append(v1)
-    return (DecoderParams(*new_p),
-            AdamState(DecoderParams(*new_m), DecoderParams(*new_v), t))
 
 
 def accuracy(params: DecoderParams, dataset: Dataset | tuple[np.ndarray, np.ndarray],
@@ -231,17 +234,21 @@ def _as_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(events), np.asarray(labels).reshape(-1)
 
 
-def adam_step_inplace(params: DecoderParams, grads: DecoderParams,
-                      state: AdamState, config: TrainConfig) -> None:
-    """Same update as `adam_step` but mutating; the training-loop fast path."""
+def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
+              config: TrainConfig) -> None:
+    """One bias-corrected Adam update of `params` and `state`, in place.
+
+    Raises NumericError, leaving both untouched, on a non-finite gradient.
+    """
+    for g in grads.tensors():
+        if not np.all(np.isfinite(g)):
+            raise NumericError("non-finite gradient in adam_step")
     state.step += 1
     t = state.step
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for p, g, m, v in zip(params.tensors(), grads.tensors(),
                           state.m.tensors(), state.v.tensors()):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in adam step")
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -271,7 +278,7 @@ def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderPara
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             _, grads = loss_and_grads(params, events[idx], labels[idx])
-            adam_step_inplace(params, grads, state, config)
+            adam_step(params, grads, state, config)
         val_acc = accuracy(params, (val_events, val_labels))
         if val_acc > best_acc:
             best_acc = val_acc

@@ -168,16 +168,36 @@ class TestEvaluateScheme:
         val = configs.val_set
         cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, val_draws=3, seed=4)
         table = sc.syndrome_table(val.events, val.labels)
+        io = hwa._converters(cfg, am.CrossbarConfig())
         per_shot = 0.0
         for draw in range(cfg.val_draws):
             masks = hwa._Masks.random(cfg.p_drop,
                                       spawn_generator(cfg.seed, Stage.MASK, 9, draw))
             noise_rng = spawn_generator(cfg.seed, Stage.NOISE, 9, draw)
             eff = hwa._perturbed(base[0], masks, cfg.noise_relative, noise_rng)
-            logits = hwa._forward_hwa(eff, val.events, cfg.io_discretize)[3]
+            logits = rd.forward_batch(eff, val.events, io)[2]
             per_shot += float((rd.logits_to_bits(logits) == val.labels).mean())
-        assert (hwa._masked_accuracy(base[0], cfg, None, *table, 9)
+        assert (hwa._masked_accuracy(base[0], cfg, None, *table, 9, io)
                 == per_shot / cfg.val_draws)
+
+    @pytest.mark.parametrize("scheme,fn", [("hwa_mnd", "retrain_hwa"),
+                                           ("ds_mnd", "retrain_ds")])
+    def test_retraining_gets_train_and_crossbar_configs(self, setup, monkeypatch,
+                                                        scheme, fn):
+        configs, base, tests, protocol = setup
+        configs = replace(configs, train_config=rd.TrainConfig(epochs=2, batch_size=64),
+                          crossbar_config=am.CrossbarConfig(levels=16, adc_bound=2.0))
+        calls = []
+
+        def record(params, dataset, val, config, train_config, crossbar_config):
+            calls.append((train_config, crossbar_config))
+            return params
+
+        monkeypatch.setattr(hwa, fn, record)
+        ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
+                           test_sets=tests, base_params=base)
+        xcfg = replace(configs.crossbar_config, stuck_rate=STUCK)
+        assert calls == [(configs.train_config, xcfg)] * protocol.n_train_runs
 
     def test_overflowing_threshold_reported_out_of_range(self, setup, monkeypatch):
         configs, _, tests, protocol = setup

@@ -100,9 +100,9 @@ class TestMaskedGradients:
         loss_a, g_a = hwa.masked_loss_and_grads(params, hwa._Masks.full(),
                                                 events, labels)
         loss_b, g_b = rd.loss_and_grads(params, events, labels)
-        assert np.isclose(loss_a, loss_b, rtol=1e-12)
+        assert loss_a == loss_b
         for a, b in zip(g_a.tensors(), g_b.tensors()):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(a, b)
 
     def test_surviving_grads_match_finite_differences(self):
         # noise disabled; kink-adjacent draws redrawn as in the plain FD check
@@ -118,7 +118,7 @@ class TestMaskedGradients:
             events = rng.integers(0, 2, size=(2, 4, 4)).astype(np.float64)
             labels = rng.integers(0, 2, size=2)
             eff = hwa._perturbed(params, masks, 0.0, None)
-            z, _, _, _ = hwa._forward_hwa(eff, events, False)
+            z, _, _ = rd.forward_batch(eff, events, None)
             if np.abs(z).min() < 1e-3:
                 continue
             checked += 1
@@ -181,6 +181,47 @@ class TestRetrainHwa:
             pool = np.concatenate([getattr(out, w_name).ravel(),
                                    getattr(out, b_name).ravel()])
             assert np.abs(pool).max() <= 4.0 * pool.std() + 1e-12
+
+
+class TestCallerConfigsReachRetraining:
+    def test_optimizer_fields_of_train_config_are_used(self, small_data, fp_params):
+        train, val = small_data
+        cfg = hwa.RetrainConfig(p_drop=0.1, epochs=1, seed=9)
+        default = hwa.retrain_hwa(fp_params, train, val, cfg)
+        bigger = hwa.retrain_hwa(fp_params, train, val, cfg, rd.TrainConfig(batch_size=64))
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(default.tensors(), bigger.tensors()))
+        # epochs and seed come from the RetrainConfig
+        other = hwa.retrain_hwa(fp_params, train, val, cfg,
+                                rd.TrainConfig(epochs=99, seed=123))
+        for a, b in zip(default.tensors(), other.tensors()):
+            assert np.array_equal(a, b)
+
+    def test_crossbar_converters_discretize_every_layer(self, small_data, fp_params,
+                                                        monkeypatch):
+        train, val = small_data
+        xcfg = am.CrossbarConfig(levels=16, adc_bound=2.0)
+        step = 2.0 * xcfg.adc_bound / xcfg.levels  # DAC and ADC grid, dac_bound = 1
+        cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, epochs=1, seed=5)
+        seen = []
+        forward = rd.forward_batch
+
+        def record(params, events, io=None):
+            z, inputs, logits = forward(params, events, io)
+            seen.append((io is not None, inputs, z, logits))
+            return z, inputs, logits
+
+        monkeypatch.setattr(rd, "forward_batch", record)
+        out = hwa.retrain_hwa(fp_params, train, val, cfg, crossbar_config=xcfg)
+        monkeypatch.undo()
+        assert seen and all(has_io for has_io, *_ in seen)
+        for _, *values in seen:
+            for v in values:
+                assert np.abs(v).max() <= xcfg.adc_bound
+                assert np.array_equal(v, np.round(v / step) * step)
+        default = hwa.retrain_hwa(fp_params, train, val, cfg)
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(default.tensors(), out.tensors()))
 
 
 class TestRetrainDs:

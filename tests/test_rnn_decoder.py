@@ -179,10 +179,11 @@ class TestAdam:
     def test_zero_grads_keep_params(self):
         rng = np.random.default_rng(7)
         params = random_params(rng)
-        out, state = rd.adam_step(params, rd.DecoderParams.zeros(),
-                                  rd.AdamState(), rd.TrainConfig())
+        before = params.copy()
+        state = rd.AdamState()
+        rd.adam_step(params, rd.DecoderParams.zeros(), state, rd.TrainConfig())
         assert state.step == 1
-        for a, b in zip(out.tensors(), params.tensors()):
+        for a, b in zip(params.tensors(), before.tensors()):
             assert np.array_equal(a, b)
 
     def test_first_step_hand_oracle(self):
@@ -190,9 +191,10 @@ class TestAdam:
         rng = np.random.default_rng(11)
         params = random_params(rng)
         grads = random_params(rng, scale=0.5)
-        out, _ = rd.adam_step(params, grads, rd.AdamState(), cfg)
+        before = params.copy()
+        rd.adam_step(params, grads, rd.AdamState(), cfg)
         # zero state: m_hat = g, v_hat = g^2 -> delta = -lr * g / (|g| + eps)
-        for p, g, o in zip(params.tensors(), grads.tensors(), out.tensors()):
+        for p, g, o in zip(before.tensors(), grads.tensors(), params.tensors()):
             expected = p - cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
             assert np.allclose(o, expected, rtol=1e-12, atol=1e-15)
 
@@ -205,16 +207,23 @@ class TestAdam:
         prev = params.b_eval.copy()
         for _ in range(500):
             prev = params.b_eval.copy()
-            params, state = rd.adam_step(params, grads, state, cfg)
+            rd.adam_step(params, grads, state, cfg)
         step_size = np.abs(params.b_eval - prev).max()
         assert math.isclose(step_size, cfg.learning_rate, rel_tol=0.02)
 
     def test_nonfinite_grads_raise(self):
-        grads = rd.DecoderParams.zeros()
-        grads.w_rec[0, 0] = np.nan
+        rng = np.random.default_rng(12)
+        params = random_params(rng)
+        before = params.copy()
+        grads = random_params(rng)
+        grads.b_eval[1] = np.nan
+        state = rd.AdamState()
         with pytest.raises(NumericError):
-            rd.adam_step(rd.DecoderParams.zeros(), grads,
-                         rd.AdamState(), rd.TrainConfig())
+            rd.adam_step(params, grads, state, rd.TrainConfig())
+        # the check precedes every update: nothing moved
+        assert state.step == 0 and not state.m.w_rec.any()
+        for a, b in zip(params.tensors(), before.tensors()):
+            assert np.array_equal(a, b)
 
 
 class TestTraining:
