@@ -22,13 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .rnn_decoder import (HIDDEN_SIZE, INPUT_SIZE, OUTPUT_SIZE, DecoderParams,
+from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, DecoderParams,
                           logits_to_bits)
 from .surface_code_sim import table_accuracy
-
-# crossbar unit shapes: each layer's weight rows plus its bias row
-RECURRENT_UNIT = (INPUT_SIZE + HIDDEN_SIZE + 1, HIDDEN_SIZE)
-EVALUATION_UNIT = (HIDDEN_SIZE + 1, OUTPUT_SIZE)
 
 
 @dataclass(frozen=True)
@@ -195,10 +191,6 @@ def crossbar_mvm(g_plus: np.ndarray, g_minus: np.ndarray, v: np.ndarray) -> np.n
     return v @ (g_plus - g_minus)
 
 
-def _stack_unit(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return np.vstack([weights, bias[None, :]])
-
-
 def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
                     rng: np.random.Generator) -> ProgrammedDecoder:
     """Map both decoder layers (bias row appended) onto crossbar units.
@@ -209,10 +201,7 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
     """
     units = []
     scales = []
-    masks = (fmap.recurrent, fmap.evaluation)
-    tensors = ((params.w_rec, params.b_rec), (params.w_eval, params.b_eval))
-    for (w, b), stuck in zip(tensors, masks):
-        mat = _stack_unit(w, b)
+    for mat, stuck in zip(params.units(), (fmap.recurrent, fmap.evaluation)):
         w_max = float(np.abs(mat).max())
         g_plus, g_minus = map_weights(mat, w_max, cfg)
         g_plus = apply_variability(g_plus, cfg.variability, rng)

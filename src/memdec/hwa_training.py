@@ -6,10 +6,14 @@ BPTT and Adam) and applies any combination of:
 
   * random dropconnect: a fresh Bernoulli keep-mask per batch zeroes weights
     (biases included) for the forward pass; gradients flow only through
-    survivors,
+    survivors. A keep-mask is one boolean vector over `DecoderParams.flat`,
+    which is the two crossbar units in C order, so it is drawn with one
+    `rng.random(370)` call,
   * Gaussian noise injection: surviving weights are perturbed for the
-    forward pass by N(0, noise_relative * w_max) per unit, mirroring the
-    programming variability seen at inference; the perturbation is not kept,
+    forward pass by N(0, noise_relative * w_max), w_max the largest |weight|
+    of each unit (one `standard_normal(370)` draw times a per-unit scale),
+    mirroring the programming variability seen at inference; the
+    perturbation is not kept,
   * input/output discretization by the crossbar's DAC and ADC, i.e.
     `analog_model`'s converters under the caller's `CrossbarConfig` (levels,
     adc_bound, dac_bound), with a straight-through gradient,
@@ -21,8 +25,9 @@ eps) come from the caller's `TrainConfig`; epochs and seed come from
 `RetrainConfig`.
 
 Device-specific retraining replaces the random mask with the measured
-stuck-pair map of one characterized crossbar: those weights are pinned to
-exactly zero and receive no updates.
+stuck-pair map of one characterized crossbar (its two units concatenated
+and inverted): those weights are pinned to exactly zero and receive no
+updates.
 """
 
 from __future__ import annotations
@@ -32,11 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rnn_decoder as rd
-from .analog_model import (EVALUATION_UNIT, RECURRENT_UNIT, CrossbarConfig,
-                           FaultMap, _adc, _dac)
+from .analog_model import CrossbarConfig, FaultMap, _adc, _dac
 from .rng import Stage, spawn_generator
-from .rnn_decoder import DecoderParams, TrainConfig
+from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
 from .surface_code_sim import Dataset, syndrome_table, table_accuracy
+
+_UNIT_STARTS = [unit.start for unit in UNIT_SLICES]
+_UNIT_SIZES = [unit.stop - unit.start for unit in UNIT_SLICES]
 
 
 @dataclass(frozen=True)
@@ -73,63 +80,33 @@ def clip_weights(params: DecoderParams, alpha: float) -> DecoderParams:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     out = params.copy()
-    for w_name, b_name in (("w_rec", "b_rec"), ("w_eval", "b_eval")):
-        w, b = getattr(out, w_name), getattr(out, b_name)
-        pool = np.concatenate([w.ravel(), b.ravel()])
+    for unit in UNIT_SLICES:
+        pool = out.flat[unit]
         bound = alpha * float(pool.std())
-        np.clip(w, -bound, bound, out=w)
-        np.clip(b, -bound, bound, out=b)
+        np.clip(pool, -bound, bound, out=pool)
     return out
 
 
-@dataclass
-class _Masks:
-    """Per-tensor keep-masks; the unit masks are split at the bias row."""
-
-    w_rec: np.ndarray
-    b_rec: np.ndarray
-    w_eval: np.ndarray
-    b_eval: np.ndarray
-
-    @staticmethod
-    def full() -> "_Masks":
-        return _Masks.from_fault_map(FaultMap.none())
-
-    @staticmethod
-    def random(p_drop: float, rng: np.random.Generator) -> "_Masks":
-        return _Masks.from_units(dropconnect_mask(RECURRENT_UNIT, p_drop, rng),
-                                 dropconnect_mask(EVALUATION_UNIT, p_drop, rng))
-
-    @staticmethod
-    def from_fault_map(fmap: FaultMap) -> "_Masks":
-        return _Masks.from_units(~fmap.recurrent, ~fmap.evaluation)
-
-    @staticmethod
-    def from_units(keep_rec: np.ndarray, keep_ev: np.ndarray) -> "_Masks":
-        return _Masks(keep_rec[:-1], keep_rec[-1], keep_ev[:-1], keep_ev[-1])
-
-    def tensors(self):
-        return self.w_rec, self.b_rec, self.w_eval, self.b_eval
+def _random_keep(p_drop: float, rng: np.random.Generator) -> np.ndarray:
+    """Dropconnect keep-mask over `DecoderParams.flat`."""
+    return dropconnect_mask((N_PARAMS,), p_drop, rng)
 
 
-def _perturbed(params: DecoderParams, masks: _Masks, noise_relative: float,
+def _fault_keep(fmap: FaultMap) -> np.ndarray:
+    """Keep-mask over `DecoderParams.flat` that drops a fault map's stuck pairs."""
+    return ~np.concatenate((fmap.recurrent, fmap.evaluation), axis=None)
+
+
+def _perturbed(params: DecoderParams, keep: np.ndarray, noise_relative: float,
                rng: np.random.Generator | None) -> DecoderParams:
     """Effective weights for one forward pass: mask, then add noise scaled by
     each unit's max |weight| to the survivors."""
-    w_rec = params.w_rec * masks.w_rec
-    b_rec = params.b_rec * masks.b_rec
-    w_eval = params.w_eval * masks.w_eval
-    b_eval = params.b_eval * masks.b_eval
+    eff = params.flat * keep
     if noise_relative > 0.0 and rng is not None:
-        s_rec = noise_relative * max(np.abs(params.w_rec).max(),
-                                     np.abs(params.b_rec).max())
-        s_ev = noise_relative * max(np.abs(params.w_eval).max(),
-                                    np.abs(params.b_eval).max())
-        w_rec = w_rec + rng.standard_normal(w_rec.shape) * s_rec * masks.w_rec
-        b_rec = b_rec + rng.standard_normal(b_rec.shape) * s_rec * masks.b_rec
-        w_eval = w_eval + rng.standard_normal(w_eval.shape) * s_ev * masks.w_eval
-        b_eval = b_eval + rng.standard_normal(b_eval.shape) * s_ev * masks.b_eval
-    return DecoderParams(w_rec, b_rec, w_eval, b_eval)
+        unit_max = np.maximum.reduceat(np.abs(params.flat), _UNIT_STARTS)
+        scale = np.repeat(noise_relative * unit_max, _UNIT_SIZES)
+        eff += rng.standard_normal(N_PARAMS) * scale * keep
+    return DecoderParams.from_flat(eff)
 
 
 def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | None:
@@ -141,79 +118,78 @@ def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | Non
     return (lambda v: _dac(v, xcfg) * xcfg.adc_bound, lambda v: _adc(v, xcfg))
 
 
-def masked_loss_and_grads(params: DecoderParams, masks: _Masks,
+def masked_loss_and_grads(params: DecoderParams, keep: np.ndarray,
                           events: np.ndarray, labels: np.ndarray,
                           noise_relative: float = 0.0,
                           rng: np.random.Generator | None = None,
                           io: rd.Converters | None = None,
+                          work: rd.Workspace | None = None,
                           ) -> tuple[float, DecoderParams]:
     """Cross-entropy loss/grads of the masked (and optionally noised and
-    discretized) forward pass; gradients are zero at dropped weights."""
-    eff = _perturbed(params, masks, noise_relative, rng)
-    loss, grads = rd.loss_and_grads(eff, events, labels, io)
-    for g, m in zip(grads.tensors(), masks.tensors()):
-        g *= m
+    discretized) forward pass; gradients are zero where `keep` is False."""
+    eff = _perturbed(params, keep, noise_relative, rng)
+    loss, grads = rd.loss_and_grads(eff, events, labels, io, work)
+    grads.flat *= keep
     return loss, grads
 
 
-def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, masks_fixed,
-                     rows: np.ndarray, counts: np.ndarray, seed_key: int,
+def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
+                     keep_fixed: np.ndarray | None, rows: np.ndarray,
+                     counts: np.ndarray, seed_key: int,
                      io: rd.Converters | None) -> float:
     """Validation accuracy over a syndrome table (see
     `surface_code_sim.syndrome_table`) under the training-time noise/drop
     statistics, averaged over `val_draws` independent draws."""
     total = 0.0
     for draw in range(cfg.val_draws):
-        if masks_fixed is not None:
-            masks = masks_fixed
+        if keep_fixed is not None:
+            keep = keep_fixed
         else:
-            masks = _Masks.random(cfg.p_drop,
-                                  spawn_generator(cfg.seed, Stage.MASK, seed_key, draw))
+            keep = _random_keep(cfg.p_drop,
+                                spawn_generator(cfg.seed, Stage.MASK, seed_key, draw))
         noise_rng = spawn_generator(cfg.seed, Stage.NOISE, seed_key, draw)
-        eff = _perturbed(params, masks, cfg.noise_relative, noise_rng)
+        eff = _perturbed(params, keep, cfg.noise_relative, noise_rng)
         total += table_accuracy(
             lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io)[2]), rows, counts)
     return total / cfg.val_draws
 
 
 def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
-             cfg: RetrainConfig, masks_fixed: _Masks | None,
+             cfg: RetrainConfig, keep_fixed: np.ndarray | None,
              train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
     events, labels = rd._as_arrays(dataset)
     val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
     io = _converters(cfg, xcfg)
 
     params = params.copy()
-    if masks_fixed is not None:
-        for p, m in zip(params.tensors(), masks_fixed.tensors()):
-            p[~m] = 0.0
+    pinned = None if keep_fixed is None else ~keep_fixed
+    if pinned is not None:
+        params.flat[pinned] = 0.0
 
     state = rd.AdamState()
     shuffle_rng = spawn_generator(cfg.seed, Stage.RETRAIN)
     best = (-1.0, params.copy())
     n = events.shape[0]
+    work = rd.Workspace(min(train_cfg.batch_size, n), events.shape[1])
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for batch_idx, start in enumerate(range(0, n, train_cfg.batch_size)):
             idx = order[start:start + train_cfg.batch_size]
-            if masks_fixed is not None:
-                masks = masks_fixed
+            if keep_fixed is not None:
+                keep = keep_fixed
             else:
-                masks = _Masks.random(cfg.p_drop,
-                                      spawn_generator(cfg.seed, Stage.MASK, epoch, batch_idx))
+                keep = _random_keep(cfg.p_drop,
+                                    spawn_generator(cfg.seed, Stage.MASK, epoch, batch_idx))
             noise_rng = spawn_generator(cfg.seed, Stage.NOISE, epoch, batch_idx)
-            _, grads = masked_loss_and_grads(params, masks, events[idx], labels[idx],
-                                             cfg.noise_relative, noise_rng, io)
+            _, grads = masked_loss_and_grads(params, keep, events[idx], labels[idx],
+                                             cfg.noise_relative, noise_rng, io, work)
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
-                clipped = clip_weights(params, cfg.clip_scale)
-                for p, c in zip(params.tensors(), clipped.tensors()):
-                    p[...] = c
-            if masks_fixed is not None:
+                params.flat[:] = clip_weights(params, cfg.clip_scale).flat
+            if pinned is not None:
                 # pinned weights stay exactly zero (clip or numeric drift)
-                for p, m in zip(params.tensors(), masks_fixed.tensors()):
-                    p[~m] = 0.0
-        val_acc = _masked_accuracy(params, cfg, masks_fixed, val_rows,
+                params.flat[pinned] = 0.0
+        val_acc = _masked_accuracy(params, cfg, keep_fixed, val_rows,
                                    val_counts, 1_000_000 + epoch, io)
         if val_acc > best[0]:
             best = (val_acc, params.copy())
@@ -239,5 +215,5 @@ def retrain_ds(params: DecoderParams, dataset: Dataset, val: Dataset,
     pinned to zero and frozen; survivors train under noise injection."""
     if config.ds_mask is None:
         raise ValueError("retrain_ds requires the measured fault map")
-    return _retrain(params, dataset, val, config, _Masks.from_fault_map(config.ds_mask),
+    return _retrain(params, dataset, val, config, _fault_keep(config.ds_mask),
                     train_config, crossbar_config)

@@ -11,6 +11,16 @@ reuses it. `forward_batch` and `loss_and_grads` take an optional converter
 pair `io = (dac, adc)`: `dac` is applied to each layer's input and `adc` to
 each layer's output (the bias is added digitally, before the ADC). The
 backward pass treats both as identity (a straight-through estimator).
+
+Parameter layout: `DecoderParams` keeps all 370 parameters in one contiguous
+float64 vector `flat`, in the order w_rec | b_rec | w_eval | b_eval, each
+tensor in C order; `w_rec`, `b_rec`, `w_eval` and `b_eval` are views into
+it. Since each layer's bias follows its weights, the vector is also the two
+crossbar units in C order, each with its bias as the last row: the
+recurrent unit (21, 16) is `flat[:336]` and the evaluation unit (17, 2) is
+`flat[336:]` (`UNIT_SLICES`, `DecoderParams.units`). Gradients and Adam
+moments use the same layout, so an Adam step is one set of elementwise
+operations on 370-vectors. Only this module knows the layout.
 """
 
 from __future__ import annotations
@@ -33,42 +43,69 @@ Converters = tuple[Callable[[np.ndarray], np.ndarray],
                    Callable[[np.ndarray], np.ndarray]]
 
 
-@dataclass
+# crossbar unit shapes: each layer's weight rows plus its bias row
+RECURRENT_UNIT = (INPUT_SIZE + HIDDEN_SIZE + 1, HIDDEN_SIZE)
+EVALUATION_UNIT = (HIDDEN_SIZE + 1, OUTPUT_SIZE)
+_B_REC = (INPUT_SIZE + HIDDEN_SIZE) * HIDDEN_SIZE
+_W_EVAL = _B_REC + HIDDEN_SIZE
+_B_EVAL = _W_EVAL + HIDDEN_SIZE * OUTPUT_SIZE
+N_PARAMS = _B_EVAL + OUTPUT_SIZE
+# the recurrent and evaluation units in `DecoderParams.flat`
+UNIT_SLICES = (slice(0, _W_EVAL), slice(_W_EVAL, N_PARAMS))
+# (name, start, stop, shape) of each tensor in `DecoderParams.flat`
+_TENSORS = (("w_rec", 0, _B_REC, (INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE)),
+            ("b_rec", _B_REC, _W_EVAL, (HIDDEN_SIZE,)),
+            ("w_eval", _W_EVAL, _B_EVAL, (HIDDEN_SIZE, OUTPUT_SIZE)),
+            ("b_eval", _B_EVAL, N_PARAMS, (OUTPUT_SIZE,)))
+
+
 class DecoderParams:
-    """Weights and biases; w_rec acts on [syndrome (4) | hidden (16)]."""
+    """Weights and biases, views into one (370,) vector `flat` (see the module
+    docstring); w_rec acts on [syndrome (4) | hidden (16)]."""
 
-    w_rec: np.ndarray   # (20, 16)
-    b_rec: np.ndarray   # (16,)
-    w_eval: np.ndarray  # (16, 2)
-    b_eval: np.ndarray  # (2,)
+    __slots__ = ("flat", "w_rec", "b_rec", "w_eval", "b_eval")
 
-    def __post_init__(self):
-        expected = {
-            "w_rec": (INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE),
-            "b_rec": (HIDDEN_SIZE,),
-            "w_eval": (HIDDEN_SIZE, OUTPUT_SIZE),
-            "b_eval": (OUTPUT_SIZE,),
-        }
-        for name, shape in expected.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+    def __init__(self, w_rec: np.ndarray, b_rec: np.ndarray, w_eval: np.ndarray,
+                 b_eval: np.ndarray):
+        flat = np.empty(N_PARAMS)
+        for (name, start, stop, shape), tensor in zip(_TENSORS,
+                                                      (w_rec, b_rec, w_eval, b_eval)):
+            arr = np.asarray(tensor, dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            setattr(self, name, arr)
+            flat[start:stop] = arr.ravel()
+        self._bind(flat)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        for name, start, stop, shape in _TENSORS:
+            setattr(self, name, flat[start:stop].reshape(shape))
+
+    @staticmethod
+    def from_flat(flat: np.ndarray) -> "DecoderParams":
+        """Parameters viewing `flat` (not copied), a (370,) float64 vector."""
+        if flat.shape != (N_PARAMS,) or flat.dtype != np.float64:
+            raise ValueError(f"flat must be ({N_PARAMS},) float64, "
+                             f"got {flat.shape} {flat.dtype}")
+        params = DecoderParams.__new__(DecoderParams)
+        params._bind(flat)
+        return params
 
     def tensors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.w_rec, self.b_rec, self.w_eval, self.b_eval
 
+    def units(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the recurrent (21, 16) and evaluation (17, 2) crossbar
+        units, each layer's bias as its last row."""
+        return (self.flat[UNIT_SLICES[0]].reshape(RECURRENT_UNIT),
+                self.flat[UNIT_SLICES[1]].reshape(EVALUATION_UNIT))
+
     def copy(self) -> "DecoderParams":
-        return DecoderParams(*(t.copy() for t in self.tensors()))
+        return DecoderParams.from_flat(self.flat.copy())
 
     @staticmethod
     def zeros() -> "DecoderParams":
-        return DecoderParams(
-            np.zeros((INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE)),
-            np.zeros(HIDDEN_SIZE),
-            np.zeros((HIDDEN_SIZE, OUTPUT_SIZE)),
-            np.zeros(OUTPUT_SIZE),
-        )
+        return DecoderParams.from_flat(np.zeros(N_PARAMS))
 
     @staticmethod
     def initial(seed: int) -> "DecoderParams":
@@ -111,7 +148,7 @@ class TrainConfig:
 
 
 def _check_events(events: np.ndarray) -> np.ndarray:
-    arr = np.asarray(events, dtype=np.float64)
+    arr = np.asarray(events)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[2] != INPUT_SIZE:
@@ -119,8 +156,26 @@ def _check_events(events: np.ndarray) -> np.ndarray:
     return arr
 
 
+class Workspace:
+    """Buffers that `forward_batch` and `loss_and_grads` fill in place, for
+    batches of up to `rows` shots of `steps` rounds each (rounds + 1 event
+    rows). A caller that passes one workspace to every call allocates no
+    arrays for the forward pass, BPTT or the gradients; what those calls
+    return are views into it, overwritten by the next call."""
+
+    def __init__(self, rows: int, steps: int):
+        self.inputs = np.zeros((rows, steps + 1, INPUT_SIZE + HIDDEN_SIZE))
+        self.z = np.empty((rows, steps, HIDDEN_SIZE))
+        self.logits = np.empty((rows, OUTPUT_SIZE))
+        self.active = np.empty((rows, steps, HIDDEN_SIZE), dtype=bool)
+        self.dz = np.empty((rows, steps, HIDDEN_SIZE))
+        self.per_step = np.empty((steps, INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE))
+        self.grads = DecoderParams.zeros()
+        self.rows = np.arange(rows)
+
+
 def forward_batch(params: DecoderParams, events: np.ndarray,
-                  io: Converters | None = None,
+                  io: Converters | None = None, work: Workspace | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised forward; returns (z (n,T,16), inputs (n,T+1,20), logits (n,2)).
 
@@ -128,26 +183,37 @@ def forward_batch(params: DecoderParams, events: np.ndarray,
     `inputs[:, t]` is the recurrent layer's input [x_t | h_t] at step t and
     `inputs[:, T, 4:]` the evaluation layer's input h_T, each as the layer
     received it (after the DAC under `io`); `inputs[:, T, :4]` is zero.
+    The events are cast into `inputs` as they are copied there. The arrays
+    live in `work` when one is given (see `Workspace`).
     """
     x = _check_events(events)
     n, steps, _ = x.shape
-    dac, adc = io if io is not None else (_identity, _identity)
-    z = np.zeros((n, steps, HIDDEN_SIZE))
-    inputs = np.zeros((n, steps + 1, INPUT_SIZE + HIDDEN_SIZE))
-    h = np.zeros((n, HIDDEN_SIZE))
+    if work is None:
+        work = Workspace(n, steps)
+    inputs, z, logits = work.inputs[:n], work.z[:n], work.logits[:n]
+    if inputs.shape[:2] != (n, steps + 1):
+        raise ValueError(f"workspace {work.inputs.shape[:2]} cannot hold a batch of "
+                         f"{n} shots of {steps} steps")
+    dac, adc = io if io is not None else (None, None)
+    inputs[:, :steps, :INPUT_SIZE] = x
+    inputs[:, 0, INPUT_SIZE:] = 0.0  # h_0; a DAC may have rewritten it in place
     for t in range(steps):
-        inp = dac(np.concatenate([x[:, t], h], axis=1))
-        inputs[:, t] = inp
-        z[:, t] = adc(inp @ params.w_rec + params.b_rec)
-        h = np.maximum(z[:, t], 0.0)
-    last = dac(h)
-    inputs[:, steps, INPUT_SIZE:] = last
-    logits = adc(last @ params.w_eval + params.b_eval)
+        inp, zt = inputs[:, t], z[:, t]
+        if dac is not None:
+            inp[...] = dac(inp)
+        np.matmul(inp, params.w_rec, out=zt)
+        zt += params.b_rec
+        if adc is not None:
+            zt[...] = adc(zt)
+        np.maximum(zt, 0.0, out=inputs[:, t + 1, INPUT_SIZE:])
+    last = inputs[:, steps, INPUT_SIZE:]
+    if dac is not None:
+        last[...] = dac(last)
+    np.matmul(last, params.w_eval, out=logits)
+    logits += params.b_eval
+    if adc is not None:
+        logits[...] = adc(logits)
     return z, inputs, logits
-
-
-def _identity(v: np.ndarray) -> np.ndarray:
-    return v
 
 
 def forward(params: DecoderParams, sample_events: np.ndarray) -> ForwardTrace:
@@ -170,46 +236,59 @@ def logits_to_bits(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over each row, computed in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray,
-                   io: Converters | None = None) -> tuple[float, DecoderParams]:
+                   io: Converters | None = None, work: Workspace | None = None,
+                   ) -> tuple[float, DecoderParams]:
     """Mean softmax cross-entropy and exact BPTT gradients.
 
     ReLU uses subgradient 0 at z=0; the converters in `io` pass gradients
     straight through. Gradients come back in a DecoderParams-shaped
-    container.
+    container, `work.grads` when a workspace is given.
     """
     x = _check_events(events)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = x.shape[0]
+    n, steps, _ = x.shape
     if n == 0:
         raise ValueError("batch must be non-empty")
     if y.shape[0] != n:
         raise ValueError(f"{n} samples but {y.shape[0]} labels")
+    if work is None:
+        work = Workspace(n, steps)
 
-    z, inputs, logits = forward_batch(params, x, io)
+    z, inputs, logits = forward_batch(params, x, io, work)
     dlogits = _softmax(logits)
-    loss = float(-np.log(dlogits[np.arange(n), y] + 1e-300).mean())
-    dlogits[np.arange(n), y] -= 1.0
+    rows = work.rows[:n]
+    picked = dlogits[rows, y]
+    loss = -float(np.log(picked + 1e-300).sum()) / n
+    dlogits[rows, y] = picked - 1.0
     dlogits /= n
 
-    g_w_eval = inputs[:, -1, INPUT_SIZE:].T @ dlogits
-    g_b_eval = dlogits.sum(axis=0)
+    grads = work.grads
+    np.matmul(inputs[:, steps, INPUT_SIZE:].T, dlogits, out=grads.w_eval)
+    np.sum(dlogits, axis=0, out=grads.b_eval)
     dh = dlogits @ params.w_eval.T
 
-    g_w_rec = np.zeros_like(params.w_rec)
-    g_b_rec = np.zeros_like(params.b_rec)
-    for t in range(x.shape[1] - 1, -1, -1):
-        dz = dh * (z[:, t] > 0.0)
-        g_w_rec += inputs[:, t].T @ dz
-        g_b_rec += dz.sum(axis=0)
-        dh = (dz @ params.w_rec.T)[:, INPUT_SIZE:]
-
-    return loss, DecoderParams(g_w_rec, g_b_rec, g_w_eval, g_b_eval)
+    # dz of step t is stored at dz[:, steps-1-t], so the sums over steps
+    # below add the latest step first, in the order BPTT reaches them
+    active = np.greater(z, 0.0, out=work.active[:n])
+    dz = work.dz[:n]
+    for t in range(steps - 1, -1, -1):
+        dz_t = dz[:, steps - 1 - t]
+        np.multiply(dh, active[:, t], out=dz_t)
+        if t:
+            dh = (dz_t @ params.w_rec.T)[:, INPUT_SIZE:]
+    per_step = np.matmul(inputs[:, steps - 1::-1].transpose(1, 2, 0),
+                         dz.transpose(1, 0, 2), out=work.per_step)
+    np.add.reduce(per_step, axis=0, out=grads.w_rec, initial=0.0)
+    np.add.reduce(dz.sum(axis=0), axis=0, out=grads.b_rec, initial=0.0)
+    return loss, grads
 
 
 @dataclass
@@ -236,24 +315,24 @@ def _as_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update of `params` and `state`, in place.
+    """One bias-corrected Adam update of `params` and `state`, in place, on
+    the flat vectors.
 
     Raises NumericError, leaving both untouched, on a non-finite gradient.
     """
-    for g in grads.tensors():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in adam_step")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient in adam_step")
     state.step += 1
     t = state.step
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    for p, g, m, v in zip(params.tensors(), grads.tensors(),
-                          state.m.tensors(), state.v.tensors()):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+    m, v = state.m.flat, state.v.flat
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    params.flat -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
 
 
 def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderParams:
@@ -273,11 +352,12 @@ def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderPara
     best_acc = -1.0
 
     n = events.shape[0]
+    work = Workspace(min(config.batch_size, n), events.shape[1])
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grads = loss_and_grads(params, events[idx], labels[idx])
+            _, grads = loss_and_grads(params, events[idx], labels[idx], None, work)
             adam_step(params, grads, state, config)
         val_acc = accuracy(params, (val_events, val_labels))
         if val_acc > best_acc:

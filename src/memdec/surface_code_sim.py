@@ -159,6 +159,12 @@ class CircuitSpec:
     def noise_locations(self) -> int:
         return sum(1 for ins in self.instructions if ins.noise is not None)
 
+    @functools.cached_property
+    def _table(self) -> "_FaultTable":
+        """This circuit's fault table, looked up once per spec: building and
+        hashing the structure key costs more than sampling one shot."""
+        return _fault_table(_structure(self))
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -337,6 +343,21 @@ class _FaultTable:
     bits: int                 # measurements per shot
 
 
+# (x, z) components of the single-qubit Paulis I, X, Y, Z
+_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
+# Per noise kind: the faults whose records span those of all its faults (the
+# X and the Z component on each qubit it acts on), and the components, over
+# that basis, of each fault it draws in `_FaultTable` order. Frame propagation
+# is linear over GF(2), so a fault's record is the XOR of its components'.
+_FAULT_BASIS = {
+    NoiseKind.DEPOL1: ((0, 2), np.array(_XZ[1:], dtype=np.uint8)),
+    NoiseKind.DEPOL2: ((4, 12, 1, 3), np.array([_XZ[p >> 2] + _XZ[p & 3]
+                                                 for p in range(1, 16)], dtype=np.uint8)),
+    NoiseKind.PREP_FLIP: ((0,), np.ones((1, 1), dtype=np.uint8)),
+    NoiseKind.MEAS_FLIP: ((0,), np.ones((1, 1), dtype=np.uint8)),
+}
+
+
 def _structure(circuit: CircuitSpec) -> tuple:
     """What the fault table depends on: gates, qubits and noise kinds, not
     the probabilities."""
@@ -362,11 +383,12 @@ def _fault_table(structure: tuple) -> _FaultTable:
     records = np.zeros((len(locations), 15, 64 * words), dtype=np.uint8)
     paulis = np.zeros(len(locations))
     for loc, (i, qubits, kind) in enumerate(locations):
-        drawn = {NoiseKind.DEPOL1: range(3), NoiseKind.DEPOL2: range(1, 16)}.get(kind, (0,))
-        paulis[loc] = len(drawn)
-        for j, pauli in enumerate(drawn):
-            anc, data = _simulate_fault(circuit, (FaultLocation(i, kind, qubits, pauli),))
-            records[loc, j, :bits] = np.concatenate([anc.reshape(-1), data])
+        basis, components = _FAULT_BASIS[kind]
+        spans = np.array([np.concatenate([anc.reshape(-1), data]) for anc, data in (
+            _simulate_fault(circuit, (FaultLocation(i, kind, qubits, pauli),))
+            for pauli in basis)])
+        paulis[loc] = len(components)
+        records[loc, :len(components), :bits] = (components @ spans) & 1
     signatures = np.packbits(records, axis=2, bitorder="little").view("<u8")
     signatures.flags.writeable = False
     paulis.flags.writeable = False
@@ -383,7 +405,7 @@ def _simulate_batch(circuit: CircuitSpec, key: int, shot_indices: np.ndarray,
     (see `_FaultTable`). The shot's record is the XOR of the fired faults'
     signatures.
     """
-    table = _fault_table(_structure(circuit))
+    table = circuit._table
     prob = np.array([ins.noise.prob for ins in circuit.instructions
                      if ins.noise is not None])
     live = np.flatnonzero(prob > 0.0)

@@ -171,10 +171,10 @@ class TestEvaluateScheme:
         io = hwa._converters(cfg, am.CrossbarConfig())
         per_shot = 0.0
         for draw in range(cfg.val_draws):
-            masks = hwa._Masks.random(cfg.p_drop,
-                                      spawn_generator(cfg.seed, Stage.MASK, 9, draw))
+            keep = hwa._random_keep(cfg.p_drop,
+                                    spawn_generator(cfg.seed, Stage.MASK, 9, draw))
             noise_rng = spawn_generator(cfg.seed, Stage.NOISE, 9, draw)
-            eff = hwa._perturbed(base[0], masks, cfg.noise_relative, noise_rng)
+            eff = hwa._perturbed(base[0], keep, cfg.noise_relative, noise_rng)
             logits = rd.forward_batch(eff, val.events, io)[2]
             per_shot += float((rd.logits_to_bits(logits) == val.labels).mean())
         assert (hwa._masked_accuracy(base[0], cfg, None, *table, 9, io)

@@ -84,12 +84,12 @@ class TestMaskedGradients:
         rng = np.random.default_rng(4)
         params = rd.DecoderParams(rng.uniform(-1, 1, (20, 16)), rng.uniform(-1, 1, 16),
                                   rng.uniform(-1, 1, (16, 2)), rng.uniform(-1, 1, 2))
-        masks = hwa._Masks.random(0.4, rng)
+        keep = hwa._random_keep(0.4, rng)
+        assert 0 < keep.sum() < keep.size
         events = rng.integers(0, 2, size=(8, 4, 4))
         labels = rng.integers(0, 2, size=8)
-        _, grads = hwa.masked_loss_and_grads(params, masks, events, labels)
-        for g, m in zip(grads.tensors(), masks.tensors()):
-            assert not g[~m].any()
+        _, grads = hwa.masked_loss_and_grads(params, keep, events, labels)
+        assert not grads.flat[~keep].any()
 
     def test_full_mask_matches_plain_gradients(self):
         rng = np.random.default_rng(5)
@@ -97,8 +97,9 @@ class TestMaskedGradients:
                                   rng.uniform(-1, 1, (16, 2)), rng.uniform(-1, 1, 2))
         events = rng.integers(0, 2, size=(8, 4, 4))
         labels = rng.integers(0, 2, size=8)
-        loss_a, g_a = hwa.masked_loss_and_grads(params, hwa._Masks.full(),
-                                                events, labels)
+        keep_all = hwa._fault_keep(am.FaultMap.none())
+        assert keep_all.shape == (rd.N_PARAMS,) and keep_all.all()
+        loss_a, g_a = hwa.masked_loss_and_grads(params, keep_all, events, labels)
         loss_b, g_b = rd.loss_and_grads(params, events, labels)
         assert loss_a == loss_b
         for a, b in zip(g_a.tensors(), g_b.tensors()):
@@ -114,33 +115,25 @@ class TestMaskedGradients:
                                       rng.uniform(-1, 1, 16),
                                       rng.uniform(-1, 1, (16, 2)),
                                       rng.uniform(-1, 1, 2))
-            masks = hwa._Masks.random(0.3, rng)
+            keep = hwa._random_keep(0.3, rng)
             events = rng.integers(0, 2, size=(2, 4, 4)).astype(np.float64)
             labels = rng.integers(0, 2, size=2)
-            eff = hwa._perturbed(params, masks, 0.0, None)
+            eff = hwa._perturbed(params, keep, 0.0, None)
             z, _, _ = rd.forward_batch(eff, events, None)
             if np.abs(z).min() < 1e-3:
                 continue
             checked += 1
-            _, grads = hwa.masked_loss_and_grads(params, masks, events, labels)
-            for name in ("w_rec", "b_rec", "w_eval", "b_eval"):
-                tensor = getattr(params, name)
-                mask = getattr(masks, name)
-                analytic = getattr(grads, name)
-                it = np.nditer(tensor, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    if not mask[idx]:
-                        continue
-                    orig = tensor[idx]
-                    tensor[idx] = orig + eps
-                    up, _ = hwa.masked_loss_and_grads(params, masks, events, labels)
-                    tensor[idx] = orig - eps
-                    down, _ = hwa.masked_loss_and_grads(params, masks, events, labels)
-                    tensor[idx] = orig
-                    fd = (up - down) / (2 * eps)
-                    denom = max(abs(fd), abs(analytic[idx]), 0.1)
-                    assert abs(fd - analytic[idx]) / denom < 1e-5, (name, idx)
+            _, grads = hwa.masked_loss_and_grads(params, keep, events, labels)
+            for i in np.flatnonzero(keep):
+                orig = params.flat[i]
+                params.flat[i] = orig + eps
+                up, _ = hwa.masked_loss_and_grads(params, keep, events, labels)
+                params.flat[i] = orig - eps
+                down, _ = hwa.masked_loss_and_grads(params, keep, events, labels)
+                params.flat[i] = orig
+                fd = (up - down) / (2 * eps)
+                denom = max(abs(fd), abs(grads.flat[i]), 0.1)
+                assert abs(fd - grads.flat[i]) / denom < 1e-5, i
 
 
 class TestRetrainHwa:
@@ -206,9 +199,9 @@ class TestCallerConfigsReachRetraining:
         seen = []
         forward = rd.forward_batch
 
-        def record(params, events, io=None):
-            z, inputs, logits = forward(params, events, io)
-            seen.append((io is not None, inputs, z, logits))
+        def record(params, events, io=None, work=None):
+            z, inputs, logits = forward(params, events, io, work)
+            seen.append((io is not None, inputs.copy(), z.copy(), logits.copy()))
             return z, inputs, logits
 
         monkeypatch.setattr(rd, "forward_batch", record)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from memdec import analog_model as am
+from memdec import hwa_training as hwa
 from memdec import rnn_decoder as rd
 from memdec import surface_code_sim as sc
 from memdec.errors import NumericError
@@ -82,6 +84,70 @@ class TestForward:
         with pytest.raises(ValueError):
             rd.DecoderParams(np.zeros((19, 16)), np.zeros(16),
                              np.zeros((16, 2)), np.zeros(2))
+
+
+class TestFlatLayout:
+    def test_tensors_are_views_in_order(self):
+        params = random_params(np.random.default_rng(40))
+        assert params.flat.shape == (rd.N_PARAMS,) == (370,)
+        assert np.array_equal(params.flat, np.concatenate(
+            [t.ravel() for t in params.tensors()]))
+        params.b_rec[3] = 7.5
+        assert params.flat[320 + 3] == 7.5
+        params.flat[-1] = -2.0
+        assert params.b_eval[1] == -2.0
+
+    def test_units_are_weights_with_bias_row(self):
+        params = random_params(np.random.default_rng(41))
+        rec, ev = params.units()
+        assert np.array_equal(rec, np.vstack([params.w_rec, params.b_rec]))
+        assert np.array_equal(ev, np.vstack([params.w_eval, params.b_eval]))
+        for unit, sl in zip((rec, ev), rd.UNIT_SLICES):
+            assert np.shares_memory(unit, params.flat)
+            assert np.array_equal(unit.ravel(), params.flat[sl])
+
+    def test_copy_and_constructor_do_not_alias(self):
+        params = random_params(np.random.default_rng(42))
+        copy = params.copy()
+        rebuilt = rd.DecoderParams(*params.tensors())
+        params.flat[:] = 0.0
+        assert copy.flat.any() and rebuilt.flat.any()
+
+    def test_from_flat_checks_shape_and_dtype(self):
+        with pytest.raises(ValueError):
+            rd.DecoderParams.from_flat(np.zeros(369))
+        with pytest.raises(ValueError):
+            rd.DecoderParams.from_flat(np.zeros(370, dtype=np.float32))
+
+
+class TestWorkspace:
+    def test_reused_workspace_gives_the_same_bits(self):
+        # one workspace across batch sizes (the ragged last batch included),
+        # with and without converters, equals a fresh one per call
+        rng = np.random.default_rng(43)
+        io = hwa._converters(hwa.RetrainConfig(io_discretize=True), am.CrossbarConfig())
+        work = rd.Workspace(32, 4)
+        for n in (32, 7, 1, 32, 2):
+            for conv in (io, None):
+                params = random_params(rng)
+                events = rng.integers(0, 2, size=(n, 4, 4)).astype(np.uint8)
+                labels = rng.integers(0, 2, size=n)
+                loss_w, g_w = rd.loss_and_grads(params, events, labels, conv, work)
+                g_w = g_w.flat.copy()
+                loss_f, g_f = rd.loss_and_grads(params, events, labels, conv)
+                assert loss_w == loss_f and g_w.tobytes() == g_f.flat.tobytes()
+                z_w, in_w, lg_w = (a.copy() for a in
+                                   rd.forward_batch(params, events, conv, work))
+                z_f, in_f, lg_f = rd.forward_batch(params, events, conv)
+                assert (z_w.tobytes(), in_w.tobytes(), lg_w.tobytes()) == (
+                    z_f.tobytes(), in_f.tobytes(), lg_f.tobytes())
+
+    def test_too_small_workspace_rejected(self):
+        events = np.zeros((8, 4, 4))
+        with pytest.raises(ValueError):
+            rd.forward_batch(rd.DecoderParams.zeros(), events, None, rd.Workspace(4, 4))
+        with pytest.raises(ValueError):
+            rd.forward_batch(rd.DecoderParams.zeros(), events, None, rd.Workspace(8, 3))
 
 
 class TestPredict:

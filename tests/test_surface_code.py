@@ -131,6 +131,28 @@ class TestFaultTableSampler:
             assert np.array_equal(anc, anc_b[row]), (p, shot)
             assert np.array_equal(data, data_b[row]), (p, shot)
 
+    @pytest.mark.parametrize("rounds", [2, 7])
+    def test_table_entries_equal_direct_runs(self, rounds):
+        # the table is built from each location's X/Z components by XOR; every
+        # entry must equal the reference simulator run with that one fault
+        circuit = sc.build_memory_x_circuit(rounds, sc.NoiseParams(1e-3))
+        table = sc._fault_table(sc._structure(circuit))
+        drawn = {sc.NoiseKind.DEPOL1: range(3), sc.NoiseKind.DEPOL2: range(1, 16)}
+        noisy = [(i, ins) for i, ins in enumerate(circuit.instructions)
+                 if ins.noise is not None]
+        assert table.signatures.shape[0] == len(noisy)
+        for loc, (i, ins) in enumerate(noisy):
+            paulis = drawn.get(ins.noise.kind, (0,))
+            assert table.paulis[loc] == len(paulis)
+            unpacked = np.unpackbits(table.signatures[loc].astype("<u8").view(np.uint8),
+                                     axis=1, bitorder="little")
+            assert not unpacked[len(paulis):].any() and not unpacked[:, table.bits:].any()
+            for j, pauli in enumerate(paulis):
+                fault = sc.FaultLocation(i, ins.noise.kind, ins.qubits, pauli)
+                anc, data = sc._simulate_fault(circuit, (fault,))
+                assert np.array_equal(unpacked[j, :table.bits],
+                                      np.concatenate([anc.reshape(-1), data])), (loc, j)
+
     def test_any_subset_and_order_of_shots(self, noisy_circuit):
         shots = np.array([3, 2**40, 0, 77, 3], dtype=np.uint64)
         anc, data = sc._simulate_batch(noisy_circuit, 5, shots)
