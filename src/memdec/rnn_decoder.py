@@ -91,6 +91,10 @@ class DecoderParams:
         params._bind(flat)
         return params
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views into one copied vector
+        return DecoderParams.from_flat, (self.flat,)
+
     def tensors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.w_rec, self.b_rec, self.w_eval, self.b_eval
 

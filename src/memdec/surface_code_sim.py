@@ -160,7 +160,7 @@ class CircuitSpec:
         return sum(1 for ins in self.instructions if ins.noise is not None)
 
     @functools.cached_property
-    def _table(self) -> "_FaultTable":
+    def _table(self) -> _FaultTable:
         """This circuit's fault table, looked up once per spec: building and
         hashing the structure key costs more than sampling one shot."""
         return _fault_table(_structure(self))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +114,14 @@ class TestFlatLayout:
         rebuilt = rd.DecoderParams(*params.tensors())
         params.flat[:] = 0.0
         assert copy.flat.any() and rebuilt.flat.any()
+
+    def test_pickle_and_deepcopy_keep_the_views(self):
+        params = random_params(np.random.default_rng(44))
+        for other in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            assert other.flat.tobytes() == params.flat.tobytes()
+            assert not np.shares_memory(other.flat, params.flat)
+            other.flat[:] = 0.0
+            assert not any(t.any() for t in other.tensors())
 
     def test_from_flat_checks_shape_and_dtype(self):
         with pytest.raises(ValueError):
