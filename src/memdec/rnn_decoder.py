@@ -83,10 +83,12 @@ class DecoderParams:
 
     @staticmethod
     def from_flat(flat: np.ndarray) -> "DecoderParams":
-        """Parameters viewing `flat` (not copied), a (370,) float64 vector."""
-        if flat.shape != (N_PARAMS,) or flat.dtype != np.float64:
-            raise ValueError(f"flat must be ({N_PARAMS},) float64, "
-                             f"got {flat.shape} {flat.dtype}")
+        """Parameters viewing `flat` (not copied), a contiguous (370,)
+        float64 vector."""
+        if (flat.shape != (N_PARAMS,) or flat.dtype != np.float64
+                or not flat.flags.c_contiguous):
+            raise ValueError(f"flat must be a contiguous ({N_PARAMS},) float64 "
+                             f"vector, got {flat.shape} {flat.dtype}")
         params = DecoderParams.__new__(DecoderParams)
         params._bind(flat)
         return params
@@ -164,8 +166,9 @@ class Workspace:
     """Buffers that `forward_batch` and `loss_and_grads` fill in place, for
     batches of up to `rows` shots of `steps` rounds each (rounds + 1 event
     rows). A caller that passes one workspace to every call allocates no
-    arrays for the forward pass, BPTT or the gradients; what those calls
-    return are views into it, overwritten by the next call."""
+    arrays for the forward pass, BPTT or the gradients (converters aside);
+    what those calls return are views into it, overwritten by the next
+    call."""
 
     def __init__(self, rows: int, steps: int):
         self.inputs = np.zeros((rows, steps + 1, INPUT_SIZE + HIDDEN_SIZE))

@@ -128,6 +128,8 @@ class TestFlatLayout:
             rd.DecoderParams.from_flat(np.zeros(369))
         with pytest.raises(ValueError):
             rd.DecoderParams.from_flat(np.zeros(370, dtype=np.float32))
+        with pytest.raises(ValueError):
+            rd.DecoderParams.from_flat(np.zeros(740)[::2])
 
 
 class TestWorkspace:
