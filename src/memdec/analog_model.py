@@ -12,6 +12,14 @@ by the ADC bound) and ADC outputs (range 6) at 8 bits.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
+
+Inference (`analog_logits`) forms each unit's effective matrix G+ - G- once
+per call and runs the recurrent unit once per distinct prefix of adjacent
+rows rather than once per row and step, then the evaluation unit on every
+row. The logits are bit-identical to a per-row evaluation: the DAC and ADC
+act elementwise, a row of a gemm does not depend on the row count, and a
+step that would be a one-row product inside a larger batch is evaluated as
+a doubled row, so it stays on gemm.
 """
 
 from __future__ import annotations
@@ -167,28 +175,24 @@ def quantize(x, bound: float, levels: int):
         raise ValueError(f"levels must be >= 2, got {levels}")
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
-    x = np.asarray(x, dtype=np.float64)
-    step = 2.0 * bound / levels
-    scaled = x / step
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    out = np.clip(rounded * step, -bound, bound)
+    out = np.array(x, dtype=np.float64)
+    _quantize(out.reshape(-1), bound, levels)
     return out if out.ndim else float(out)
 
 
-def crossbar_mvm(g_plus: np.ndarray, g_minus: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Column currents i_k = sum_j (G+_jk - G-_jk) v_j (uS * V -> uA).
-
-    `v` may carry leading batch dimensions; its last axis must match the
-    row count.
-    """
-    g_plus = np.asarray(g_plus, dtype=np.float64)
-    g_minus = np.asarray(g_minus, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if g_plus.shape != g_minus.shape:
-        raise ValueError(f"pair shape mismatch: {g_plus.shape} vs {g_minus.shape}")
-    if v.shape[-1] != g_plus.shape[0]:
-        raise ValueError(f"input length {v.shape[-1]} != row count {g_plus.shape[0]}")
-    return v @ (g_plus - g_minus)
+def _quantize(x: np.ndarray, bound: float, levels: int,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """`quantize` in place on the float64 array `x` (`scratch`, if given, is
+    a buffer of x's shape for the rounding); returns `x`."""
+    step = 2.0 * bound / levels
+    x /= step
+    rounded = np.abs(x, out=scratch)
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
+    np.sign(x, out=x)
+    x *= rounded
+    x *= step
+    return np.clip(x, -bound, bound, out=x)
 
 
 def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
@@ -213,43 +217,89 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
 
 
 def _dac(x: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
-    # inputs are scaled into [-1, 1] by the ADC bound before conversion and
-    # the factor is restored after the analog product
-    scaled = x / cfg.adc_bound
-    if cfg.quantize_io:
-        scaled = quantize(scaled, cfg.dac_bound, cfg.levels)
-    return scaled
+    return _convert_in(np.array(x, dtype=np.float64), cfg)
 
 
 def _adc(x: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
     return quantize(x, cfg.adc_bound, cfg.levels) if cfg.quantize_io else x
 
 
+def _convert_in(v: np.ndarray, cfg: CrossbarConfig,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """The DAC, in place on the float64 array `v`: inputs are scaled into
+    [-1, 1] by the ADC bound before conversion, and the factor is restored
+    after the analog product."""
+    v /= cfg.adc_bound
+    return _quantize(v, cfg.dac_bound, cfg.levels, scratch) if cfg.quantize_io else v
+
+
+def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """Column currents to layer outputs, in place: de-scale to weight units,
+    restore the DAC's factor, then the ADC."""
+    current *= scale
+    current *= cfg.adc_bound
+    return _quantize(current, cfg.adc_bound, cfg.levels, scratch) if cfg.quantize_io else current
+
+
 def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
                   events: np.ndarray) -> np.ndarray:
-    """Crossbar forward pass; returns post-ADC logits, shape (n, 2)."""
-    x = np.asarray(events, dtype=np.float64)
+    """Crossbar forward pass; returns post-ADC logits, shape (n, 2).
+
+    Step t of the recurrent unit runs once per run of adjacent rows that
+    share the prefix `events[:, :t+1]`: a row starts a run at step t if it
+    started one at step t-1 or if its step-t inputs differ from the row
+    above. Each run reads its hidden state from the run it continues. The
+    evaluation unit then runs on every row. Grouping only adjacent rows is
+    correct for any row order and for duplicate rows;
+    `surface_code_sim.syndrome_table` returns rows in byte order, which puts
+    shared prefixes next to each other.
+
+    The bits equal those of running every row through every step: the
+    converters act elementwise, so a value sees the same operations whether
+    it is converted once or once per row, and a row of a gemm does not
+    depend on how many rows the product has. A one-row product goes to gemv
+    instead, whose bits can differ, so a step with one run inside a batch
+    of several rows is evaluated as a doubled row, while a batch of one row
+    stays on gemv at every step, as it would on its own.
+    """
+    x = np.asarray(events)
     if x.ndim == 2:
         x = x[None]
     n, steps, _ = x.shape
-    ones = np.ones((n, 1))
-    h = np.zeros((n, HIDDEN_SIZE))
-    rec, ev = programmed.recurrent, programmed.evaluation
+    xv = _convert_in(x.astype(np.float64), cfg)
+    bits = xv.view(np.uint64)
+    bias = _dac(np.ones(1), cfg)[0]
+    w_rec = programmed.recurrent.effective()
+    w_eval = programmed.evaluation.effective()
+
+    cap = max(n, 2)
+    inp = np.empty((cap, w_rec.shape[0]))
+    inp[:, -1] = bias
+    out = np.empty((cap, HIDDEN_SIZE))
+    scratch = np.empty((cap, HIDDEN_SIZE))
+    new = np.zeros(n, bool)
+    new[:1] = True
+    h = np.zeros((1, HIDDEN_SIZE))
+    run = np.zeros(n, np.intp)      # each row's run at the previous step
     for t in range(steps):
-        inp = np.concatenate([x[:, t], h, ones], axis=1)
-        v = _dac(inp, cfg)
-        current = crossbar_mvm(rec.g_plus, rec.g_minus, v)
-        z = _adc(current * programmed.scale_recurrent * cfg.adc_bound, cfg)
-        h = np.maximum(z, 0.0)
-    v = _dac(np.concatenate([h, ones], axis=1), cfg)
-    current = crossbar_mvm(ev.g_plus, ev.g_minus, v)
-    return _adc(current * programmed.scale_evaluation * cfg.adc_bound, cfg)
+        new[1:] |= (bits[1:, t] != bits[:-1, t]).any(axis=1)
+        starts = np.flatnonzero(new)
+        if len(starts) == 1 and n > 1:
+            starts = np.zeros(2, np.intp)
+        k = len(starts)
+        inp[:k, :-1 - HIDDEN_SIZE] = xv[starts, t]
+        inp[:k, -1 - HIDDEN_SIZE:-1] = h[run[starts]]
+        h = np.matmul(inp[:k], w_rec, out=out[:k])
+        _convert_out(h, programmed.scale_recurrent, cfg, scratch[:k])
+        np.maximum(h, 0.0, out=h)
+        _convert_in(h, cfg, scratch[:k])
+        run = np.cumsum(new) - 1
 
-
-def analog_forward(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                   sample_events: np.ndarray) -> int:
-    """Analog prediction for one sample (comparator: argmax, tie -> 0)."""
-    return int(analog_forward_batch(programmed, cfg, sample_events)[0])
+    head = np.empty((n, w_eval.shape[0]))
+    head[:, :-1] = h[run]
+    head[:, -1] = bias
+    return _convert_out(head @ w_eval, programmed.scale_evaluation, cfg)
 
 
 def analog_forward_batch(programmed: ProgrammedDecoder, cfg: CrossbarConfig,

@@ -237,15 +237,6 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                       per_run, curve, p_star, in_range)
 
 
-def lfr_curve(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
-              stuck_rate: float, master_seed: int, **kw,
-              ) -> list[tuple[float, float, float]]:
-    """(p, lfr_mean, lfr_std) per protocol fault rate."""
-    report = evaluate_scheme(scheme, protocol, configs, stuck_rate, master_seed, **kw)
-    return [(p, l, s) for p, l, s in
-            zip(report.p_values, report.lfr_mean, report.lfr_std)]
-
-
 def stuck_sweep(scheme: str, stuck_rates: Sequence[float], protocol: EvalProtocol,
                 configs: SchemeConfigs, master_seed: int,
                 p_drop_values: Sequence[float] | None = None,

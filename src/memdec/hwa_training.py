@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rnn_decoder as rd
 from .analog_model import CrossbarConfig, FaultMap, _adc, _dac
-from .rng import Stage, spawn_generator
+from .rng import SpawnedGenerators, Stage, spawn_generator
 from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
 from .surface_code_sim import Dataset, syndrome_table, table_accuracy
 
@@ -74,17 +74,15 @@ def dropconnect_mask(shape: tuple[int, ...], p_drop: float,
     return rng.random(shape) >= p_drop
 
 
-def clip_weights(params: DecoderParams, alpha: float) -> DecoderParams:
+def clip_weights(params: DecoderParams, alpha: float) -> None:
     """Clamp each unit's entries (bias row pooled with its weights) to
-    [-alpha*sigma, alpha*sigma], sigma the unit's current std."""
+    [-alpha*sigma, alpha*sigma] in place, sigma the unit's current std."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    out = params.copy()
     for unit in UNIT_SLICES:
-        pool = out.flat[unit]
+        pool = params.flat[unit]
         bound = alpha * float(pool.std())
         np.clip(pool, -bound, bound, out=pool)
-    return out
 
 
 def _random_keep(p_drop: float, rng: np.random.Generator) -> np.ndarray:
@@ -133,6 +131,15 @@ def masked_loss_and_grads(params: DecoderParams, keep: np.ndarray,
     return loss, grads
 
 
+def _mask_streams(cfg: RetrainConfig, keep_fixed: np.ndarray | None, key: int,
+                  count: int) -> SpawnedGenerators | None:
+    """The dropconnect streams `spawn_generator(cfg.seed, Stage.MASK, key, i)`;
+    None when a fixed keep-mask replaces them."""
+    if keep_fixed is not None:
+        return None
+    return SpawnedGenerators(cfg.seed, (Stage.MASK, key), count)
+
+
 def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
                      keep_fixed: np.ndarray | None, rows: np.ndarray,
                      counts: np.ndarray, seed_key: int,
@@ -140,15 +147,12 @@ def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
     """Validation accuracy over a syndrome table (see
     `surface_code_sim.syndrome_table`) under the training-time noise/drop
     statistics, averaged over `val_draws` independent draws."""
+    mask_rngs = _mask_streams(cfg, keep_fixed, seed_key, cfg.val_draws)
+    noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, seed_key), cfg.val_draws)
     total = 0.0
     for draw in range(cfg.val_draws):
-        if keep_fixed is not None:
-            keep = keep_fixed
-        else:
-            keep = _random_keep(cfg.p_drop,
-                                spawn_generator(cfg.seed, Stage.MASK, seed_key, draw))
-        noise_rng = spawn_generator(cfg.seed, Stage.NOISE, seed_key, draw)
-        eff = _perturbed(params, keep, cfg.noise_relative, noise_rng)
+        keep = keep_fixed if mask_rngs is None else _random_keep(cfg.p_drop, mask_rngs[draw])
+        eff = _perturbed(params, keep, cfg.noise_relative, noise_rngs[draw])
         total += table_accuracy(
             lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io)[2]), rows, counts)
     return total / cfg.val_draws
@@ -171,21 +175,21 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
     best = (-1.0, params.copy())
     n = events.shape[0]
     work = rd.Workspace(min(train_cfg.batch_size, n), events.shape[1])
+    batches = -(-n // train_cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
+        mask_rngs = _mask_streams(cfg, keep_fixed, epoch, batches)
+        noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, epoch), batches)
         for batch_idx, start in enumerate(range(0, n, train_cfg.batch_size)):
             idx = order[start:start + train_cfg.batch_size]
-            if keep_fixed is not None:
-                keep = keep_fixed
-            else:
-                keep = _random_keep(cfg.p_drop,
-                                    spawn_generator(cfg.seed, Stage.MASK, epoch, batch_idx))
-            noise_rng = spawn_generator(cfg.seed, Stage.NOISE, epoch, batch_idx)
+            keep = (keep_fixed if mask_rngs is None
+                    else _random_keep(cfg.p_drop, mask_rngs[batch_idx]))
             _, grads = masked_loss_and_grads(params, keep, events[idx], labels[idx],
-                                             cfg.noise_relative, noise_rng, io, work)
+                                             cfg.noise_relative, noise_rngs[batch_idx],
+                                             io, work)
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
-                params.flat[:] = clip_weights(params, cfg.clip_scale).flat
+                clip_weights(params, cfg.clip_scale)
             if pinned is not None:
                 # pinned weights stay exactly zero (clip or numeric drift)
                 params.flat[pinned] = 0.0

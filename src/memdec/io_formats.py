@@ -163,20 +163,6 @@ def load_report(path) -> dict:
         raise CorruptFileError(f"report is not valid JSON: {exc}") from exc
 
 
-def export_dataset_csv(dataset: Dataset, path) -> None:
-    """One row per sample: p, the (rounds+1)*4 event bits (the final four are
-    the perfect round), and the label."""
-    rounds = dataset.rounds
-    cols = [f"e{t}_{k}" for t in range(rounds + 1) for k in range(4)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["p"] + cols + ["label"]) + "\n")
-        flat = dataset.events.reshape(len(dataset), -1)
-        for i in range(len(dataset)):
-            p = dataset.p_values[dataset.p_index[i]]
-            bits = ",".join(str(int(b)) for b in flat[i])
-            fh.write(f"{p:.10g},{bits},{int(dataset.labels[i])}\n")
-
-
 def export_curve_csv(report: dict, path) -> None:
     """CSV of curve points (p, lfr_mean, lfr_std) from a report dict."""
     with open(path, "w", newline="") as fh:

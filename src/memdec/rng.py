@@ -13,6 +13,12 @@ vectorised over numpy uint64 arrays; `counter_uniforms` scales it to [0, 1).
 The vectorised hash is `mix53`, which the syndrome sampler also applies in
 place to blocks of states; `derive_seed` runs the same finalizer on Python
 ints (`_mix`), whose per-call cost stays far below a numpy call's.
+
+`spawn_generator` seeds a numpy PCG64 Generator from a derived key, through
+numpy's SeedSequence, which costs tens of microseconds per stream. Where
+many sibling streams are needed, `SpawnedGenerators` reproduces that
+seeding bit for bit for all of them at once (`pcg64_seed_words`,
+`pcg64_state`) and reseeds one Generator per stream.
 """
 
 from __future__ import annotations
@@ -68,11 +74,10 @@ _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
 
-def mix53(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 finalizer, in place on the uint64 states `z`, keeping the
-    top 53 bits: afterwards `z` holds integer draws in [0, 2^53). `scratch`,
-    if given, is a uint64 buffer of z's shape that the shifts write into.
-    Returns `z`."""
+def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, in place on the uint64 states `z` (`_mix` on
+    every entry). `scratch`, if given, is a uint64 buffer of z's shape that
+    the shifts write into. Returns `z`."""
     if scratch is None:
         scratch = np.empty_like(z)
     with np.errstate(over="ignore"):
@@ -84,7 +89,14 @@ def mix53(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         z *= _U64_MIX2
         np.right_shift(z, np.uint64(31), out=scratch)
         z ^= scratch
-        z >>= np.uint64(11)
+    return z
+
+
+def mix53(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """`mix64` keeping the top 53 bits: afterwards `z` holds integer draws in
+    [0, 2^53). Returns `z`."""
+    mix64(z, scratch)
+    z >>= np.uint64(11)
     return z
 
 
@@ -116,3 +128,93 @@ def draw_limit(prob) -> np.ndarray:
     every draw.
     """
     return np.ceil(np.asarray(prob, dtype=np.float64) * 2.0**53).astype(np.uint64)
+
+
+# numpy's SeedSequence constants (32-bit hash words) and PCG64's multiplier
+_U32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
+    # SeedSequence's hash multiplier advances once per hash, whatever the
+    # data: call i xors with the i-th value and multiplies by the next
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _U32)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
+
+
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, consts: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> np.uint32(16))
+
+
+def pcg64_seed_words(keys) -> np.ndarray:
+    """(n, 4) uint64: row i is `SeedSequence(keys[i]).generate_state(4,
+    np.uint64)`, the words that `np.random.PCG64(keys[i])` seeds from, for
+    uint64 keys.
+
+    SeedSequence reads a key below 2^32 as one 32-bit entropy word and pads
+    its 4-word pool by hashing 0, so every key can be read as the two words
+    (low, high).
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    consts = iter(_HASH_A)
+    with np.errstate(over="ignore"):
+        pool = [_hashmix(word, next(consts)) for word in (
+            (keys & np.uint64(_U32)).astype(np.uint32),
+            (keys >> np.uint64(32)).astype(np.uint32),
+            np.zeros(keys.shape, np.uint32), np.zeros(keys.shape, np.uint32))]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                             - np.uint32(_MIX_MULT_R) * _hashmix(pool[src], next(consts)))
+                    pool[dst] = mixed ^ (mixed >> np.uint32(16))
+        words = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_HASH_B)]
+    return np.stack([lo | hi << np.uint64(32)
+                     for lo, hi in zip(words[0::2], words[1::2])], axis=-1)
+
+
+def pcg64_state(words: list[int]) -> dict:
+    """The `np.random.PCG64.state` dict of a generator seeded from one row
+    of `pcg64_seed_words` as Python ints (128-bit state, then 128-bit
+    increment, high words first)."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _U128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+class SpawnedGenerators:
+    """`spawn_generator(master, *path, i)` for i in range(count), without
+    building a SeedSequence per stream: the keys and seed words of all
+    streams are computed in one vectorised pass, and `self[i]` reseeds one
+    reused Generator through its bit generator's state. A returned
+    Generator is valid until the next index is taken."""
+
+    def __init__(self, master: int, path: tuple[int, ...], count: int):
+        keys = np.arange(count, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            keys += GOLDEN
+        mix64(keys)
+        keys ^= np.uint64(derive_seed(master, *path))
+        self._words = pcg64_seed_words(mix64(keys))
+        self._bits = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bits)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        self._bits.state = pcg64_state(self._words[i].tolist())
+        return self._generator

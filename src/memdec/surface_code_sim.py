@@ -203,7 +203,9 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
     Returns (rows, counts): `rows` (u, ...) holds each distinct row of
     `events` once, in byte order; `counts` (u, 2) int64 holds how many shots
     with that row carry label 0 and label 1. Rows are keyed on their raw
-    bytes, so any dtype works.
+    bytes, so any dtype works. Byte order compares rows step by step, so
+    rows that share a prefix of steps sit next to each other, which
+    `analog_model.analog_logits` exploits.
     """
     events = np.ascontiguousarray(events)
     labels = np.asarray(labels).reshape(-1)

@@ -104,7 +104,7 @@ class TestFaultMap:
         gp, gm = am.apply_faults(np.full((5, 4), 100.0), np.full((5, 4), 60.0),
                                  np.ones((5, 4), bool), cfg)
         v = np.random.default_rng(5).uniform(-1, 1, 5)
-        assert np.array_equal(am.crossbar_mvm(gp, gm, v), np.zeros(4))
+        assert np.array_equal(v @ am.ProgrammedUnit(gp, gm).effective(), np.zeros(4))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -141,36 +141,73 @@ class TestQuantize:
         assert am.quantize(-x, 6.0, 256) == -am.quantize(x, 6.0, 256)
 
 
+def random_chip(rng: np.random.Generator) -> am.ProgrammedDecoder:
+    return am.ProgrammedDecoder(
+        am.ProgrammedUnit(rng.uniform(60, 200, (21, 16)), rng.uniform(60, 200, (21, 16))),
+        am.ProgrammedUnit(rng.uniform(60, 200, (17, 2)), rng.uniform(60, 200, (17, 2))),
+        0.004, 0.003)
+
+
 class TestMvm:
     def test_single_pair(self):
-        i = am.crossbar_mvm(np.array([[100.0]]), np.array([[60.0]]), np.array([0.5]))
-        assert np.allclose(i, [20.0])
+        eff = am.ProgrammedUnit(np.array([[100.0]]), np.array([[60.0]])).effective()
+        assert np.array_equal(eff, [[40.0]])
+        assert np.allclose(np.array([0.5]) @ eff, [20.0])
 
     def test_equal_pairs_zero_output(self):
         g = np.random.default_rng(6).uniform(60, 200, (8, 5))
         v = np.random.default_rng(7).uniform(-1, 1, 8)
-        assert np.allclose(am.crossbar_mvm(g, g, v), 0.0)
+        eff = am.ProgrammedUnit(g, g).effective()
+        assert np.array_equal(eff, np.zeros((8, 5)))
+        assert np.allclose(v @ eff, 0.0)
 
     def test_matches_dense_oracle(self):
+        """Unconverted analog logits of unsorted rows with duplicates equal a
+        per-row, per-step loop over the conductance pairs."""
         rng = np.random.default_rng(8)
-        gp = rng.uniform(60, 200, (20, 16))
-        gm = rng.uniform(60, 200, (20, 16))
-        v = rng.uniform(-1, 1, 20)
-        oracle = np.array([sum((gp[j, k] - gm[j, k]) * v[j] for j in range(20))
-                           for k in range(16)])
-        out = am.crossbar_mvm(gp, gm, v)
-        assert np.allclose(out, oracle, rtol=1e-12)
+        chip = random_chip(rng)
+        cfg = default_cfg(quantize_io=False, adc_bound=2.0)
+        events = rng.integers(0, 2, size=(40, 4, 4))
+        events[20:] = events[:20][::-1]
+
+        def column_currents(unit, v):
+            return np.array([sum((unit.g_plus[j, k] - unit.g_minus[j, k]) * v[j]
+                                 for j in range(len(v)))
+                             for k in range(unit.g_plus.shape[1])])
+
+        oracle = []
+        for row in events:
+            h = np.zeros(16)
+            for step in row:
+                v = np.concatenate([step, h, [1.0]]) / cfg.adc_bound
+                current = column_currents(chip.recurrent, v)
+                h = np.maximum(current * chip.scale_recurrent * cfg.adc_bound, 0.0)
+            v = np.concatenate([h, [1.0]]) / cfg.adc_bound
+            oracle.append(column_currents(chip.evaluation, v)
+                          * chip.scale_evaluation * cfg.adc_bound)
+        assert np.allclose(am.analog_logits(chip, cfg, events), oracle,
+                           rtol=1e-12, atol=1e-12)
 
     def test_differential_symmetry(self):
+        """Swapping each evaluation pair's sides negates the logits exactly
+        (the ADC is odd)."""
         rng = np.random.default_rng(9)
-        gp = rng.uniform(60, 200, (6, 3))
-        gm = rng.uniform(60, 200, (6, 3))
-        v = rng.uniform(-1, 1, 6)
-        assert np.allclose(am.crossbar_mvm(gp, gm, v), -am.crossbar_mvm(gm, gp, v))
+        chip = random_chip(rng)
+        swapped = am.ProgrammedDecoder(
+            chip.recurrent,
+            am.ProgrammedUnit(chip.evaluation.g_minus, chip.evaluation.g_plus),
+            chip.scale_recurrent, chip.scale_evaluation)
+        assert np.array_equal(swapped.evaluation.effective(), -chip.evaluation.effective())
+        events = rng.integers(0, 2, size=(30, 3, 4))
+        cfg = default_cfg()
+        assert np.array_equal(am.analog_logits(swapped, cfg, events),
+                              -am.analog_logits(chip, cfg, events))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            am.crossbar_mvm(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(4))
+        chip = random_chip(np.random.default_rng(10))
+        for width in (3, 5):
+            with pytest.raises(ValueError):
+                am.analog_logits(chip, default_cfg(), np.zeros((2, 3, width)))
 
 
 @pytest.fixture(scope="module")

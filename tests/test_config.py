@@ -44,3 +44,30 @@ def test_conductance_order_checked_against_defaults(text):
 def test_one_sided_conductance_override_accepted():
     cfg = cf.validate_config(f"crossbar.g_lcs = {CrossbarConfig.g_hcs / 2}")
     assert cfg.crossbar.g_lcs == CrossbarConfig.g_hcs / 2
+
+
+def test_one_error_names_every_violation():
+    text = "\n".join([
+        "bogus.key = 1",
+        "crossbar.levels = 1",
+        "train.epochs = many",
+        "dataset.p_min = 0.2",
+        "dataset.p_max = 0.1",
+        "crossbar.g_hcs = 10",
+    ])
+    with pytest.raises(ConfigError) as info:
+        cf.validate_config(text)
+    message = str(info.value)
+    for part in ("unknown key 'bogus.key'", "crossbar.levels: '1' is not",
+                 "train.epochs: could not parse 'many'",
+                 "dataset.p_min exceeds dataset.p_max",
+                 "crossbar.g_hcs must exceed crossbar.g_lcs"):
+        assert part in message
+    assert message.count("; ") == 4
+
+
+def test_every_malformed_line_is_reported():
+    with pytest.raises(ConfigError) as info:
+        cf.validate_config("seed 7\nseed = 1\nseed = 2\n")
+    assert "line 1: expected 'key = value'" in str(info.value)
+    assert "line 3: duplicate key 'seed'" in str(info.value)

@@ -211,6 +211,37 @@ class TestEvaluateScheme:
         assert report.pseudo_threshold_in_range is False
 
 
+class TestStuckSweep:
+    def test_hwa_rows_equal_direct_evaluations(self, setup):
+        configs, _, tests, protocol = setup
+        # the trained `setup` decoders predict 0 for every test syndrome, so
+        # every scheme would score the label rate; random weights do not
+        rng = np.random.default_rng(97)
+        base = [rd.DecoderParams(rng.uniform(-1, 1, (20, 16)), rng.uniform(-0.5, 0.5, 16),
+                                 rng.uniform(-1, 1, (16, 2)), rng.uniform(-0.5, 0.5, 2))]
+        protocol = replace(protocol, n_train_runs=1, n_infer_runs=2, p_values=(1e-2,))
+        rates, drops = (0.0, 0.2), (0.05, 0.3)
+        rows = ev.stuck_sweep("hwa_mnd", rates, protocol, configs, MASTER,
+                              p_drop_values=drops, test_sets=tests, base_params=base)
+        assert [(r["stuck_rate"], r["p_drop"]) for r in rows] == [
+            (rate, d) for rate in rates for d in drops]
+        for row in rows:
+            report = ev.evaluate_scheme("hwa_mnd", protocol, configs, row["stuck_rate"],
+                                        MASTER, test_sets=tests, base_params=base,
+                                        p_drop=row["p_drop"])
+            assert row == {"scheme": "hwa_mnd", "stuck_rate": row["stuck_rate"],
+                           "p_drop": row["p_drop"], "acc_mean": report.acc_mean[0],
+                           "acc_std": report.acc_std[0]}
+        assert len({r["acc_mean"] for r in rows}) > 1
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_rate_outside_unit_interval_rejected(self, setup, rate):
+        configs, base, tests, protocol = setup
+        with pytest.raises(ValueError):
+            ev.stuck_sweep("fp_mnd", [0.1, rate], protocol, configs, MASTER,
+                           test_sets=tests, base_params=base)
+
+
 class TestCurveFit:
     def test_recovers_monomial(self):
         points = [(p, 30.0 * p ** 1.8) for p in np.geomspace(1e-4, 1e-2, 6)]

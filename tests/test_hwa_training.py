@@ -42,9 +42,9 @@ class TestClipWeights:
         rng = np.random.default_rng(2)
         params = rd.DecoderParams(rng.normal(size=(20, 16)), rng.normal(size=16),
                                   rng.normal(size=(16, 2)), rng.normal(size=2))
-        out = hwa.clip_weights(params, 1e9)
-        for a, b in zip(out.tensors(), params.tensors()):
-            assert np.array_equal(a, b)
+        before = params.copy()
+        hwa.clip_weights(params, 1e9)
+        assert np.array_equal(params.flat, before.flat)
 
     def test_hand_computed_clip(self):
         params = rd.DecoderParams.zeros()
@@ -52,17 +52,17 @@ class TestClipWeights:
         params.w_eval[1, 0] = 3.0
         pool = np.concatenate([params.w_eval.ravel(), params.b_eval.ravel()])
         sigma = pool.std()
-        out = hwa.clip_weights(params, 0.5)
+        hwa.clip_weights(params, 0.5)
         bound = 0.5 * sigma
         assert bound < 3.0
-        assert out.w_eval[0, 0] == -bound and out.w_eval[1, 0] == bound
+        assert params.w_eval[0, 0] == -bound and params.w_eval[1, 0] == bound
 
     def test_degenerate_equal_layer_goes_to_zero(self):
         params = rd.DecoderParams.zeros()
         params.w_rec[:] = 2.0
         params.b_rec[:] = 2.0
-        out = hwa.clip_weights(params, 3.0)
-        assert not out.w_rec.any() and not out.b_rec.any()
+        hwa.clip_weights(params, 3.0)
+        assert not params.w_rec.any() and not params.b_rec.any()
 
     def test_fixed_bound_idempotence(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +46,32 @@ def test_invalid_metadata_is_corrupt(tmp_path):
         iof.load_checkpoint(path)
 
 
-def _saved(kind: str, seed: int, size: int, path: Path) -> None:
+def _saved(kind: str, seed: int, size: int, path: Path):
+    """Save one object of `kind` to `path`; returns what a load must give."""
     if kind == "dataset":
         data = sc.generate_dataset([1e-2, 0.2], size, 1 + seed % 3, seed)
         iof.save_dataset(data, path)
-    elif kind == "checkpoint":
-        iof.save_checkpoint(rd.DecoderParams.initial(seed), path,
-                            {f"k{i}": i for i in range(size % 4)})
-    else:
-        iof.save_fault_map(am.FaultMap.sample(0.2, np.random.default_rng(seed)), path)
+        return data
+    if kind == "checkpoint":
+        params = rd.DecoderParams.initial(seed)
+        meta = {f"k{i}": i for i in range(size % 4)}
+        iof.save_checkpoint(params, path, meta)
+        return params, meta
+    fmap = am.FaultMap.sample(0.2, np.random.default_rng(seed))
+    iof.save_fault_map(fmap, path)
+    return fmap
+
+
+def _assert_equal(kind: str, saved, loaded) -> None:
+    if kind == "checkpoint":
+        assert np.array_equal(saved[0].flat, loaded[0].flat) and saved[1] == loaded[1]
+        return
+    for f in fields(saved):
+        a, b = getattr(saved, f.name), getattr(loaded, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
 
 
 LOADERS = {"dataset": iof.load_dataset, "checkpoint": iof.load_checkpoint,
@@ -64,13 +82,14 @@ LOADERS = {"dataset": iof.load_dataset, "checkpoint": iof.load_checkpoint,
 @given(kind=st.sampled_from(sorted(LOADERS)), seed=st.integers(0, 2**32 - 1),
        size=st.integers(1, 40), data=st.data())
 def test_every_strict_prefix_is_rejected(kind, seed, size, data):
-    """A file cut anywhere before its end never loads and never raises a
-    bare ValueError or struct error."""
+    """The whole file loads back equal to what was saved; a file cut anywhere
+    before its end never loads and never raises a bare ValueError or struct
+    error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file"
-        _saved(kind, seed, size, path)
+        saved = _saved(kind, seed, size, path)
         raw = path.read_bytes()
-        LOADERS[kind](path)  # the whole file loads
+        _assert_equal(kind, saved, LOADERS[kind](path))
         cut = data.draw(st.integers(0, len(raw) - 1), label="prefix length")
         path.write_bytes(raw[:cut])
         with pytest.raises((CorruptFileError, UpgradeNeededError)):

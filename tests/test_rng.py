@@ -64,3 +64,25 @@ def test_draw_limit_at_random_and_tiny_probs():
     assert _agrees(11, idx, gen.random(20_000))
     assert _agrees(11, idx, gen.random(20_000) * 1e-3)
     assert rng.draw_limit(2.0**-60) == 1 and rng.draw_limit(5e-324) == 1
+
+
+PCG64_KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def test_pcg64_state_equals_numpy_seeding():
+    keys = PCG64_KEYS + [int(k) for k in np.random.default_rng(4).integers(
+        0, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True)]
+    words = rng.pcg64_seed_words(np.array(keys, dtype=np.uint64))
+    assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+    for key, row in zip(keys, words):
+        assert np.array_equal(row, np.random.SeedSequence(key).generate_state(4, np.uint64))
+        assert rng.pcg64_state(row.tolist()) == np.random.PCG64(key).state
+
+
+def test_spawned_generators_equal_spawn_generator():
+    streams = rng.SpawnedGenerators(2**64 - 3, (rng.Stage.NOISE, 4), 300)
+    assert len(streams) == 300
+    for i in (0, 1, 299, 17, 0):
+        assert np.array_equal(streams[i].standard_normal(50),
+                              rng.spawn_generator(2**64 - 3, rng.Stage.NOISE, 4, i)
+                              .standard_normal(50))
