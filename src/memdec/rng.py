@@ -212,9 +212,6 @@ class SpawnedGenerators:
         self._bits = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bits)
 
-    def __len__(self) -> int:
-        return len(self._words)
-
     def __getitem__(self, i: int) -> np.random.Generator:
         self._bits.state = pcg64_state(self._words[i].tolist())
         return self._generator
