@@ -203,6 +203,7 @@ class SpawnedGenerators:
     Generator is valid until the next index is taken."""
 
     def __init__(self, master: int, path: tuple[int, ...], count: int):
+        # derive_seed's last mixing step, over every index at once
         keys = np.arange(count, dtype=np.uint64)
         with np.errstate(over="ignore"):
             keys += GOLDEN
