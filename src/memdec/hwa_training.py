@@ -6,14 +6,16 @@ BPTT and Adam) and applies any combination of:
 
   * random dropconnect: a fresh Bernoulli keep-mask per batch zeroes weights
     (biases included) for the forward pass; gradients flow only through
-    survivors. A keep-mask is one boolean vector over `DecoderParams.flat`,
-    which is the two crossbar units in C order, so it is drawn with one
-    `rng.random(370)` call,
+    survivors. A keep-mask is one vector over `DecoderParams.flat`, which is
+    the two crossbar units in C order, so it is drawn with one
+    `rng.random(370)` call. It is held as float64 0/1, not as booleans, so
+    masking is a float-by-float multiply with no cast; the products are the
+    same, since numpy casts a boolean mask to the same 0.0/1.0,
   * Gaussian noise injection: surviving weights are perturbed for the
     forward pass by N(0, noise_relative * w_max), w_max the largest |weight|
-    of each unit (one `standard_normal(370)` draw times a per-unit scale),
-    mirroring the programming variability seen at inference; the
-    perturbation is not kept,
+    of each unit (one `standard_normal(370)` draw, each unit's slice then
+    multiplied by its scale), mirroring the programming variability seen at
+    inference; the perturbation is not kept,
   * input/output discretization by the crossbar's DAC and ADC, i.e.
     `analog_model`'s converters under the caller's `CrossbarConfig` (levels,
     adc_bound, dac_bound), with a straight-through gradient,
@@ -28,10 +30,17 @@ Device-specific retraining replaces the random mask with the measured
 stuck-pair map of one characterized crossbar (its two units concatenated
 and inverted): those weights are pinned to exactly zero and receive no
 updates.
+
+The retraining loop reuses its buffers across batches: the `rd.Workspace`,
+the keep-mask, and the effective parameters and noise draw of
+`_perturbed` (`EffectiveParams`); the draws fill them through
+`Generator.random(out=)` and `standard_normal(out=)`, which give the values
+of the allocating calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +52,6 @@ from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
 from .surface_code_sim import Dataset, syndrome_table, table_accuracy
 
 _UNIT_STARTS = [unit.start for unit in UNIT_SLICES]
-_UNIT_SIZES = [unit.stop - unit.start for unit in UNIT_SLICES]
 
 
 @dataclass(frozen=True)
@@ -76,35 +84,69 @@ def dropconnect_mask(shape: tuple[int, ...], p_drop: float,
 
 def clip_weights(params: DecoderParams, alpha: float) -> None:
     """Clamp each unit's entries (bias row pooled with its weights) to
-    [-alpha*sigma, alpha*sigma] in place, sigma the unit's current std."""
+    [-alpha*sigma, alpha*sigma] in place, sigma the unit's current std.
+
+    sigma is computed by the ufunc sequence numpy's `np.std` runs (sum,
+    divide by n, subtract, square, sum, divide by n, sqrt), so it has the
+    bits of `pool.std()` without its Python-level dispatch."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    deviations = np.empty(N_PARAMS)
     for unit in UNIT_SLICES:
-        pool = params.flat[unit]
-        bound = alpha * float(pool.std())
+        pool, dev = params.flat[unit], deviations[unit]
+        n = pool.size
+        np.subtract(pool, np.add.reduce(pool) / n, out=dev)
+        np.square(dev, out=dev)
+        bound = alpha * math.sqrt(np.add.reduce(dev) / n)
         np.clip(pool, -bound, bound, out=pool)
 
 
-def _random_keep(p_drop: float, rng: np.random.Generator) -> np.ndarray:
-    """Dropconnect keep-mask over `DecoderParams.flat`."""
-    return dropconnect_mask((N_PARAMS,), p_drop, rng)
+def _random_keep(p_drop: float, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Dropconnect keep-mask over `DecoderParams.flat` as float64 0/1 (in
+    `out` when given): the draws and outcome of
+    `dropconnect_mask((370,), p_drop, rng)`."""
+    keep = rng.random(N_PARAMS) if out is None else rng.random(out=out)
+    return np.greater_equal(keep, p_drop, out=keep)
 
 
 def _fault_keep(fmap: FaultMap) -> np.ndarray:
-    """Keep-mask over `DecoderParams.flat` that drops a fault map's stuck pairs."""
-    return ~np.concatenate((fmap.recurrent, fmap.evaluation), axis=None)
+    """Keep-mask over `DecoderParams.flat`, float64 0/1, that drops a fault
+    map's stuck pairs."""
+    stuck = np.concatenate((fmap.recurrent, fmap.evaluation), axis=None)
+    return (~stuck).astype(np.float64)
+
+
+class EffectiveParams:
+    """Reused buffers of `_perturbed`: the effective parameters `params` and
+    the noise draw, seen whole and per unit."""
+
+    __slots__ = ("params", "noise", "noise_units")
+
+    def __init__(self):
+        self.params = DecoderParams.zeros()
+        self.noise = np.empty(N_PARAMS)
+        self.noise_units = tuple(self.noise[unit] for unit in UNIT_SLICES)
 
 
 def _perturbed(params: DecoderParams, keep: np.ndarray, noise_relative: float,
-               rng: np.random.Generator | None) -> DecoderParams:
+               rng: np.random.Generator | None,
+               out: EffectiveParams | None = None) -> DecoderParams:
     """Effective weights for one forward pass: mask, then add noise scaled by
-    each unit's max |weight| to the survivors."""
-    eff = params.flat * keep
+    each unit's max |weight| to the survivors. Written into `out.params`
+    (overwritten by the next call) when `out` is given."""
+    if out is None:
+        out = EffectiveParams()
+    eff = np.multiply(params.flat, keep, out=out.params.flat)
     if noise_relative > 0.0 and rng is not None:
-        unit_max = np.maximum.reduceat(np.abs(params.flat), _UNIT_STARTS)
-        scale = np.repeat(noise_relative * unit_max, _UNIT_SIZES)
-        eff += rng.standard_normal(N_PARAMS) * scale * keep
-    return DecoderParams.from_flat(eff)
+        noise = np.abs(params.flat, out=out.noise)
+        unit_max = np.maximum.reduceat(noise, _UNIT_STARTS).tolist()
+        rng.standard_normal(out=noise)
+        for unit_noise, peak in zip(out.noise_units, unit_max):
+            unit_noise *= noise_relative * peak
+        noise *= keep
+        eff += noise
+    return out.params
 
 
 def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | None:
@@ -122,10 +164,12 @@ def masked_loss_and_grads(params: DecoderParams, keep: np.ndarray,
                           rng: np.random.Generator | None = None,
                           io: rd.Converters | None = None,
                           work: rd.Workspace | None = None,
+                          eff: EffectiveParams | None = None,
                           ) -> tuple[float, DecoderParams]:
     """Cross-entropy loss/grads of the masked (and optionally noised and
-    discretized) forward pass; gradients are zero where `keep` is False."""
-    eff = _perturbed(params, keep, noise_relative, rng)
+    discretized) forward pass; gradients are zero where `keep` is 0. `work`
+    and `eff` are reused buffers (see `rd.Workspace`, `_perturbed`)."""
+    eff = _perturbed(params, keep, noise_relative, rng, eff)
     loss, grads = rd.loss_and_grads(eff, events, labels, io, work)
     grads.flat *= keep
     return loss, grads
@@ -150,9 +194,11 @@ def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
     mask_rngs = _mask_streams(cfg, keep_fixed, seed_key, cfg.val_draws)
     noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, seed_key), cfg.val_draws)
     total = 0.0
+    buffers, keep_buffer = EffectiveParams(), np.empty(N_PARAMS)
     for draw in range(cfg.val_draws):
-        keep = keep_fixed if mask_rngs is None else _random_keep(cfg.p_drop, mask_rngs[draw])
-        eff = _perturbed(params, keep, cfg.noise_relative, noise_rngs[draw])
+        keep = (keep_fixed if mask_rngs is None
+                else _random_keep(cfg.p_drop, mask_rngs[draw], keep_buffer))
+        eff = _perturbed(params, keep, cfg.noise_relative, noise_rngs[draw], buffers)
         total += table_accuracy(
             lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io)[2]), rows, counts)
     return total / cfg.val_draws
@@ -162,19 +208,26 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
              cfg: RetrainConfig, keep_fixed: np.ndarray | None,
              train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
     events, labels = rd._as_arrays(dataset)
+    labels = labels.astype(np.int64, copy=False)  # once, not per batch
     val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
     io = _converters(cfg, xcfg)
 
     params = params.copy()
-    pinned = None if keep_fixed is None else ~keep_fixed
-    if pinned is not None:
-        params.flat[pinned] = 0.0
+    if keep_fixed is not None:
+        # Pinned once: a pinned entry then stays +0.0 with no re-pinning. Its
+        # gradient is g * 0.0 = +-0.0, so both Adam moments stay +0.0
+        # (+0.0 * beta + (1 - beta) * -0.0 is +0.0), its update is
+        # lr * +0.0 / (sqrt(+0.0) + eps) = +0.0 and +0.0 - +0.0 is +0.0;
+        # clipping keeps +0.0 within any bound, a zero bound included. A
+        # non-finite gradient stops at adam_step's check.
+        params.flat[keep_fixed == 0.0] = 0.0
 
     state = rd.AdamState()
     shuffle_rng = spawn_generator(cfg.seed, Stage.RETRAIN)
     best = (-1.0, params.copy())
     n = events.shape[0]
     work = rd.Workspace(min(train_cfg.batch_size, n), events.shape[1])
+    buffers, keep_buffer = EffectiveParams(), np.empty(N_PARAMS)
     batches = -(-n // train_cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
@@ -183,16 +236,13 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
         for batch_idx, start in enumerate(range(0, n, train_cfg.batch_size)):
             idx = order[start:start + train_cfg.batch_size]
             keep = (keep_fixed if mask_rngs is None
-                    else _random_keep(cfg.p_drop, mask_rngs[batch_idx]))
+                    else _random_keep(cfg.p_drop, mask_rngs[batch_idx], keep_buffer))
             _, grads = masked_loss_and_grads(params, keep, events[idx], labels[idx],
                                              cfg.noise_relative, noise_rngs[batch_idx],
-                                             io, work)
+                                             io, work, buffers)
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
                 clip_weights(params, cfg.clip_scale)
-            if pinned is not None:
-                # pinned weights stay exactly zero (clip or numeric drift)
-                params.flat[pinned] = 0.0
         val_acc = _masked_accuracy(params, cfg, keep_fixed, val_rows,
                                    val_counts, 1_000_000 + epoch, io)
         if val_acc > best[0]:

@@ -19,8 +19,24 @@ it. Since each layer's bias follows its weights, the vector is also the two
 crossbar units in C order, each with its bias as the last row: the
 recurrent unit (21, 16) is `flat[:336]` and the evaluation unit (17, 2) is
 `flat[336:]` (`UNIT_SLICES`, `DecoderParams.units`). Gradients and Adam
-moments use the same layout, so an Adam step is one set of elementwise
-operations on 370-vectors. Only this module knows the layout.
+moments use the same layout. The two moments are the rows of one (2, 370)
+buffer, `AdamState.moments` (m in row 0, v in row 1), so an Adam step is a
+dozen elementwise operations, most on both moments at once. Only this module
+knows the layout.
+
+The training step is written for few numpy calls per batch, with bits that
+do not depend on how it is batched or buffered:
+  * a `Workspace` holds every buffer of the step, stored step-major (step t
+    of the batch is one contiguous (n, ·) block), and slices the per-step
+    views out of them once per batch size, not once per call;
+  * the two-class softmax runs on the logit columns: `maximum` of the two
+    columns is exact, and so gives the bits of `max(axis=1)`, and their
+    `add` is the a + b that a two-term `sum(axis=1)` computes;
+  * the ReLU derivative is held as float64 0/1, so BPTT multiplies float by
+    float; numpy would cast a boolean mask to the same 0.0/1.0;
+  * the matrix products of the recurrent step and of BPTT's hidden-state
+    gradient run as `np.dot` into contiguous outputs: the same BLAS call as
+    `matmul` with less dispatch.
 """
 
 from __future__ import annotations
@@ -168,17 +184,91 @@ class Workspace:
     rows). A caller that passes one workspace to every call allocates no
     arrays for the forward pass, BPTT or the gradients (converters aside);
     what those calls return are views into it, overwritten by the next
-    call."""
+    call.
+
+    The per-step buffers are step-major: `inputs` is (T+1, rows, 20), `z`,
+    `active` and `dz` are (T, rows, 16), so the block a step reads or writes
+    for a batch of n <= rows shots is contiguous; callers get (n, T+1, 20)
+    and (n, T, 16) transposed views. The views a step uses (each step's
+    input [x_t | h_t], output z_t and next hidden state, BPTT's dz and ReLU
+    derivative per step, the reversed-input operand of the weight-gradient
+    matmul, and so on) are sliced out of the buffers once per batch size, by
+    `views(n)`, and reused by every later batch of that size; a training
+    loop sees at most two sizes, the batch and the ragged last batch."""
 
     def __init__(self, rows: int, steps: int):
-        self.inputs = np.zeros((rows, steps + 1, INPUT_SIZE + HIDDEN_SIZE))
-        self.z = np.empty((rows, steps, HIDDEN_SIZE))
+        self.inputs = np.zeros((steps + 1, rows, INPUT_SIZE + HIDDEN_SIZE))
+        self.z = np.empty((steps, rows, HIDDEN_SIZE))
         self.logits = np.empty((rows, OUTPUT_SIZE))
-        self.active = np.empty((rows, steps, HIDDEN_SIZE), dtype=bool)
-        self.dz = np.empty((rows, steps, HIDDEN_SIZE))
+        self.active = np.empty((steps, rows, HIDDEN_SIZE))
+        self.dz = np.empty((steps, rows, HIDDEN_SIZE))
+        self.dh = np.empty((rows, HIDDEN_SIZE))
+        self.dh_rec = np.empty((rows, INPUT_SIZE + HIDDEN_SIZE))
         self.per_step = np.empty((steps, INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE))
-        self.grads = DecoderParams.zeros()
+        self.dz_sum = np.empty((steps, HIDDEN_SIZE))
+        self.column = np.empty((rows, 1))
+        self.log_picked = np.empty(rows)
         self.rows = np.arange(rows)
+        self.grads = DecoderParams.zeros()
+        self._views: dict[int, _BatchViews] = {}
+
+    def views(self, n: int) -> "_BatchViews":
+        """The per-step views for a batch of `n` shots, built on first use."""
+        views = self._views.get(n)
+        if views is None:
+            views = self._views[n] = _BatchViews(self, n)
+        return views
+
+
+class _BatchViews:
+    """Views of a `Workspace`'s buffers for a batch of `n` shots (see
+    `Workspace.views`); step tuples are in the order the passes visit them:
+    the forward pass from step 0, BPTT from the last step."""
+
+    __slots__ = ("shot_inputs", "shot_z", "z", "logits", "events", "h0",
+                 "forward_steps", "last", "last_t", "logit0", "logit1", "column",
+                 "log_picked", "rows", "active", "dz", "backward_steps", "dh",
+                 "dh_rec", "dh_rec_hidden", "inputs_reversed", "dz_sum", "per_step",
+                 "grads")
+
+    def __init__(self, work: Workspace, n: int):
+        steps = work.z.shape[0]
+        inputs, z, logits = work.inputs[:, :n], work.z[:, :n], work.logits[:n]
+        # (n, T+1, 20) and (n, T, 16), as `forward_batch` returns them
+        self.shot_inputs, self.shot_z = inputs.transpose(1, 0, 2), z.transpose(1, 0, 2)
+        self.z, self.logits = z, logits
+        self.events = inputs[:steps, :, :INPUT_SIZE].transpose(1, 0, 2)
+        self.h0 = inputs[0, :, INPUT_SIZE:]
+        self.forward_steps = tuple((inputs[t], z[t], inputs[t + 1, :, INPUT_SIZE:])
+                                   for t in range(steps))
+        self.last = inputs[steps, :, INPUT_SIZE:]
+        self.last_t = self.last.T
+        self.logit0, self.logit1 = logits[:, :1], logits[:, 1:]
+        self.column = work.column[:n]
+        self.log_picked = work.log_picked[:n]
+        self.rows = work.rows[:n]
+        self.active = work.active[:, :n]
+        # dz of step t is stored at dz[steps-1-t], so the sums over steps
+        # in `loss_and_grads` add the latest step first, in the order BPTT
+        # reaches them
+        self.dz = work.dz[:, :n]
+        self.backward_steps = tuple((self.dz[steps - 1 - t], self.active[t])
+                                    for t in range(steps - 1, -1, -1))
+        self.dh, self.dh_rec = work.dh[:n], work.dh_rec[:n]
+        self.dh_rec_hidden = self.dh_rec[:, INPUT_SIZE:]
+        self.inputs_reversed = inputs[steps - 1::-1].transpose(0, 2, 1)
+        self.dz_sum, self.per_step, self.grads = work.dz_sum, work.per_step, work.grads
+
+
+def _batch_views(work: Workspace | None, n: int, steps: int) -> _BatchViews:
+    """The views of `work` (a new workspace when None) for `n` shots of
+    `steps` rounds."""
+    if work is None:
+        work = Workspace(n, steps)
+    if work.inputs.shape[0] != steps + 1 or work.inputs.shape[1] < n:
+        raise ValueError(f"workspace {work.inputs.shape[1::-1]} cannot hold a batch of "
+                         f"{n} shots of {steps} steps")
+    return work.views(n)
 
 
 def forward_batch(params: DecoderParams, events: np.ndarray,
@@ -194,33 +284,31 @@ def forward_batch(params: DecoderParams, events: np.ndarray,
     live in `work` when one is given (see `Workspace`).
     """
     x = _check_events(events)
-    n, steps, _ = x.shape
-    if work is None:
-        work = Workspace(n, steps)
-    inputs, z, logits = work.inputs[:n], work.z[:n], work.logits[:n]
-    if inputs.shape[:2] != (n, steps + 1):
-        raise ValueError(f"workspace {work.inputs.shape[:2]} cannot hold a batch of "
-                         f"{n} shots of {steps} steps")
+    return _forward(params, x, io, _batch_views(work, *x.shape[:2]))
+
+
+def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
+             v: _BatchViews) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dac, adc = io if io is not None else (None, None)
-    inputs[:, :steps, :INPUT_SIZE] = x
-    inputs[:, 0, INPUT_SIZE:] = 0.0  # h_0; a DAC may have rewritten it in place
-    for t in range(steps):
-        inp, zt = inputs[:, t], z[:, t]
+    v.events[...] = x
+    v.h0[...] = 0.0  # h_0; a DAC may have rewritten it in place
+    w_rec, b_rec = params.w_rec, params.b_rec
+    for inp, zt, h_next in v.forward_steps:
         if dac is not None:
             inp[...] = dac(inp)
-        np.matmul(inp, params.w_rec, out=zt)
-        zt += params.b_rec
+        np.dot(inp, w_rec, out=zt)
+        zt += b_rec
         if adc is not None:
             zt[...] = adc(zt)
-        np.maximum(zt, 0.0, out=inputs[:, t + 1, INPUT_SIZE:])
-    last = inputs[:, steps, INPUT_SIZE:]
+        np.maximum(zt, 0.0, out=h_next)
+    last, logits = v.last, v.logits
     if dac is not None:
         last[...] = dac(last)
     np.matmul(last, params.w_eval, out=logits)
     logits += params.b_eval
     if adc is not None:
         logits[...] = adc(logits)
-    return z, inputs, logits
+    return v.shot_z, v.shot_inputs, logits
 
 
 def forward(params: DecoderParams, sample_events: np.ndarray) -> ForwardTrace:
@@ -242,14 +330,6 @@ def logits_to_bits(logits: np.ndarray) -> np.ndarray:
     return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over each row, computed in place."""
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
-
-
 def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray,
                    io: Converters | None = None, work: Workspace | None = None,
                    ) -> tuple[float, DecoderParams]:
@@ -266,43 +346,71 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
         raise ValueError("batch must be non-empty")
     if y.shape[0] != n:
         raise ValueError(f"{n} samples but {y.shape[0]} labels")
-    if work is None:
-        work = Workspace(n, steps)
+    v = _batch_views(work, n, steps)
+    _forward(params, x, io, v)
+    dlogits = v.logits
 
-    z, inputs, logits = forward_batch(params, x, io, work)
-    dlogits = _softmax(logits)
-    rows = work.rows[:n]
-    picked = dlogits[rows, y]
-    loss = -float(np.log(picked + 1e-300).sum()) / n
-    dlogits[rows, y] = picked - 1.0
+    # two-class softmax in place, column by column: the max of two entries
+    # is exact and a two-term add.reduce is a + b, so these are the bits of
+    # `max(axis=1)` and `sum(axis=1)`
+    np.maximum(v.logit0, v.logit1, out=v.column)
+    dlogits -= v.column
+    np.exp(dlogits, out=dlogits)
+    np.add(v.logit0, v.logit1, out=v.column)
+    dlogits /= v.column
+    picked = dlogits[v.rows, y]
+    np.add(picked, 1e-300, out=v.log_picked)
+    loss = -float(np.log(v.log_picked, out=v.log_picked).sum()) / n
+    picked -= 1.0
+    dlogits[v.rows, y] = picked
     dlogits /= n
 
-    grads = work.grads
-    np.matmul(inputs[:, steps, INPUT_SIZE:].T, dlogits, out=grads.w_eval)
-    np.sum(dlogits, axis=0, out=grads.b_eval)
-    dh = dlogits @ params.w_eval.T
+    grads = v.grads
+    np.matmul(v.last_t, dlogits, out=grads.w_eval)
+    np.add.reduce(dlogits, axis=0, out=grads.b_eval)
+    np.dot(dlogits, params.w_eval.T, out=v.dh)
 
-    # dz of step t is stored at dz[:, steps-1-t], so the sums over steps
-    # below add the latest step first, in the order BPTT reaches them
-    active = np.greater(z, 0.0, out=work.active[:n])
-    dz = work.dz[:n]
-    for t in range(steps - 1, -1, -1):
-        dz_t = dz[:, steps - 1 - t]
-        np.multiply(dh, active[:, t], out=dz_t)
-        if t:
-            dh = (dz_t @ params.w_rec.T)[:, INPUT_SIZE:]
-    per_step = np.matmul(inputs[:, steps - 1::-1].transpose(1, 2, 0),
-                         dz.transpose(1, 0, 2), out=work.per_step)
-    np.add.reduce(per_step, axis=0, out=grads.w_rec, initial=0.0)
-    np.add.reduce(dz.sum(axis=0), axis=0, out=grads.b_rec, initial=0.0)
+    np.greater(v.z, 0.0, out=v.active)
+    w_rec_t = params.w_rec.T
+    dh = v.dh
+    for dz_t, active_t in v.backward_steps[:-1]:
+        np.multiply(dh, active_t, out=dz_t)
+        np.dot(dz_t, w_rec_t, out=v.dh_rec)
+        dh = v.dh_rec_hidden
+    dz_0, active_0 = v.backward_steps[-1]
+    np.multiply(dh, active_0, out=dz_0)
+    np.matmul(v.inputs_reversed, v.dz, out=v.per_step)
+    np.add.reduce(v.per_step, axis=0, out=grads.w_rec, initial=0.0)
+    np.add.reduce(np.add.reduce(v.dz, axis=1, out=v.dz_sum), axis=0,
+                  out=grads.b_rec, initial=0.0)
     return loss, grads
 
 
-@dataclass
 class AdamState:
-    m: DecoderParams = field(default_factory=DecoderParams.zeros)
-    v: DecoderParams = field(default_factory=DecoderParams.zeros)
-    step: int = 0
+    """Adam's step count and moment estimates. Both moments are rows of one
+    (2, 370) buffer `moments`, so one elementwise op updates the pair; `m`
+    and `v` are `DecoderParams` views of rows 0 and 1. Pickle and deepcopy
+    copy the buffer and rebuild the views into the copy."""
+
+    __slots__ = ("moments", "m", "v", "step", "_coefs", "_beta", "_one_minus_beta",
+                 "_correction", "_scratch", "_update", "_denominator", "_finite")
+
+    def __init__(self, moments: np.ndarray | None = None, step: int = 0):
+        self.moments = np.zeros((2, N_PARAMS)) if moments is None else moments
+        self.m = DecoderParams.from_flat(self.moments[0])
+        self.v = DecoderParams.from_flat(self.moments[1])
+        self.step = step
+        # (2, 1) columns, one entry per moment: beta, 1 - beta and the bias
+        # correction 1 - beta^t
+        self._coefs = np.empty(6)
+        self._beta, self._one_minus_beta, self._correction = (
+            self._coefs[i:i + 2, None] for i in (0, 2, 4))
+        self._scratch = np.empty((2, N_PARAMS))
+        self._update, self._denominator = self._scratch[0], self._scratch[1]
+        self._finite = np.empty(N_PARAMS, dtype=bool)
+
+    def __reduce__(self):
+        return AdamState, (self.moments, self.step)
 
 
 def accuracy(params: DecoderParams, dataset: Dataset | tuple[np.ndarray, np.ndarray],
@@ -322,30 +430,42 @@ def _as_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update of `params` and `state`, in place, on
-    the flat vectors.
+    """One bias-corrected Adam update of `params` and `state`, in place.
 
+    Both moments are updated at once as the rows of `state.moments`, each
+    element by the IEEE operations, in the order, of
+    m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
+    params -= lr (m / c1) / (sqrt(v / c2) + eps), c = 1 - b^t.
     Raises NumericError, leaving both untouched, on a non-finite gradient.
     """
     g = grads.flat
-    if not np.isfinite(g).all():
+    if not np.isfinite(g, out=state._finite).all():
         raise NumericError("non-finite gradient in adam_step")
     state.step += 1
     t = state.step
     b1, b2 = config.adam_beta1, config.adam_beta2
-    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    m, v = state.m.flat, state.v.flat
-    m *= b1
-    m += (1 - b1) * g
-    v *= b2
-    v += (1 - b2) * g * g
-    params.flat -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+    coefs = state._coefs
+    coefs[0], coefs[1], coefs[2], coefs[3] = b1, b2, 1 - b1, 1 - b2
+    coefs[4], coefs[5] = 1 - b1 ** t, 1 - b2 ** t
+    moments, tmp = state.moments, state._scratch
+    update, denominator = state._update, state._denominator
+    moments *= state._beta
+    np.multiply(state._one_minus_beta, g, out=tmp)
+    denominator *= g
+    moments += tmp
+    np.divide(moments, state._correction, out=tmp)
+    np.sqrt(denominator, out=denominator)
+    denominator += config.adam_eps
+    update *= config.learning_rate
+    update /= denominator
+    params.flat -= update
 
 
 def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderParams:
     """Shuffled mini-batch Adam training; returns the parameters of the epoch
     with the best validation accuracy (earliest epoch on ties)."""
     events, labels = _as_arrays(dataset)
+    labels = labels.astype(np.int64, copy=False)  # once, not per batch
     val_events, val_labels = _as_arrays(val)
     if events.shape[0] == 0 or val_events.shape[0] == 0:
         raise ValueError("datasets must be non-empty")

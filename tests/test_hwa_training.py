@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memdec import analog_model as am
 from memdec import hwa_training as hwa
@@ -78,6 +80,27 @@ class TestClipWeights:
         with pytest.raises(ValueError):
             hwa.clip_weights(rd.DecoderParams.zeros(), 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6),
+           alpha=st.floats(0.05, 6.0), draw=st.sampled_from(["normal", "cauchy", "ints"]),
+           constant_unit=st.sampled_from([None, 0, 1]))
+    def test_clipped_bytes_equal_np_std_clip(self, seed, scale, alpha, draw,
+                                             constant_unit):
+        rng = np.random.default_rng(seed)
+        flat = {"normal": lambda: rng.normal(scale=scale, size=rd.N_PARAMS),
+                "cauchy": lambda: scale * rng.standard_cauchy(rd.N_PARAMS),
+                "ints": lambda: rng.integers(-3, 4, rd.N_PARAMS).astype(float)}[draw]()
+        if constant_unit is not None:
+            flat[rd.UNIT_SLICES[constant_unit]] = flat[0]
+        expected = flat.copy()
+        for unit in rd.UNIT_SLICES:
+            pool = expected[unit]
+            bound = alpha * float(pool.std())
+            np.clip(pool, -bound, bound, out=pool)
+        params = rd.DecoderParams.from_flat(flat)
+        hwa.clip_weights(params, alpha)
+        assert params.flat.tobytes() == expected.tobytes()
+
 
 class TestMaskedGradients:
     def test_masked_entries_get_zero_grads(self):
@@ -89,7 +112,7 @@ class TestMaskedGradients:
         events = rng.integers(0, 2, size=(8, 4, 4))
         labels = rng.integers(0, 2, size=8)
         _, grads = hwa.masked_loss_and_grads(params, keep, events, labels)
-        assert not grads.flat[~keep].any()
+        assert not grads.flat[keep == 0].any()
 
     def test_full_mask_matches_plain_gradients(self):
         rng = np.random.default_rng(5)
@@ -224,14 +247,19 @@ class TestRetrainDs:
             hwa.retrain_ds(fp_params, train, val, hwa.RetrainConfig(epochs=1))
 
     def test_masked_positions_are_exact_zeros(self, small_data, fp_params):
+        # +0.0 exactly (no -0.0), with clipping and IO discretization too
         train, val = small_data
         fmap = am.FaultMap.sample(0.2, np.random.default_rng(31))
-        cfg = hwa.RetrainConfig(ds_mask=fmap, epochs=2, seed=11)
-        out = hwa.retrain_ds(fp_params, train, val, cfg)
-        unit_rec = np.vstack([out.w_rec, out.b_rec[None, :]])
-        unit_ev = np.vstack([out.w_eval, out.b_eval[None, :]])
-        assert not unit_rec[fmap.recurrent].any()
-        assert not unit_ev[fmap.evaluation].any()
+        for extra in ({}, {"clip_scale": 2.0}, {"io_discretize": True},
+                      {"clip_scale": 1.5, "io_discretize": True}):
+            cfg = hwa.RetrainConfig(ds_mask=fmap, epochs=2, seed=11, **extra)
+            out = hwa.retrain_ds(fp_params, train, val, cfg)
+            unit_rec = np.vstack([out.w_rec, out.b_rec[None, :]])
+            unit_ev = np.vstack([out.w_eval, out.b_eval[None, :]])
+            for unit, stuck in ((unit_rec, fmap.recurrent), (unit_ev, fmap.evaluation)):
+                assert stuck.any()
+                assert unit[stuck].tobytes() == bytes(8 * int(stuck.sum())), extra
+                assert unit[~stuck].all(), extra
 
     def test_digital_masking_equals_crossbar_cancellation(self, small_data, fp_params):
         # after DS retraining, analog inference on the matching fault map (no

@@ -154,6 +154,34 @@ class TestWorkspace:
                 assert (z_w.tobytes(), in_w.tobytes(), lg_w.tobytes()) == (
                     z_f.tobytes(), in_f.tobytes(), lg_f.tobytes())
 
+    def test_reused_buffers_give_the_same_retraining_bits(self):
+        # the masked, noised (and converted) retraining step: one workspace,
+        # one effective-parameter buffer and one keep-mask buffer across
+        # batch sizes equal fresh ones per call
+        rng = np.random.default_rng(45)
+        io = hwa._converters(hwa.RetrainConfig(io_discretize=True), am.CrossbarConfig())
+        work, eff, keep_buffer = rd.Workspace(32, 4), hwa.EffectiveParams(), np.empty(370)
+        for n in (32, 7, 1, 32, 2):
+            for conv in (io, None):
+                params = random_params(rng)
+                events = rng.integers(0, 2, size=(n, 4, 4)).astype(np.uint8)
+                labels = rng.integers(0, 2, size=n)
+                seed = int(rng.integers(2**32))
+                keep = hwa._random_keep(0.2, np.random.default_rng(seed), keep_buffer)
+                loss_w, g_w = hwa.masked_loss_and_grads(
+                    params, keep, events, labels, 0.008, np.random.default_rng(seed + 1),
+                    conv, work, eff)
+                eff_w = eff.params.flat.copy()
+                keep = hwa._random_keep(0.2, np.random.default_rng(seed))
+                assert keep.tobytes() == keep_buffer.tobytes()
+                loss_f, g_f = hwa.masked_loss_and_grads(
+                    params, keep, events, labels, 0.008, np.random.default_rng(seed + 1),
+                    conv)
+                assert loss_w == loss_f and g_w.flat.tobytes() == g_f.flat.tobytes()
+                eff_f = hwa._perturbed(params, keep, 0.008, np.random.default_rng(seed + 1))
+                assert eff_w.tobytes() == eff_f.flat.tobytes()
+                assert not (eff_w == params.flat).all()
+
     def test_too_small_workspace_rejected(self):
         events = np.zeros((8, 4, 4))
         with pytest.raises(ValueError):
@@ -288,6 +316,31 @@ class TestAdam:
             rd.adam_step(params, grads, state, cfg)
         step_size = np.abs(params.b_eval - prev).max()
         assert math.isclose(step_size, cfg.learning_rate, rel_tol=0.02)
+
+    def test_moments_are_views_of_one_buffer(self):
+        rng = np.random.default_rng(14)
+        cfg = rd.TrainConfig()
+        params, state = random_params(rng), rd.AdamState()
+        for _ in range(3):
+            rd.adam_step(params, random_params(rng, 0.5), state, cfg)
+        copies = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for s in [state] + copies:
+            assert s.moments.shape == (2, rd.N_PARAMS) and s.step == 3
+            assert s.moments.tobytes() == state.moments.tobytes()
+            assert np.shares_memory(s.m.flat, s.moments[0])
+            assert np.shares_memory(s.v.flat, s.moments[1])
+            assert s.m.flat.tobytes() == s.moments[0].tobytes()
+            assert s.v.w_rec.tobytes() == s.moments[1, :320].tobytes()
+        for c in copies:
+            assert not np.shares_memory(c.moments, state.moments)
+        # a copy continues the run bit for bit
+        grads, twin = random_params(rng, 0.5), params.copy()
+        rd.adam_step(params, grads, state, cfg)
+        for c in copies:
+            p = twin.copy()
+            rd.adam_step(p, grads, c, cfg)
+            assert p.flat.tobytes() == params.flat.tobytes()
+            assert c.moments.tobytes() == state.moments.tobytes()
 
     def test_nonfinite_grads_raise(self):
         rng = np.random.default_rng(12)
