@@ -208,7 +208,6 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
              cfg: RetrainConfig, keep_fixed: np.ndarray | None,
              train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
     events, labels = rd._as_arrays(dataset)
-    labels = labels.astype(np.int64, copy=False)  # once, not per batch
     val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
     io = _converters(cfg, xcfg)
 

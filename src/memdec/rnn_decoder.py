@@ -54,6 +54,9 @@ INPUT_SIZE = 4
 HIDDEN_SIZE = 16
 OUTPUT_SIZE = 2
 
+# row k is the one-hot row of label k
+_ONE_HOT = np.eye(OUTPUT_SIZE)
+
 # (dac, adc): elementwise converters on each layer's input and output
 Converters = tuple[Callable[[np.ndarray], np.ndarray],
                    Callable[[np.ndarray], np.ndarray]]
@@ -208,6 +211,7 @@ class Workspace:
         self.dz_sum = np.empty((steps, HIDDEN_SIZE))
         self.column = np.empty((rows, 1))
         self.log_picked = np.empty(rows)
+        self.one_hot = np.empty((rows, OUTPUT_SIZE))
         self.rows = np.arange(rows)
         self.grads = DecoderParams.zeros()
         self._views: dict[int, _BatchViews] = {}
@@ -227,7 +231,7 @@ class _BatchViews:
 
     __slots__ = ("shot_inputs", "shot_z", "z", "logits", "events", "h0",
                  "forward_steps", "last", "last_t", "logit0", "logit1", "column",
-                 "log_picked", "rows", "active", "dz", "backward_steps", "dh",
+                 "log_picked", "one_hot", "rows", "active", "dz", "backward_steps", "dh",
                  "dh_rec", "dh_rec_hidden", "inputs_reversed", "dz_sum", "per_step",
                  "grads")
 
@@ -246,6 +250,7 @@ class _BatchViews:
         self.logit0, self.logit1 = logits[:, :1], logits[:, 1:]
         self.column = work.column[:n]
         self.log_picked = work.log_picked[:n]
+        self.one_hot = work.one_hot[:n]
         self.rows = work.rows[:n]
         self.active = work.active[:, :n]
         # dz of step t is stored at dz[steps-1-t], so the sums over steps
@@ -358,11 +363,11 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
     np.exp(dlogits, out=dlogits)
     np.add(v.logit0, v.logit1, out=v.column)
     dlogits /= v.column
-    picked = dlogits[v.rows, y]
-    np.add(picked, 1e-300, out=v.log_picked)
+    np.add(dlogits[v.rows, y], 1e-300, out=v.log_picked)
     loss = -float(np.log(v.log_picked, out=v.log_picked).sum()) / n
-    picked -= 1.0
-    dlogits[v.rows, y] = picked
+    # minus the one-hot label rows: the label column becomes p - 1.0, the
+    # other q - 0.0 = q
+    dlogits -= _ONE_HOT.take(y, axis=0, out=v.one_hot)
     dlogits /= n
 
     grads = v.grads
@@ -465,7 +470,6 @@ def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderPara
     """Shuffled mini-batch Adam training; returns the parameters of the epoch
     with the best validation accuracy (earliest epoch on ties)."""
     events, labels = _as_arrays(dataset)
-    labels = labels.astype(np.int64, copy=False)  # once, not per batch
     val_events, val_labels = _as_arrays(val)
     if events.shape[0] == 0 or val_events.shape[0] == 0:
         raise ValueError("datasets must be non-empty")

@@ -1,3 +1,6 @@
+from dataclasses import fields, is_dataclass
+from functools import reduce
+
 import pytest
 
 from memdec import config as cf
@@ -23,7 +26,6 @@ def test_eval_p_reaches_protocol_and_round_trips():
         "hwa.p_drop = 0.05",
     ])
     cfg = cf.validate_config(text)
-    assert cfg.eval_p == 0.005
     assert cfg.protocol.p_values == (0.005,)
     assert (cfg.crossbar.g_hcs, cfg.crossbar.g_lcs) == (150.0, 20.0)
     again = cf.validate_config(cf.serialize_config(cfg))
@@ -71,3 +73,55 @@ def test_every_malformed_line_is_reported():
         cf.validate_config("seed 7\nseed = 1\nseed = 2\n")
     assert "line 1: expected 'key = value'" in str(info.value)
     assert "line 3: duplicate key 'seed'" in str(info.value)
+
+
+def leaves(obj, prefix=""):
+    """(dotted path, value) of every non-dataclass field under `obj`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def other_value(default) -> str:
+    """Text of a valid value unlike `default`, for every kind of key."""
+    if default is None:  # an optional key: clip scale or dropconnect rate
+        return "0.5"
+    if isinstance(default, bool):
+        return str(not default)
+    if isinstance(default, int):  # every integer rule is a lower bound
+        return str(default + 1)
+    if isinstance(default, float):  # halving keeps every float rule and order
+        return repr(default / 2)
+    if not default:  # variability coefficients
+        return "0.5,0.01"
+    return default[0] if isinstance(default[0], str) else repr(default[0] / 2)
+
+
+@pytest.mark.parametrize("key", cf._KEYS)
+def test_each_key_sets_only_its_fields_and_round_trips(key):
+    default = cf.RunConfig()
+    paths = cf._KEYS[key].paths or (key,)
+    text = other_value(reduce(getattr, paths[0].split("."), default))
+    cfg = cf.validate_config(f"{key} = {text}")
+    before = dict(leaves(default))
+    changed = {path for path, value in leaves(cfg) if value != before[path]}
+    assert changed == set(paths)
+    assert cf.validate_config(cf.serialize_config(cfg)) == cfg
+
+
+def test_retrain_p_drop_is_not_a_key():
+    with pytest.raises(ConfigError) as info:
+        cf.validate_config("retrain.p_drop = 0.1")
+    assert str(info.value) == "unknown key 'retrain.p_drop'"
+
+
+def test_conductances_apply_together_in_either_order():
+    # 300 and 250 both exceed the default g_hcs, so a crossbar built with
+    # one of them and the other's default would be rejected
+    lines = ["crossbar.g_hcs = 300", "crossbar.g_lcs = 250"]
+    for text in ("\n".join(lines), "\n".join(reversed(lines))):
+        cfg = cf.validate_config(text)
+        assert (cfg.crossbar.g_hcs, cfg.crossbar.g_lcs) == (300.0, 250.0)

@@ -28,7 +28,6 @@ train.adam_beta1 = 0.9
 train.adam_beta2 = 0.999
 train.adam_eps = 1e-08
 retrain.epochs = 10
-retrain.p_drop = 0.0
 retrain.noise_relative = 0.008
 retrain.io_discretize = false
 crossbar.g_hcs = 200.0

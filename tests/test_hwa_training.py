@@ -227,14 +227,34 @@ class TestCallerConfigsReachRetraining:
             seen.append((io is not None, inputs.copy(), z.copy(), logits.copy()))
             return z, inputs, logits
 
+        # the training step reaches the forward pass through loss_and_grads:
+        # record what each converter it receives returns
+        trained = []
+        loss_and_grads = rd.loss_and_grads
+
+        def recording(convert):
+            def converted(v):
+                out = convert(v)
+                trained.append(np.array(out))
+                return out
+            return converted
+
+        def record_step(params, events, labels, io=None, work=None):
+            assert io is not None
+            return loss_and_grads(params, events, labels,
+                                  tuple(recording(c) for c in io), work)
+
         monkeypatch.setattr(rd, "forward_batch", record)
+        monkeypatch.setattr(rd, "loss_and_grads", record_step)
         out = hwa.retrain_hwa(fp_params, train, val, cfg, crossbar_config=xcfg)
         monkeypatch.undo()
         assert seen and all(has_io for has_io, *_ in seen)
-        for _, *values in seen:
-            for v in values:
-                assert np.abs(v).max() <= xcfg.adc_bound
-                assert np.array_equal(v, np.round(v / step) * step)
+        # per batch, the DAC and the ADC each convert T + 1 times
+        n, steps, _ = train.events.shape
+        assert len(trained) == -(-n // rd.TrainConfig().batch_size) * 2 * (steps + 1)
+        for v in [v for _, *values in seen for v in values] + trained:
+            assert np.abs(v).max() <= xcfg.adc_bound
+            assert np.array_equal(v, np.round(v / step) * step)
         default = hwa.retrain_hwa(fp_params, train, val, cfg)
         assert not all(np.array_equal(a, b)
                        for a, b in zip(default.tensors(), out.tensors()))
