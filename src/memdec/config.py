@@ -185,7 +185,7 @@ def validate_config(raw: str) -> RunConfig:
             continue
         values.update(dict.fromkeys(row.paths or (key,), value))
 
-    default = RunConfig()
+    default = RunConfig()  # unset and rejected keys compare at their defaults
     p_min, p_max, g_hcs, g_lcs = (values.get(path, _lookup(default, path)) for path in (
         "dataset.p_min", "dataset.p_max", "crossbar.g_hcs", "crossbar.g_lcs"))
     if p_min > p_max:
