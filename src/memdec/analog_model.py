@@ -13,13 +13,21 @@ by the ADC bound) and ADC outputs (range 6) at 8 bits.
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
 
-Inference (`analog_logits`) forms each unit's effective matrix G+ - G- once
-per call and runs the recurrent unit once per distinct prefix of adjacent
-rows rather than once per row and step, then the evaluation unit on every
-row. The logits are bit-identical to a per-row evaluation: the DAC and ADC
-act elementwise, a row of a gemm does not depend on the row count, and a
-step that would be a one-row product inside a larger batch is evaluated as
-a doubled row, so it stays on gemm.
+Inference runs the recurrent unit once per distinct prefix of adjacent rows
+rather than once per row and step, then the evaluation unit on every row.
+It is split in two. An `AnalogPlan`, built once per batch of event rows and
+converter setting, holds what no chip changes: the DAC'd events of each
+prefix run with the bias column filled, each run's parent run, the final
+row -> run map and reused work buffers. Running it on a chip forms each
+unit's effective matrix G+ - G-, writes the hidden states into the plan's
+inputs and runs matmul, ADC, ReLU and DAC. `analog_logits` builds a plan
+and runs it once; the error-bar protocol builds one per test table
+(`table_plans`) and runs it on every chip. The logits are bit-identical to
+a per-row evaluation: the DAC and ADC act elementwise, so converting a
+value once per table gives the value converting it per chip would; a row
+of a gemm does not depend on the row count; and a step that would be a
+one-row product inside a larger batch is evaluated as a doubled row, so it
+stays on gemm.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, DecoderParams,
                           logits_to_bits)
-from .surface_code_sim import table_accuracy
+from .surface_code_sim import table_accuracy, table_batch
 
 
 @dataclass(frozen=True)
@@ -242,9 +250,13 @@ def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig,
     return _quantize(current, cfg.adc_bound, cfg.levels, scratch) if cfg.quantize_io else current
 
 
-def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                  events: np.ndarray) -> np.ndarray:
-    """Crossbar forward pass; returns post-ADC logits, shape (n, 2).
+_H0 = np.zeros((1, HIDDEN_SIZE))  # the hidden state every row starts from
+
+
+class AnalogPlan:
+    """The chip-independent half of `analog_logits` for one batch of event
+    rows under one converter setting (`adc_bound`, `dac_bound`, `levels`,
+    `quantize_io` of `cfg`), built once and run on any number of chips.
 
     Step t of the recurrent unit runs once per run of adjacent rows that
     share the prefix `events[:, :t+1]`: a row starts a run at step t if it
@@ -255,51 +267,121 @@ def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
     `surface_code_sim.syndrome_table` returns rows in byte order, which puts
     shared prefixes next to each other.
 
-    The bits equal those of running every row through every step: the
-    converters act elementwise, so a value sees the same operations whether
-    it is converted once or once per row, and a row of a gemm does not
-    depend on how many rows the product has. A one-row product goes to gemv
-    instead, whose bits can differ, so a step with one run inside a batch
-    of several rows is evaluated as a doubled row, while a batch of one row
-    stays on gemv at every step, as it would on its own.
+    The plan holds what that grouping leaves chip-independent: each step's
+    input block [DAC(x_t) | h | DAC(1)] with the DAC'd events and the bias
+    column filled, each run's parent run at the step before, and the final
+    row -> run map. `logits(programmed)` writes only the hidden-state
+    columns of those blocks before each step's product, then runs the
+    matmul, ADC, ReLU and DAC in work buffers it reuses. `work`, when
+    given, is a float64 vector of at least `work_size(len(events))` floats
+    holding those buffers; plans built with one `work` share them, so the
+    logits one of them returns are overwritten by the next `logits` call on
+    any of them. `table_plans` builds the plans of one evaluation so.
+
+    A one-row product goes to gemv instead of gemm, whose bits can differ,
+    so a step with one run inside a batch of several rows is planned as a
+    doubled row, while a batch of one row stays on gemv at every step, as
+    it would on its own.
     """
-    x = np.asarray(events)
-    if x.ndim == 2:
-        x = x[None]
-    n, steps, _ = x.shape
-    xv = _convert_in(x.astype(np.float64), cfg)
-    bits = xv.view(np.uint64)
-    bias = _dac(np.ones(1), cfg)[0]
-    w_rec = programmed.recurrent.effective()
-    w_eval = programmed.evaluation.effective()
 
-    cap = max(n, 2)
-    inp = np.empty((cap, w_rec.shape[0]))
-    inp[:, -1] = bias
-    out = np.empty((cap, HIDDEN_SIZE))
-    scratch = np.empty((cap, HIDDEN_SIZE))
-    new = np.zeros(n, bool)
-    new[:1] = True
-    h = np.zeros((1, HIDDEN_SIZE))
-    run = np.zeros(n, np.intp)      # each row's run at the previous step
-    for t in range(steps):
-        new[1:] |= (bits[1:, t] != bits[:-1, t]).any(axis=1)
-        starts = np.flatnonzero(new)
-        if len(starts) == 1 and n > 1:
-            starts = np.zeros(2, np.intp)
-        k = len(starts)
-        inp[:k, :-1 - HIDDEN_SIZE] = xv[starts, t]
-        inp[:k, -1 - HIDDEN_SIZE:-1] = h[run[starts]]
-        h = np.matmul(inp[:k], w_rec, out=out[:k])
-        _convert_out(h, programmed.scale_recurrent, cfg, scratch[:k])
-        np.maximum(h, 0.0, out=h)
-        _convert_in(h, cfg, scratch[:k])
-        run = np.cumsum(new) - 1
+    def __init__(self, events: np.ndarray, cfg: CrossbarConfig,
+                 work: np.ndarray | None = None):
+        x = np.asarray(events)
+        if x.ndim == 2:
+            x = x[None]
+        n, steps, width = x.shape
+        self.rows, self.cfg = n, cfg
+        xv = _convert_in(x.astype(np.float64), cfg)
+        bits = xv.view(np.uint64)
+        self._bias = _dac(np.ones(1), cfg)[0]
 
-    head = np.empty((n, w_eval.shape[0]))
-    head[:, :-1] = h[run]
-    head[:, -1] = bias
-    return _convert_out(head @ w_eval, programmed.scale_evaluation, cfg)
+        new = np.zeros(n, bool)
+        new[:1] = True
+        run = np.zeros(n, np.intp)      # each row's run at the previous step
+        plan = []
+        for t in range(steps):
+            new[1:] |= (bits[1:, t] != bits[:-1, t]).any(axis=1)
+            starts = np.flatnonzero(new)
+            if len(starts) == 1 and n > 1:
+                starts = np.zeros(2, np.intp)
+            plan.append((starts, run[starts]))
+            run = np.cumsum(new) - 1
+        self._run = run
+
+        inputs = np.empty((sum(len(starts) for starts, _ in plan),
+                           width + HIDDEN_SIZE + 1))
+        inputs[:, -1] = self._bias
+        if work is None:
+            work = np.empty(self.work_size(n))
+        elif len(work) < self.work_size(n):
+            raise ValueError(f"work buffer of {len(work)} floats cannot hold "
+                             f"a plan of {n} rows")
+        cap = max(n, 2)
+        out = work[:cap * HIDDEN_SIZE]
+        shared = work[cap * HIDDEN_SIZE:]
+        self._steps = []
+        first = 0
+        for t, (starts, parents) in enumerate(plan):
+            k = len(starts)
+            inp = inputs[first:first + k]
+            first += k
+            inp[:, :width] = xv[starts, t]
+            self._steps.append((inp, inp[:, width:-1], parents,
+                                out[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE),
+                                shared[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE)))
+        # after the last step: the evaluation unit's input in the step
+        # scratch, its product and rounding scratch in the step outputs,
+        # which the head has already read
+        self._head = shared[:n * (HIDDEN_SIZE + 1)].reshape(n, HIDDEN_SIZE + 1)
+        self._logits = out[:2 * n].reshape(n, 2)
+        self._logit_scratch = out[2 * n:4 * n].reshape(n, 2)
+
+    @staticmethod
+    def work_size(rows: int) -> int:
+        """Floats of work buffer a plan of `rows` rows uses."""
+        return max(rows, 2) * (2 * HIDDEN_SIZE + 1)
+
+    def logits(self, programmed: ProgrammedDecoder) -> np.ndarray:
+        """Post-ADC logits (rows, 2) of one chip, a view into the work
+        buffers."""
+        cfg = self.cfg
+        w_rec = programmed.recurrent.effective()
+        w_eval = programmed.evaluation.effective()
+        h = _H0
+        for inp, h_cols, parents, out, scratch in self._steps:
+            h_cols[...] = h[parents]
+            h = np.matmul(inp, w_rec, out=out)
+            _convert_out(h, programmed.scale_recurrent, cfg, scratch)
+            np.maximum(h, 0.0, out=h)
+            _convert_in(h, cfg, scratch)
+        head = self._head
+        head[:, :-1] = h[self._run]
+        head[:, -1] = self._bias
+        logits = np.matmul(head, w_eval, out=self._logits)
+        return _convert_out(logits, programmed.scale_evaluation, cfg, self._logit_scratch)
+
+
+def table_plans(tables: Sequence[tuple[np.ndarray, np.ndarray]], cfg: CrossbarConfig,
+                ) -> list[AnalogPlan]:
+    """One `AnalogPlan` per syndrome table (rows, counts), for the batch
+    `surface_code_sim.table_batch` decodes, all sharing one work buffer sized
+    to the largest."""
+    batches = [table_batch(rows, counts) for rows, counts in tables]
+    work = np.empty(max((AnalogPlan.work_size(len(b)) for b in batches), default=0))
+    return [AnalogPlan(batch, cfg, work) for batch in batches]
+
+
+def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
+                  events: np.ndarray) -> np.ndarray:
+    """Crossbar forward pass; returns post-ADC logits, shape (n, 2).
+
+    Runs an `AnalogPlan` of `events` on one chip. The bits equal those of
+    running every row through every step: the converters act elementwise,
+    so a value sees the same operations whether it is converted once or
+    once per row, and a row of a gemm does not depend on how many rows the
+    product has (see `AnalogPlan` for the one-row gemv case).
+    """
+    return AnalogPlan(events, cfg).logits(programmed).copy()
 
 
 def analog_forward_batch(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
@@ -307,14 +389,33 @@ def analog_forward_batch(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
     return logits_to_bits(analog_logits(programmed, cfg, events))
 
 
+def _converter_settings(cfg: CrossbarConfig) -> tuple:
+    return cfg.adc_bound, cfg.dac_bound, cfg.levels, cfg.quantize_io
+
+
 def analog_accuracy(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                    rows: np.ndarray, counts: np.ndarray) -> float:
+                    rows: np.ndarray, counts: np.ndarray,
+                    plan: AnalogPlan | None = None) -> float:
     """Accuracy of one programmed chip over a syndrome table: `rows` are the
     distinct event rows of a test set and `counts` (u, 2) their label-0 and
     label-1 shot counts, as `surface_code_sim.syndrome_table` returns them.
-    Equals the per-shot accuracy over the full set."""
-    return table_accuracy(lambda r: analog_forward_batch(programmed, cfg, r),
-                          rows, counts)
+    Equals the per-shot accuracy over the full set.
+
+    `plan` is the table's plan from `table_plans` (built here when None):
+    the DAC'd events, prefix runs and bias column are the same for every
+    chip, so a caller scoring many chips on one table builds them once.
+    """
+    if plan is None:
+        plan = AnalogPlan(table_batch(rows, counts), cfg)
+    elif _converter_settings(plan.cfg) != _converter_settings(cfg):
+        raise ValueError("the plan was built for other converter settings")
+
+    def predict(batch: np.ndarray) -> np.ndarray:
+        if len(batch) != plan.rows:
+            raise ValueError(f"the plan has {plan.rows} rows, the table decodes {len(batch)}")
+        return logits_to_bits(plan.logits(programmed))
+
+    return table_accuracy(predict, rows, counts)
 
 
 def fit_variability_model(rows: Sequence[tuple[float, float]], degree: int,

@@ -14,7 +14,7 @@ evaluation sets `RetrainConfig.p_drop` per scheme, so no `retrain.p_drop`.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -198,10 +198,45 @@ def validate_config(raw: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Every key, optional ones only when set, so parse(serialize(cfg)) == cfg."""
-    lines = []
+    """Every key, optional ones only when set, so that
+    validate_config(serialize_config(cfg)) == cfg on every field a key sets.
+
+    Raises `ConfigError` naming each key whose text cannot carry its fields
+    back: a value its kind writes as text that does not parse back to it,
+    or fields of one key that hold different values (`dataset.rounds` sets
+    `protocol.rounds` too). A config whose text `validate_config` rejects
+    raises its error, and one whose fields that no key writes differ from
+    their defaults raises an error naming them.
+    """
+    lines, errors = [], []
     for key, row in _KEYS.items():
-        value = _lookup(cfg, row.paths[0] if row.paths else key)
-        if value is not None:
-            lines.append(f"{key} = {row.kind.format(value)}")
-    return "\n".join(lines) + "\n"
+        paths = row.paths or (key,)
+        values = [_lookup(cfg, path) for path in paths]
+        if values[0] is None:
+            continue
+        text = row.kind.format(values[0])
+        lines.append(f"{key} = {text}")
+        try:
+            carried = all(v == row.kind.parse(text) for v in values)
+        except ValueError:
+            carried = False
+        if not carried:
+            held = ", ".join(f"{path} = {v!r}" for path, v in zip(paths, values))
+            errors.append(f"{key} cannot carry {held}")
+    if errors:
+        raise ConfigError("; ".join(errors))
+    text = "\n".join(lines) + "\n"
+    unwritten = list(_differing_fields(validate_config(text), cfg))
+    if unwritten:
+        raise ConfigError("no key writes " + ", ".join(unwritten))
+    return text
+
+
+def _differing_fields(a, b, prefix: str = ""):
+    """Dotted paths of the leaf fields where dataclasses `a` and `b` differ."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if is_dataclass(x) and type(x) is type(y):
+            yield from _differing_fields(x, y, f"{prefix}{f.name}.")
+        elif x != y:
+            yield prefix + f.name

@@ -175,10 +175,10 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     xcfg = replace(configs.crossbar_config, stuck_rate=stuck_rate)
-    tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
-              for p in protocol.p_values]
 
-    runs: list[list[float]] = []
+    # every run is trained (and retrained) before any chip is evaluated, so
+    # the analog plans below are not held through training's allocations
+    trained = []
     for i in range(protocol.n_train_runs):
         if base_params is not None:
             params = base_params[i % len(base_params)].copy()
@@ -201,19 +201,25 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                            seed=derive_seed(master_seed, Stage.RETRAIN, i))
             params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg,
                                     configs.train_config, xcfg)
+        trained.append((params, chip_map))
 
-        if scheme == "baseline":
-            accs = [rd.accuracy(params, test_sets[p]) for p in protocol.p_values]
-            runs.append(accs)
-            continue
-
-        for j in range(protocol.n_infer_runs):
-            rng = spawn_generator(master_seed, Stage.PROGRAM, i, j)
-            fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
-            programmed = am.program_decoder(params, xcfg, fmap, rng)
-            accs = [am.analog_accuracy(programmed, xcfg, rows, counts)
-                    for rows, counts in tables]
-            runs.append(accs)
+    if scheme == "baseline":
+        runs = [[rd.accuracy(params, test_sets[p]) for p in protocol.p_values]
+                for params, _ in trained]
+    else:
+        tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
+                  for p in protocol.p_values]
+        # every chip of every run decodes the same tables: their DAC'd
+        # events, prefix runs and work buffers are built once
+        plans = am.table_plans(tables, xcfg)
+        runs = []
+        for i, (params, chip_map) in enumerate(trained):
+            for j in range(protocol.n_infer_runs):
+                rng = spawn_generator(master_seed, Stage.PROGRAM, i, j)
+                fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
+                programmed = am.program_decoder(params, xcfg, fmap, rng)
+                runs.append([am.analog_accuracy(programmed, xcfg, rows, counts, plan)
+                             for (rows, counts), plan in zip(tables, plans)])
 
     per_run = np.asarray(runs)
     acc_mean = per_run.mean(axis=0)

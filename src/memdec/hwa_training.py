@@ -31,9 +31,10 @@ stuck-pair map of one characterized crossbar (its two units concatenated
 and inverted): those weights are pinned to exactly zero and receive no
 updates.
 
-The retraining loop reuses its buffers across batches: the `rd.Workspace`,
-the keep-mask, and the effective parameters and noise draw of
-`_perturbed` (`EffectiveParams`); the draws fill them through
+The retraining loop reuses its buffers across batches: the `rd.Workspace`
+(one for the training batches, one for the validation table), the
+keep-mask, and the effective parameters and noise draw of `_perturbed`
+(`EffectiveParams`); the draws fill them through
 `Generator.random(out=)` and `standard_normal(out=)`, which give the values
 of the allocating calls.
 """
@@ -49,7 +50,7 @@ from . import rnn_decoder as rd
 from .analog_model import CrossbarConfig, FaultMap, _adc, _dac
 from .rng import SpawnedGenerators, Stage, spawn_generator
 from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
-from .surface_code_sim import Dataset, syndrome_table, table_accuracy
+from .surface_code_sim import Dataset, syndrome_table, table_accuracy, table_batch
 
 _UNIT_STARTS = [unit.start for unit in UNIT_SLICES]
 
@@ -187,10 +188,13 @@ def _mask_streams(cfg: RetrainConfig, keep_fixed: np.ndarray | None, key: int,
 def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
                      keep_fixed: np.ndarray | None, rows: np.ndarray,
                      counts: np.ndarray, seed_key: int,
-                     io: rd.Converters | None) -> float:
+                     io: rd.Converters | None,
+                     work: rd.Workspace | None = None) -> float:
     """Validation accuracy over a syndrome table (see
     `surface_code_sim.syndrome_table`) under the training-time noise/drop
-    statistics, averaged over `val_draws` independent draws."""
+    statistics, averaged over `val_draws` independent draws. Every draw's
+    forward pass runs in `work` when given, a workspace of
+    `len(table_batch(rows, counts))` rows."""
     mask_rngs = _mask_streams(cfg, keep_fixed, seed_key, cfg.val_draws)
     noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, seed_key), cfg.val_draws)
     total = 0.0
@@ -200,7 +204,7 @@ def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
                 else _random_keep(cfg.p_drop, mask_rngs[draw], keep_buffer))
         eff = _perturbed(params, keep, cfg.noise_relative, noise_rngs[draw], buffers)
         total += table_accuracy(
-            lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io)[2]), rows, counts)
+            lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io, work)[2]), rows, counts)
     return total / cfg.val_draws
 
 
@@ -209,6 +213,7 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
              train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
     events, labels = rd._as_arrays(dataset)
     val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
+    val_work = rd.Workspace(len(table_batch(val_rows, val_counts)), val_rows.shape[1])
     io = _converters(cfg, xcfg)
 
     params = params.copy()
@@ -243,7 +248,7 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
             if cfg.clip_scale is not None:
                 clip_weights(params, cfg.clip_scale)
         val_acc = _masked_accuracy(params, cfg, keep_fixed, val_rows,
-                                   val_counts, 1_000_000 + epoch, io)
+                                   val_counts, 1_000_000 + epoch, io, val_work)
         if val_acc > best[0]:
             best = (val_acc, params.copy())
     return best[1]

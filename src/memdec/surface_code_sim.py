@@ -205,7 +205,7 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
     with that row carry label 0 and label 1. Rows are keyed on their raw
     bytes, so any dtype works. Byte order compares rows step by step, so
     rows that share a prefix of steps sit next to each other, which
-    `analog_model.analog_logits` exploits.
+    `analog_model.AnalogPlan` exploits.
     """
     events = np.ascontiguousarray(events)
     labels = np.asarray(labels).reshape(-1)
@@ -224,23 +224,31 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
     return events[first], counts
 
 
-def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
-    """Fraction of the shots a syndrome table stands for that `predict`
-    (rows -> bits) classifies correctly; equal to the per-shot
-    `(predict(events) == labels).mean()`.
+def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The event rows `table_accuracy` decodes for a syndrome table: `rows`
+    itself, or its one row twice when that row stands for several shots.
 
     A batch of one row takes a different BLAS path (gemv) whose bits can
     differ from a row of a larger product, so a single row that stands for
-    several shots is decoded twice and counted once.
+    several shots is decoded twice and counted once; a single shot is one
+    row on the per-shot path too.
     """
     total = int(counts.sum())
     if total == 0:
         raise ValueError("syndrome table must be non-empty")
     if len(rows) == 1 and total > 1:
-        pred = predict(np.concatenate([rows, rows]))[:1]
-    else:
-        pred = predict(rows)
-    return float(counts[np.arange(len(rows)), pred].sum() / total)
+        return np.concatenate([rows, rows])
+    return rows
+
+
+def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
+    """Fraction of the shots a syndrome table stands for that `predict`
+    (rows -> bits) classifies correctly; equal to the per-shot
+    `(predict(events) == labels).mean()`. `predict` receives
+    `table_batch(rows, counts)`.
+    """
+    pred = predict(table_batch(rows, counts))[:len(rows)]
+    return float(counts[np.arange(len(rows)), pred].sum() / int(counts.sum()))
 
 
 def validate_circuit(circuit: CircuitSpec) -> None:

@@ -6,6 +6,9 @@ import pytest
 from memdec import config as cf
 from memdec.analog_model import CrossbarConfig
 from memdec.errors import ConfigError
+from memdec.evaluation import EvalProtocol
+from memdec.hwa_training import RetrainConfig
+from memdec.rnn_decoder import TrainConfig
 
 
 def test_default_config_round_trip():
@@ -125,3 +128,37 @@ def test_conductances_apply_together_in_either_order():
     for text in ("\n".join(lines), "\n".join(reversed(lines))):
         cfg = cf.validate_config(text)
         assert (cfg.crossbar.g_hcs, cfg.crossbar.g_lcs) == (300.0, 250.0)
+
+
+@pytest.mark.parametrize("cfg,message", [
+    (cf.RunConfig(protocol=EvalProtocol(p_values=(0.01, 0.001))),
+     "eval.p cannot carry protocol.p_values = (0.01, 0.001)"),
+    (cf.RunConfig(protocol=EvalProtocol(rounds=5)),
+     "dataset.rounds cannot carry dataset.rounds = 3, protocol.rounds = 5"),
+    (cf.RunConfig(dataset=cf.DatasetConfig(points=0)),
+     "dataset.points: '0' is not an integer >= 1"),
+    (cf.RunConfig(dataset=cf.DatasetConfig(p_min=0.1)),
+     "dataset.p_min exceeds dataset.p_max"),
+])
+def test_serialize_refuses_what_text_cannot_carry(cfg, message):
+    # each would serialize to text that validate_config rejects or parses
+    # to another config
+    with pytest.raises(ConfigError) as info:
+        cf.serialize_config(cfg)
+    assert str(info.value) == message
+
+
+def test_serialize_names_every_key_it_cannot_carry():
+    cfg = cf.RunConfig(protocol=EvalProtocol(p_values=(0.01, 0.001), rounds=5))
+    with pytest.raises(ConfigError) as info:
+        cf.serialize_config(cfg)
+    assert str(info.value).split("; ") == [
+        "dataset.rounds cannot carry dataset.rounds = 3, protocol.rounds = 5",
+        "eval.p cannot carry protocol.p_values = (0.01, 0.001)"]
+
+
+def test_serialize_refuses_fields_no_key_writes():
+    cfg = cf.RunConfig(train=TrainConfig(seed=9), retrain=RetrainConfig(val_draws=3))
+    with pytest.raises(ConfigError) as info:
+        cf.serialize_config(cfg)
+    assert str(info.value) == "no key writes train.seed, retrain.val_draws"

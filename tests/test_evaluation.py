@@ -104,6 +104,27 @@ class TestSingleSyndrome:
         per_shot = (rd.predict_batch(params, self.EVENTS) == self.LABELS).mean()
         assert rd.accuracy(params, (self.EVENTS, self.LABELS)) == per_shot
 
+    def test_plan_decodes_single_row_doubled(self):
+        """On the plan path too, a one-row table of several shots is decoded
+        as a doubled row (gemm) and a one-shot table as one row (gemv)."""
+        params = rd.DecoderParams.initial(5)
+        xcfg = am.CrossbarConfig(stuck_rate=STUCK)
+        several = sc.syndrome_table(self.EVENTS, self.LABELS)
+        single = sc.syndrome_table(self.EVENTS[:1], self.LABELS[1:2])
+        plans = am.table_plans([several, single], xcfg)
+        assert [plan.rows for plan in plans] == [2, 1]
+        for j in range(5):
+            rng = spawn_generator(MASTER, j)
+            chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
+            assert (plans[0].logits(chip).tobytes()
+                    == am.analog_logits(chip, xcfg, self.EVENTS[:2]).tobytes())
+            assert (plans[1].logits(chip).tobytes()
+                    == am.analog_logits(chip, xcfg, self.EVENTS[:1]).tobytes())
+            per_shot = (am.analog_forward_batch(chip, xcfg, self.EVENTS) == self.LABELS).mean()
+            assert am.analog_accuracy(chip, xcfg, *several, plans[0]) == per_shot
+            alone = am.analog_forward_batch(chip, xcfg, self.EVENTS[:1])[0] == 1
+            assert am.analog_accuracy(chip, xcfg, *single, plans[1]) == float(alone)
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -165,6 +186,28 @@ class TestEvaluateScheme:
             _, counts = sc.syndrome_table(tests[p].events, tests[p].labels)
             ceiling = counts.max(axis=1).sum() / counts.sum()
             assert (report.per_run_acc[:, k] <= ceiling).all()
+
+    def test_one_plan_per_test_table(self, setup, monkeypatch):
+        """Every chip of every run shares one analog plan per p; the digital
+        baseline builds none."""
+        configs, base, tests, protocol = setup
+        protocol = replace(protocol, n_train_runs=1)
+        built = []
+
+        class CountingPlan(am.AnalogPlan):
+            def __init__(self, events, cfg, work=None):
+                built.append(len(events))
+                super().__init__(events, cfg, work)
+
+        monkeypatch.setattr(am, "AnalogPlan", CountingPlan)
+        for scheme in ev.SCHEMES:
+            built.clear()
+            ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
+                               test_sets=tests, base_params=base)
+            expected = ([] if scheme == "baseline" else
+                        [len(sc.syndrome_table(tests[p].events, tests[p].labels)[0])
+                         for p in protocol.p_values])
+            assert built == expected, scheme
 
     def test_digital_accuracy_equals_per_shot(self, setup):
         _, base, tests, _ = setup

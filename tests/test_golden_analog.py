@@ -6,7 +6,8 @@ bounds and level count, and no conversion at all) on syndrome tables of
 1, 3 and 5 rounds at two fault rates, on 1-, 2- and 3-row inputs (a 1-row
 input goes to gemv rather than gemm) and on raw, unsorted events with
 duplicate rows. The `per_run_acc` of `evaluate_scheme` is pinned for fp_mnd
-and ds_mnd as well.
+and ds_mnd as well. Plans that share one work buffer, run chip after chip,
+must give the bytes of fresh `analog_logits` calls.
 """
 
 import hashlib
@@ -152,3 +153,23 @@ def test_per_run_acc_digest(scheme):
                                 test_sets=tests, base_params=base)
     assert report.per_run_acc.shape == (8, 2)
     assert sha(report.per_run_acc) == GOLDEN_PER_RUN_ACC[scheme]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("kind", ["tables", "rows_1", "rows_2", "rows_3", "raw"])
+def test_shared_plans_equal_fresh_logits_chip_after_chip(chips, inputs, config, kind):
+    """Plans sharing one work buffer, run over chips A, B, A, give the bytes
+    of fresh `analog_logits` calls: no chip's hidden states or logits leak
+    into the next run through the reused buffers."""
+    cfg = CONFIGS[config]
+    other = am.program_decoder(random_params(np.random.default_rng(97)), cfg,
+                               am.FaultMap.sample(0.1, np.random.default_rng(98)),
+                               np.random.default_rng(99))
+    batches = inputs[kind]
+    work = np.empty(max(am.AnalogPlan.work_size(len(b)) for b in batches))
+    plans = [am.AnalogPlan(b, cfg, work) for b in batches]
+    for chip in (chips[config], other, chips[config]):
+        for events, plan in zip(batches, plans):
+            assert plan.rows == len(events)
+            assert (plan.logits(chip).tobytes()
+                    == am.analog_logits(chip, cfg, events).tobytes())

@@ -188,6 +188,27 @@ class TestRetrainHwa:
         for x, y in zip(a.tensors(), b.tensors()):
             assert np.array_equal(x, y)
 
+    def test_validation_draws_share_one_workspace(self, small_data, fp_params,
+                                                  monkeypatch):
+        # every validation forward of every epoch runs in one workspace
+        # sized to the validation table; the golden retraining digests pin
+        # the bits
+        train, val = small_data
+        cfg = hwa.RetrainConfig(p_drop=0.1, epochs=2, val_draws=3, seed=9)
+        works = []
+        forward = rd.forward_batch
+
+        def record(params, events, io=None, work=None):
+            works.append((len(events), work))
+            return forward(params, events, io, work)
+
+        monkeypatch.setattr(rd, "forward_batch", record)
+        hwa.retrain_hwa(fp_params, train, val, cfg)
+        rows = len(sc.syndrome_table(val.events, val.labels)[0])
+        assert len(works) == cfg.epochs * cfg.val_draws
+        assert all(n == rows and work is works[0][1] for n, work in works)
+        assert works[0][1].inputs.shape[1] == rows
+
     def test_discretize_and_clip_paths_run(self, small_data, fp_params):
         train, val = small_data
         cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, clip_scale=4.0,
