@@ -8,7 +8,10 @@ sigma_prog(G) — a polynomial fitted from characterization data, or the
 constant-relative 0.8% fallback. Stuck differential pairs are forced to the
 high-conductance state on both sides, cancelling to an effective weight of
 exactly zero. The analog path quantizes DAC inputs (range 1, after scaling
-by the ADC bound) and ADC outputs (range 6) at 8 bits.
+by the ADC bound) and ADC outputs (range 6) at 8 bits. One in-place
+quantizer, `_quantize`, does all of that rounding (half away from zero, then
+the clamp): the plan executor below, `quantize`, and the `_dac`/`_adc` pair
+that hardware-aware retraining applies under `io_discretize`.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -191,16 +194,24 @@ def quantize(x, bound: float, levels: int):
 def _quantize(x: np.ndarray, bound: float, levels: int,
               scratch: np.ndarray | None = None) -> np.ndarray:
     """`quantize` in place on the float64 array `x` (`scratch`, if given, is
-    a buffer of x's shape for the rounding); returns `x`."""
+    a buffer of x's shape for the rounding); returns `x`.
+
+    Rounds half away from zero as trunc(v + copysign(1/2, v)), which equals
+    sign(v) * floor(|v| + 1/2) for every IEEE v: the sum rounds to the same
+    magnitude for both signs, and trunc is floor on that magnitude with v's
+    sign, -0.0 included. The half takes its sign from v + 0.0, which is
+    +0.0 for v = -0.0, so an input of -0.0 gives +0.0 as sign(-0.0) * 0
+    does. NaN stays NaN and +-inf clamps to +-bound.
+    """
     step = 2.0 * bound / levels
     x /= step
-    rounded = np.abs(x, out=scratch)
-    rounded += 0.5
-    np.floor(rounded, out=rounded)
-    np.sign(x, out=x)
-    x *= rounded
+    half = np.add(x, 0.0, out=scratch)
+    np.copysign(0.5, half, out=half)
+    x += half
+    np.trunc(x, out=x)
     x *= step
-    return np.clip(x, -bound, bound, out=x)
+    np.maximum(x, -bound, out=x)
+    return np.minimum(x, bound, out=x)
 
 
 def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,

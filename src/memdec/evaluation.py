@@ -34,7 +34,7 @@ from . import hwa_training as hwa
 from . import rnn_decoder as rd
 from . import surface_code_sim as sc
 from .errors import DegenerateFitError, InsufficientDataError
-from .rng import Stage, derive_seed, spawn_generator
+from .rng import SpawnedGenerators, Stage, derive_seed, spawn_generator
 
 SCHEMES = ("baseline", "fp_mnd", "hwa_mnd", "ds_mnd")
 
@@ -214,8 +214,9 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
         plans = am.table_plans(tables, xcfg)
         runs = []
         for i, (params, chip_map) in enumerate(trained):
+            streams = SpawnedGenerators(master_seed, (Stage.PROGRAM, i), protocol.n_infer_runs)
             for j in range(protocol.n_infer_runs):
-                rng = spawn_generator(master_seed, Stage.PROGRAM, i, j)
+                rng = streams[j]
                 fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
                 programmed = am.program_decoder(params, xcfg, fmap, rng)
                 runs.append([am.analog_accuracy(programmed, xcfg, rows, counts, plan)

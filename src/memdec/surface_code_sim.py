@@ -206,6 +206,12 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
     bytes, so any dtype works. Byte order compares rows step by step, so
     rows that share a prefix of steps sit next to each other, which
     `analog_model.AnalogPlan` exploits.
+
+    The key of a row is an unsigned integer when every byte of the rows is
+    0 or 1 and a row has at most 64 bytes, as for 0/1 event bits of uint8
+    or bool: row byte i is bit i of the key counted from the most
+    significant end, so two keys compare as their rows' bytes do. Any
+    other rows are keyed on a `np.void` view of their bytes.
     """
     events = np.ascontiguousarray(events)
     labels = np.asarray(labels).reshape(-1)
@@ -214,14 +220,29 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
         raise ValueError(f"{n} samples but {labels.shape[0]} labels")
     if n and not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    width = int(np.prod(events.shape[1:]))
-    keys = events.reshape(n, width).view(np.dtype((np.void, events.itemsize * width)))
-    _, first, inverse = np.unique(keys.reshape(-1), return_index=True,
-                                  return_inverse=True)
+    raw = events.reshape(n, int(np.prod(events.shape[1:]))).view(np.uint8)
+    row_bytes = raw.shape[1]
+    if row_bytes <= 64 and raw.max(initial=0) <= 1:
+        keys = _bit_keys(raw)
+    else:
+        keys = raw.view(np.dtype((np.void, row_bytes))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     u = len(first)
     counts = np.bincount(inverse * 2 + labels.astype(np.int64),
                          minlength=2 * u).reshape(u, 2)
     return events[first], counts
+
+
+def _bit_keys(raw: np.ndarray) -> np.ndarray:
+    """One big-endian uint64 per row of the (n, w) uint8 array `raw` of 0/1
+    bytes, w <= 64: byte i of a row is bit 63 - i of its key."""
+    n, w = raw.shape
+    key_bytes = -(-w // 8)
+    padded = np.zeros((n, 8 * key_bytes), np.uint8)
+    padded[:, :w] = raw
+    keys = np.zeros((n, 8), np.uint8)
+    keys[:, :key_bytes] = np.packbits(padded.reshape(-1)).reshape(n, key_bytes)
+    return keys.view(">u8").reshape(-1)
 
 
 def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from memdec import analog_model as am
 from memdec import rnn_decoder as rd
@@ -139,6 +140,84 @@ class TestQuantize:
     @settings(max_examples=300, deadline=None)
     def test_odd(self, x):
         assert am.quantize(-x, 6.0, 256) == -am.quantize(x, 6.0, 256)
+
+
+def reference_quantize(x, bound: float, levels: int) -> np.ndarray:
+    """The sign/floor/clip rounding `_quantize` must reproduce bit for bit:
+    sign(v) * floor(|v| + 1/2) * step, clamped to [-bound, bound]."""
+    step = 2.0 * bound / levels
+    v = np.array(x, dtype=np.float64) / step
+    return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5) * step, -bound, bound)
+
+
+# the golden analog configs, plus odd and near-256 level counts
+QUANTIZE_CONFIGS = [
+    am.CrossbarConfig(),
+    am.CrossbarConfig(levels=16, adc_bound=2.0),
+    am.CrossbarConfig(adc_bound=3.3, dac_bound=0.7, levels=100),
+    am.CrossbarConfig(quantize_io=False),
+    am.CrossbarConfig(levels=3),
+    am.CrossbarConfig(levels=255),
+]
+
+
+def quantize_edges(bound: float, levels: int) -> np.ndarray:
+    """Every rounding threshold and level of the range and a little beyond,
+    each with both neighbours, plus signed zeros, infinities, NaNs,
+    subnormals and values whose division by the step overflows."""
+    step = 2.0 * bound / levels
+    k = np.arange(-levels - 2, levels + 3, dtype=np.float64)
+    grid = np.concatenate([k * step, (k + 0.5) * step, [bound, -bound]])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, -2.2250738585072014e-308, 1e308, -1e308]
+    return np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+                           special])
+
+
+def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> None:
+    """`_quantize` (with and without scratch), array and scalar `quantize`,
+    `_dac` and `_adc` give the reference bytes; the caller silences the
+    overflow its inputs cause."""
+    for bound in (cfg.adc_bound, cfg.dac_bound):
+        want = reference_quantize(x, bound, cfg.levels).tobytes()
+        for scratch in (None, np.empty_like(x)):
+            assert am._quantize(x.copy(), bound, cfg.levels, scratch).tobytes() == want
+        assert am.quantize(x, bound, cfg.levels).tobytes() == want
+        scalars = [am.quantize(float(v), bound, cfg.levels) for v in x]
+        assert all(type(q) is float for q in scalars)
+        assert np.array(scalars).tobytes() == want
+    scaled = x / cfg.adc_bound
+    if cfg.quantize_io:
+        dac = reference_quantize(scaled, cfg.dac_bound, cfg.levels)
+        adc = reference_quantize(x, cfg.adc_bound, cfg.levels)
+    else:
+        dac, adc = scaled, x
+    assert am._dac(x, cfg).tobytes() == dac.tobytes()
+    assert am._adc(x, cfg).tobytes() == adc.tobytes()
+
+
+class TestQuantizeBits:
+    """The in-place rounding trunc(v + copysign(1/2, v + 0)) equals the
+    sign/floor/clip sequence on every float64 input, NaN and -0.0 bytes
+    included."""
+
+    @pytest.mark.parametrize("cfg", QUANTIZE_CONFIGS)
+    def test_edges_match_reference(self, cfg):
+        for bound in (cfg.adc_bound, cfg.dac_bound):
+            with np.errstate(over="ignore"):  # 1e308 / step overflows to inf
+                assert_quantizers_match_reference(quantize_edges(bound, cfg.levels), cfg)
+
+    def test_negative_zero_gives_positive_zero(self):
+        assert am.quantize(-0.0, 6.0, 256).hex() == "0x0.0p+0"
+        assert am.quantize(np.array([-0.0, -1e-9]), 6.0, 256).tobytes() == \
+            np.array([0.0, -0.0]).tobytes()
+
+    @given(cfg=st.sampled_from(QUANTIZE_CONFIGS),
+           x=arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats_match_reference(self, cfg, x):
+        with np.errstate(over="ignore"):  # huge inputs overflow on division by the step
+            assert_quantizers_match_reference(x, cfg)
 
 
 def random_chip(rng: np.random.Generator) -> am.ProgrammedDecoder:

@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,15 @@ STUCK = 0.1
 CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
+def void_key_table(events: np.ndarray, labels: np.ndarray):
+    """`sc.syndrome_table` keyed on a void view of each row's bytes."""
+    raw = np.ascontiguousarray(events).reshape(len(events), -1)
+    keys = raw.view(np.dtype((np.void, raw.shape[1] * raw.itemsize))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse * 2 + labels, minlength=2 * len(first))
+    return events[first], counts.reshape(-1, 2)
+
+
 class TestSyndromeTable:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
@@ -39,7 +49,7 @@ class TestSyndromeTable:
         assert rows.shape == (u, steps, 4) and rows.dtype == events.dtype
         assert counts.shape == (u, 2) and counts.dtype == np.int64
         keys = [r.tobytes() for r in rows]
-        assert len(set(keys)) == u
+        assert len(set(keys)) == u and keys == sorted(keys)
         assert counts.sum() == n and (counts.sum(axis=1) >= 1).all()
         shots = Counter((e.tobytes(), int(y)) for e, y in zip(events, labels))
         for key, (c0, c1) in zip(keys, counts):
@@ -52,6 +62,47 @@ class TestSyndromeTable:
 
         assert (sc.table_accuracy(predict, rows, counts)
                 == (predict(events) == labels).mean())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           steps=st.integers(1, 8), density=st.floats(0.0, 0.5),
+           dtype=st.sampled_from([np.uint8, np.bool_]))
+    def test_integer_keys_equal_void_keys(self, seed, n, steps, density, dtype):
+        """0/1 rows of up to 64 bytes (8 x 8 here) are keyed on an integer,
+        which gives the table of the byte keys."""
+        rng = np.random.default_rng(seed)
+        events = (rng.random((n, steps, 8)) < density).astype(dtype)
+        labels = rng.integers(0, 2, n)
+        with mock.patch.object(sc, "_bit_keys", wraps=sc._bit_keys) as bit_keys:
+            rows, counts = sc.syndrome_table(events, labels)
+        assert bit_keys.call_count == 1
+        want_rows, want_counts = void_key_table(events, labels)
+        assert rows.dtype == events.dtype and np.array_equal(rows, want_rows)
+        assert np.array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("case", ["wide", "byte_2", "signed_zero"])
+    def test_void_key_fallback(self, case):
+        """Rows of more than 64 bytes, or with a byte other than 0 and 1, keep
+        the byte key: -0.0 and 0.0 stay distinct rows."""
+        rng = np.random.default_rng(5)
+        if case == "wide":
+            events = rng.integers(0, 2, (200, 9, 8)).astype(np.uint8)
+        elif case == "byte_2":
+            events = rng.integers(0, 2, (200, 2, 8)).astype(np.uint8)
+            events[7, 1, 3] = 2
+        else:
+            events = np.zeros((200, 2, 2))
+            events[::3, 0, 1] = -0.0
+            events[::5, 1, 0] = 1.0
+        labels = rng.integers(0, 2, len(events))
+        with mock.patch.object(sc, "_bit_keys", wraps=sc._bit_keys) as bit_keys:
+            rows, counts = sc.syndrome_table(events, labels)
+        assert bit_keys.call_count == 0
+        want_rows, want_counts = void_key_table(events, labels)
+        assert np.array_equal(rows.view(np.uint8), want_rows.view(np.uint8))
+        assert np.array_equal(counts, want_counts)
+        if case == "signed_zero":
+            assert len(rows) == 4 and np.signbit(rows).any()
 
     def test_labels_must_be_bits(self):
         with pytest.raises(ValueError):
