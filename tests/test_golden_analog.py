@@ -5,8 +5,8 @@ crossbar configurations (the default, a coarse 16-level converter, odd
 bounds and level count, and no conversion at all) on syndrome tables of
 1, 3 and 5 rounds at two fault rates, on 1-, 2- and 3-row inputs (a 1-row
 input goes to gemv rather than gemm) and on raw, unsorted events with
-duplicate rows. The `per_run_acc` of `evaluate_scheme` is pinned for fp_mnd
-and ds_mnd as well. Plans that share one work buffer, run chip after chip,
+duplicate rows. The `per_run_acc` of `evaluate_scheme` is pinned for
+baseline, fp_mnd and ds_mnd as well. Plans that share one work buffer, run chip after chip,
 must give the bytes of fresh `analog_logits` calls.
 """
 
@@ -133,12 +133,13 @@ def test_analog_logits_digest(chips, inputs, config, kind):
 
 
 GOLDEN_PER_RUN_ACC = {
+    "baseline": "c728cacf377d8e959f01ac82f578defc55843485d402b5cde612729e1eeb08d0",
     "fp_mnd": "ee44aadb017a296439f3944e5b9e5e91e882c136ce6eac401aadd479f1e8ef04",
     "ds_mnd": "b70e16ffce77d1099e8f8bc066428ac6cf332ff82189369b60c42064f3353ab4",
 }
 
 
-@pytest.mark.parametrize("scheme", ["fp_mnd", "ds_mnd"])
+@pytest.mark.parametrize("scheme", GOLDEN_PER_RUN_ACC)
 def test_per_run_acc_digest(scheme):
     train = sc.generate_dataset([5e-3], 1500, 3, seed=91)
     val = sc.generate_dataset([5e-3], 400, 3, seed=92, split_tag="validation")
@@ -151,7 +152,9 @@ def test_per_run_acc_digest(scheme):
                                p_values=(1e-3, 1e-2), rounds=3)
     report = ev.evaluate_scheme(scheme, protocol, configs, 0.1, 96,
                                 test_sets=tests, base_params=base)
-    assert report.per_run_acc.shape == (8, 2)
+    # baseline decodes digitally, once per training run
+    runs = 2 if scheme == "baseline" else 8
+    assert report.per_run_acc.shape == (runs, 2)
     assert sha(report.per_run_acc) == GOLDEN_PER_RUN_ACC[scheme]
 
 
