@@ -197,11 +197,14 @@ def _quantize(x: np.ndarray, bound: float, levels: int,
     a buffer of x's shape for the rounding); returns `x`.
 
     Rounds half away from zero as trunc(v + copysign(1/2, v)), which equals
-    sign(v) * floor(|v| + 1/2) for every IEEE v: the sum rounds to the same
-    magnitude for both signs, and trunc is floor on that magnitude with v's
-    sign, -0.0 included. The half takes its sign from v + 0.0, which is
-    +0.0 for v = -0.0, so an input of -0.0 gives +0.0 as sign(-0.0) * 0
-    does. NaN stays NaN and +-inf clamps to +-bound.
+    sign(v) * floor(|v| + 1/2) for every IEEE v but NaN: the sum rounds to
+    the same magnitude for both signs, and trunc is floor on that magnitude
+    with v's sign, -0.0 included. The half takes its sign from v + 0.0,
+    which is +0.0 for v = -0.0, so an input of -0.0 gives +0.0 as
+    sign(-0.0) * 0 does. A NaN comes out as v = x / step, the input NaN
+    quieted with its sign and payload kept; sign(v) * floor(...) multiplies
+    two NaNs there, and numpy does not fix whose sign the product keeps.
+    +-inf clamps to +-bound.
     """
     step = 2.0 * bound / levels
     x /= step
@@ -298,8 +301,6 @@ class AnalogPlan:
     def __init__(self, events: np.ndarray, cfg: CrossbarConfig,
                  work: np.ndarray | None = None):
         x = np.asarray(events)
-        if x.ndim == 2:
-            x = x[None]
         n, steps, width = x.shape
         self.rows, self.cfg = n, cfg
         xv = _convert_in(x.astype(np.float64), cfg)

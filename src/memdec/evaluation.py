@@ -203,12 +203,13 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                                     configs.train_config, xcfg)
         trained.append((params, chip_map))
 
+    tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
+              for p in protocol.p_values]
     if scheme == "baseline":
-        runs = [[rd.accuracy(params, test_sets[p]) for p in protocol.p_values]
+        runs = [[sc.table_accuracy(lambda r: rd.predict_batch(params, r), rows, counts)
+                 for rows, counts in tables]
                 for params, _ in trained]
     else:
-        tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
-                  for p in protocol.p_values]
         # every chip of every run decodes the same tables: their DAC'd
         # events, prefix runs and work buffers are built once
         plans = am.table_plans(tables, xcfg)

@@ -75,14 +75,6 @@ class RetrainConfig:
             raise ValueError("clip_scale must be positive when present")
 
 
-def dropconnect_mask(shape: tuple[int, ...], p_drop: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask: True entries survive, P(keep) = 1 - p_drop."""
-    if not 0.0 <= p_drop <= 1.0:
-        raise ValueError(f"p_drop must lie in [0, 1], got {p_drop}")
-    return rng.random(shape) >= p_drop
-
-
 def clip_weights(params: DecoderParams, alpha: float) -> None:
     """Clamp each unit's entries (bias row pooled with its weights) to
     [-alpha*sigma, alpha*sigma] in place, sigma the unit's current std.
@@ -105,8 +97,9 @@ def clip_weights(params: DecoderParams, alpha: float) -> None:
 def _random_keep(p_drop: float, rng: np.random.Generator,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Dropconnect keep-mask over `DecoderParams.flat` as float64 0/1 (in
-    `out` when given): the draws and outcome of
-    `dropconnect_mask((370,), p_drop, rng)`."""
+    `out` when given): entry i is kept, 1.0, iff the i-th of 370 uniform
+    draws of `rng` is >= p_drop, so P(keep) = 1 - p_drop. `RetrainConfig`
+    checks that p_drop lies in [0, 1]."""
     keep = rng.random(N_PARAMS) if out is None else rng.random(out=out)
     return np.greater_equal(keep, p_drop, out=keep)
 

@@ -71,6 +71,9 @@ def load_dataset(path) -> Dataset:
         p_values = np.frombuffer(_read_exact(fh, 8 * n_p, "p values"), dtype="<f8")
         (n,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
         p_index = np.frombuffer(_read_exact(fh, 2 * n, "p index"), dtype="<u2")
+        if (p_index >= n_p).any():
+            raise CorruptFileError(f"p index {p_index.max()} out of range for "
+                                   f"{n_p} p values")
         bits_per_sample = (rounds + 1) * 4
         ev_bytes = (n * bits_per_sample + 7) // 8
         events = np.unpackbits(
@@ -149,7 +152,10 @@ def load_fault_map(path) -> FaultMap:
             units.append(bits.reshape(rows, cols).astype(bool))
         if fh.read(1):
             raise CorruptFileError("trailing bytes after fault map payload")
-    return FaultMap(units[0], units[1])
+    try:
+        return FaultMap(units[0], units[1])
+    except ValueError as exc:
+        raise CorruptFileError(f"fault map units do not fit the decoder: {exc}") from exc
 
 
 def save_report(report: dict, path) -> None:

@@ -6,6 +6,9 @@ are implemented directly on numpy arrays; no autodiff framework. Meta choices
 follow the decoder's training recipe: ReLU activation, softmax cross-entropy,
 Adam at learning rate 1e-3 with batch size 32.
 
+Every entry point works on batches: events are (n, rounds+1, 4), one row
+per shot, and anything else is rejected; one shot is a batch of one row.
+
 This is the one implementation of the network; hardware-aware retraining
 reuses it. `forward_batch` and `loss_and_grads` take an optional converter
 pair `io = (dac, adc)`: `dac` is applied to each layer's input and `adc` to
@@ -41,7 +44,7 @@ do not depend on how it is batched or buffered:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -146,13 +149,6 @@ class DecoderParams:
         )
 
 
-@dataclass
-class ForwardTrace:
-    pre_activations: np.ndarray  # (T, 16)
-    hidden: np.ndarray           # (T+1, 16), row 0 is h_0 = 0
-    logits: np.ndarray           # (2,)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -174,8 +170,6 @@ class TrainConfig:
 
 def _check_events(events: np.ndarray) -> np.ndarray:
     arr = np.asarray(events)
-    if arr.ndim == 2:
-        arr = arr[None]
     if arr.ndim != 3 or arr.shape[2] != INPUT_SIZE:
         raise ValueError(f"events must be (n, rounds+1, 4), got {np.shape(events)}")
     return arr
@@ -316,22 +310,14 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
     return v.shot_z, v.shot_inputs, logits
 
 
-def forward(params: DecoderParams, sample_events: np.ndarray) -> ForwardTrace:
-    z, inputs, logits = forward_batch(params, sample_events)
-    return ForwardTrace(z[0], inputs[0, :, INPUT_SIZE:], logits[0])
-
-
-def predict(params: DecoderParams, sample_events: np.ndarray) -> int:
-    """Argmax over the two logits; ties resolve to 0 (no recovery)."""
-    return int(predict_batch(params, sample_events)[0])
-
-
 def predict_batch(params: DecoderParams, events: np.ndarray) -> np.ndarray:
     _, _, logits = forward_batch(params, events)
     return logits_to_bits(logits)
 
 
 def logits_to_bits(logits: np.ndarray) -> np.ndarray:
+    """Argmax over the two logits of each row; ties resolve to 0 (no
+    recovery)."""
     return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
 
 

@@ -45,6 +45,13 @@ p, so one table serves every fault rate of a circuit structure), and a shot
 costs one draw per location plus an XOR of the fired locations' entries; this
 is the detector-error-model idea behind Stim (Gidney 2021, arXiv:2103.02202).
 
+Every stage works on batches of shots, and one shot is a batch of one row.
+`_simulate_batch` samples the raw records of any set of shots, and
+`_events_batch` is the one rule that differences raw records into detection
+events and labels. `generate_dataset` runs both chunk by chunk;
+`enumerate_single_faults` runs `_events_batch` on the record each single
+fault makes alone under `_simulate_fault`.
+
 Draw contract: noise location i of shot s consumes exactly one
 counter-based uniform u = counter_uniforms(key, s * n_locations + i) (see
 `memdec.rng`). The location fires iff u < prob, and a depolarizing channel
@@ -58,7 +65,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,24 +162,11 @@ class CircuitSpec:
     rounds: int
     instructions: tuple[Instruction, ...]
 
-    @property
-    def noise_locations(self) -> int:
-        return sum(1 for ins in self.instructions if ins.noise is not None)
-
     @functools.cached_property
     def _table(self) -> _FaultTable:
         """This circuit's fault table, looked up once per spec: building and
         hashing the structure key costs more than sampling one shot."""
         return _fault_table(_structure(self))
-
-
-@dataclass(frozen=True)
-class Sample:
-    """Detection events of one shot, shape (rounds+1, 4); final row is the
-    perfect round. label=1 means the logical X measurement flipped."""
-
-    events: np.ndarray
-    label: int
 
 
 @dataclass
@@ -187,9 +181,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.events.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.events[i], int(self.labels[i]))
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.events[idx], self.labels[idx], self.p_index[idx],
@@ -339,18 +330,6 @@ def build_memory_x_circuit(rounds: int, noise: NoiseParams) -> CircuitSpec:
 # Pauli-frame simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShotStream:
-    """Counter-based per-shot randomness: shot `index` of the stream `key`."""
-
-    key: int
-    index: int
-
-    @staticmethod
-    def for_dataset(seed: int, p_index: int, shot_index: int) -> "ShotStream":
-        return ShotStream(derive_seed(seed, Stage.DATASET, p_index), shot_index)
-
-
 # Draws are hashed in tiles of this many uint64 states (384 KiB; the tile's
 # three buffers stay in a 4 MiB L2). On a 2-vCPU Xeon the 100k-shot grid took
 # 1.37 s at this size, 1.6 s at 96 KiB (more numpy calls) and 2.2 s with
@@ -479,17 +458,6 @@ def _simulate_batch(circuit: CircuitSpec, key: int, shot_indices: np.ndarray,
     return ancilla, data
 
 
-def sample_shot(circuit: CircuitSpec, stream: ShotStream) -> tuple[np.ndarray, np.ndarray]:
-    """One shot; returns (ancilla_bits (rounds, 8), data_bits (9,)).
-
-    Ancilla columns are ordered [X9..X12, Z13..Z16] per round. Identical bits
-    to the corresponding row of a batched simulation.
-    """
-    anc, data = _simulate_batch(circuit, stream.key,
-                                np.asarray([stream.index], dtype=np.uint64))
-    return anc[0], data[0]
-
-
 _PAULI_X = (1, 0)  # (x, z) components
 _PAULI_Y = (1, 1)
 _PAULI_Z = (0, 1)
@@ -555,40 +523,18 @@ def _simulate_fault(circuit: CircuitSpec, faults: Sequence[FaultLocation] = (),
     return bits[: circuit.rounds * 8].reshape(circuit.rounds, 8), bits[circuit.rounds * 8:]
 
 
-def inject_fault(circuit: CircuitSpec, fault: FaultLocation) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic shot with exactly one fault; for oracles and tests."""
-    return _simulate_fault(circuit, (fault,))
-
-
-def to_sample(ancilla_bits: np.ndarray, data_bits: np.ndarray) -> Sample:
-    """Difference raw measurements into detection events and derive the label.
+def _events_batch(ancilla: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Difference raw measurements (ancilla (n, rounds, 8), data (n, 9)
+    uint8) into detection events (n, rounds+1, 4) and labels (n,), both
+    uint8; the one detection-event and label rule.
 
     Keeps the four X-ancilla columns; row 0 is the raw first-round outcome,
     row t the XOR of rounds t and t-1, and the final row the perfect-round
     syndrome (recomputed from the data measurements through the X parity
-    checks) differenced against the last noisy round. The label is the parity
-    of the data bits over the logical-X support.
+    checks) differenced against the last noisy round. The label is the
+    parity of the data bits over the logical-X support: 1 means the logical
+    X measurement flipped.
     """
-    ancilla_bits = np.asarray(ancilla_bits, dtype=np.uint8)
-    data_bits = np.asarray(data_bits, dtype=np.uint8)
-    if ancilla_bits.ndim != 2 or ancilla_bits.shape[1] != 8:
-        raise ValueError(f"ancilla_bits must be (rounds, 8), got {ancilla_bits.shape}")
-    if data_bits.shape != (9,):
-        raise ValueError(f"data_bits must have shape (9,), got {data_bits.shape}")
-    rounds = ancilla_bits.shape[0]
-    x_bits = ancilla_bits[:, :4]
-    events = np.zeros((rounds + 1, 4), dtype=np.uint8)
-    events[0] = x_bits[0]
-    events[1:rounds] = x_bits[1:] ^ x_bits[:-1]
-    perfect = np.array([data_bits[list(sup)].sum() % 2 for sup in X_STABILIZERS],
-                       dtype=np.uint8)
-    events[rounds] = perfect ^ x_bits[rounds - 1]
-    label = int(data_bits[list(X_LOGICAL)].sum() % 2)
-    return Sample(events, label)
-
-
-def _events_batch(ancilla: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised to_sample over a batch; returns (events, labels)."""
     n, rounds, _ = ancilla.shape
     x_bits = ancilla[:, :, :4]
     events = np.zeros((n, rounds + 1, 4), dtype=np.uint8)
@@ -635,9 +581,14 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
                    rounds, seed, split_tag)
 
 
-def enumerate_single_faults(circuit: CircuitSpec) -> Iterator[tuple[FaultLocation, Sample]]:
-    """Yield every (single fault, deterministic Sample) the noise channels can
-    produce; the fault-distance oracle for the code."""
+def enumerate_single_faults(circuit: CircuitSpec,
+                            ) -> tuple[list[FaultLocation], np.ndarray, np.ndarray]:
+    """Every single fault the noise channels can produce, with the detection
+    events (k, rounds+1, 4) and labels (k,) it makes alone; the
+    fault-distance oracle for the code. Each fault is run through
+    `_simulate_fault` here, so the oracle does not read the sampler's fault
+    table."""
+    faults = []
     for i, ins in enumerate(circuit.instructions):
         if ins.noise is None or ins.noise.prob <= 0.0:
             continue
@@ -648,10 +599,13 @@ def enumerate_single_faults(circuit: CircuitSpec) -> Iterator[tuple[FaultLocatio
             paulis = range(1, 16)
         else:
             paulis = (0,)
-        for pauli in paulis:
-            fault = FaultLocation(i, kind, ins.qubits, pauli)
-            anc, data = _simulate_fault(circuit, (fault,))
-            yield fault, to_sample(anc, data)
+        faults += [FaultLocation(i, kind, ins.qubits, pauli) for pauli in paulis]
+    ancilla = np.zeros((len(faults), circuit.rounds, len(ANCILLAS)), dtype=np.uint8)
+    data = np.zeros((len(faults), len(DATA_QUBITS)), dtype=np.uint8)
+    for row, fault in enumerate(faults):
+        ancilla[row], data[row] = _simulate_fault(circuit, (fault,))
+    events, labels = _events_batch(ancilla, data)
+    return faults, events, labels
 
 
 def count_fault_locations(circuit: CircuitSpec) -> int:

@@ -144,10 +144,20 @@ class TestQuantize:
 
 def reference_quantize(x, bound: float, levels: int) -> np.ndarray:
     """The sign/floor/clip rounding `_quantize` must reproduce bit for bit:
-    sign(v) * floor(|v| + 1/2) * step, clamped to [-bound, bound]."""
+    sign(v) * floor(|v| + 1/2) * step, clamped to [-bound, bound], with
+    v = x / step.
+
+    A NaN position holds v itself, the input NaN quieted with its sign and
+    payload kept. sign(v) * floor(...) multiplies two NaNs, and which
+    operand's sign the product keeps differs between numpy's vector loop
+    and its scalar tail, so the product cannot serve as the reference
+    there."""
     step = 2.0 * bound / levels
     v = np.array(x, dtype=np.float64) / step
-    return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5) * step, -bound, bound)
+    out = np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5) * step, -bound, bound)
+    nan = np.isnan(v)
+    out[nan] = v[nan]
+    return out
 
 
 # the golden analog configs, plus odd and near-256 level counts
@@ -198,8 +208,8 @@ def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> 
 
 class TestQuantizeBits:
     """The in-place rounding trunc(v + copysign(1/2, v + 0)) equals the
-    sign/floor/clip sequence on every float64 input, NaN and -0.0 bytes
-    included."""
+    sign/floor/clip sequence on every float64 input, -0.0 bytes included,
+    and gives the input NaN quieted, sign and payload kept, for a NaN."""
 
     @pytest.mark.parametrize("cfg", QUANTIZE_CONFIGS)
     def test_edges_match_reference(self, cfg):
@@ -218,6 +228,24 @@ class TestQuantizeBits:
     def test_any_floats_match_reference(self, cfg, x):
         with np.errstate(over="ignore"):  # huge inputs overflow on division by the step
             assert_quantizers_match_reference(x, cfg)
+
+    @pytest.mark.parametrize("cfg", QUANTIZE_CONFIGS)
+    @pytest.mark.parametrize("nan_bits, quieted", [
+        (0xFFF8000000000000, 0xFFF8000000000000),   # -nan
+        (0xFFF0000000000001, 0xFFF8000000000001),   # negative signalling NaN
+    ])
+    def test_negative_nans_stay_quieted_input(self, cfg, nan_bits, quieted):
+        """Runs of a negative NaN long enough to fill numpy's vector loop and
+        its scalar tail come out as the input NaN, quieted, in every
+        position."""
+        for n in range(1, 18):
+            x = np.full(n, nan_bits, dtype=np.uint64).view(np.float64)
+            # quieting a signalling NaN raises the invalid flag
+            with np.errstate(invalid="ignore"):
+                for bound in (cfg.adc_bound, cfg.dac_bound):
+                    ref = reference_quantize(x, bound, cfg.levels)
+                    assert (ref.view(np.uint64) == quieted).all()
+                assert_quantizers_match_reference(x, cfg)
 
 
 def random_chip(rng: np.random.Generator) -> am.ProgrammedDecoder:
@@ -287,6 +315,8 @@ class TestMvm:
         for width in (3, 5):
             with pytest.raises(ValueError):
                 am.analog_logits(chip, default_cfg(), np.zeros((2, 3, width)))
+        with pytest.raises(ValueError):  # one shot is a batch of one row
+            am.analog_logits(chip, default_cfg(), np.zeros((3, 4)))
 
 
 @pytest.fixture(scope="module")

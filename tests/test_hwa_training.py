@@ -23,20 +23,26 @@ def fp_params(small_data):
 
 
 class TestDropconnectMask:
+    """The keep-mask `_random_keep` draws over `DecoderParams.flat`."""
+
     def test_keep_all_and_drop_all(self):
         rng = np.random.default_rng(0)
-        assert hwa.dropconnect_mask((10, 10), 0.0, rng).all()
-        assert not hwa.dropconnect_mask((10, 10), 1.0, rng).any()
+        keep = hwa._random_keep(0.0, rng)
+        assert keep.shape == (rd.N_PARAMS,) and keep.dtype == np.float64
+        assert (keep == 1.0).all()
+        assert (hwa._random_keep(1.0, rng) == 0.0).all()
 
     def test_drop_fraction(self):
         rng = np.random.default_rng(1)
-        mask = hwa.dropconnect_mask((500, 200), 0.2, rng)
-        dropped = 1.0 - mask.mean()
-        assert abs(dropped - 0.2) < 0.01
+        out = np.empty(rd.N_PARAMS)
+        masks = [hwa._random_keep(0.2, rng, out).copy() for _ in range(300)]
+        assert set(np.unique(masks)) == {0.0, 1.0}
+        assert abs(np.mean(masks) - 0.8) < 0.01
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            hwa.dropconnect_mask((2, 2), -0.1, np.random.default_rng(0))
+        for p_drop in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                hwa.RetrainConfig(p_drop=p_drop)
 
 
 class TestClipWeights:

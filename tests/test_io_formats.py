@@ -2,6 +2,7 @@ import struct
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ def test_invalid_metadata_is_corrupt(tmp_path):
     path.write_bytes(raw[:-1] + b"!")
     with pytest.raises(CorruptFileError):
         iof.load_checkpoint(path)
+
+
+def test_wrong_fault_map_shape_is_corrupt(tmp_path):
+    """A well-formed file whose recurrent unit is (20, 16), not (21, 16)."""
+    path = tmp_path / "map.mdfm"
+    iof.save_fault_map(SimpleNamespace(recurrent=np.zeros((20, 16), bool),
+                                       evaluation=np.zeros((17, 2), bool)), path)
+    with pytest.raises(CorruptFileError):
+        iof.load_fault_map(path)
+
+
+def test_p_index_out_of_range_is_corrupt(tmp_path):
+    """A dataset of one p value whose p index names a seventh."""
+    path = tmp_path / "data.mdds"
+    data = sc.generate_dataset([1e-2], 20, 3, seed=5)
+    data.p_index[4] = 7
+    iof.save_dataset(data, path)
+    with pytest.raises(CorruptFileError):
+        iof.load_dataset(path)
 
 
 def _saved(kind: str, seed: int, size: int, path: Path):

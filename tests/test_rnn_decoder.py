@@ -34,24 +34,26 @@ def random_params(rng, scale=1.0):
 
 
 class TestForward:
+    """`forward_batch` on batches of one shot, (1, T+1, 4)."""
+
     def test_zero_params_zero_logits(self):
-        trace = rd.forward(rd.DecoderParams.zeros(), np.zeros((4, 4)))
-        assert np.array_equal(trace.logits, [0.0, 0.0])
-        assert not trace.hidden.any()
+        _, inputs, logits = rd.forward_batch(rd.DecoderParams.zeros(), np.zeros((1, 4, 4)))
+        assert np.array_equal(logits, [[0.0, 0.0]])
+        assert not inputs[:, :, 4:].any()
 
     def test_bias_passthrough(self):
         params = rd.DecoderParams.zeros()
         params.b_eval[:] = (0.3, -0.3)
-        trace = rd.forward(params, np.zeros((4, 4)))
-        assert np.allclose(trace.logits, [0.3, -0.3])
+        _, _, logits = rd.forward_batch(params, np.zeros((1, 4, 4)))
+        assert np.allclose(logits, [[0.3, -0.3]])
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             params = random_params(rng)
             events = rng.integers(0, 2, size=(4, 4)).astype(np.float64)
-            trace = rd.forward(params, events)
-            assert np.allclose(trace.logits, scalar_forward(params, events),
+            _, _, logits = rd.forward_batch(params, events[None])
+            assert np.allclose(logits[0], scalar_forward(params, events),
                                rtol=1e-12, atol=1e-12)
 
     def test_one_hot_syndrome_oracle(self):
@@ -59,30 +61,32 @@ class TestForward:
         params = random_params(rng)
         events = np.zeros((4, 4))
         events[0, 2] = 1.0
-        trace = rd.forward(params, events)
-        assert np.allclose(trace.logits, scalar_forward(params, events), rtol=1e-12)
+        _, _, logits = rd.forward_batch(params, events[None])
+        assert np.allclose(logits[0], scalar_forward(params, events), rtol=1e-12)
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(8)
         params = random_params(rng)
-        events = rng.integers(0, 2, size=(4, 4)).astype(np.uint8)
-        a = rd.forward(params, events)
-        b = rd.forward(params, events)
-        assert np.array_equal(a.logits, b.logits)
-        assert np.array_equal(a.hidden, b.hidden)
-        assert np.array_equal(a.pre_activations, b.pre_activations)
+        events = rng.integers(0, 2, size=(1, 4, 4)).astype(np.uint8)
+        a = rd.forward_batch(params, events)
+        b = rd.forward_batch(params, events)
+        for first, second in zip(a, b):
+            assert np.array_equal(first, second)
 
     def test_relu_recurrence_shapes(self):
         rng = np.random.default_rng(9)
         params = random_params(rng)
-        trace = rd.forward(params, rng.integers(0, 2, size=(4, 4)))
-        assert trace.pre_activations.shape == (4, 16)
-        assert trace.hidden.shape == (5, 16)
-        assert np.array_equal(trace.hidden[1:], np.maximum(trace.pre_activations, 0))
+        z, inputs, logits = rd.forward_batch(params, rng.integers(0, 2, size=(1, 4, 4)))
+        assert z.shape == (1, 4, 16)
+        assert inputs.shape == (1, 5, 20) and logits.shape == (1, 2)
+        hidden = inputs[:, :, 4:]
+        assert not hidden[:, 0].any()
+        assert np.array_equal(hidden[:, 1:], np.maximum(z, 0))
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            rd.forward(rd.DecoderParams.zeros(), np.zeros((4, 5)))
+        for events in (np.zeros((1, 4, 5)), np.zeros((4, 4))):
+            with pytest.raises(ValueError):
+                rd.forward_batch(rd.DecoderParams.zeros(), events)
         with pytest.raises(ValueError):
             rd.DecoderParams(np.zeros((19, 16)), np.zeros(16),
                              np.zeros((16, 2)), np.zeros(2))
@@ -199,7 +203,7 @@ class TestPredict:
     def test_tie_rule(self, b_eval, expected):
         params = rd.DecoderParams.zeros()
         params.b_eval[:] = b_eval
-        assert rd.predict(params, np.zeros((4, 4))) == expected
+        assert rd.predict_batch(params, np.zeros((1, 4, 4))).tolist() == [expected]
 
     def test_bias_shift_invariance(self):
         rng = np.random.default_rng(13)

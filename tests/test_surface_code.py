@@ -22,6 +22,18 @@ def noisy_circuit():
     return sc.build_memory_x_circuit(3, sc.NoiseParams(0.01))
 
 
+def one_shot(circuit, key, shot):
+    """Shot `shot` of stream `key`, sampled as a batch of one row."""
+    anc, data = sc._simulate_batch(circuit, key, np.array([shot], dtype=np.uint64))
+    return anc[0], data[0]
+
+
+def shot_events(anc, data):
+    """Detection events (rounds+1, 4) and label of one raw record."""
+    events, labels = sc._events_batch(anc[None], data[None])
+    return events[0], labels[0]
+
+
 class TestBuildCircuit:
     def test_three_rounds_shape(self, noisy_circuit):
         assert noisy_circuit.qubit_count == 17
@@ -57,7 +69,7 @@ class TestBuildCircuit:
 class TestSampleShot:
     def test_noiseless_shot_is_all_zero(self):
         c = sc.build_memory_x_circuit(3, sc.NoiseParams(0.0))
-        anc, data = sc.sample_shot(c, sc.ShotStream(key=7, index=0))
+        anc, data = one_shot(c, 7, 0)
         assert not anc.any() and not data.any()
 
     def test_injected_x_flips_adjacent_z_ancillas(self, noisy_circuit):
@@ -66,7 +78,7 @@ class TestSampleShot:
         idle5 = next(i for i, ins in enumerate(noisy_circuit.instructions)
                      if ins.gate is sc.Gate.IDLE and ins.qubits == (5,))
         fault = sc.FaultLocation(idle5, sc.NoiseKind.DEPOL1, (5,), 0)
-        anc, data = sc.inject_fault(noisy_circuit, fault)
+        anc, data = sc._simulate_fault(noisy_circuit, (fault,))
         expected = np.zeros((3, 8), dtype=np.uint8)
         expected[:, 5] = 1
         expected[:, 7] = 1
@@ -81,19 +93,18 @@ class TestSampleShot:
         cnots = [i for i, ins in enumerate(noisy_circuit.instructions)
                  if ins.gate is sc.Gate.CNOT and ins.qubits == (9, 0)]
         fault = sc.FaultLocation(cnots[-1], sc.NoiseKind.DEPOL2, (9, 0), 0b0011)
-        anc, data = sc.inject_fault(noisy_circuit, fault)
-        s = sc.to_sample(anc, data)
-        assert s.label == 1
-        assert not s.events[:3].any()
+        events, label = shot_events(*sc._simulate_fault(noisy_circuit, (fault,)))
+        assert label == 1
+        assert not events[:3].any()
         # qubit 0 sits only in X stabilizer {0,1} -> detector column 0
-        assert list(s.events[3]) == [1, 0, 0, 0]
+        assert list(events[3]) == [1, 0, 0, 0]
 
     def test_single_shot_matches_batch_row(self, noisy_circuit):
         key = 99
         anc_b, data_b = sc._simulate_batch(noisy_circuit, key,
                                            np.arange(32, dtype=np.uint64))
         for i in (0, 5, 31):
-            anc, data = sc.sample_shot(noisy_circuit, sc.ShotStream(key, i))
+            anc, data = one_shot(noisy_circuit, key, i)
             assert np.array_equal(anc, anc_b[i])
             assert np.array_equal(data, data_b[i])
 
@@ -157,7 +168,7 @@ class TestFaultTableSampler:
         shots = np.array([3, 2**40, 0, 77, 3], dtype=np.uint64)
         anc, data = sc._simulate_batch(noisy_circuit, 5, shots)
         for row, shot in enumerate(shots):
-            a1, d1 = sc.sample_shot(noisy_circuit, sc.ShotStream(5, int(shot)))
+            a1, d1 = one_shot(noisy_circuit, 5, shot)
             assert np.array_equal(a1, anc[row]) and np.array_equal(d1, data[row])
 
     def test_empty_batch(self, noisy_circuit):
@@ -171,43 +182,41 @@ class TestFaultTableSampler:
 
 
 class TestToSample:
+    """The detection-event and label rule, `_events_batch`."""
+
     def test_all_zero(self):
-        s = sc.to_sample(np.zeros((3, 8), np.uint8), np.zeros(9, np.uint8))
-        assert s.events.shape == (4, 4)
-        assert not s.events.any() and s.label == 0
+        events, labels = sc._events_batch(np.zeros((2, 3, 8), np.uint8),
+                                          np.zeros((2, 9), np.uint8))
+        assert events.shape == (2, 4, 4) and labels.shape == (2,)
+        assert events.dtype == labels.dtype == np.uint8
+        assert not events.any() and not labels.any()
 
     def test_single_measurement_flip_fires_twice(self, noisy_circuit):
         mz = [i for i, ins in enumerate(noisy_circuit.instructions)
               if ins.gate is sc.Gate.MEASURE_Z and ins.qubits == (10,)]
         fault = sc.FaultLocation(mz[1], sc.NoiseKind.MEAS_FLIP, (10,), 0)
-        anc, data = sc.inject_fault(noisy_circuit, fault)
-        s = sc.to_sample(anc, data)
+        events, label = shot_events(*sc._simulate_fault(noisy_circuit, (fault,)))
         expected = np.zeros((4, 4), np.uint8)
         expected[1, 1] = expected[2, 1] = 1
-        assert np.array_equal(s.events, expected)
-        assert s.label == 0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sc.to_sample(np.zeros((3, 7), np.uint8), np.zeros(9, np.uint8))
-        with pytest.raises(ValueError):
-            sc.to_sample(np.zeros((3, 8), np.uint8), np.zeros(8, np.uint8))
+        assert np.array_equal(events, expected)
+        assert label == 0
 
     def test_differencing_involution(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            anc = rng.integers(0, 2, size=(3, 8)).astype(np.uint8)
-            data = rng.integers(0, 2, size=9).astype(np.uint8)
-            s = sc.to_sample(anc, data)
+        anc = rng.integers(0, 2, size=(50, 3, 8)).astype(np.uint8)
+        data = rng.integers(0, 2, size=(50, 9)).astype(np.uint8)
+        events, labels = sc._events_batch(anc, data)
+        for i in range(50):
             # reconstruct the raw X-ancilla record from the events
             m = np.zeros((3, 4), np.uint8)
-            m[0] = s.events[0]
-            m[1] = s.events[1] ^ m[0]
-            m[2] = s.events[2] ^ m[1]
-            assert np.array_equal(m, anc[:, :4])
-            perfect = np.array([data[list(sup)].sum() % 2
+            m[0] = events[i, 0]
+            m[1] = events[i, 1] ^ m[0]
+            m[2] = events[i, 2] ^ m[1]
+            assert np.array_equal(m, anc[i, :, :4])
+            perfect = np.array([data[i, list(sup)].sum() % 2
                                 for sup in sc.X_STABILIZERS], np.uint8)
-            assert np.array_equal(s.events[3], perfect ^ m[2])
+            assert np.array_equal(events[i, 3], perfect ^ m[2])
+            assert labels[i] == data[i, list(sc.X_LOGICAL)].sum() % 2
 
     def test_label_rate_positive_below_half(self, noisy_circuit):
         anc, data = sc._simulate_batch(noisy_circuit, 11,
@@ -276,15 +285,19 @@ class TestGenerateDataset:
 class TestSingleFaults:
     def test_noiseless_enumeration_is_empty(self):
         c = sc.build_memory_x_circuit(3, sc.NoiseParams(0.0))
-        assert list(sc.enumerate_single_faults(c)) == []
+        faults, events, labels = sc.enumerate_single_faults(c)
+        assert faults == [] and events.shape == (0, 4, 4) and labels.shape == (0,)
 
     def test_case_count_matches_hand_tally(self, noisy_circuit):
-        cases = list(sc.enumerate_single_faults(noisy_circuit))
-        assert len(cases) == FAULT_CASES_3_ROUNDS
+        faults, events, labels = sc.enumerate_single_faults(noisy_circuit)
+        assert len(faults) == FAULT_CASES_3_ROUNDS
+        assert events.shape == (FAULT_CASES_3_ROUNDS, 4, 4)
+        assert labels.shape == (FAULT_CASES_3_ROUNDS,)
 
     def test_no_single_fault_is_an_undetected_logical(self, noisy_circuit):
-        for fault, s in sc.enumerate_single_faults(noisy_circuit):
-            assert not (s.label == 1 and not s.events.any()), fault
+        faults, events, labels = sc.enumerate_single_faults(noisy_circuit)
+        undetected = (labels == 1) & ~events.any(axis=(1, 2))
+        assert not undetected.any(), [faults[i] for i in np.flatnonzero(undetected)]
 
 
 def test_label_rate_grows_with_p():
