@@ -408,7 +408,7 @@ def _fault_table(structure: tuple) -> _FaultTable:
 def _simulate_batch(circuit: CircuitSpec, key: int, shot_indices: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the given shots; returns (ancilla_bits (s, rounds, 8),
-    data_bits (s, 9)).
+    data_bits (s, 9)), ancilla columns ordered [X9..X12, Z13..Z16].
 
     Draw i of a shot is u = counter_uniforms(key, shot*n_locs + i); location
     i fires iff u < prob and then applies Pauli min(u/prob*k, k-1) of its k
