@@ -10,8 +10,9 @@ high-conductance state on both sides, cancelling to an effective weight of
 exactly zero. The analog path quantizes DAC inputs (range 1, after scaling
 by the ADC bound) and ADC outputs (range 6) at 8 bits. One in-place
 quantizer, `_quantize`, does all of that rounding (half away from zero, then
-the clamp): the plan executor below, `quantize`, and the `_dac`/`_adc` pair
-that hardware-aware retraining applies under `io_discretize`.
+the clamp): the plan executor below, `quantize`, and the in-place DAC and
+ADC that hardware-aware retraining builds from `_convert_in` and
+`_quantize` under `io_discretize`.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, DecoderParams,
-                          logits_to_bits)
+                          _check_events, logits_to_bits)
 from .surface_code_sim import table_accuracy, table_batch
 
 
@@ -77,7 +78,6 @@ class CrossbarConfig:
     g_hcs: float = 200.0        # uS
     g_lcs: float = 60.0         # uS
     variability: VariabilityModel = field(default_factory=VariabilityModel)
-    stuck_rate: float = 0.10
     adc_bound: float = 6.0
     dac_bound: float = 1.0
     levels: int = 256
@@ -86,8 +86,6 @@ class CrossbarConfig:
     def __post_init__(self):
         if not self.g_hcs > self.g_lcs > 0:
             raise ValueError(f"need g_hcs > g_lcs > 0, got {self.g_hcs}, {self.g_lcs}")
-        if not 0.0 <= self.stuck_rate <= 1.0:
-            raise ValueError(f"stuck_rate must lie in [0, 1], got {self.stuck_rate}")
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         if self.adc_bound <= 0 or self.dac_bound <= 0:
@@ -238,14 +236,6 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
     return ProgrammedDecoder(units[0], units[1], scales[0], scales[1])
 
 
-def _dac(x: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
-    return _convert_in(np.array(x, dtype=np.float64), cfg)
-
-
-def _adc(x: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
-    return quantize(x, cfg.adc_bound, cfg.levels) if cfg.quantize_io else x
-
-
 def _convert_in(v: np.ndarray, cfg: CrossbarConfig,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """The DAC, in place on the float64 array `v`: inputs are scaled into
@@ -300,12 +290,12 @@ class AnalogPlan:
 
     def __init__(self, events: np.ndarray, cfg: CrossbarConfig,
                  work: np.ndarray | None = None):
-        x = np.asarray(events)
+        x = _check_events(events)
         n, steps, width = x.shape
         self.rows, self.cfg = n, cfg
         xv = _convert_in(x.astype(np.float64), cfg)
         bits = xv.view(np.uint64)
-        self._bias = _dac(np.ones(1), cfg)[0]
+        self._bias = _convert_in(np.ones(1), cfg)[0]
 
         new = np.zeros(n, bool)
         new[:1] = True

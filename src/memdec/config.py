@@ -6,9 +6,12 @@ value kind (a parser and a formatter), its rule (message and check) and the
 `RunConfig` field(s) it sets. Defaults live only in the dataclasses: a config
 overrides fields of `RunConfig()`, so an empty file is the full default
 experiment. `dataset.rounds` sets the rounds of datasets and protocol alike;
-`eval.p` sets the protocol's one fault rate. `hwa.p_drop`, the hwa_mnd
-dropconnect rate (the stuck rate when unset), is the only dropconnect key:
-evaluation sets `RetrainConfig.p_drop` per scheme, so no `retrain.p_drop`.
+`eval.p` sets the protocol's one fault rate. `crossbar.stuck_rate` and
+`hwa.p_drop` set rates that `evaluate_scheme` takes as arguments:
+`RunConfig.stuck_rate`, the chips' stuck-at rate, and `RunConfig.hwa_p_drop`,
+the hwa_mnd dropconnect rate that `retrain_hwa` takes per call (the stuck
+rate when unset). `hwa.p_drop` is the only dropconnect key, so there is no
+`retrain.p_drop`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ class RunConfig:
     curve_p_min: float = 1e-4
     curve_p_max: float = 1e-2
     curve_points: int = 8
-    hwa_p_drop: float | None = None  # default: crossbar stuck rate
+    stuck_rate: float = 0.1  # stuck-at rate of the evaluated chips
+    hwa_p_drop: float | None = None  # hwa_mnd dropconnect rate; default: stuck_rate
 
 
 def _parse_bool(text: str) -> bool:
@@ -108,7 +112,7 @@ _KEYS = {
     "retrain.io_discretize": _Key(_BOOL, _ANY),
     "crossbar.g_hcs": _Key(_FLOAT, _CONDUCTANCE),
     "crossbar.g_lcs": _Key(_FLOAT, _CONDUCTANCE),
-    "crossbar.stuck_rate": _Key(_FLOAT, _PROBABILITY),
+    "crossbar.stuck_rate": _Key(_FLOAT, _PROBABILITY, ("stuck_rate",)),
     "crossbar.adc_bound": _Key(_FLOAT, _POSITIVE),
     "crossbar.dac_bound": _Key(_FLOAT, _POSITIVE),
     "crossbar.levels": _Key(_INT, _AT_LEAST_2),

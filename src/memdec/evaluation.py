@@ -174,7 +174,7 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
-    xcfg = replace(configs.crossbar_config, stuck_rate=stuck_rate)
+    xcfg = configs.crossbar_config
 
     # every run is trained (and retrained) before any chip is evaluated, so
     # the analog plans below are not held through training's allocations
@@ -188,19 +188,17 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                                          seed=derive_seed(master_seed, Stage.TRAIN, i)))
 
         chip_map = None
+        rcfg = replace(configs.retrain_config,
+                       seed=derive_seed(master_seed, Stage.RETRAIN, i))
         if scheme == "hwa_mnd":
             rate = stuck_rate if p_drop is None else p_drop
-            rcfg = replace(configs.retrain_config, p_drop=rate, ds_mask=None,
-                           seed=derive_seed(master_seed, Stage.RETRAIN, i))
             params = hwa.retrain_hwa(params, configs.train_set, configs.val_set, rcfg,
-                                     configs.train_config, xcfg)
+                                     rate, configs.train_config, xcfg)
         elif scheme == "ds_mnd":
             chip_rng = spawn_generator(master_seed, Stage.CHIP, i)
             chip_map = am.FaultMap.sample(stuck_rate, chip_rng)
-            rcfg = replace(configs.retrain_config, p_drop=0.0, ds_mask=chip_map,
-                           seed=derive_seed(master_seed, Stage.RETRAIN, i))
             params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg,
-                                    configs.train_config, xcfg)
+                                    chip_map, configs.train_config, xcfg)
         trained.append((params, chip_map))
 
     tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)

@@ -17,14 +17,18 @@ BPTT and Adam) and applies any combination of:
     multiplied by its scale), mirroring the programming variability seen at
     inference; the perturbation is not kept,
   * input/output discretization by the crossbar's DAC and ADC, i.e.
-    `analog_model`'s converters under the caller's `CrossbarConfig` (levels,
-    adc_bound, dac_bound), with a straight-through gradient,
+    `analog_model`'s in-place quantizer under the caller's `CrossbarConfig`
+    (levels, adc_bound, dac_bound, quantize_io), with a straight-through
+    gradient,
   * weight clipping to [-alpha * sigma, alpha * sigma] per unit after each
     update.
 
 The optimizer meta-parameters (learning rate, batch size, Adam betas and
 eps) come from the caller's `TrainConfig`; epochs and seed come from
-`RetrainConfig`.
+`RetrainConfig`. What an experiment sweeps or draws per run is an
+argument: the dropconnect rate of `retrain_hwa`, the fault map of
+`retrain_ds`. The kept epoch is the one with the best validation accuracy,
+averaged over `VAL_DRAWS` draws of the training-time mask and noise.
 
 Device-specific retraining replaces the random mask with the measured
 stuck-pair map of one characterized crossbar (its two units concatenated
@@ -47,28 +51,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rnn_decoder as rd
-from .analog_model import CrossbarConfig, FaultMap, _adc, _dac
+from .analog_model import CrossbarConfig, FaultMap, _convert_in, _quantize
 from .rng import SpawnedGenerators, Stage, spawn_generator
 from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
 from .surface_code_sim import Dataset, syndrome_table, table_accuracy, table_batch
 
 _UNIT_STARTS = [unit.start for unit in UNIT_SLICES]
+# independent mask and noise draws each validation accuracy averages over
+VAL_DRAWS = 8
 
 
 @dataclass(frozen=True)
 class RetrainConfig:
-    p_drop: float = 0.0
     noise_relative: float = 0.008
     io_discretize: bool = False
     clip_scale: float | None = None
     epochs: int = 10
-    ds_mask: FaultMap | None = None
     seed: int = 0
-    val_draws: int = 8
 
     def __post_init__(self):
-        if not 0.0 <= self.p_drop <= 1.0:
-            raise ValueError(f"p_drop must lie in [0, 1], got {self.p_drop}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.clip_scale is not None and self.clip_scale <= 0:
@@ -98,8 +99,8 @@ def _random_keep(p_drop: float, rng: np.random.Generator,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Dropconnect keep-mask over `DecoderParams.flat` as float64 0/1 (in
     `out` when given): entry i is kept, 1.0, iff the i-th of 370 uniform
-    draws of `rng` is >= p_drop, so P(keep) = 1 - p_drop. `RetrainConfig`
-    checks that p_drop lies in [0, 1]."""
+    draws of `rng` is >= p_drop, so P(keep) = 1 - p_drop. `retrain_hwa`
+    checks that p_drop lies in [0, 1)."""
     keep = rng.random(N_PARAMS) if out is None else rng.random(out=out)
     return np.greater_equal(keep, p_drop, out=keep)
 
@@ -146,10 +147,12 @@ def _perturbed(params: DecoderParams, keep: np.ndarray, noise_relative: float,
 def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | None:
     """The crossbar's DAC (inputs scaled into the DAC range by the ADC bound
     and restored after conversion) and ADC, as `rd.forward_batch` applies
-    them; None when IO discretization is off."""
+    them: each converts its float64 argument in place and returns it. None
+    when IO discretization is off."""
     if not cfg.io_discretize:
         return None
-    return (lambda v: _dac(v, xcfg) * xcfg.adc_bound, lambda v: _adc(v, xcfg))
+    return (lambda v: np.multiply(_convert_in(v, xcfg), xcfg.adc_bound, out=v),
+            lambda v: _quantize(v, xcfg.adc_bound, xcfg.levels) if xcfg.quantize_io else v)
 
 
 def masked_loss_and_grads(params: DecoderParams, keep: np.ndarray,
@@ -178,31 +181,31 @@ def _mask_streams(cfg: RetrainConfig, keep_fixed: np.ndarray | None, key: int,
     return SpawnedGenerators(cfg.seed, (Stage.MASK, key), count)
 
 
-def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig,
+def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, p_drop: float,
                      keep_fixed: np.ndarray | None, rows: np.ndarray,
                      counts: np.ndarray, seed_key: int,
                      io: rd.Converters | None,
                      work: rd.Workspace | None = None) -> float:
     """Validation accuracy over a syndrome table (see
     `surface_code_sim.syndrome_table`) under the training-time noise/drop
-    statistics, averaged over `val_draws` independent draws. Every draw's
+    statistics, averaged over `VAL_DRAWS` independent draws. Every draw's
     forward pass runs in `work` when given, a workspace of
     `len(table_batch(rows, counts))` rows."""
-    mask_rngs = _mask_streams(cfg, keep_fixed, seed_key, cfg.val_draws)
-    noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, seed_key), cfg.val_draws)
+    mask_rngs = _mask_streams(cfg, keep_fixed, seed_key, VAL_DRAWS)
+    noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, seed_key), VAL_DRAWS)
     total = 0.0
     buffers, keep_buffer = EffectiveParams(), np.empty(N_PARAMS)
-    for draw in range(cfg.val_draws):
+    for draw in range(VAL_DRAWS):
         keep = (keep_fixed if mask_rngs is None
-                else _random_keep(cfg.p_drop, mask_rngs[draw], keep_buffer))
+                else _random_keep(p_drop, mask_rngs[draw], keep_buffer))
         eff = _perturbed(params, keep, cfg.noise_relative, noise_rngs[draw], buffers)
         total += table_accuracy(
             lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io, work)[2]), rows, counts)
-    return total / cfg.val_draws
+    return total / VAL_DRAWS
 
 
 def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
-             cfg: RetrainConfig, keep_fixed: np.ndarray | None,
+             cfg: RetrainConfig, p_drop: float, keep_fixed: np.ndarray | None,
              train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
     events, labels = rd._as_arrays(dataset)
     val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
@@ -233,14 +236,14 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
         for batch_idx, start in enumerate(range(0, n, train_cfg.batch_size)):
             idx = order[start:start + train_cfg.batch_size]
             keep = (keep_fixed if mask_rngs is None
-                    else _random_keep(cfg.p_drop, mask_rngs[batch_idx], keep_buffer))
+                    else _random_keep(p_drop, mask_rngs[batch_idx], keep_buffer))
             _, grads = masked_loss_and_grads(params, keep, events[idx], labels[idx],
                                              cfg.noise_relative, noise_rngs[batch_idx],
                                              io, work, buffers)
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
                 clip_weights(params, cfg.clip_scale)
-        val_acc = _masked_accuracy(params, cfg, keep_fixed, val_rows,
+        val_acc = _masked_accuracy(params, cfg, p_drop, keep_fixed, val_rows,
                                    val_counts, 1_000_000 + epoch, io, val_work)
         if val_acc > best[0]:
             best = (val_acc, params.copy())
@@ -248,23 +251,24 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
 
 
 def retrain_hwa(params: DecoderParams, dataset: Dataset, val: Dataset,
-                config: RetrainConfig, train_config: TrainConfig = TrainConfig(),
+                config: RetrainConfig, p_drop: float,
+                train_config: TrainConfig = TrainConfig(),
                 crossbar_config: CrossbarConfig = CrossbarConfig()) -> DecoderParams:
-    """Hardware-aware retraining with random dropconnect (plus optional noise
-    injection, IO discretization, and weight clipping)."""
-    if config.ds_mask is not None:
-        raise ValueError("retrain_hwa takes no device map; use retrain_ds")
-    if config.p_drop >= 1.0:
-        raise ValueError("p_drop = 1 drops every weight; degenerate retraining")
-    return _retrain(params, dataset, val, config, None, train_config, crossbar_config)
+    """Hardware-aware retraining with random dropconnect at rate `p_drop`
+    (plus optional noise injection, IO discretization, and weight
+    clipping)."""
+    if not 0.0 <= p_drop < 1.0:
+        raise ValueError(f"p_drop must lie in [0, 1), got {p_drop}")
+    return _retrain(params, dataset, val, config, p_drop, None, train_config,
+                    crossbar_config)
 
 
 def retrain_ds(params: DecoderParams, dataset: Dataset, val: Dataset,
-               config: RetrainConfig, train_config: TrainConfig = TrainConfig(),
+               config: RetrainConfig, fault_map: FaultMap,
+               train_config: TrainConfig = TrainConfig(),
                crossbar_config: CrossbarConfig = CrossbarConfig()) -> DecoderParams:
-    """Device-specific retraining: weights at the measured stuck locations are
-    pinned to zero and frozen; survivors train under noise injection."""
-    if config.ds_mask is None:
-        raise ValueError("retrain_ds requires the measured fault map")
-    return _retrain(params, dataset, val, config, _fault_keep(config.ds_mask),
+    """Device-specific retraining: weights at the stuck pairs of the measured
+    `fault_map` are pinned to zero and frozen; survivors train under noise
+    injection."""
+    return _retrain(params, dataset, val, config, 0.0, _fault_keep(fault_map),
                     train_config, crossbar_config)

@@ -11,8 +11,8 @@ per shot, and anything else is rejected; one shot is a batch of one row.
 
 This is the one implementation of the network; hardware-aware retraining
 reuses it. `forward_batch` and `loss_and_grads` take an optional converter
-pair `io = (dac, adc)`: `dac` is applied to each layer's input and `adc` to
-each layer's output (the bias is added digitally, before the ADC). The
+pair `io = (dac, adc)`: `dac` converts each layer's input and `adc` each
+layer's output, in place (the bias is added digitally, before the ADC). The
 backward pass treats both as identity (a straight-through estimator).
 
 Parameter layout: `DecoderParams` keeps all 370 parameters in one contiguous
@@ -60,7 +60,8 @@ OUTPUT_SIZE = 2
 # row k is the one-hot row of label k
 _ONE_HOT = np.eye(OUTPUT_SIZE)
 
-# (dac, adc): elementwise converters on each layer's input and output
+# (dac, adc): elementwise converters that overwrite each layer's input and
+# output in place and return it
 Converters = tuple[Callable[[np.ndarray], np.ndarray],
                    Callable[[np.ndarray], np.ndarray]]
 
@@ -294,19 +295,19 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
     w_rec, b_rec = params.w_rec, params.b_rec
     for inp, zt, h_next in v.forward_steps:
         if dac is not None:
-            inp[...] = dac(inp)
+            dac(inp)
         np.dot(inp, w_rec, out=zt)
         zt += b_rec
         if adc is not None:
-            zt[...] = adc(zt)
+            adc(zt)
         np.maximum(zt, 0.0, out=h_next)
     last, logits = v.last, v.logits
     if dac is not None:
-        last[...] = dac(last)
+        dac(last)
     np.matmul(last, params.w_eval, out=logits)
     logits += params.b_eval
     if adc is not None:
-        logits[...] = adc(logits)
+        adc(logits)
     return v.shot_z, v.shot_inputs, logits
 
 

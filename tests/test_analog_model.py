@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from memdec import analog_model as am
+from memdec import hwa_training as hwa
 from memdec import rnn_decoder as rd
 
 
 def default_cfg(**kw):
-    base = dict(variability=am.VariabilityModel.disabled(), stuck_rate=0.0)
+    base = dict(variability=am.VariabilityModel.disabled())
     base.update(kw)
     return am.CrossbarConfig(**base)
 
@@ -186,8 +187,8 @@ def quantize_edges(bound: float, levels: int) -> np.ndarray:
 
 def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> None:
     """`_quantize` (with and without scratch), array and scalar `quantize`,
-    `_dac` and `_adc` give the reference bytes; the caller silences the
-    overflow its inputs cause."""
+    and retraining's in-place DAC and ADC give the reference bytes; the
+    caller silences the overflow its inputs cause."""
     for bound in (cfg.adc_bound, cfg.dac_bound):
         want = reference_quantize(x, bound, cfg.levels).tobytes()
         for scratch in (None, np.empty_like(x)):
@@ -202,8 +203,10 @@ def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> 
         adc = reference_quantize(x, cfg.adc_bound, cfg.levels)
     else:
         dac, adc = scaled, x
-    assert am._dac(x, cfg).tobytes() == dac.tobytes()
-    assert am._adc(x, cfg).tobytes() == adc.tobytes()
+    for convert, want in zip(hwa._converters(hwa.RetrainConfig(io_discretize=True), cfg),
+                             (dac * cfg.adc_bound, adc)):
+        v = x.copy()
+        assert convert(v) is v and v.tobytes() == want.tobytes()
 
 
 class TestQuantizeBits:
@@ -312,11 +315,10 @@ class TestMvm:
 
     def test_dimension_mismatch_rejected(self):
         chip = random_chip(np.random.default_rng(10))
-        for width in (3, 5):
-            with pytest.raises(ValueError):
-                am.analog_logits(chip, default_cfg(), np.zeros((2, 3, width)))
-        with pytest.raises(ValueError):  # one shot is a batch of one row
-            am.analog_logits(chip, default_cfg(), np.zeros((3, 4)))
+        for shape in ((2, 3, 3), (2, 3, 5), (1, 2, 3, 4),
+                      (3, 4)):  # one shot is a batch of one row
+            with pytest.raises(ValueError, match="events must be"):
+                am.analog_logits(chip, default_cfg(), np.zeros(shape))
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +354,7 @@ class TestProgramDecoder:
         assert np.isclose(programmed.scale_recurrent, np.abs(mat).max() / 140.0)
 
     def test_stuck_pairs_sit_exactly_at_hcs(self, random_decoder):
-        cfg = am.CrossbarConfig(stuck_rate=0.5)  # default 0.8% variability on
+        cfg = am.CrossbarConfig()  # default 0.8% variability on
         rng = np.random.default_rng(14)
         fmap = am.FaultMap.sample(0.5, rng)
         programmed = am.program_decoder(random_decoder, cfg, fmap, rng)
@@ -363,7 +365,7 @@ class TestProgramDecoder:
                               np.zeros(stuck.sum()))
 
     def test_all_stuck_predicts_zero(self, random_decoder):
-        cfg = am.CrossbarConfig(stuck_rate=1.0)
+        cfg = am.CrossbarConfig()
         fmap = am.FaultMap(np.ones((21, 16), bool), np.ones((17, 2), bool))
         programmed = am.program_decoder(random_decoder, cfg, fmap,
                                         np.random.default_rng(15))

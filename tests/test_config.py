@@ -158,7 +158,7 @@ def test_serialize_names_every_key_it_cannot_carry():
 
 
 def test_serialize_refuses_fields_no_key_writes():
-    cfg = cf.RunConfig(train=TrainConfig(seed=9), retrain=RetrainConfig(val_draws=3))
+    cfg = cf.RunConfig(train=TrainConfig(seed=9), retrain=RetrainConfig(seed=3))
     with pytest.raises(ConfigError) as info:
         cf.serialize_config(cfg)
-    assert str(info.value) == "no key writes train.seed, retrain.val_draws"
+    assert str(info.value) == "no key writes train.seed, retrain.seed"

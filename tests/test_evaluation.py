@@ -145,7 +145,7 @@ class TestSingleSyndrome:
 
     def test_analog_and_digital_match_per_shot(self):
         params = rd.DecoderParams.initial(5)
-        xcfg = am.CrossbarConfig(stuck_rate=STUCK)
+        xcfg = am.CrossbarConfig()
         table = sc.syndrome_table(self.EVENTS, self.LABELS)
         for j in range(5):
             rng = spawn_generator(MASTER, j)
@@ -159,7 +159,7 @@ class TestSingleSyndrome:
         """On the plan path too, a one-row table of several shots is decoded
         as a doubled row (gemm) and a one-shot table as one row (gemv)."""
         params = rd.DecoderParams.initial(5)
-        xcfg = am.CrossbarConfig(stuck_rate=STUCK)
+        xcfg = am.CrossbarConfig()
         several = sc.syndrome_table(self.EVENTS, self.LABELS)
         single = sc.syndrome_table(self.EVENTS[:1], self.LABELS[1:2])
         plans = am.table_plans([several, single], xcfg)
@@ -193,15 +193,14 @@ def setup():
 
 def per_shot_reference(scheme, protocol, configs, tests, base):
     """The error-bar protocol with every test shot decoded on its own."""
-    xcfg = replace(configs.crossbar_config, stuck_rate=STUCK)
+    xcfg = configs.crossbar_config
     runs = []
     for i in range(protocol.n_train_runs):
         params, chip_map = base[i], None
         if scheme == "ds_mnd":
             chip_map = am.FaultMap.sample(STUCK, spawn_generator(MASTER, Stage.CHIP, i))
-            rcfg = replace(configs.retrain_config, p_drop=0.0, ds_mask=chip_map,
-                           seed=derive_seed(MASTER, Stage.RETRAIN, i))
-            params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg)
+            rcfg = replace(configs.retrain_config, seed=derive_seed(MASTER, Stage.RETRAIN, i))
+            params = hwa.retrain_ds(params, configs.train_set, configs.val_set, rcfg, chip_map)
         for j in range(protocol.n_infer_runs):
             rng = spawn_generator(MASTER, Stage.PROGRAM, i, j)
             fmap = chip_map if chip_map is not None else am.FaultMap.sample(STUCK, rng)
@@ -270,19 +269,18 @@ class TestEvaluateScheme:
     def test_retrain_validation_equals_per_shot(self, setup):
         configs, base, _, _ = setup
         val = configs.val_set
-        cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, val_draws=3, seed=4)
+        cfg, p_drop = hwa.RetrainConfig(io_discretize=True, seed=4), 0.1
         table = sc.syndrome_table(val.events, val.labels)
         io = hwa._converters(cfg, am.CrossbarConfig())
         per_shot = 0.0
-        for draw in range(cfg.val_draws):
-            keep = hwa._random_keep(cfg.p_drop,
-                                    spawn_generator(cfg.seed, Stage.MASK, 9, draw))
+        for draw in range(hwa.VAL_DRAWS):
+            keep = hwa._random_keep(p_drop, spawn_generator(cfg.seed, Stage.MASK, 9, draw))
             noise_rng = spawn_generator(cfg.seed, Stage.NOISE, 9, draw)
             eff = hwa._perturbed(base[0], keep, cfg.noise_relative, noise_rng)
             logits = rd.forward_batch(eff, val.events, io)[2]
             per_shot += float((rd.logits_to_bits(logits) == val.labels).mean())
-        assert (hwa._masked_accuracy(base[0], cfg, None, *table, 9, io)
-                == per_shot / cfg.val_draws)
+        assert (hwa._masked_accuracy(base[0], cfg, p_drop, None, *table, 9, io)
+                == per_shot / hwa.VAL_DRAWS)
 
     @pytest.mark.parametrize("scheme,fn", [("hwa_mnd", "retrain_hwa"),
                                            ("ds_mnd", "retrain_ds")])
@@ -293,15 +291,16 @@ class TestEvaluateScheme:
                           crossbar_config=am.CrossbarConfig(levels=16, adc_bound=2.0))
         calls = []
 
-        def record(params, dataset, val, config, train_config, crossbar_config):
+        def record(params, dataset, val, config, rate_or_map, train_config,
+                   crossbar_config):
             calls.append((train_config, crossbar_config))
             return params
 
         monkeypatch.setattr(hwa, fn, record)
         ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
                            test_sets=tests, base_params=base)
-        xcfg = replace(configs.crossbar_config, stuck_rate=STUCK)
-        assert calls == [(configs.train_config, xcfg)] * protocol.n_train_runs
+        assert calls == ([(configs.train_config, configs.crossbar_config)]
+                         * protocol.n_train_runs)
 
     def test_overflowing_threshold_reported_out_of_range(self, setup, monkeypatch):
         configs, _, tests, protocol = setup

@@ -48,27 +48,27 @@ def test_train_fp_digest(fp_params):
 
 FAULTS = am.FaultMap.sample(0.1, np.random.default_rng(74))
 
+# (retraining, config, its dropconnect rate or fault map, digest)
 RETRAIN_CASES = {
     "hwa_p_drop": (
-        hwa.retrain_hwa, hwa.RetrainConfig(p_drop=0.1, epochs=2, seed=75),
+        hwa.retrain_hwa, hwa.RetrainConfig(epochs=2, seed=75), 0.1,
         "c4e803b7e782ff300cd70ea1b2d713871592830b09bc62d5602c48ac102558c5"),
     # clip_scale 2.0 clips both units (their max |w| / std is about 2.1 and 2.5)
     "hwa_io_clip": (
         hwa.retrain_hwa,
-        hwa.RetrainConfig(p_drop=0.1, io_discretize=True, clip_scale=2.0, epochs=2,
-                          seed=76),
+        hwa.RetrainConfig(io_discretize=True, clip_scale=2.0, epochs=2, seed=76), 0.1,
         "948afd4f5be7dd9e6f1bb1317e47ecd59fb85867b8560c1a8c889190f4f6b720"),
     "ds": (
-        hwa.retrain_ds, hwa.RetrainConfig(ds_mask=FAULTS, epochs=2, seed=77),
+        hwa.retrain_ds, hwa.RetrainConfig(epochs=2, seed=77), FAULTS,
         "42f7d3e5e2092b9c7a1b51a4a336bba2acd5d8647476f482b8fe2f1d62d48625"),
     "ds_io": (
         hwa.retrain_ds,
-        hwa.RetrainConfig(ds_mask=FAULTS, io_discretize=True, epochs=2, seed=78),
+        hwa.RetrainConfig(io_discretize=True, epochs=2, seed=78), FAULTS,
         "0512c08262cc91a6228d8d6fde9199379aeefe46b7ec08e4a90b9ddbdd40b37d"),
 }
 
 
 @pytest.mark.parametrize("case", RETRAIN_CASES)
 def test_retrain_digest(data, fp_params, case):
-    fn, cfg, expected = RETRAIN_CASES[case]
-    assert digest(fn(fp_params, *data, cfg)) == expected
+    fn, cfg, rate_or_map, expected = RETRAIN_CASES[case]
+    assert digest(fn(fp_params, *data, cfg, rate_or_map)) == expected

@@ -39,10 +39,11 @@ class TestDropconnectMask:
         assert set(np.unique(masks)) == {0.0, 1.0}
         assert abs(np.mean(masks) - 0.8) < 0.01
 
-    def test_bad_rate_rejected(self):
-        for p_drop in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                hwa.RetrainConfig(p_drop=p_drop)
+    def test_bad_rate_rejected(self, small_data, fp_params):
+        train, val = small_data
+        for p_drop in (-0.1, 1.2):
+            with pytest.raises(ValueError, match="p_drop must lie in"):
+                hwa.retrain_hwa(fp_params, train, val, hwa.RetrainConfig(epochs=1), p_drop)
 
 
 class TestClipWeights:
@@ -168,8 +169,8 @@ class TestMaskedGradients:
 class TestRetrainHwa:
     def test_all_techniques_off_behaves_like_fine_tuning(self, small_data, fp_params):
         train, val = small_data
-        cfg = hwa.RetrainConfig(p_drop=0.0, noise_relative=0.0, epochs=2, seed=3)
-        out = hwa.retrain_hwa(fp_params, train, val, cfg)
+        cfg = hwa.RetrainConfig(noise_relative=0.0, epochs=2, seed=3)
+        out = hwa.retrain_hwa(fp_params, train, val, cfg, 0.0)
         base = rd.accuracy(fp_params, val)
         tuned = rd.accuracy(out, val)
         assert tuned >= base - 0.01
@@ -177,20 +178,13 @@ class TestRetrainHwa:
     def test_p_drop_one_rejected(self, small_data, fp_params):
         train, val = small_data
         with pytest.raises(ValueError):
-            hwa.retrain_hwa(fp_params, train, val,
-                            hwa.RetrainConfig(p_drop=1.0, epochs=1))
-
-    def test_ds_mask_rejected(self, small_data, fp_params):
-        train, val = small_data
-        cfg = hwa.RetrainConfig(ds_mask=am.FaultMap.none(), epochs=1)
-        with pytest.raises(ValueError):
-            hwa.retrain_hwa(fp_params, train, val, cfg)
+            hwa.retrain_hwa(fp_params, train, val, hwa.RetrainConfig(epochs=1), 1.0)
 
     def test_deterministic_given_seed(self, small_data, fp_params):
         train, val = small_data
-        cfg = hwa.RetrainConfig(p_drop=0.1, epochs=1, seed=9)
-        a = hwa.retrain_hwa(fp_params, train, val, cfg)
-        b = hwa.retrain_hwa(fp_params, train, val, cfg)
+        cfg = hwa.RetrainConfig(epochs=1, seed=9)
+        a = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
+        b = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
         for x, y in zip(a.tensors(), b.tensors()):
             assert np.array_equal(x, y)
 
@@ -200,7 +194,7 @@ class TestRetrainHwa:
         # sized to the validation table; the golden retraining digests pin
         # the bits
         train, val = small_data
-        cfg = hwa.RetrainConfig(p_drop=0.1, epochs=2, val_draws=3, seed=9)
+        cfg = hwa.RetrainConfig(epochs=2, seed=9)
         works = []
         forward = rd.forward_batch
 
@@ -209,17 +203,16 @@ class TestRetrainHwa:
             return forward(params, events, io, work)
 
         monkeypatch.setattr(rd, "forward_batch", record)
-        hwa.retrain_hwa(fp_params, train, val, cfg)
+        hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
         rows = len(sc.syndrome_table(val.events, val.labels)[0])
-        assert len(works) == cfg.epochs * cfg.val_draws
+        assert len(works) == cfg.epochs * hwa.VAL_DRAWS
         assert all(n == rows and work is works[0][1] for n, work in works)
         assert works[0][1].inputs.shape[1] == rows
 
     def test_discretize_and_clip_paths_run(self, small_data, fp_params):
         train, val = small_data
-        cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, clip_scale=4.0,
-                                epochs=1, seed=5)
-        out = hwa.retrain_hwa(fp_params, train, val, cfg)
+        cfg = hwa.RetrainConfig(io_discretize=True, clip_scale=4.0, epochs=1, seed=5)
+        out = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
         for w_name, b_name in (("w_rec", "b_rec"), ("w_eval", "b_eval")):
             pool = np.concatenate([getattr(out, w_name).ravel(),
                                    getattr(out, b_name).ravel()])
@@ -229,13 +222,14 @@ class TestRetrainHwa:
 class TestCallerConfigsReachRetraining:
     def test_optimizer_fields_of_train_config_are_used(self, small_data, fp_params):
         train, val = small_data
-        cfg = hwa.RetrainConfig(p_drop=0.1, epochs=1, seed=9)
-        default = hwa.retrain_hwa(fp_params, train, val, cfg)
-        bigger = hwa.retrain_hwa(fp_params, train, val, cfg, rd.TrainConfig(batch_size=64))
+        cfg = hwa.RetrainConfig(epochs=1, seed=9)
+        default = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
+        bigger = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1,
+                                 rd.TrainConfig(batch_size=64))
         assert not all(np.array_equal(a, b)
                        for a, b in zip(default.tensors(), bigger.tensors()))
         # epochs and seed come from the RetrainConfig
-        other = hwa.retrain_hwa(fp_params, train, val, cfg,
+        other = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1,
                                 rd.TrainConfig(epochs=99, seed=123))
         for a, b in zip(default.tensors(), other.tensors()):
             assert np.array_equal(a, b)
@@ -245,7 +239,7 @@ class TestCallerConfigsReachRetraining:
         train, val = small_data
         xcfg = am.CrossbarConfig(levels=16, adc_bound=2.0)
         step = 2.0 * xcfg.adc_bound / xcfg.levels  # DAC and ADC grid, dac_bound = 1
-        cfg = hwa.RetrainConfig(p_drop=0.1, io_discretize=True, epochs=1, seed=5)
+        cfg = hwa.RetrainConfig(io_discretize=True, epochs=1, seed=5)
         seen = []
         forward = rd.forward_batch
 
@@ -273,7 +267,7 @@ class TestCallerConfigsReachRetraining:
 
         monkeypatch.setattr(rd, "forward_batch", record)
         monkeypatch.setattr(rd, "loss_and_grads", record_step)
-        out = hwa.retrain_hwa(fp_params, train, val, cfg, crossbar_config=xcfg)
+        out = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1, crossbar_config=xcfg)
         monkeypatch.undo()
         assert seen and all(has_io for has_io, *_ in seen)
         # per batch, the DAC and the ADC each convert T + 1 times
@@ -282,25 +276,20 @@ class TestCallerConfigsReachRetraining:
         for v in [v for _, *values in seen for v in values] + trained:
             assert np.abs(v).max() <= xcfg.adc_bound
             assert np.array_equal(v, np.round(v / step) * step)
-        default = hwa.retrain_hwa(fp_params, train, val, cfg)
+        default = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
         assert not all(np.array_equal(a, b)
                        for a, b in zip(default.tensors(), out.tensors()))
 
 
 class TestRetrainDs:
-    def test_requires_mask(self, small_data, fp_params):
-        train, val = small_data
-        with pytest.raises(ValueError):
-            hwa.retrain_ds(fp_params, train, val, hwa.RetrainConfig(epochs=1))
-
     def test_masked_positions_are_exact_zeros(self, small_data, fp_params):
         # +0.0 exactly (no -0.0), with clipping and IO discretization too
         train, val = small_data
         fmap = am.FaultMap.sample(0.2, np.random.default_rng(31))
         for extra in ({}, {"clip_scale": 2.0}, {"io_discretize": True},
                       {"clip_scale": 1.5, "io_discretize": True}):
-            cfg = hwa.RetrainConfig(ds_mask=fmap, epochs=2, seed=11, **extra)
-            out = hwa.retrain_ds(fp_params, train, val, cfg)
+            cfg = hwa.RetrainConfig(epochs=2, seed=11, **extra)
+            out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
             unit_rec = np.vstack([out.w_rec, out.b_rec[None, :]])
             unit_ev = np.vstack([out.w_eval, out.b_eval[None, :]])
             for unit, stuck in ((unit_rec, fmap.recurrent), (unit_ev, fmap.evaluation)):
@@ -313,10 +302,10 @@ class TestRetrainDs:
         # other non-idealities) predicts identically to the digital decoder
         train, val = small_data
         fmap = am.FaultMap.sample(0.2, np.random.default_rng(32))
-        cfg = hwa.RetrainConfig(ds_mask=fmap, epochs=1, seed=12, noise_relative=0.0)
-        out = hwa.retrain_ds(fp_params, train, val, cfg)
+        cfg = hwa.RetrainConfig(epochs=1, seed=12, noise_relative=0.0)
+        out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
         xcfg = am.CrossbarConfig(variability=am.VariabilityModel.disabled(),
-                                 stuck_rate=0.0, quantize_io=False)
+                                 quantize_io=False)
         programmed = am.program_decoder(out, xcfg, fmap, np.random.default_rng(33))
         digital = rd.predict_batch(out, val.events)
         analog = am.analog_forward_batch(programmed, xcfg, val.events)
@@ -324,18 +313,17 @@ class TestRetrainDs:
 
     def test_empty_mask_equals_hwa_without_dropconnect(self, small_data, fp_params):
         train, val = small_data
-        cfg_ds = hwa.RetrainConfig(ds_mask=am.FaultMap.none(), epochs=1, seed=13)
-        cfg_hwa = hwa.RetrainConfig(p_drop=0.0, epochs=1, seed=13)
-        a = hwa.retrain_ds(fp_params, train, val, cfg_ds)
-        b = hwa.retrain_hwa(fp_params, train, val, cfg_hwa)
+        cfg = hwa.RetrainConfig(epochs=1, seed=13)
+        a = hwa.retrain_ds(fp_params, train, val, cfg, am.FaultMap.none())
+        b = hwa.retrain_hwa(fp_params, train, val, cfg, 0.0)
         for x, y in zip(a.tensors(), b.tensors()):
             assert np.array_equal(x, y)
 
     def test_full_mask_is_degenerate_constant_predictor(self, small_data, fp_params):
         train, val = small_data
         fmap = am.FaultMap(np.ones((21, 16), bool), np.ones((17, 2), bool))
-        cfg = hwa.RetrainConfig(ds_mask=fmap, epochs=1, seed=14)
-        out = hwa.retrain_ds(fp_params, train, val, cfg)
+        cfg = hwa.RetrainConfig(epochs=1, seed=14)
+        out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
         for t in out.tensors():
             assert not t.any()
         assert rd.predict_batch(out, val.events[:10]).max() == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdec import analog_model as am
+from memdec import evaluation as ev
 from memdec import io_formats as iof
 from memdec import rnn_decoder as rd
 from memdec import surface_code_sim as sc
@@ -64,6 +65,53 @@ def test_p_index_out_of_range_is_corrupt(tmp_path):
     iof.save_dataset(data, path)
     with pytest.raises(CorruptFileError):
         iof.load_dataset(path)
+
+
+def _report(**extra) -> ev.EvalReport:
+    return ev.EvalReport("fp_mnd", 0.1, (1e-3, 1e-2), (0.99, 0.875), (0.0123456789012, 0.05),
+                         np.array([[0.98, 0.85], [1.0, 0.9]]), **extra)
+
+
+def test_report_dict_without_and_with_curve():
+    out = _report().to_dict()
+    assert out == {
+        "scheme": "fp_mnd", "stuck_rate": 0.1, "p_values": [1e-3, 1e-2],
+        "acc_mean": [0.99, 0.875], "acc_std": [0.0123456789012, 0.05],
+        "lfr_mean": [1.0 - 0.99, 0.125], "lfr_std": [0.0123456789012, 0.05],
+        "per_run_acc": [[0.98, 0.85], [1.0, 0.9]], "curve": None,
+        "pseudo_threshold": None, "pseudo_threshold_in_range": None}
+    fit = ev.CurveFit(a=30.0, b=1.5, residual=0.25, n_excluded=1)
+    curved = _report(curve=fit, pseudo_threshold=0.0011, pseudo_threshold_in_range=True)
+    assert curved.to_dict() == {
+        **out, "curve": {"a": 30.0, "b": 1.5, "residual": 0.25, "n_excluded": 1},
+        "pseudo_threshold": 0.0011, "pseudo_threshold_in_range": True}
+
+
+def test_saved_report_is_byte_stable_and_loads_back(tmp_path):
+    report = _report(curve=ev.CurveFit(a=30.0, b=1.5, residual=0.25)).to_dict()
+    iof.save_report(report, tmp_path / "a.json")
+    iof.save_report(report, tmp_path / "b.json")
+    raw = (tmp_path / "a.json").read_bytes()
+    assert raw == (tmp_path / "b.json").read_bytes()
+    assert iof.load_report(tmp_path / "a.json") == report
+
+
+def test_truncated_report_is_corrupt(tmp_path):
+    path = tmp_path / "report.json"
+    iof.save_report(_report().to_dict(), path)
+    raw = path.read_bytes()
+    for cut in range(len(raw) - 1):  # every prefix that loses the closing brace
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CorruptFileError):
+            iof.load_report(path)
+
+
+def test_curve_csv_has_a_header_and_one_row_per_p(tmp_path):
+    path = tmp_path / "curve.csv"
+    iof.export_curve_csv(_report().to_dict(), path)
+    assert path.read_text() == ("p,lfr_mean,lfr_std\n"
+                                "0.001,0.01,0.0123456789\n"
+                                "0.01,0.125,0.05\n")
 
 
 def _saved(kind: str, seed: int, size: int, path: Path):
