@@ -10,9 +10,10 @@ location) that can be evaluated for any subset of shots without replaying a
 sequential generator. `counter_draws` provides that: draw i of stream k
 is the top 53 bits of the splitmix64 output at state k + (i+1)*GOLDEN,
 vectorised over numpy uint64 arrays; `counter_uniforms` scales it to [0, 1).
-The vectorised hash is `mix53`, which the syndrome sampler also applies in
-place to blocks of states; `derive_seed` runs the same finalizer on Python
-ints (`_mix`), whose per-call cost stays far below a numpy call's.
+The vectorised hash is `mix64` (`mix53` keeps its top 53 bits); the syndrome
+sampler applies `mix64` in place to blocks of states and compares the full
+hash against a shifted `draw_limit`. `derive_seed` runs the same finalizer
+on Python ints (`_mix`), whose per-call cost stays far below a numpy call's.
 
 `spawn_generator` seeds a numpy PCG64 Generator from a derived key, through
 numpy's SeedSequence, which costs tens of microseconds per stream. Where

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -171,6 +173,17 @@ class TestFaultTableSampler:
             a1, d1 = one_shot(noisy_circuit, 5, shot)
             assert np.array_equal(a1, anc[row]) and np.array_equal(d1, data[row])
 
+    @pytest.mark.parametrize("words", [sc._TILE_WORDS, 10])
+    def test_given_tile_buffers_keep_bits(self, noisy_circuit, words):
+        # buffers too small for one tile row are replaced by fresh ones
+        shots = np.arange(600, dtype=np.uint64)
+        buffers = sc._tile_buffers(words)
+        for b in buffers:
+            b.fill(1)
+        anc, data = sc._simulate_batch(noisy_circuit, 5, shots, buffers)
+        anc_ref, data_ref = sc._simulate_batch(noisy_circuit, 5, shots)
+        assert np.array_equal(anc, anc_ref) and np.array_equal(data, data_ref)
+
     def test_empty_batch(self, noisy_circuit):
         anc, data = sc._simulate_batch(noisy_circuit, 5, np.zeros(0, dtype=np.uint64))
         assert anc.shape == (0, 3, 8) and data.shape == (0, 9)
@@ -280,6 +293,80 @@ class TestGenerateDataset:
             sc.generate_dataset([1e-3], 0, 3, seed=0)
         with pytest.raises(ValueError):
             sc.generate_dataset([1.5], 10, 3, seed=0)
+        for chunk_size in (0, -4):
+            with pytest.raises(ValueError, match="chunk_size"):
+                sc.generate_dataset([1e-3], 10, 3, seed=0, chunk_size=chunk_size)
+
+
+class ChunkFailure(RuntimeError):
+    pass
+
+
+class TestParallelSampling:
+    """`generate_dataset` over the CPU counts that `_usable_cpus` reports."""
+
+    P_VALUES = [1e-2, 0.2]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return sc.generate_dataset(self.P_VALUES, 500, 3, seed=9)
+
+    @pytest.fixture
+    def sampling_threads(self, monkeypatch):
+        """Idents of the threads that ran each chunk, keyed by first shot."""
+        seen = {}
+        simulate = sc._simulate_batch
+
+        def spy(circuit, key, shot_indices, buffers):
+            seen[(key, int(shot_indices[0]))] = threading.get_ident()
+            return simulate(circuit, key, shot_indices, buffers)
+
+        monkeypatch.setattr(sc, "_simulate_batch", spy)
+        return seen
+
+    # 2 rates x 500 shots: chunk 4096 gives 2 jobs, fewer than 3 or 8 workers
+    @pytest.mark.parametrize("cpus", [1, 3, 8])
+    @pytest.mark.parametrize("chunk_size", [7, 64, 4096])
+    def test_bytes_equal_for_any_worker_count(self, monkeypatch, reference,
+                                              sampling_threads, cpus, chunk_size):
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ds = sc.generate_dataset(self.P_VALUES, 500, 3, seed=9, chunk_size=chunk_size)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(ds.events, reference.events)
+        assert np.array_equal(ds.labels, reference.labels)
+        assert np.array_equal(ds.p_index, reference.p_index)
+        jobs = 2 * -(-500 // chunk_size)
+        workers = min(cpus, jobs)
+        threads = set(sampling_threads.values())
+        assert len(sampling_threads) == jobs
+        assert threading.get_ident() in threads          # the caller runs a share
+        # a finished helper's ident may be reused by a later one
+        assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
+
+    @pytest.mark.parametrize("failing_chunk", [0, 1, 5])
+    def test_chunk_exception_reaches_caller(self, monkeypatch, failing_chunk):
+        # with 3 workers chunk 0 is the caller's, chunks 1 and 5 are helpers'
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: 3)
+        simulate = sc._simulate_batch
+
+        def failing(circuit, key, shot_indices, buffers):
+            if int(shot_indices[0]) == 64 * failing_chunk:
+                raise ChunkFailure(f"chunk {failing_chunk}")
+            return simulate(circuit, key, shot_indices, buffers)
+
+        monkeypatch.setattr(sc, "_simulate_batch", failing)
+        before = threading.active_count()
+        with pytest.raises(ChunkFailure, match=f"chunk {failing_chunk}"):
+            sc.generate_dataset([1e-2], 640, 3, seed=1, chunk_size=64)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(sc.os, "sched_getaffinity", raising=False)
+        assert sc._usable_cpus() == (sc.os.cpu_count() or 1)
 
 
 class TestSingleFaults:
