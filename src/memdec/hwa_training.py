@@ -23,22 +23,21 @@ BPTT and Adam) and applies any combination of:
   * weight clipping to [-alpha * sigma, alpha * sigma] per unit after each
     update.
 
-The optimizer meta-parameters (learning rate, batch size, Adam betas and
-eps) come from the caller's `TrainConfig`; epochs and seed come from
-`RetrainConfig`. What an experiment sweeps or draws per run is an
-argument: the dropconnect rate of `retrain_hwa`, the fault map of
-`retrain_ds`. The kept epoch is the one with the best validation accuracy,
-averaged over `VAL_DRAWS` draws of the training-time mask and noise.
+Retraining runs the epoch loop of FP training, `rd._train`, with the
+optimizer meta-parameters (learning rate, batch size, Adam betas and eps)
+of the caller's `TrainConfig` and the epochs and seed of `RetrainConfig`.
+What an experiment sweeps or draws per run is an argument: the dropconnect
+rate of `retrain_hwa`, the fault map of `retrain_ds`.
 
 Device-specific retraining replaces the random mask with the measured
 stuck-pair map of one characterized crossbar (its two units concatenated
 and inverted): those weights are pinned to exactly zero and receive no
 updates.
 
-The retraining loop reuses its buffers across batches: the `rd.Workspace`
-(one for the training batches, one for the validation table), the
-keep-mask, and the effective parameters and noise draw of `_perturbed`
-(`EffectiveParams`); the draws fill them through
+Each batch step, and each of the `VAL_DRAWS` validation draws an epoch's
+score averages over, takes its keep-mask and noise stream from `_draws`.
+The keep-mask and `_perturbed`'s effective parameters and noise
+(`EffectiveParams`) are reused buffers, filled through
 `Generator.random(out=)` and `standard_normal(out=)`, which give the values
 of the allocating calls.
 """
@@ -46,7 +45,7 @@ of the allocating calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from . import rnn_decoder as rd
 from .analog_model import CrossbarConfig, FaultMap, _convert_in, _quantize
 from .rng import SpawnedGenerators, Stage, spawn_generator
 from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
-from .surface_code_sim import Dataset, syndrome_table, table_accuracy, table_batch
+from .surface_code_sim import Dataset
 
 _UNIT_STARTS = [unit.start for unit in UNIT_SLICES]
 # independent mask and noise draws each validation accuracy averages over
@@ -172,46 +171,23 @@ def masked_loss_and_grads(params: DecoderParams, keep: np.ndarray,
     return loss, grads
 
 
-def _mask_streams(cfg: RetrainConfig, keep_fixed: np.ndarray | None, key: int,
-                  count: int) -> SpawnedGenerators | None:
-    """The dropconnect streams `spawn_generator(cfg.seed, Stage.MASK, key, i)`;
-    None when a fixed keep-mask replaces them."""
+def _draws(cfg: RetrainConfig, p_drop: float, keep_fixed: np.ndarray | None, key: int,
+           count: int):
+    """Draw i < count under `key`: the keep-mask (`keep_fixed`, or dropconnect
+    at `p_drop` from the stream (cfg.seed, MASK, key, i)) and the noise
+    stream (cfg.seed, NOISE, key, i), both valid until the next draw."""
+    noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, key), count)
     if keep_fixed is not None:
-        return None
-    return SpawnedGenerators(cfg.seed, (Stage.MASK, key), count)
-
-
-def _masked_accuracy(params: DecoderParams, cfg: RetrainConfig, p_drop: float,
-                     keep_fixed: np.ndarray | None, rows: np.ndarray,
-                     counts: np.ndarray, seed_key: int,
-                     io: rd.Converters | None,
-                     work: rd.Workspace | None = None) -> float:
-    """Validation accuracy over a syndrome table (see
-    `surface_code_sim.syndrome_table`) under the training-time noise/drop
-    statistics, averaged over `VAL_DRAWS` independent draws. Every draw's
-    forward pass runs in `work` when given, a workspace of
-    `len(table_batch(rows, counts))` rows."""
-    mask_rngs = _mask_streams(cfg, keep_fixed, seed_key, VAL_DRAWS)
-    noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, seed_key), VAL_DRAWS)
-    total = 0.0
-    buffers, keep_buffer = EffectiveParams(), np.empty(N_PARAMS)
-    for draw in range(VAL_DRAWS):
-        keep = (keep_fixed if mask_rngs is None
-                else _random_keep(p_drop, mask_rngs[draw], keep_buffer))
-        eff = _perturbed(params, keep, cfg.noise_relative, noise_rngs[draw], buffers)
-        total += table_accuracy(
-            lambda r: rd.logits_to_bits(rd.forward_batch(eff, r, io, work)[2]), rows, counts)
-    return total / VAL_DRAWS
+        return lambda i: (keep_fixed, noise_rngs[i])
+    mask_rngs = SpawnedGenerators(cfg.seed, (Stage.MASK, key), count)
+    keep = np.empty(N_PARAMS)
+    return lambda i: (_random_keep(p_drop, mask_rngs[i], keep), noise_rngs[i])
 
 
 def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
              cfg: RetrainConfig, p_drop: float, keep_fixed: np.ndarray | None,
              train_cfg: TrainConfig, xcfg: CrossbarConfig) -> DecoderParams:
-    events, labels = rd._as_arrays(dataset)
-    val_rows, val_counts = syndrome_table(*rd._as_arrays(val))
-    val_work = rd.Workspace(len(table_batch(val_rows, val_counts)), val_rows.shape[1])
     io = _converters(cfg, xcfg)
-
     params = params.copy()
     if keep_fixed is not None:
         # Pinned once: a pinned entry then stays +0.0 with no re-pinning. Its
@@ -221,33 +197,30 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
         # clipping keeps +0.0 within any bound, a zero bound included. A
         # non-finite gradient stops at adam_step's check.
         params.flat[keep_fixed == 0.0] = 0.0
+    # one buffer for the training batches and the validation draws: each
+    # draw's effective parameters are used before the next overwrites them
+    eff = EffectiveParams()
 
-    state = rd.AdamState()
-    shuffle_rng = spawn_generator(cfg.seed, Stage.RETRAIN)
-    best = (-1.0, params.copy())
-    n = events.shape[0]
-    work = rd.Workspace(min(train_cfg.batch_size, n), events.shape[1])
-    buffers, keep_buffer = EffectiveParams(), np.empty(N_PARAMS)
-    batches = -(-n // train_cfg.batch_size)
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        mask_rngs = _mask_streams(cfg, keep_fixed, epoch, batches)
-        noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, epoch), batches)
-        for batch_idx, start in enumerate(range(0, n, train_cfg.batch_size)):
-            idx = order[start:start + train_cfg.batch_size]
-            keep = (keep_fixed if mask_rngs is None
-                    else _random_keep(p_drop, mask_rngs[batch_idx], keep_buffer))
-            _, grads = masked_loss_and_grads(params, keep, events[idx], labels[idx],
-                                             cfg.noise_relative, noise_rngs[batch_idx],
-                                             io, work, buffers)
+    def epoch_update(epoch, batches):
+        draw = _draws(cfg, p_drop, keep_fixed, epoch, batches)
+
+        def update(batch, events, labels, work, state):
+            keep, noise_rng = draw(batch)
+            _, grads = masked_loss_and_grads(params, keep, events, labels,
+                                             cfg.noise_relative, noise_rng, io, work, eff)
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
                 clip_weights(params, cfg.clip_scale)
-        val_acc = _masked_accuracy(params, cfg, p_drop, keep_fixed, val_rows,
-                                   val_counts, 1_000_000 + epoch, io, val_work)
-        if val_acc > best[0]:
-            best = (val_acc, params.copy())
-    return best[1]
+        return update
+
+    def val_draws(epoch):
+        draw = _draws(cfg, p_drop, keep_fixed, 1_000_000 + epoch, VAL_DRAWS)
+        for i in range(VAL_DRAWS):
+            keep, noise_rng = draw(i)
+            yield _perturbed(params, keep, cfg.noise_relative, noise_rng, eff), io
+
+    return rd._train(params, dataset, val, replace(train_cfg, epochs=cfg.epochs),
+                     spawn_generator(cfg.seed, Stage.RETRAIN), epoch_update, val_draws)
 
 
 def retrain_hwa(params: DecoderParams, dataset: Dataset, val: Dataset,

@@ -65,10 +65,14 @@ def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         _check_header(fh, DATASET_MAGIC, "dataset")
         rounds, seed, tag = struct.unpack("<HQB", _read_exact(fh, 11, "dataset header"))
+        if rounds < 1:
+            raise CorruptFileError(f"rounds must be >= 1, got {rounds}")
         if tag >= len(_SPLIT_TAGS):
             raise CorruptFileError(f"unknown split tag {tag}")
         (n_p,) = struct.unpack("<H", _read_exact(fh, 2, "p count"))
         p_values = np.frombuffer(_read_exact(fh, 8 * n_p, "p values"), dtype="<f8")
+        if not ((p_values >= 0.0) & (p_values <= 1.0)).all():
+            raise CorruptFileError(f"fault rates must lie in [0, 1], got {p_values}")
         (n,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
         p_index = np.frombuffer(_read_exact(fh, 2 * n, "p index"), dtype="<u2")
         if (p_index >= n_p).any():
@@ -164,9 +168,12 @@ def save_report(report: dict, path) -> None:
 
 def load_report(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFileError(f"report is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise CorruptFileError(f"report is not a JSON object: {type(report).__name__}")
+    return report
 
 
 def export_curve_csv(report: dict, path) -> None:

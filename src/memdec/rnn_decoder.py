@@ -9,11 +9,12 @@ Adam at learning rate 1e-3 with batch size 32.
 Every entry point works on batches: events are (n, rounds+1, 4), one row
 per shot, and anything else is rejected; one shot is a batch of one row.
 
-This is the one implementation of the network; hardware-aware retraining
-reuses it. `forward_batch` and `loss_and_grads` take an optional converter
-pair `io = (dac, adc)`: `dac` converts each layer's input and `adc` each
-layer's output, in place (the bias is added digitally, before the ADC). The
-backward pass treats both as identity (a straight-through estimator).
+This is the one implementation of the network and of its epoch loop,
+`_train`; hardware-aware retraining reuses both. `forward_batch` and
+`loss_and_grads` take an optional converter pair `io = (dac, adc)`: `dac`
+converts each layer's input and `adc` each layer's output, in place (the
+bias is added digitally, before the ADC). The backward pass treats both as
+identity (a straight-through estimator).
 
 Parameter layout: `DecoderParams` keeps all 370 parameters in one contiguous
 float64 vector `flat`, in the order w_rec | b_rec | w_eval | b_eval, each
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import NumericError
 from .rng import spawn_generator
-from .surface_code_sim import Dataset, syndrome_table, table_accuracy
+from .surface_code_sim import Dataset, syndrome_table, table_accuracy, table_batch
 
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
@@ -453,32 +454,50 @@ def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
     params.flat -= update
 
 
-def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderParams:
-    """Shuffled mini-batch Adam training; returns the parameters of the epoch
-    with the best validation accuracy (earliest epoch on ties)."""
+def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainConfig,
+           shuffle_rng: np.random.Generator, epoch_update, val_draws) -> DecoderParams:
+    """The epoch loop of FP training and retraining. It trains `params` in
+    place for `config.epochs` epochs, each one `shuffle_rng.permutation` then
+    `update = epoch_update(epoch, batches)` run per batch as `update(batch,
+    events, labels, work, state)` (one step of this call's `AdamState`), and
+    returns a copy of them after the earliest epoch of best score: the mean
+    accuracy, on the validation syndrome table, of the (parameters,
+    converters) pairs `val_draws(epoch)` yields."""
     events, labels = _as_arrays(dataset)
     val_events, val_labels = _as_arrays(val)
     if events.shape[0] == 0 or val_events.shape[0] == 0:
         raise ValueError("datasets must be non-empty")
     if events.shape[1] != val_events.shape[1]:
         raise ValueError("train and validation datasets disagree on rounds")
-
-    params = DecoderParams.initial(config.seed)
+    rows, counts = syndrome_table(val_events, val_labels)
+    val_work = Workspace(len(table_batch(rows, counts)), rows.shape[1])
+    n, size = events.shape[0], config.batch_size
+    work = Workspace(min(size, n), events.shape[1])
     state = AdamState()
-    shuffle_rng = spawn_generator(config.seed, 1)
-    best_params = params.copy()
-    best_acc = -1.0
-
-    n = events.shape[0]
-    work = Workspace(min(config.batch_size, n), events.shape[1])
-    for _ in range(config.epochs):
+    best_acc, best = -1.0, None
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            _, grads = loss_and_grads(params, events[idx], labels[idx], None, work)
-            adam_step(params, grads, state, config)
-        val_acc = accuracy(params, (val_events, val_labels))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = params.copy()
-    return best_params
+        update = epoch_update(epoch, -(-n // size))
+        for batch, start in enumerate(range(0, n, size)):
+            idx = order[start:start + size]
+            update(batch, events[idx], labels[idx], work, state)
+        accs = [table_accuracy(lambda r: logits_to_bits(forward_batch(p, r, io, val_work)[2]),
+                               rows, counts) for p, io in val_draws(epoch)]
+        acc = sum(accs) / len(accs)
+        if acc > best_acc:
+            best_acc, best = acc, params.copy()
+    return best
+
+
+def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderParams:
+    """Shuffled mini-batch Adam training from `DecoderParams.initial`;
+    returns the parameters of the epoch with the best validation accuracy
+    (earliest epoch on ties)."""
+    params = DecoderParams.initial(config.seed)
+
+    def update(batch, events, labels, work, state):
+        _, grads = loss_and_grads(params, events, labels, None, work)
+        adam_step(params, grads, state, config)
+
+    return _train(params, dataset, val, config, spawn_generator(config.seed, 1),
+                  lambda epoch, batches: update, lambda epoch: [(params, None)])

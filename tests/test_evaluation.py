@@ -266,21 +266,32 @@ class TestEvaluateScheme:
                 assert (rd.accuracy(params, d)
                         == (rd.predict_batch(params, d.events) == d.labels).mean())
 
-    def test_retrain_validation_equals_per_shot(self, setup):
+    def test_retrain_validation_equals_per_shot(self, setup, monkeypatch):
+        # each validation draw's table accuracy equals its per-shot accuracy,
+        # with the keep-mask and noise of the streams keyed 1_000_000 + epoch;
+        # a one-epoch retraining returns the parameters those draws perturb
         configs, base, _, _ = setup
         val = configs.val_set
-        cfg, p_drop = hwa.RetrainConfig(io_discretize=True, seed=4), 0.1
-        table = sc.syndrome_table(val.events, val.labels)
+        cfg, p_drop = hwa.RetrainConfig(io_discretize=True, epochs=1, seed=4), 0.1
         io = hwa._converters(cfg, am.CrossbarConfig())
-        per_shot = 0.0
+        scored = []
+        table_accuracy = rd.table_accuracy
+
+        def record(predict, rows, counts):
+            scored.append(table_accuracy(predict, rows, counts))
+            return scored[-1]
+
+        monkeypatch.setattr(rd, "table_accuracy", record)
+        out = hwa.retrain_hwa(base[0], configs.train_set, val, cfg, p_drop)
+        per_shot = []
         for draw in range(hwa.VAL_DRAWS):
-            keep = hwa._random_keep(p_drop, spawn_generator(cfg.seed, Stage.MASK, 9, draw))
-            noise_rng = spawn_generator(cfg.seed, Stage.NOISE, 9, draw)
-            eff = hwa._perturbed(base[0], keep, cfg.noise_relative, noise_rng)
+            keep = hwa._random_keep(p_drop, spawn_generator(cfg.seed, Stage.MASK,
+                                                            1_000_000, draw))
+            noise_rng = spawn_generator(cfg.seed, Stage.NOISE, 1_000_000, draw)
+            eff = hwa._perturbed(out, keep, cfg.noise_relative, noise_rng)
             logits = rd.forward_batch(eff, val.events, io)[2]
-            per_shot += float((rd.logits_to_bits(logits) == val.labels).mean())
-        assert (hwa._masked_accuracy(base[0], cfg, p_drop, None, *table, 9, io)
-                == per_shot / hwa.VAL_DRAWS)
+            per_shot.append(float((rd.logits_to_bits(logits) == val.labels).mean()))
+        assert scored == per_shot
 
     @pytest.mark.parametrize("scheme,fn", [("hwa_mnd", "retrain_hwa"),
                                            ("ds_mnd", "retrain_ds")])

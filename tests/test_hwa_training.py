@@ -219,6 +219,74 @@ class TestRetrainHwa:
             assert np.abs(pool).max() <= 4.0 * pool.std() + 1e-12
 
 
+class TestSharedEpochLoop:
+    """`rd._train`, the epoch loop of `rd.train_fp` and of retraining."""
+
+    @pytest.mark.parametrize("scores", [None, (0.5, 0.75, 0.625, 0.75, 0.25)])
+    @pytest.mark.parametrize("stage", ["train_fp", "retrain_hwa"])
+    def test_keeps_the_earliest_best_epoch(self, small_data, fp_params, monkeypatch,
+                                           stage, scores):
+        # the parameters after the earliest epoch of highest validation
+        # accuracy: the mean of the table accuracies the loop computes, or
+        # scripted ones whose best epoch is tied and not the last
+        train, val = small_data
+        after, accs = [], []
+        loop, table_accuracy = rd._train, rd.table_accuracy
+
+        def spy(params, *args):
+            *args, val_draws = args
+
+            def recorded(epoch):
+                after.append(params.flat.copy())
+                accs.append([])
+                return val_draws(epoch)
+            return loop(params, *args, recorded)
+
+        def score(predict, rows, counts):
+            acc = table_accuracy(predict, rows, counts)
+            accs[-1].append(acc if scores is None else scores[len(accs) - 1])
+            return accs[-1][-1]
+
+        monkeypatch.setattr(rd, "_train", spy)
+        monkeypatch.setattr(rd, "table_accuracy", score)
+        if stage == "train_fp":
+            out = rd.train_fp(train, val, rd.TrainConfig(epochs=5, seed=24))
+        else:
+            out = hwa.retrain_hwa(fp_params, train, val, hwa.RetrainConfig(epochs=5, seed=10),
+                                  0.1)
+        draws = 1 if stage == "train_fp" else hwa.VAL_DRAWS
+        assert len(after) == 5 and all(len(a) == draws for a in accs)
+        means = [sum(a) / len(a) for a in accs]
+        best = means.index(max(means))
+        assert out.flat.tobytes() == after[best].tobytes()
+        if scores is not None:
+            assert best == 1
+
+
+class TestRetrainingChecksDatasets:
+    """Retraining rejects the datasets FP training rejects."""
+
+    @pytest.mark.parametrize("fn", ["retrain_hwa", "retrain_ds"])
+    @pytest.mark.parametrize("bad,message", [
+        ("empty train", "datasets must be non-empty"),
+        ("empty validation", "datasets must be non-empty"),
+        ("validation of 5 rounds", "disagree on rounds")])
+    def test_bad_datasets_rejected(self, small_data, fp_params, fn, bad, message):
+        train, val = small_data
+        if bad == "empty train":
+            train = train.subset(np.arange(0))
+        elif bad == "empty validation":
+            val = val.subset(np.arange(0))
+        else:
+            val = sc.generate_dataset([1e-2], 50, 5, seed=63, split_tag="validation")
+        rate_or_map = 0.1 if fn == "retrain_hwa" else am.FaultMap.none()
+        cfg = hwa.RetrainConfig(epochs=1, seed=15)
+        with pytest.raises(ValueError, match=message):
+            getattr(hwa, fn)(fp_params, train, val, cfg, rate_or_map)
+        with pytest.raises(ValueError, match=message):
+            rd.train_fp(train, val, rd.TrainConfig(epochs=1))
+
+
 class TestCallerConfigsReachRetraining:
     def test_optimizer_fields_of_train_config_are_used(self, small_data, fp_params):
         train, val = small_data

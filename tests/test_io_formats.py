@@ -67,6 +67,22 @@ def test_p_index_out_of_range_is_corrupt(tmp_path):
         iof.load_dataset(path)
 
 
+# a saved dataset's header: magic (4), version (2), then rounds (u16) at
+# byte 6, seed, split tag, p count (u16) at byte 17 and the p values (f8)
+# from byte 19
+@pytest.mark.parametrize("offset,fmt,value", [
+    (6, "<H", 0), (19, "<d", float("nan")), (19, "<d", 7.5), (27, "<d", -1e-3)])
+def test_bad_header_value_is_corrupt(tmp_path, offset, fmt, value):
+    path = tmp_path / "data.mdds"
+    iof.save_dataset(sc.generate_dataset([1e-2, 0.2], 20, 3, seed=5), path)
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<H2d", raw, 17) == (2, 1e-2, 0.2)
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="rounds must be|fault rates must"):
+        iof.load_dataset(path)
+
+
 def _report(**extra) -> ev.EvalReport:
     return ev.EvalReport("fp_mnd", 0.1, (1e-3, 1e-2), (0.99, 0.875), (0.0123456789012, 0.05),
                          np.array([[0.98, 0.85], [1.0, 0.9]]), **extra)
@@ -104,6 +120,14 @@ def test_truncated_report_is_corrupt(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(CorruptFileError):
             iof.load_report(path)
+
+
+@pytest.mark.parametrize("raw", [b'{"scheme": "\xff"}\n', b"[1, 2]\n", b'"report"\n'])
+def test_undecodable_or_non_object_report_is_corrupt(tmp_path, raw):
+    path = tmp_path / "report.json"
+    path.write_bytes(raw)
+    with pytest.raises(CorruptFileError):
+        iof.load_report(path)
 
 
 def test_curve_csv_has_a_header_and_one_row_per_p(tmp_path):

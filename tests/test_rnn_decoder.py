@@ -384,6 +384,32 @@ class TestTraining:
         for x, y in zip(a.tensors(), b.tensors()):
             assert np.array_equal(x, y)
 
+    def test_validation_table_built_once_in_one_workspace(self, monkeypatch):
+        # one syndrome table per call, and every validation forward of every
+        # epoch runs in one workspace sized to it
+        train = sc.generate_dataset([1e-2], 600, 3, seed=38)
+        val = sc.generate_dataset([1e-2], 300, 3, seed=39, split_tag="validation")
+        cfg = rd.TrainConfig(epochs=3, seed=20)
+        tables, works = [], []
+        syndrome_table, forward = rd.syndrome_table, rd.forward_batch
+
+        def count_table(events, labels):
+            tables.append(len(events))
+            return syndrome_table(events, labels)
+
+        def record(params, events, io=None, work=None):
+            works.append((len(events), work))
+            return forward(params, events, io, work)
+
+        monkeypatch.setattr(rd, "syndrome_table", count_table)
+        monkeypatch.setattr(rd, "forward_batch", record)
+        rd.train_fp(train, val, cfg)
+        assert tables == [len(val)]
+        rows = len(sc.table_batch(*syndrome_table(val.events, val.labels)))
+        assert len(works) == cfg.epochs
+        assert all(n == rows and work is works[0][1] for n, work in works)
+        assert works[0][1].inputs.shape[1] == rows
+
 
 class TestAccuracy:
     def test_zero_params_on_zero_label_data(self):
