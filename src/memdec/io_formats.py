@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -28,7 +29,17 @@ FORMAT_VERSION = 1
 _SPLIT_TAGS = ("train", "validation", "test")
 
 
+def _check_fits(fh, n: int, what: str) -> None:
+    """Raise unless `fh` has `n` more bytes. Declared lengths are checked
+    with this before anything is read, so a corrupt length field never asks
+    for a huge or unrepresentable buffer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CorruptFileError(f"truncated file: {what} needs {n} bytes, {left} left")
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
+    _check_fits(fh, n, what)
     data = fh.read(n)
     if len(data) != n:
         raise CorruptFileError(f"truncated file while reading {what}")
@@ -74,16 +85,17 @@ def load_dataset(path) -> Dataset:
         if not ((p_values >= 0.0) & (p_values <= 1.0)).all():
             raise CorruptFileError(f"fault rates must lie in [0, 1], got {p_values}")
         (n,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
+        bits_per_sample = (rounds + 1) * 4
+        ev_bytes = (n * bits_per_sample + 7) // 8
+        lab_bytes = (n + 7) // 8
+        _check_fits(fh, 2 * n + ev_bytes + lab_bytes, f"{n} samples")
         p_index = np.frombuffer(_read_exact(fh, 2 * n, "p index"), dtype="<u2")
         if (p_index >= n_p).any():
             raise CorruptFileError(f"p index {p_index.max()} out of range for "
                                    f"{n_p} p values")
-        bits_per_sample = (rounds + 1) * 4
-        ev_bytes = (n * bits_per_sample + 7) // 8
         events = np.unpackbits(
             np.frombuffer(_read_exact(fh, ev_bytes, "events"), dtype=np.uint8),
             count=n * bits_per_sample).reshape(n, rounds + 1, 4)
-        lab_bytes = (n + 7) // 8
         labels = np.unpackbits(
             np.frombuffer(_read_exact(fh, lab_bytes, "labels"), dtype=np.uint8),
             count=n)
@@ -121,6 +133,9 @@ def load_checkpoint(path) -> tuple[DecoderParams, dict]:
             meta = json.loads(_read_exact(fh, meta_len, "metadata") or b"{}")
         except ValueError as exc:
             raise CorruptFileError(f"checkpoint metadata is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CorruptFileError(
+                f"checkpoint metadata is not a JSON object: {type(meta).__name__}")
         if fh.read(1):
             raise CorruptFileError("trailing bytes after checkpoint payload")
     try:

@@ -11,9 +11,11 @@ sequential generator. `counter_draws` provides that: draw i of stream k
 is the top 53 bits of the splitmix64 output at state k + (i+1)*GOLDEN,
 vectorised over numpy uint64 arrays; `counter_uniforms` scales it to [0, 1).
 The vectorised hash is `mix64` (`mix53` keeps its top 53 bits); the syndrome
-sampler applies `mix64` in place to blocks of states and compares the full
-hash against a shifted `draw_limit`. `derive_seed` runs the same finalizer
-on Python ints (`_mix`), whose per-call cost stays far below a numpy call's.
+sampler applies all of it but the final xorshift (`_mix64_head`) in place to
+blocks of states, and compares the full hash against a shifted `draw_limit`
+only where that partial hash can still fire. `derive_seed` runs the same
+finalizer on Python ints (`_mix`), whose per-call cost stays far below a
+numpy call's.
 
 `spawn_generator` seeds a numpy PCG64 Generator from a derived key, through
 numpy's SeedSequence, which costs tens of microseconds per stream. Where
@@ -75,12 +77,9 @@ _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
 
-def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 finalizer, in place on the uint64 states `z` (`_mix` on
-    every entry). `scratch`, if given, is a uint64 buffer of z's shape that
-    the shifts write into. Returns `z`."""
-    if scratch is None:
-        scratch = np.empty_like(z)
+def _mix64_head(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`mix64` without its final `y ^ (y >> 31)`, in place on `z`; that step
+    leaves the top 31 bits of y as they are. Returns `z`."""
     with np.errstate(over="ignore"):
         np.right_shift(z, np.uint64(30), out=scratch)
         z ^= scratch
@@ -88,8 +87,18 @@ def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         np.right_shift(z, np.uint64(27), out=scratch)
         z ^= scratch
         z *= _U64_MIX2
-        np.right_shift(z, np.uint64(31), out=scratch)
-        z ^= scratch
+    return z
+
+
+def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, in place on the uint64 states `z` (`_mix` on
+    every entry). `scratch`, if given, is a uint64 buffer of z's shape that
+    the shifts write into. Returns `z`."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    _mix64_head(z, scratch)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
     return z
 
 

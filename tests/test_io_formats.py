@@ -48,6 +48,65 @@ def test_invalid_metadata_is_corrupt(tmp_path):
         iof.load_checkpoint(path)
 
 
+def test_metadata_that_is_not_an_object_is_corrupt(tmp_path):
+    path = tmp_path / "ck.mdck"
+    iof.save_checkpoint(rd.DecoderParams.initial(3), path, {"k": 1})
+    raw = path.read_bytes()
+    meta = b"[1, 2]"
+    head = raw[:-len(b'{"k": 1}') - 4]
+    path.write_bytes(head + struct.pack("<I", len(meta)) + meta)
+    with pytest.raises(CorruptFileError, match="not a JSON object"):
+        iof.load_checkpoint(path)
+
+
+# A length field that the file cannot hold is rejected before any read, so
+# none of these asks for a buffer of the declared size.
+def _patched(path: Path, offset: int, fmt: str, *values: int) -> Path:
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, *values)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+# the sample count (u64) follows the header (19 bytes) and two p values
+@pytest.mark.parametrize("count", [2**63, 2**64 - 1, 21])
+def test_sample_count_beyond_the_file_is_corrupt(tmp_path, count):
+    path = tmp_path / "data.mdds"
+    iof.save_dataset(sc.generate_dataset([1e-2, 0.2], 10, 3, seed=5), path)
+    assert struct.unpack_from("<Q", path.read_bytes(), 35) == (20,)
+    with pytest.raises(CorruptFileError, match="needs"):
+        iof.load_dataset(_patched(path, 35, "<Q", count))
+
+
+def test_p_count_beyond_the_file_is_corrupt(tmp_path):
+    path = tmp_path / "data.mdds"
+    iof.save_dataset(sc.generate_dataset([1e-2], 4, 1, seed=5), path)
+    with pytest.raises(CorruptFileError, match="p values needs"):
+        iof.load_dataset(_patched(path, 17, "<H", 2**16 - 1))
+
+
+# checkpoint: w_rec's shape at byte 6; the metadata length is the last
+# u32 before the metadata
+@pytest.mark.parametrize("field", ["shape", "metadata"])
+def test_checkpoint_length_beyond_the_file_is_corrupt(tmp_path, field):
+    path = tmp_path / "ck.mdck"
+    iof.save_checkpoint(rd.DecoderParams.initial(3), path, {"k": 1})
+    if field == "shape":
+        _patched(path, 6, "<HH", 2**16 - 1, 2**16 - 1)
+    else:
+        _patched(path, path.stat().st_size - len(b'{"k": 1}') - 4, "<I", 2**32 - 1)
+    with pytest.raises(CorruptFileError, match="needs"):
+        iof.load_checkpoint(path)
+
+
+def test_fault_map_shape_beyond_the_file_is_corrupt(tmp_path):
+    path = tmp_path / "map.mdfm"
+    iof.save_fault_map(am.FaultMap.sample(0.2, np.random.default_rng(1)), path)
+    assert struct.unpack_from("<HH", path.read_bytes(), 7) == (21, 16)
+    with pytest.raises(CorruptFileError, match="unit bits needs"):
+        iof.load_fault_map(_patched(path, 7, "<HH", 2**16 - 1, 2**16 - 1))
+
+
 def test_wrong_fault_map_shape_is_corrupt(tmp_path):
     """A well-formed file whose recurrent unit is (20, 16), not (21, 16)."""
     path = tmp_path / "map.mdfm"

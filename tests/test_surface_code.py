@@ -4,7 +4,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from memdec import rng
 from memdec import surface_code_sim as sc
 from memdec.rng import counter_uniforms
 
@@ -25,9 +28,9 @@ def noisy_circuit():
 
 
 def one_shot(circuit, key, shot):
-    """Shot `shot` of stream `key`, sampled as a batch of one row."""
-    anc, data = sc._simulate_batch(circuit, key, np.array([shot], dtype=np.uint64))
-    return anc[0], data[0]
+    """Events and label of shot `shot` of stream `key`, sampled alone."""
+    events, labels = sc._sample_chunk(circuit, key, shot, shot + 1)
+    return events[0], labels[0]
 
 
 def shot_events(anc, data):
@@ -71,8 +74,8 @@ class TestBuildCircuit:
 class TestSampleShot:
     def test_noiseless_shot_is_all_zero(self):
         c = sc.build_memory_x_circuit(3, sc.NoiseParams(0.0))
-        anc, data = one_shot(c, 7, 0)
-        assert not anc.any() and not data.any()
+        events, label = one_shot(c, 7, 0)
+        assert not events.any() and not label
 
     def test_injected_x_flips_adjacent_z_ancillas(self, noisy_circuit):
         # X on data qubit 5 at the round-1 idle: neighbours are Z stabilizers
@@ -103,17 +106,17 @@ class TestSampleShot:
 
     def test_single_shot_matches_batch_row(self, noisy_circuit):
         key = 99
-        anc_b, data_b = sc._simulate_batch(noisy_circuit, key,
-                                           np.arange(32, dtype=np.uint64))
+        events_b, labels_b = sc._sample_chunk(noisy_circuit, key, 0, 32)
         for i in (0, 5, 31):
-            anc, data = one_shot(noisy_circuit, key, i)
-            assert np.array_equal(anc, anc_b[i])
-            assert np.array_equal(data, data_b[i])
+            events, label = one_shot(noisy_circuit, key, i)
+            assert np.array_equal(events, events_b[i])
+            assert label == labels_b[i]
 
 
 def _replay(circuit, key, shot):
-    """One shot drawn by the sampler's contract and run through the reference
-    simulator with all its faults at once; uses no fault table."""
+    """Events and label of one shot drawn by the sampler's contract and run
+    through the reference simulator with all its faults at once; uses no
+    fault table."""
     noisy = [(i, ins) for i, ins in enumerate(circuit.instructions)
              if ins.noise is not None]
     u = counter_uniforms(key, shot * len(noisy) + np.arange(len(noisy), dtype=np.uint64))
@@ -129,25 +132,56 @@ def _replay(circuit, key, shot):
         else:
             pauli = 0
         faults.append(sc.FaultLocation(i, kind, ins.qubits, pauli))
-    return sc._simulate_fault(circuit, faults)
+    return shot_events(*sc._simulate_fault(circuit, faults))
+
+
+def assert_matches_replay(circuit, key, start, stop):
+    events, labels = sc._sample_chunk(circuit, key, start, stop)
+    assert events.shape == (stop - start, circuit.rounds + 1, 4)
+    for row, shot in enumerate(range(start, stop)):
+        want_events, want_label = _replay(circuit, key, shot)
+        assert np.array_equal(events[row], want_events), shot
+        assert labels[row] == want_label, shot
+    return events, labels
+
+
+_MASK = 2**64 - 1
+
+
+def _unshift(y, s):
+    """Inverse of x -> x ^ (x >> s) on 64-bit words."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def _state_hashing_to(h):
+    """The splitmix64 state whose finalized hash is `h` (rng._mix inverted)."""
+    z = _unshift(h, 31) * pow(rng._MIX2, -1, 2**64) & _MASK
+    z = _unshift(z, 27) * pow(rng._MIX1, -1, 2**64) & _MASK
+    z = _unshift(z, 30)
+    assert rng._mix(z) == h
+    return z
+
+
+def _key_drawing(h, circuit, shot, loc):
+    """The stream key under which draw `loc` of shot `shot` hashes to `h`."""
+    n_locs = sum(ins.noise is not None for ins in circuit.instructions)
+    return (_state_hashing_to(h) - (shot * n_locs + loc + 1) * rng._GOLDEN) & _MASK
 
 
 class TestFaultTableSampler:
     @pytest.mark.parametrize("rounds, p", [(3, 0.05), (3, 1.0), (2, 0.05)])
     def test_batch_matches_multi_fault_replay(self, rounds, p):
         circuit = sc.build_memory_x_circuit(rounds, sc.NoiseParams(p))
-        key = 2**64 - 5
-        shots = np.arange(1000, 1050, dtype=np.uint64)
-        anc_b, data_b = sc._simulate_batch(circuit, key, shots)
-        for row, shot in enumerate(shots):
-            anc, data = _replay(circuit, key, int(shot))
-            assert np.array_equal(anc, anc_b[row]), (p, shot)
-            assert np.array_equal(data, data_b[row]), (p, shot)
+        assert_matches_replay(circuit, 2**64 - 5, 1000, 1050)
 
     @pytest.mark.parametrize("rounds", [2, 7])
     def test_table_entries_equal_direct_runs(self, rounds):
         # the table is built from each location's X/Z components by XOR; every
-        # entry must equal the reference simulator run with that one fault
+        # entry must equal the events and label of the reference simulator
+        # run with that one fault
         circuit = sc.build_memory_x_circuit(rounds, sc.NoiseParams(1e-3))
         table = sc._fault_table(sc._structure(circuit))
         drawn = {sc.NoiseKind.DEPOL1: range(3), sc.NoiseKind.DEPOL2: range(1, 16)}
@@ -162,36 +196,127 @@ class TestFaultTableSampler:
             assert not unpacked[len(paulis):].any() and not unpacked[:, table.bits:].any()
             for j, pauli in enumerate(paulis):
                 fault = sc.FaultLocation(i, ins.noise.kind, ins.qubits, pauli)
-                anc, data = sc._simulate_fault(circuit, (fault,))
+                events, label = shot_events(*sc._simulate_fault(circuit, (fault,)))
                 assert np.array_equal(unpacked[j, :table.bits],
-                                      np.concatenate([anc.reshape(-1), data])), (loc, j)
+                                      np.append(events.reshape(-1), label)), (loc, j)
 
     def test_any_subset_and_order_of_shots(self, noisy_circuit):
-        shots = np.array([3, 2**40, 0, 77, 3], dtype=np.uint64)
-        anc, data = sc._simulate_batch(noisy_circuit, 5, shots)
-        for row, shot in enumerate(shots):
-            a1, d1 = one_shot(noisy_circuit, 5, shot)
-            assert np.array_equal(a1, anc[row]) and np.array_equal(d1, data[row])
+        # a shot sampled inside a range equals the same shot sampled alone
+        for start, stop in ((0, 5), (77, 80), (2**40 - 2, 2**40 + 3)):
+            events, labels = sc._sample_chunk(noisy_circuit, 5, start, stop)
+            for row, shot in enumerate(range(start, stop)):
+                e1, l1 = one_shot(noisy_circuit, 5, shot)
+                assert np.array_equal(e1, events[row]) and l1 == labels[row], shot
 
     @pytest.mark.parametrize("words", [sc._TILE_WORDS, 10])
     def test_given_tile_buffers_keep_bits(self, noisy_circuit, words):
         # buffers too small for one tile row are replaced by fresh ones
-        shots = np.arange(600, dtype=np.uint64)
-        buffers = sc._tile_buffers(words)
-        for b in buffers:
+        buffers = sc._TileBuffers(words)
+        for b in (buffers.states, buffers.scratch, buffers.mask, buffers.offsets):
             b.fill(1)
-        anc, data = sc._simulate_batch(noisy_circuit, 5, shots, buffers)
-        anc_ref, data_ref = sc._simulate_batch(noisy_circuit, 5, shots)
-        assert np.array_equal(anc, anc_ref) and np.array_equal(data, data_ref)
+        events, labels = sc._sample_chunk(noisy_circuit, 5, 0, 600, buffers)
+        events_ref, labels_ref = sc._sample_chunk(noisy_circuit, 5, 0, 600)
+        assert np.array_equal(events, events_ref) and np.array_equal(labels, labels_ref)
+
+    def test_tile_offsets_refilled_for_another_plan(self, noisy_circuit):
+        # one worker's buffers serve circuits of different location counts
+        buffers = sc._TileBuffers()
+        for circuit in (noisy_circuit, sc.build_memory_x_circuit(2, sc.NoiseParams(0.05)),
+                        noisy_circuit):
+            events, labels = sc._sample_chunk(circuit, 5, 300, 900, buffers)
+            events_ref, labels_ref = sc._sample_chunk(circuit, 5, 300, 900)
+            assert buffers.plan is circuit._plan
+            assert np.array_equal(events, events_ref) and np.array_equal(labels, labels_ref)
+
+    def test_circuit_without_noise_locations(self, noisy_circuit):
+        bare = sc.CircuitSpec(noisy_circuit.qubit_count, noisy_circuit.rounds, tuple(
+            sc.Instruction(ins.gate, ins.qubits) for ins in noisy_circuit.instructions))
+        events, labels = sc._sample_chunk(bare, 5, 0, 10)
+        assert events.shape == (10, 4, 4) and not events.any() and not labels.any()
 
     def test_empty_batch(self, noisy_circuit):
-        anc, data = sc._simulate_batch(noisy_circuit, 5, np.zeros(0, dtype=np.uint64))
-        assert anc.shape == (0, 3, 8) and data.shape == (0, 9)
+        events, labels = sc._sample_chunk(noisy_circuit, 5, 0, 0)
+        assert events.shape == (0, 4, 4) and labels.shape == (0,)
 
     def test_fault_twice_on_one_instruction_rejected(self, noisy_circuit):
         fault = sc.FaultLocation(0, sc.NoiseKind.PREP_FLIP, (0,), 0)
         with pytest.raises(ValueError):
             sc._simulate_fault(noisy_circuit, [fault, fault])
+
+
+def _flip_location(circuit, qubit, round_):
+    """Noise-location index of the measurement flip of ancilla `qubit` in
+    round `round_`."""
+    noisy = [ins for ins in circuit.instructions if ins.noise is not None]
+    return [loc for loc, ins in enumerate(noisy)
+            if ins.gate is sc.Gate.MEASURE_Z and ins.qubits == (qubit,)][round_]
+
+
+class TestFireTestEdges:
+    """The two-stage fire test of `_sample_chunk` at its edges, against
+    `_replay`, which draws through `counter_uniforms`."""
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-2])
+    def test_draws_at_the_bound(self, p):
+        # a key that puts the full hash of one draw exactly on its bound (it
+        # fires) or one above (it does not)
+        circuit = sc.build_memory_x_circuit(3, sc.NoiseParams(p))
+        plan = circuit._plan
+        loc, shot = _flip_location(circuit, 9, 1), 2**40 + 3
+        assert plan.live[loc] == loc
+        bound = int(plan.bound[loc])
+        if p == 1e-12:
+            assert bound.bit_length() < 33 and plan.candidate == 2**33 - 1
+        for h, fires in ((bound, True), (bound + 1, False), (0, True)):
+            events, _ = assert_matches_replay(circuit, _key_drawing(h, circuit, shot, loc),
+                                              shot - 2, shot + 3)
+            assert events[2].any() == fires, h
+
+    @pytest.mark.parametrize("y", [2**33 - 1, 2**33, 2**40 + 12345])
+    def test_candidates_that_do_not_fire(self, y):
+        # y is the hash before its last xorshift; at p = 1e-12 every y below
+        # 2^33 is a candidate, but none of these fires
+        circuit = sc.build_memory_x_circuit(3, sc.NoiseParams(1e-12))
+        loc, shot = _flip_location(circuit, 10, 2), 7
+        key = _key_drawing(y ^ (y >> 31), circuit, shot, loc)
+        events, labels = assert_matches_replay(circuit, key, 0, 20)
+        assert not events.any() and not labels.any()
+
+    def test_mixed_zero_and_certain_locations(self):
+        # a hand-built circuit with dead, certain and rare locations: the
+        # certain one makes every draw a candidate, and the states wrap
+        base = sc.build_memory_x_circuit(3, sc.NoiseParams(0.02))
+        instructions = []
+        for i, ins in enumerate(base.instructions):
+            if ins.noise is not None and i % 5 == 0:
+                ins = sc.Instruction(ins.gate, ins.qubits, sc.Noise(ins.noise.kind, 0.0))
+            elif ins.noise is not None and i % 7 == 0:
+                ins = sc.Instruction(ins.gate, ins.qubits, sc.Noise(ins.noise.kind, 1.0))
+            instructions.append(ins)
+        circuit = sc.CircuitSpec(base.qubit_count, base.rounds, tuple(instructions))
+        sc.validate_circuit(circuit)
+        plan = circuit._plan
+        assert 0 < len(plan.live) < sc.count_fault_locations(base)
+        assert plan.candidate == 2**64 - 1 and (plan.prob == 1.0).any()
+        for key in (2**64 - 1, 2**64 - 2**20):
+            assert_matches_replay(circuit, key, 0, 30)
+            assert_matches_replay(circuit, key, 2**40 - 10, 2**40 + 10)
+
+
+# uint64 values of every bit length, so that small ones are drawn too
+_WORDS = st.integers(0, 64).flatmap(lambda bits: st.integers(0, 2**bits - 1))
+
+
+@given(_WORDS, _WORDS)
+def test_candidate_bound_lemma(y, bound):
+    # h = y ^ (y >> 31) keeps the top 31 bits of y, so for B >= 33,
+    # h < 2^B iff y < 2^B, and h <= bound implies y < 2^max(bits(bound), 33)
+    y_word = np.array([y], dtype=np.uint64)
+    h = int((y_word ^ (y_word >> np.uint64(31)))[0])
+    top = max(bound.bit_length(), 33)
+    assert (h < 2**top) == (y < 2**top)
+    if h <= bound:
+        assert y <= 2**top - 1
 
 
 class TestToSample:
@@ -232,9 +357,7 @@ class TestToSample:
             assert labels[i] == data[i, list(sc.X_LOGICAL)].sum() % 2
 
     def test_label_rate_positive_below_half(self, noisy_circuit):
-        anc, data = sc._simulate_batch(noisy_circuit, 11,
-                                       np.arange(4000, dtype=np.uint64))
-        _, labels = sc._events_batch(anc, data)
+        _, labels = sc._sample_chunk(noisy_circuit, 11, 0, 4000)
         rate = labels.mean()
         assert 0.0 < rate < 0.5
 
@@ -315,13 +438,13 @@ class TestParallelSampling:
     def sampling_threads(self, monkeypatch):
         """Idents of the threads that ran each chunk, keyed by first shot."""
         seen = {}
-        simulate = sc._simulate_batch
+        sample = sc._sample_chunk
 
-        def spy(circuit, key, shot_indices, buffers):
-            seen[(key, int(shot_indices[0]))] = threading.get_ident()
-            return simulate(circuit, key, shot_indices, buffers)
+        def spy(circuit, key, start, stop, buffers):
+            seen[(key, start)] = threading.get_ident()
+            return sample(circuit, key, start, stop, buffers)
 
-        monkeypatch.setattr(sc, "_simulate_batch", spy)
+        monkeypatch.setattr(sc, "_sample_chunk", spy)
         return seen
 
     # 2 rates x 500 shots: chunk 4096 gives 2 jobs, fewer than 3 or 8 workers
@@ -351,14 +474,14 @@ class TestParallelSampling:
     def test_chunk_exception_reaches_caller(self, monkeypatch, failing_chunk):
         # with 3 workers chunk 0 is the caller's, chunks 1 and 5 are helpers'
         monkeypatch.setattr(sc, "_usable_cpus", lambda: 3)
-        simulate = sc._simulate_batch
+        sample = sc._sample_chunk
 
-        def failing(circuit, key, shot_indices, buffers):
-            if int(shot_indices[0]) == 64 * failing_chunk:
+        def failing(circuit, key, start, stop, buffers):
+            if start == 64 * failing_chunk:
                 raise ChunkFailure(f"chunk {failing_chunk}")
-            return simulate(circuit, key, shot_indices, buffers)
+            return sample(circuit, key, start, stop, buffers)
 
-        monkeypatch.setattr(sc, "_simulate_batch", failing)
+        monkeypatch.setattr(sc, "_sample_chunk", failing)
         before = threading.active_count()
         with pytest.raises(ChunkFailure, match=f"chunk {failing_chunk}"):
             sc.generate_dataset([1e-2], 640, 3, seed=1, chunk_size=64)
