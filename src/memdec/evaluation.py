@@ -172,6 +172,9 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if base_params is not None and len(base_params) == 0:
+        raise ValueError("base_params must hold at least one set of parameters "
+                         "when given")
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     xcfg = configs.crossbar_config

@@ -71,8 +71,13 @@ class RetrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.clip_scale is not None and self.clip_scale <= 0:
-            raise ValueError("clip_scale must be positive when present")
+        # the rules of the retrain.* config keys; NaN fails both
+        if not self.noise_relative >= 0:
+            raise ValueError("noise_relative must be a non-negative real, "
+                             f"got {self.noise_relative}")
+        if self.clip_scale is not None and not self.clip_scale > 0:
+            raise ValueError("clip_scale must be a positive real when present, "
+                             f"got {self.clip_scale}")
 
 
 def clip_weights(params: DecoderParams, alpha: float) -> None:

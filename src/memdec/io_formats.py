@@ -57,11 +57,14 @@ def _check_header(fh, magic: bytes, what: str) -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    if not 0 <= dataset.seed < 2**64:
+        raise ValueError(f"dataset seed {dataset.seed} does not fit the file's "
+                         "unsigned 64-bit seed field")
     n = len(dataset)
     buf = io.BytesIO()
     buf.write(DATASET_MAGIC)
     buf.write(struct.pack("<H", FORMAT_VERSION))
-    buf.write(struct.pack("<HQB", dataset.rounds, dataset.seed & (2**64 - 1),
+    buf.write(struct.pack("<HQB", dataset.rounds, dataset.seed,
                           _SPLIT_TAGS.index(dataset.split_tag)))
     buf.write(struct.pack("<H", len(dataset.p_values)))
     buf.write(np.asarray(dataset.p_values, dtype="<f8").tobytes())

@@ -53,21 +53,25 @@ locations' signatures; this is the detector-error-model idea behind Stim
 
 Everything about sampling a circuit that does not depend on the shot (the
 live locations, their probabilities, fire bounds, hash-state terms and
-signatures) is a draw plan, built once per `CircuitSpec`. `_sample_chunk`
-samples a range of shots from it, tile by tile; one shot is a range of one.
-It tests every draw against one weaker bound before the hash is finished,
-then finishes the hash of the few candidates and tests them exactly;
-`_sample_chunk`'s docstring shows why no draw that fires can fail the first
-test, so the draws, and the bytes, are those of the draw contract below.
+signatures) is a draw plan. `generate_dataset` takes the plan of its
+memory-X circuit from `_memory_x_plan`, so a plan is built once per
+(rounds, p) per process and shared, read-only, by every later call.
+`_sample_chunk` samples a range of shots from a plan, tile by tile; one shot
+is a range of one. It tests every draw against one weaker bound before the
+hash is finished, then finishes the hash of the few candidates and tests
+them exactly; `_sample_chunk`'s docstring shows why no draw that fires can
+fail the first test, so the draws, and the bytes, are those of the draw
+contract below.
 
-Threads: `generate_dataset` is the only function that starts any. It samples
-its chunks on every CPU the process may run on: the calling thread and one
-helper thread per further CPU each run an interleaved share of the chunks,
-and the call joins every helper before it returns or raises. numpy releases
-the interpreter lock in the sampler's array passes, so the shares run at
-once. Each chunk writes only its own rows of the output, and its draws
-depend only on (key, shot), so the bytes are the same for any chunk size,
-CPU count or scheduling.
+Threads: `generate_dataset` is the only function that starts any. It looks
+up its plans in the calling thread, so no helper thread builds one, and
+samples its chunks on every CPU the process may run on: the calling thread
+and one helper thread per further CPU each run an interleaved share of the
+chunks, and the call joins every helper before it returns or raises. numpy
+releases the interpreter lock in the sampler's array passes, so the shares
+run at once. Each chunk writes only its own rows of the output, and its
+draws depend only on (key, shot), so the bytes are the same for any chunk
+size, CPU count or scheduling.
 
 Draw contract: noise location i of shot s consumes exactly one
 counter-based uniform u = counter_uniforms(key, s * n_locations + i) (see
@@ -180,13 +184,6 @@ class CircuitSpec:
     qubit_count: int
     rounds: int
     instructions: tuple[Instruction, ...]
-
-    @functools.cached_property
-    def _plan(self) -> _DrawPlan:
-        """This circuit's draw plan, built once per spec: looking up the
-        fault table and building the bounds costs more than sampling one
-        chunk."""
-        return _draw_plan(self)
 
 
 @dataclass
@@ -472,12 +469,31 @@ def _draw_plan(circuit: CircuitSpec) -> _DrawPlan:
         bound = (draw_limit(prob[live]) << np.uint64(11)) - np.uint64(1)
         col = (live.astype(np.uint64) + np.uint64(1)) * GOLDEN
     top = max(int(bound.max(initial=0)).bit_length(), 33)
-    return _DrawPlan(
+    plan = _DrawPlan(
         rounds=circuit.rounds, live=live, prob=prob[live], paulis=table.paulis[live],
         signatures=table.signatures[live], bits=table.bits, bound=bound,
         candidate=np.uint64((1 << top) - 1), col=col,
         row_step=prob.shape[0] * int(GOLDEN) & _MASK,
         tile=max(1, _TILE_WORDS // max(live.shape[0], 1)))
+    # a cached plan is shared by every call that samples its (rounds, p)
+    for array in (plan.live, plan.prob, plan.paulis, plan.signatures, plan.bound, plan.col):
+        array.flags.writeable = False
+    return plan
+
+
+# Draw plans kept per process: the paper's 8-point p grid at up to four
+# round counts. A 3-round plan holds about 30 KB of arrays.
+_PLAN_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE, typed=True)
+def _memory_x_plan(rounds: int, p: float) -> _DrawPlan:
+    """Draw plan of the memory-X circuit at (rounds, p), built once per
+    process: building the circuit and its plan takes about 0.7 ms at 3
+    rounds, which every call at that (rounds, p) would pay again. Keys are
+    typed: p = 0.5 and np.float32(0.5) compare and hash equal, but the
+    second circuit's flip probability is a float32."""
+    return _draw_plan(build_memory_x_circuit(rounds, NoiseParams(p)))
 
 
 class _TileBuffers:
@@ -495,12 +511,12 @@ class _TileBuffers:
         self.plan: _DrawPlan | None = None
 
 
-def _sample_chunk(circuit: CircuitSpec, key: int, start: int, stop: int,
+def _sample_chunk(plan: _DrawPlan, key: int, start: int, stop: int,
                   buffers: _TileBuffers | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample shots start..stop-1 of stream `key`; returns their detection
-    events (n, rounds+1, 4) and labels (n,), both uint8. `buffers` are
-    overwritten in place of fresh tile buffers.
+    """Sample shots start..stop-1 of stream `key` from a circuit's draw
+    plan; returns their detection events (n, rounds+1, 4) and labels (n,),
+    both uint8. `buffers` are overwritten in place of fresh tile buffers.
 
     Draw i of a shot is u = counter_uniforms(key, shot*n_locs + i); location
     i fires iff u < prob and then applies Pauli min(u/prob*k, k-1) of its k
@@ -514,7 +530,6 @@ def _sample_chunk(circuit: CircuitSpec, key: int, start: int, stop: int,
     (`candidate`) can fire; the chunk finishes their hashes and tests them
     against their own bounds.
     """
-    plan = circuit._plan
     n, n_live, tile = stop - start, plan.live.shape[0], plan.tile
     words = tile * n_live
     if buffers is None or buffers.states.size < words:
@@ -661,6 +676,9 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
     """Sample `shots_per_p` shots at each fault rate, `chunk_size` shots per
     sampler call.
 
+    Each rate's draw plan is built once per (rounds, p) per process, in the
+    calling thread, and reused by every later call at the same (rounds, p).
+
     The (fault rate, chunk) jobs are split over min(usable CPUs, jobs)
     workers: the calling thread runs every workers-th job from the first and
     one helper thread per further worker runs the jobs from its own offset.
@@ -685,13 +703,9 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
     labels = np.empty(n_total, dtype=np.uint8)
     jobs = []
     for pi, p in enumerate(p_values):
-        circuit = build_memory_x_circuit(rounds, NoiseParams(p))
-        # built here, before any helper starts: on Python < 3.12 the
-        # cached_property holds a class-wide lock while it builds, and on
-        # 3.12+ two threads could each build the plan
-        circuit._plan
+        plan = _memory_x_plan(rounds, p)   # here, so no helper builds one
         key = derive_seed(seed, Stage.DATASET, pi)
-        jobs += [(circuit, key, pi * shots_per_p, start, min(start + chunk_size, shots_per_p))
+        jobs += [(plan, key, pi * shots_per_p, start, min(start + chunk_size, shots_per_p))
                  for start in range(0, shots_per_p, chunk_size)]
 
     workers = min(_usable_cpus(), len(jobs))
@@ -707,11 +721,11 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
 
     def run_share(w: int) -> None:
         try:
-            for circuit, key, offset, start, end in jobs[w::workers]:
+            for plan, key, offset, start, end in jobs[w::workers]:
                 if stop.is_set():
                     return
                 at = slice(offset + start, offset + end)
-                events[at], labels[at] = _sample_chunk(circuit, key, start, end, buffers[w])
+                events[at], labels[at] = _sample_chunk(plan, key, start, end, buffers[w])
         except BaseException as exc:   # re-raised by the caller below
             errors[w] = exc
             stop.set()

@@ -344,6 +344,12 @@ class TestStuckSweep:
                            "acc_std": report.acc_std[0]}
         assert len({r["acc_mean"] for r in rows}) > 1
 
+    def test_empty_base_params_rejected(self, setup):
+        configs, _, tests, protocol = setup
+        with pytest.raises(ValueError, match="base_params"):
+            ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, MASTER,
+                               test_sets=tests, base_params=[])
+
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_outside_unit_interval_rejected(self, setup, rate):
         configs, base, tests, protocol = setup

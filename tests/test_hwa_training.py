@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memdec import analog_model as am
+from memdec import config
 from memdec import hwa_training as hwa
 from memdec import rnn_decoder as rd
 from memdec import surface_code_sim as sc
@@ -20,6 +21,21 @@ def small_data():
 def fp_params(small_data):
     train, val = small_data
     return rd.train_fp(train, val, rd.TrainConfig(epochs=4, seed=23))
+
+
+class TestRetrainConfig:
+    # a negative or NaN noise_relative used to retrain with no noise, and a
+    # NaN clip_scale to fail only inside adam_step
+    @pytest.mark.parametrize("value", [-1.0, -0.0, 0.0, 1e-300, 2.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("key", ["retrain.noise_relative", "retrain.clip_scale"])
+    def test_fields_follow_their_config_key_rules(self, key, value):
+        field = key.split(".")[1]
+        _, check = config._KEYS[key].rule
+        if check(value):
+            assert getattr(hwa.RetrainConfig(**{field: value}), field) == value
+        else:
+            with pytest.raises(ValueError, match=field):
+                hwa.RetrainConfig(**{field: value})
 
 
 class TestDropconnectMask:

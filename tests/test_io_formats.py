@@ -197,6 +197,22 @@ def test_curve_csv_has_a_header_and_one_row_per_p(tmp_path):
                                 "0.01,0.125,0.05\n")
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_dataset_seed_round_trips_exactly(tmp_path, seed):
+    data = sc.generate_dataset([1e-2], 5, 3, seed)
+    iof.save_dataset(data, tmp_path / "d.mdds")
+    loaded = iof.load_dataset(tmp_path / "d.mdds")
+    assert loaded.seed == seed and type(loaded.seed) is int
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_dataset_seed_outside_the_field_rejected(tmp_path, seed):
+    data = sc.generate_dataset([1e-2], 5, 3, seed)
+    with pytest.raises(ValueError, match="seed"):
+        iof.save_dataset(data, tmp_path / "d.mdds")
+    assert not (tmp_path / "d.mdds").exists()
+
+
 def _saved(kind: str, seed: int, size: int, path: Path):
     """Save one object of `kind` to `path`; returns what a load must give."""
     if kind == "dataset":

@@ -27,9 +27,14 @@ def noisy_circuit():
     return sc.build_memory_x_circuit(3, sc.NoiseParams(0.01))
 
 
-def one_shot(circuit, key, shot):
+@pytest.fixture(scope="module")
+def noisy_plan(noisy_circuit):
+    return sc._draw_plan(noisy_circuit)
+
+
+def one_shot(plan, key, shot):
     """Events and label of shot `shot` of stream `key`, sampled alone."""
-    events, labels = sc._sample_chunk(circuit, key, shot, shot + 1)
+    events, labels = sc._sample_chunk(plan, key, shot, shot + 1)
     return events[0], labels[0]
 
 
@@ -74,7 +79,7 @@ class TestBuildCircuit:
 class TestSampleShot:
     def test_noiseless_shot_is_all_zero(self):
         c = sc.build_memory_x_circuit(3, sc.NoiseParams(0.0))
-        events, label = one_shot(c, 7, 0)
+        events, label = one_shot(sc._draw_plan(c), 7, 0)
         assert not events.any() and not label
 
     def test_injected_x_flips_adjacent_z_ancillas(self, noisy_circuit):
@@ -104,11 +109,11 @@ class TestSampleShot:
         # qubit 0 sits only in X stabilizer {0,1} -> detector column 0
         assert list(events[3]) == [1, 0, 0, 0]
 
-    def test_single_shot_matches_batch_row(self, noisy_circuit):
+    def test_single_shot_matches_batch_row(self, noisy_plan):
         key = 99
-        events_b, labels_b = sc._sample_chunk(noisy_circuit, key, 0, 32)
+        events_b, labels_b = sc._sample_chunk(noisy_plan, key, 0, 32)
         for i in (0, 5, 31):
-            events, label = one_shot(noisy_circuit, key, i)
+            events, label = one_shot(noisy_plan, key, i)
             assert np.array_equal(events, events_b[i])
             assert label == labels_b[i]
 
@@ -136,7 +141,7 @@ def _replay(circuit, key, shot):
 
 
 def assert_matches_replay(circuit, key, start, stop):
-    events, labels = sc._sample_chunk(circuit, key, start, stop)
+    events, labels = sc._sample_chunk(sc._draw_plan(circuit), key, start, stop)
     assert events.shape == (stop - start, circuit.rounds + 1, 4)
     for row, shot in enumerate(range(start, stop)):
         want_events, want_label = _replay(circuit, key, shot)
@@ -200,42 +205,42 @@ class TestFaultTableSampler:
                 assert np.array_equal(unpacked[j, :table.bits],
                                       np.append(events.reshape(-1), label)), (loc, j)
 
-    def test_any_subset_and_order_of_shots(self, noisy_circuit):
+    def test_any_subset_and_order_of_shots(self, noisy_plan):
         # a shot sampled inside a range equals the same shot sampled alone
         for start, stop in ((0, 5), (77, 80), (2**40 - 2, 2**40 + 3)):
-            events, labels = sc._sample_chunk(noisy_circuit, 5, start, stop)
+            events, labels = sc._sample_chunk(noisy_plan, 5, start, stop)
             for row, shot in enumerate(range(start, stop)):
-                e1, l1 = one_shot(noisy_circuit, 5, shot)
+                e1, l1 = one_shot(noisy_plan, 5, shot)
                 assert np.array_equal(e1, events[row]) and l1 == labels[row], shot
 
     @pytest.mark.parametrize("words", [sc._TILE_WORDS, 10])
-    def test_given_tile_buffers_keep_bits(self, noisy_circuit, words):
+    def test_given_tile_buffers_keep_bits(self, noisy_plan, words):
         # buffers too small for one tile row are replaced by fresh ones
         buffers = sc._TileBuffers(words)
         for b in (buffers.states, buffers.scratch, buffers.mask, buffers.offsets):
             b.fill(1)
-        events, labels = sc._sample_chunk(noisy_circuit, 5, 0, 600, buffers)
-        events_ref, labels_ref = sc._sample_chunk(noisy_circuit, 5, 0, 600)
+        events, labels = sc._sample_chunk(noisy_plan, 5, 0, 600, buffers)
+        events_ref, labels_ref = sc._sample_chunk(noisy_plan, 5, 0, 600)
         assert np.array_equal(events, events_ref) and np.array_equal(labels, labels_ref)
 
-    def test_tile_offsets_refilled_for_another_plan(self, noisy_circuit):
+    def test_tile_offsets_refilled_for_another_plan(self, noisy_plan):
         # one worker's buffers serve circuits of different location counts
         buffers = sc._TileBuffers()
-        for circuit in (noisy_circuit, sc.build_memory_x_circuit(2, sc.NoiseParams(0.05)),
-                        noisy_circuit):
-            events, labels = sc._sample_chunk(circuit, 5, 300, 900, buffers)
-            events_ref, labels_ref = sc._sample_chunk(circuit, 5, 300, 900)
-            assert buffers.plan is circuit._plan
+        other = sc._draw_plan(sc.build_memory_x_circuit(2, sc.NoiseParams(0.05)))
+        for plan in (noisy_plan, other, noisy_plan):
+            events, labels = sc._sample_chunk(plan, 5, 300, 900, buffers)
+            events_ref, labels_ref = sc._sample_chunk(plan, 5, 300, 900)
+            assert buffers.plan is plan
             assert np.array_equal(events, events_ref) and np.array_equal(labels, labels_ref)
 
     def test_circuit_without_noise_locations(self, noisy_circuit):
         bare = sc.CircuitSpec(noisy_circuit.qubit_count, noisy_circuit.rounds, tuple(
             sc.Instruction(ins.gate, ins.qubits) for ins in noisy_circuit.instructions))
-        events, labels = sc._sample_chunk(bare, 5, 0, 10)
+        events, labels = sc._sample_chunk(sc._draw_plan(bare), 5, 0, 10)
         assert events.shape == (10, 4, 4) and not events.any() and not labels.any()
 
-    def test_empty_batch(self, noisy_circuit):
-        events, labels = sc._sample_chunk(noisy_circuit, 5, 0, 0)
+    def test_empty_batch(self, noisy_plan):
+        events, labels = sc._sample_chunk(noisy_plan, 5, 0, 0)
         assert events.shape == (0, 4, 4) and labels.shape == (0,)
 
     def test_fault_twice_on_one_instruction_rejected(self, noisy_circuit):
@@ -261,7 +266,7 @@ class TestFireTestEdges:
         # a key that puts the full hash of one draw exactly on its bound (it
         # fires) or one above (it does not)
         circuit = sc.build_memory_x_circuit(3, sc.NoiseParams(p))
-        plan = circuit._plan
+        plan = sc._draw_plan(circuit)
         loc, shot = _flip_location(circuit, 9, 1), 2**40 + 3
         assert plan.live[loc] == loc
         bound = int(plan.bound[loc])
@@ -295,7 +300,7 @@ class TestFireTestEdges:
             instructions.append(ins)
         circuit = sc.CircuitSpec(base.qubit_count, base.rounds, tuple(instructions))
         sc.validate_circuit(circuit)
-        plan = circuit._plan
+        plan = sc._draw_plan(circuit)
         assert 0 < len(plan.live) < sc.count_fault_locations(base)
         assert plan.candidate == 2**64 - 1 and (plan.prob == 1.0).any()
         for key in (2**64 - 1, 2**64 - 2**20):
@@ -356,8 +361,8 @@ class TestToSample:
             assert np.array_equal(events[i, 3], perfect ^ m[2])
             assert labels[i] == data[i, list(sc.X_LOGICAL)].sum() % 2
 
-    def test_label_rate_positive_below_half(self, noisy_circuit):
-        _, labels = sc._sample_chunk(noisy_circuit, 11, 0, 4000)
+    def test_label_rate_positive_below_half(self, noisy_plan):
+        _, labels = sc._sample_chunk(noisy_plan, 11, 0, 4000)
         rate = labels.mean()
         assert 0.0 < rate < 0.5
 
@@ -440,9 +445,9 @@ class TestParallelSampling:
         seen = {}
         sample = sc._sample_chunk
 
-        def spy(circuit, key, start, stop, buffers):
+        def spy(plan, key, start, stop, buffers):
             seen[(key, start)] = threading.get_ident()
-            return sample(circuit, key, start, stop, buffers)
+            return sample(plan, key, start, stop, buffers)
 
         monkeypatch.setattr(sc, "_sample_chunk", spy)
         return seen
@@ -453,22 +458,26 @@ class TestParallelSampling:
     def test_bytes_equal_for_any_worker_count(self, monkeypatch, reference,
                                               sampling_threads, cpus, chunk_size):
         monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ds = sc.generate_dataset(self.P_VALUES, 500, 3, seed=9, chunk_size=chunk_size)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(ds.events, reference.events)
-        assert np.array_equal(ds.labels, reference.labels)
-        assert np.array_equal(ds.p_index, reference.p_index)
         jobs = 2 * -(-500 // chunk_size)
         workers = min(cpus, jobs)
-        threads = set(sampling_threads.values())
-        assert len(sampling_threads) == jobs
-        assert threading.get_ident() in threads          # the caller runs a share
-        # a finished helper's ident may be reused by a later one
-        assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
+        sc._memory_x_plan.cache_clear()
+        for plans in ("cold", "warm"):      # the cold call fills the cache
+            sampling_threads.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                ds = sc.generate_dataset(self.P_VALUES, 500, 3, seed=9,
+                                         chunk_size=chunk_size)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(ds.events, reference.events), plans
+            assert np.array_equal(ds.labels, reference.labels), plans
+            assert np.array_equal(ds.p_index, reference.p_index), plans
+            threads = set(sampling_threads.values())
+            assert len(sampling_threads) == jobs
+            assert threading.get_ident() in threads          # the caller runs a share
+            # a finished helper's ident may be reused by a later one
+            assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
 
     @pytest.mark.parametrize("failing_chunk", [0, 1, 5])
     def test_chunk_exception_reaches_caller(self, monkeypatch, failing_chunk):
@@ -476,10 +485,10 @@ class TestParallelSampling:
         monkeypatch.setattr(sc, "_usable_cpus", lambda: 3)
         sample = sc._sample_chunk
 
-        def failing(circuit, key, start, stop, buffers):
+        def failing(plan, key, start, stop, buffers):
             if start == 64 * failing_chunk:
                 raise ChunkFailure(f"chunk {failing_chunk}")
-            return sample(circuit, key, start, stop, buffers)
+            return sample(plan, key, start, stop, buffers)
 
         monkeypatch.setattr(sc, "_sample_chunk", failing)
         before = threading.active_count()
@@ -490,6 +499,68 @@ class TestParallelSampling:
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(sc.os, "sched_getaffinity", raising=False)
         assert sc._usable_cpus() == (sc.os.cpu_count() or 1)
+
+
+class TestPlanCache:
+    """`generate_dataset` builds each (rounds, p) draw plan once per process,
+    in the calling thread."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Thread ident of every plan build from an empty cache on."""
+        seen = []
+        build = sc._draw_plan
+
+        def spy(circuit):
+            seen.append(threading.get_ident())
+            return build(circuit)
+
+        monkeypatch.setattr(sc, "_draw_plan", spy)
+        sc._memory_x_plan.cache_clear()
+        yield seen
+        sc._memory_x_plan.cache_clear()
+
+    def test_repeated_rates_build_no_plan(self, builds):
+        sc.generate_dataset([1e-2, 1e-3], 50, 3, seed=4)
+        assert len(builds) == 2
+        again = sc.generate_dataset([1e-3, 1e-2], 70, 3, seed=5)
+        assert len(builds) == 2
+        # the cached plans sample the bytes of freshly built ones
+        sc._memory_x_plan.cache_clear()
+        fresh = sc.generate_dataset([1e-3, 1e-2], 70, 3, seed=5)
+        assert len(builds) == 4
+        assert np.array_equal(again.events, fresh.events)
+        assert np.array_equal(again.labels, fresh.labels)
+
+    @pytest.mark.parametrize("cpus", [3, 8])
+    def test_no_helper_builds_a_plan(self, monkeypatch, builds, cpus):
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
+        sc.generate_dataset([1e-2, 1e-3, 0.2], 300, 3, seed=2, chunk_size=16)
+        assert builds == [threading.get_ident()] * 3
+
+    def test_other_rounds_or_rate_gets_its_own_plan(self, builds):
+        # float32 0.5 equals and hashes like 0.5, but its circuit's flip
+        # probability 2p/3 is rounded to float32
+        keys = [(3, 0.5), (2, 0.5), (3, 1e-3), (3, np.float32(0.5))]
+        assert hash(keys[3][1]) == hash(0.5) and keys[3][1] == 0.5
+        plans = [sc._memory_x_plan(rounds, p) for rounds, p in keys]
+        assert len(builds) == len(keys)
+        assert len({id(plan) for plan in plans}) == len(keys)
+        assert not np.array_equal(plans[3].prob, plans[0].prob)
+        for (rounds, p), plan in zip(keys, plans):
+            assert sc._memory_x_plan(rounds, p) is plan
+            want = sc._draw_plan(sc.build_memory_x_circuit(rounds, sc.NoiseParams(p)))
+            assert plan.rounds == want.rounds == rounds
+            assert np.array_equal(plan.prob, want.prob)
+            assert np.array_equal(plan.bound, want.bound)
+
+    def test_cached_plan_arrays_are_read_only(self):
+        plan = sc._memory_x_plan(3, 1e-2)
+        arrays = [plan.live, plan.prob, plan.paulis, plan.signatures, plan.bound, plan.col]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestSingleFaults:
