@@ -4,15 +4,16 @@ Signed weights map onto differential conductance pairs (high/low conductance
 states default to 200/60 uS): the signed side programs to
 |W|*(G_hcs-G_lcs)/W_max + G_lcs, the other side stays at G_lcs. Programming
 adds Gaussian variability with a conductance-dependent standard deviation
-sigma_prog(G) — a polynomial fitted from characterization data, or the
-constant-relative 0.8% fallback. Stuck differential pairs are forced to the
-high-conductance state on both sides, cancelling to an effective weight of
-exactly zero. The analog path quantizes DAC inputs (range 1, after scaling
-by the ADC bound) and ADC outputs (range 6) at 8 bits. One in-place
-quantizer, `_quantize`, does all of that rounding (half away from zero, then
-the clamp): the plan executor below, `quantize`, and the in-place DAC and
-ADC that hardware-aware retraining builds from `_convert_in` and
-`_quantize` under `io_discretize`.
+sigma_prog(G): a polynomial in G (the paper's Fig. 2(b), after Mouny et al.
+2023) whose coefficients come from the `crossbar.variability_coeffs` config
+key, or, when that is empty, the constant-relative 0.8% fallback. Stuck
+differential pairs are forced to the high-conductance state on both sides,
+cancelling to an effective weight of exactly zero. The analog path quantizes
+DAC inputs (range 1, after scaling by the ADC bound) and ADC outputs (range
+6) at 8 bits. One in-place quantizer, `_quantize`, does all of that rounding
+(half away from zero, then the clamp): the plan executor below, `quantize`,
+and the in-place DAC and ADC that hardware-aware retraining builds from
+`_convert_in` and `_quantize` under `io_discretize`.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -36,7 +37,6 @@ stays on gemm.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -58,6 +58,12 @@ class VariabilityModel:
 
     coefficients: tuple[float, ...] = ()
     fallback_relative: float = 0.008
+
+    def __post_init__(self):
+        # the rule of the crossbar.fallback_relative config key; NaN fails it
+        if not self.fallback_relative >= 0:
+            raise ValueError("fallback_relative must be a non-negative real, "
+                             f"got {self.fallback_relative}")
 
     def sigma(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=np.float64)
@@ -88,8 +94,9 @@ class CrossbarConfig:
             raise ValueError(f"need g_hcs > g_lcs > 0, got {self.g_hcs}, {self.g_lcs}")
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
-        if self.adc_bound <= 0 or self.dac_bound <= 0:
-            raise ValueError("ADC/DAC bounds must be positive")
+        for name in ("adc_bound", "dac_bound"):   # NaN fails too
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be a positive real, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -386,11 +393,6 @@ def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
     return AnalogPlan(events, cfg).logits(programmed).copy()
 
 
-def analog_forward_batch(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                         events: np.ndarray) -> np.ndarray:
-    return logits_to_bits(analog_logits(programmed, cfg, events))
-
-
 def _converter_settings(cfg: CrossbarConfig) -> tuple:
     return cfg.adc_bound, cfg.dac_bound, cfg.levels, cfg.quantize_io
 
@@ -418,36 +420,3 @@ def analog_accuracy(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
         return logits_to_bits(plan.logits(programmed))
 
     return table_accuracy(predict, rows, counts)
-
-
-def fit_variability_model(rows: Sequence[tuple[float, float]], degree: int,
-                          fallback_relative: float = 0.008) -> VariabilityModel:
-    """Fit sigma_prog(G) from (target_uS, programmed_uS) characterization
-    pairs: per-target sample std, then a least-squares polynomial in the
-    target conductance."""
-    by_target: dict[float, list[float]] = {}
-    for target, programmed in rows:
-        by_target.setdefault(float(target), []).append(float(programmed))
-    targets = sorted(t for t, vals in by_target.items() if len(vals) >= 2)
-    if len(targets) < degree + 1:
-        raise ValueError(f"need at least {degree + 1} conductance states with "
-                         f">= 2 readings each, got {len(targets)}")
-    sigmas = [float(np.std(by_target[t], ddof=1)) for t in targets]
-    coeffs = np.polynomial.polynomial.polyfit(targets, sigmas, degree)
-    return VariabilityModel(tuple(float(c) for c in coeffs),
-                            fallback_relative=fallback_relative)
-
-
-def read_characterization_csv(path) -> list[tuple[float, float]]:
-    """Read (target_conductance_uS, programmed_conductance_uS) pairs; the
-    device_id / cycle_id columns are accepted and ignored."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"target_conductance_uS", "programmed_conductance_uS"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"characterization CSV must have columns {sorted(required)}")
-        for row in reader:
-            rows.append((float(row["target_conductance_uS"]),
-                         float(row["programmed_conductance_uS"])))
-    return rows

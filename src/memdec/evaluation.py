@@ -48,10 +48,13 @@ class EvalProtocol:
     rounds: int = 3
 
     def __post_init__(self):
-        if min(self.n_train_runs, self.n_infer_runs, self.test_shots) < 1:
-            raise ValueError("protocol counts must be >= 1")
+        for name in ("n_train_runs", "n_infer_runs", "test_shots", "rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.p_values:
             raise ValueError("protocol needs at least one fault rate")
+        if not all(0 < p <= 1 for p in self.p_values):   # NaN fails too
+            raise ValueError(f"p_values must be probabilities in (0, 1], got {self.p_values}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,13 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                          "when given")
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
+    missing = [p for p in protocol.p_values if p not in test_sets]
+    if missing:
+        raise ValueError(f"test_sets has no set at protocol fault rate(s) {missing}")
+    other = [p for p, s in test_sets.items() if s.rounds != protocol.rounds]
+    if other:
+        raise ValueError(f"test_sets at {other} do not have the protocol's "
+                         f"{protocol.rounds} rounds")
     xcfg = configs.crossbar_config
 
     # every run is trained (and retrained) before any chip is evaluated, so

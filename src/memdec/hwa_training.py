@@ -159,23 +159,6 @@ def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | Non
             lambda v: _quantize(v, xcfg.adc_bound, xcfg.levels) if xcfg.quantize_io else v)
 
 
-def masked_loss_and_grads(params: DecoderParams, keep: np.ndarray,
-                          events: np.ndarray, labels: np.ndarray,
-                          noise_relative: float = 0.0,
-                          rng: np.random.Generator | None = None,
-                          io: rd.Converters | None = None,
-                          work: rd.Workspace | None = None,
-                          eff: EffectiveParams | None = None,
-                          ) -> tuple[float, DecoderParams]:
-    """Cross-entropy loss/grads of the masked (and optionally noised and
-    discretized) forward pass; gradients are zero where `keep` is 0. `work`
-    and `eff` are reused buffers (see `rd.Workspace`, `_perturbed`)."""
-    eff = _perturbed(params, keep, noise_relative, rng, eff)
-    loss, grads = rd.loss_and_grads(eff, events, labels, io, work)
-    grads.flat *= keep
-    return loss, grads
-
-
 def _draws(cfg: RetrainConfig, p_drop: float, keep_fixed: np.ndarray | None, key: int,
            count: int):
     """Draw i < count under `key`: the keep-mask (`keep_fixed`, or dropconnect
@@ -211,8 +194,9 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
 
         def update(batch, events, labels, work, state):
             keep, noise_rng = draw(batch)
-            _, grads = masked_loss_and_grads(params, keep, events, labels,
-                                             cfg.noise_relative, noise_rng, io, work, eff)
+            masked = _perturbed(params, keep, cfg.noise_relative, noise_rng, eff)
+            _, grads = rd.loss_and_grads(masked, events, labels, io, work)
+            grads.flat *= keep   # no gradient through a dropped weight
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:
                 clip_weights(params, cfg.clip_scale)

@@ -19,14 +19,12 @@ import numpy as np
 from .analog_model import FaultMap
 from .errors import CorruptFileError, UpgradeNeededError
 from .rnn_decoder import DecoderParams
-from .surface_code_sim import Dataset
+from .surface_code_sim import _SPLIT_TAGS, Dataset
 
 DATASET_MAGIC = b"MDDS"
 CHECKPOINT_MAGIC = b"MDCK"
 FAULTMAP_MAGIC = b"MDFM"
 FORMAT_VERSION = 1
-
-_SPLIT_TAGS = ("train", "validation", "test")
 
 
 def _check_fits(fh, n: int, what: str) -> None:
@@ -60,6 +58,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     if not 0 <= dataset.seed < 2**64:
         raise ValueError(f"dataset seed {dataset.seed} does not fit the file's "
                          "unsigned 64-bit seed field")
+    if dataset.split_tag not in _SPLIT_TAGS:
+        raise ValueError(f"split_tag {dataset.split_tag!r} is not one of {_SPLIT_TAGS}")
     n = len(dataset)
     buf = io.BytesIO()
     buf.write(DATASET_MAGIC)

@@ -162,12 +162,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # the rules of the train.* config keys; NaN fails each real one
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a real in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be a positive real, got {self.adam_eps}")
 
 
 def _check_events(events: np.ndarray) -> np.ndarray:

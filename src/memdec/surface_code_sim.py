@@ -186,6 +186,9 @@ class CircuitSpec:
     instructions: tuple[Instruction, ...]
 
 
+_SPLIT_TAGS = ("train", "validation", "test")   # a dataset's split_tag values
+
+
 @dataclass
 class Dataset:
     events: np.ndarray        # (n, rounds+1, 4) uint8
@@ -278,32 +281,6 @@ def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
     """
     pred = predict(table_batch(rows, counts))[:len(rows)]
     return float(counts[np.arange(len(rows)), pred].sum() / int(counts.sum()))
-
-
-def validate_circuit(circuit: CircuitSpec) -> None:
-    mz_qubits: list[int] = []
-    mx_count = 0
-    for ins in circuit.instructions:
-        for q in ins.qubits:
-            if not 0 <= q < circuit.qubit_count:
-                raise ValueError(f"qubit {q} out of range")
-        if ins.gate is Gate.CNOT:
-            if len(ins.qubits) != 2 or ins.qubits[0] == ins.qubits[1]:
-                raise ValueError(f"bad CNOT targets {ins.qubits}")
-        if ins.gate is Gate.MEASURE_Z:
-            mz_qubits.append(ins.qubits[0])
-        if ins.gate is Gate.MEASURE_X:
-            mx_count += 1
-    if len(mz_qubits) != 8 * circuit.rounds:
-        raise ValueError(f"expected {8 * circuit.rounds} ancilla measurements, "
-                         f"got {len(mz_qubits)}")
-    for r in range(circuit.rounds):
-        group = mz_qubits[8 * r:8 * (r + 1)]
-        if sorted(group) != sorted(ANCILLAS) or tuple(group[:4]) != X_ANCILLAS:
-            raise ValueError(f"round {r} measures {group}, expected all 8 ancillas "
-                             "with the X type first")
-    if mx_count != len(DATA_QUBITS):
-        raise ValueError(f"expected 9 data measurements, got {mx_count}")
 
 
 def build_memory_x_circuit(rounds: int, noise: NoiseParams) -> CircuitSpec:
@@ -688,6 +665,10 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
     own counter-based stream and each chunk fills only its own rows, so the
     result is bit-identical for any chunk size and worker count.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    if split_tag not in _SPLIT_TAGS:
+        raise ValueError(f"split_tag {split_tag!r} is not one of {_SPLIT_TAGS}")
     if len(p_values) == 0:
         raise ValueError("p_values must be non-empty")
     if shots_per_p < 1:
@@ -776,8 +757,3 @@ def enumerate_single_faults(circuit: CircuitSpec,
         ancilla[row], data[row] = _simulate_fault(circuit, (fault,))
     events, labels = _events_batch(ancilla, data)
     return faults, events, labels
-
-
-def count_fault_locations(circuit: CircuitSpec) -> int:
-    return sum(1 for ins in circuit.instructions
-               if ins.noise is not None and ins.noise.prob > 0.0)

@@ -4,7 +4,7 @@ from functools import reduce
 import pytest
 
 from memdec import config as cf
-from memdec.analog_model import CrossbarConfig
+from memdec.analog_model import CrossbarConfig, VariabilityModel
 from memdec.errors import ConfigError
 from memdec.evaluation import EvalProtocol
 from memdec.hwa_training import RetrainConfig
@@ -162,3 +162,39 @@ def test_serialize_refuses_fields_no_key_writes():
     with pytest.raises(ConfigError) as info:
         cf.serialize_config(cfg)
     assert str(info.value) == "no key writes train.seed, retrain.seed"
+
+
+# The dataclasses that enforce their keys' rules. DatasetConfig and RunConfig
+# do not, so that the serializer's refusals above can be built.
+CHECKED = (TrainConfig, RetrainConfig, CrossbarConfig, VariabilityModel, EvalProtocol)
+# texts of each value kind, inside and outside every rule of that kind
+REALS = ["-inf", "-1", "-0.0", "0", "1e-300", "0.5", "1", "1.5", "200", "inf", "nan"]
+PROBES = {cf._INT: ["-1", "0", "1", "2", "3"], cf._FLOAT: REALS, cf._FLOAT_TUPLE: REALS,
+          cf._FLOATS: ["", "0.5,0.01", "-5", "nan"], cf._BOOL: ["true", "false"]}
+
+
+def checked_fields():
+    """(key, dataclass, field) of every key path that lands on a CHECKED
+    dataclass."""
+    for key, row in cf._KEYS.items():
+        for path in row.paths or (key,):
+            parent, _, name = path.rpartition(".")
+            owner = reduce(getattr, parent.split("."), cf.RunConfig()) if parent else None
+            if isinstance(owner, CHECKED):
+                yield key, type(owner), name
+
+
+@pytest.mark.parametrize("key, owner, name", list(checked_fields()))
+def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
+    # a NaN learning rate, Adam beta or eps, ADC/DAC bound or fallback
+    # variability, a beta outside [0, 1) and zero rounds used to be accepted
+    kind = cf._KEYS[key].kind
+    for text in PROBES[kind]:
+        value = kind.parse(text)
+        try:
+            cf.validate_config(f"{key} = {text}")
+        except ConfigError:
+            with pytest.raises(ValueError, match=name):
+                owner(**{name: value})
+        else:
+            assert getattr(owner(**{name: value}), name) == value

@@ -150,7 +150,8 @@ class TestSingleSyndrome:
         for j in range(5):
             rng = spawn_generator(MASTER, j)
             chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
-            per_shot = (am.analog_forward_batch(chip, xcfg, self.EVENTS) == self.LABELS).mean()
+            bits = rd.logits_to_bits(am.analog_logits(chip, xcfg, self.EVENTS))
+            per_shot = (bits == self.LABELS).mean()
             assert am.analog_accuracy(chip, xcfg, *table) == per_shot
         per_shot = (rd.predict_batch(params, self.EVENTS) == self.LABELS).mean()
         assert rd.accuracy(params, (self.EVENTS, self.LABELS)) == per_shot
@@ -171,9 +172,10 @@ class TestSingleSyndrome:
                     == am.analog_logits(chip, xcfg, self.EVENTS[:2]).tobytes())
             assert (plans[1].logits(chip).tobytes()
                     == am.analog_logits(chip, xcfg, self.EVENTS[:1]).tobytes())
-            per_shot = (am.analog_forward_batch(chip, xcfg, self.EVENTS) == self.LABELS).mean()
+            bits = rd.logits_to_bits(am.analog_logits(chip, xcfg, self.EVENTS))
+            per_shot = (bits == self.LABELS).mean()
             assert am.analog_accuracy(chip, xcfg, *several, plans[0]) == per_shot
-            alone = am.analog_forward_batch(chip, xcfg, self.EVENTS[:1])[0] == 1
+            alone = rd.logits_to_bits(am.analog_logits(chip, xcfg, self.EVENTS[:1]))[0] == 1
             assert am.analog_accuracy(chip, xcfg, *single, plans[1]) == float(alone)
 
 
@@ -205,7 +207,7 @@ def per_shot_reference(scheme, protocol, configs, tests, base):
             rng = spawn_generator(MASTER, Stage.PROGRAM, i, j)
             fmap = chip_map if chip_map is not None else am.FaultMap.sample(STUCK, rng)
             chip = am.program_decoder(params, xcfg, fmap, rng)
-            runs.append([(am.analog_forward_batch(chip, xcfg, tests[p].events)
+            runs.append([(rd.logits_to_bits(am.analog_logits(chip, xcfg, tests[p].events))
                           == tests[p].labels).mean() for p in protocol.p_values])
     return np.asarray(runs)
 
@@ -323,6 +325,25 @@ class TestEvaluateScheme:
         assert report.curve is not None
         assert report.pseudo_threshold is None
         assert report.pseudo_threshold_in_range is False
+
+
+    @pytest.mark.parametrize("fault", ["missing rate", "other rounds"])
+    def test_test_sets_checked_before_training(self, setup, monkeypatch, fault):
+        # a missing rate used to raise a bare KeyError after training, and a
+        # set of other rounds was decoded without complaint
+        configs, _, tests, protocol = setup
+
+        def no_training(*args):
+            raise AssertionError("trained before checking the test sets")
+
+        monkeypatch.setattr(rd, "train_fp", no_training)
+        sets = dict(tests)
+        if fault == "missing rate":
+            del sets[TEST_P[1]]
+        else:
+            sets[TEST_P[1]] = sc.generate_dataset([TEST_P[1]], 50, 5, seed=5, split_tag="test")
+        with pytest.raises(ValueError, match="rate" if fault == "missing rate" else "rounds"):
+            ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, MASTER, test_sets=sets)
 
 
 class TestStuckSweep:

@@ -1,6 +1,6 @@
 import struct
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -207,8 +207,17 @@ def test_dataset_seed_round_trips_exactly(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_dataset_seed_outside_the_field_rejected(tmp_path, seed):
-    data = sc.generate_dataset([1e-2], 5, 3, seed)
+    # generate_dataset refuses such a seed, so the dataset is built by hand
+    data = replace(sc.generate_dataset([1e-2], 5, 3, 0), seed=seed)
     with pytest.raises(ValueError, match="seed"):
+        iof.save_dataset(data, tmp_path / "d.mdds")
+    assert not (tmp_path / "d.mdds").exists()
+
+
+def test_dataset_unknown_split_tag_rejected(tmp_path):
+    # failed with a bare "tuple.index(x): x not in tuple"
+    data = replace(sc.generate_dataset([1e-2], 5, 3, 0), split_tag="bogus")
+    with pytest.raises(ValueError, match="split_tag 'bogus'"):
         iof.save_dataset(data, tmp_path / "d.mdds")
     assert not (tmp_path / "d.mdds").exists()
 

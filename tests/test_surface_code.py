@@ -32,6 +32,41 @@ def noisy_plan(noisy_circuit):
     return sc._draw_plan(noisy_circuit)
 
 
+def validate_circuit(circuit):
+    """Raise unless `circuit` has the memory-X layout the builder makes:
+    qubits in range, two distinct CNOT qubits, every round measuring all 8
+    ancillas with the X type first, and 9 final data measurements."""
+    mz_qubits: list[int] = []
+    mx_count = 0
+    for ins in circuit.instructions:
+        for q in ins.qubits:
+            if not 0 <= q < circuit.qubit_count:
+                raise ValueError(f"qubit {q} out of range")
+        if ins.gate is sc.Gate.CNOT:
+            if len(ins.qubits) != 2 or ins.qubits[0] == ins.qubits[1]:
+                raise ValueError(f"bad CNOT targets {ins.qubits}")
+        if ins.gate is sc.Gate.MEASURE_Z:
+            mz_qubits.append(ins.qubits[0])
+        if ins.gate is sc.Gate.MEASURE_X:
+            mx_count += 1
+    if len(mz_qubits) != 8 * circuit.rounds:
+        raise ValueError(f"expected {8 * circuit.rounds} ancilla measurements, "
+                         f"got {len(mz_qubits)}")
+    for r in range(circuit.rounds):
+        group = mz_qubits[8 * r:8 * (r + 1)]
+        if sorted(group) != sorted(sc.ANCILLAS) or tuple(group[:4]) != sc.X_ANCILLAS:
+            raise ValueError(f"round {r} measures {group}, expected all 8 ancillas "
+                             "with the X type first")
+    if mx_count != len(sc.DATA_QUBITS):
+        raise ValueError(f"expected 9 data measurements, got {mx_count}")
+
+
+def live_locations(circuit):
+    """How many noise locations of `circuit` have a probability above 0."""
+    return sum(1 for ins in circuit.instructions
+               if ins.noise is not None and ins.noise.prob > 0.0)
+
+
 def one_shot(plan, key, shot):
     """Events and label of shot `shot` of stream `key`, sampled alone."""
     events, labels = sc._sample_chunk(plan, key, shot, shot + 1)
@@ -48,11 +83,11 @@ class TestBuildCircuit:
     def test_three_rounds_shape(self, noisy_circuit):
         assert noisy_circuit.qubit_count == 17
         assert noisy_circuit.rounds == 3
-        sc.validate_circuit(noisy_circuit)
+        validate_circuit(noisy_circuit)
 
     def test_instruction_count_matches_hand_count(self, noisy_circuit):
         assert len(noisy_circuit.instructions) == INSTRUCTIONS_3_ROUNDS
-        assert sc.count_fault_locations(noisy_circuit) == LOCATIONS_3_ROUNDS
+        assert live_locations(noisy_circuit) == LOCATIONS_3_ROUNDS
 
     def test_noiseless_circuit_has_zero_prob_tags(self):
         c = sc.build_memory_x_circuit(1, sc.NoiseParams(0.0))
@@ -299,9 +334,9 @@ class TestFireTestEdges:
                 ins = sc.Instruction(ins.gate, ins.qubits, sc.Noise(ins.noise.kind, 1.0))
             instructions.append(ins)
         circuit = sc.CircuitSpec(base.qubit_count, base.rounds, tuple(instructions))
-        sc.validate_circuit(circuit)
+        validate_circuit(circuit)
         plan = sc._draw_plan(circuit)
-        assert 0 < len(plan.live) < sc.count_fault_locations(base)
+        assert 0 < len(plan.live) < live_locations(base)
         assert plan.candidate == 2**64 - 1 and (plan.prob == 1.0).any()
         for key in (2**64 - 1, 2**64 - 2**20):
             assert_matches_replay(circuit, key, 0, 30)
@@ -424,6 +459,19 @@ class TestGenerateDataset:
         for chunk_size in (0, -4):
             with pytest.raises(ValueError, match="chunk_size"):
                 sc.generate_dataset([1e-3], 10, 3, seed=0, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("seed, split_tag, match", [
+        (-1, "train", "seed"), (2**64, "train", "seed"), (0, "bogus", "split_tag")])
+    def test_seed_and_split_tag_checked_before_sampling(self, monkeypatch, seed,
+                                                        split_tag, match):
+        # seed -1 used to sample the bytes of seed 2^64 - 1 and record -1,
+        # and an unknown tag to fail only in save_dataset
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the arguments")
+
+        monkeypatch.setattr(sc, "_sample_chunk", no_sampling)
+        with pytest.raises(ValueError, match=match):
+            sc.generate_dataset([1e-3], 10, 3, seed=seed, split_tag=split_tag)
 
 
 class ChunkFailure(RuntimeError):
