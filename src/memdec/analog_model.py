@@ -10,10 +10,10 @@ key, or, when that is empty, the constant-relative 0.8% fallback. Stuck
 differential pairs are forced to the high-conductance state on both sides,
 cancelling to an effective weight of exactly zero. The analog path quantizes
 DAC inputs (range 1, after scaling by the ADC bound) and ADC outputs (range
-6) at 8 bits. One in-place quantizer, `_quantize`, does all of that rounding
-(half away from zero, then the clamp): the plan executor below, `quantize`,
-and the in-place DAC and ADC that hardware-aware retraining builds from
-`_convert_in` and `_quantize` under `io_discretize`.
+6) at 8 bits. One in-place quantizer, `_quantize`, rounds (half away from
+zero, then the clamp) for `quantize`, the plan executor below and
+retraining's DAC and ADC; the recurrent step's ADC, ReLU and DAC are one
+converter, `_convert_hidden`, with the same bits in fewer passes.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -22,10 +22,10 @@ Inference runs the recurrent unit once per distinct prefix of adjacent rows
 rather than once per row and step, then the evaluation unit on every row.
 It is split in two. An `AnalogPlan`, built once per batch of event rows and
 converter setting, holds what no chip changes: the DAC'd events of each
-prefix run with the bias column filled, each run's parent run, the final
-row -> run map and reused work buffers. Running it on a chip forms each
-unit's effective matrix G+ - G-, writes the hidden states into the plan's
-inputs and runs matmul, ADC, ReLU and DAC. `analog_logits` builds a plan
+prefix run with the bias column filled, how many runs continue each run
+and reused work buffers. Running it on a chip forms each unit's effective
+matrix G+ - G-, copies the hidden states into the plan's inputs and runs
+the matmul and `_convert_hidden`. `analog_logits` builds a plan
 and runs it once; the error-bar protocol builds one per test table
 (`table_plans`) and runs it on every chip. The logits are bit-identical to
 a per-row evaluation: the DAC and ADC act elementwise, so converting a
@@ -42,9 +42,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, DecoderParams,
-                          _check_events, logits_to_bits)
+from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, UNIT_SLICES,
+                          DecoderParams, _check_events, logits_to_bits)
 from .surface_code_sim import table_accuracy, table_batch
+
+_SIGN_BIT, _HALF_BITS = np.uint64(1 << 63), np.float64(0.5).view(np.uint64)
+_H0 = np.zeros((1, HIDDEN_SIZE))  # the hidden state every row starts from
 
 
 @dataclass(frozen=True)
@@ -145,43 +148,12 @@ class ProgrammedDecoder:
     scale_evaluation: float
 
 
-def map_weights(w: np.ndarray, w_max: float, cfg: CrossbarConfig,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Differential-pair conductance targets for a signed weight matrix."""
-    if w_max <= 0:
-        raise ValueError(f"w_max must be positive, got {w_max}")
-    w = np.asarray(w, dtype=np.float64)
-    span = cfg.g_hcs - cfg.g_lcs
-    programmed = np.abs(w) * span / w_max + cfg.g_lcs
-    g_plus = np.where(w > 0, programmed, cfg.g_lcs)
-    g_minus = np.where(w < 0, programmed, cfg.g_lcs)
-    return g_plus, g_minus
-
-
-def apply_variability(g: np.ndarray, model: VariabilityModel,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Add N(0, sigma_prog(g)) per device; no clipping afterwards."""
-    g = np.asarray(g, dtype=np.float64)
-    sigma = model.sigma(g)
-    return g + rng.standard_normal(g.shape) * sigma
-
-
 def sample_fault_map(shape: tuple[int, ...], stuck_rate: float,
                      rng: np.random.Generator) -> np.ndarray:
     """i.i.d. Bernoulli(stuck_rate) stuck indicator per differential pair."""
     if not 0.0 <= stuck_rate <= 1.0:
         raise ValueError(f"stuck_rate must lie in [0, 1], got {stuck_rate}")
     return rng.random(shape) < stuck_rate
-
-
-def apply_faults(g_plus: np.ndarray, g_minus: np.ndarray, stuck: np.ndarray,
-                 cfg: CrossbarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Force stuck pairs to the high-conductance state on both sides."""
-    stuck = np.asarray(stuck, dtype=bool)
-    if stuck.shape != g_plus.shape or g_plus.shape != g_minus.shape:
-        raise ValueError(f"shape mismatch: {g_plus.shape}, {g_minus.shape}, {stuck.shape}")
-    return (np.where(stuck, cfg.g_hcs, g_plus),
-            np.where(stuck, cfg.g_hcs, g_minus))
 
 
 def quantize(x, bound: float, levels: int):
@@ -196,26 +168,25 @@ def quantize(x, bound: float, levels: int):
     return out if out.ndim else float(out)
 
 
-def _quantize(x: np.ndarray, bound: float, levels: int,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """`quantize` in place on the float64 array `x` (`scratch`, if given, is
-    a buffer of x's shape for the rounding); returns `x`.
+def _quantize(x: np.ndarray, bound: float, levels: int) -> np.ndarray:
+    """`quantize` in place on the float64 array `x`; returns `x`.
 
     Rounds half away from zero as trunc(v + copysign(1/2, v)), which equals
     sign(v) * floor(|v| + 1/2) for every IEEE v but NaN: the sum rounds to
     the same magnitude for both signs, and trunc is floor on that magnitude
     with v's sign, -0.0 included. The half takes its sign from v + 0.0,
     which is +0.0 for v = -0.0, so an input of -0.0 gives +0.0 as
-    sign(-0.0) * 0 does. A NaN comes out as v = x / step, the input NaN
-    quieted with its sign and payload kept; sign(v) * floor(...) multiplies
-    two NaNs there, and numpy does not fix whose sign the product keeps.
-    +-inf clamps to +-bound.
+    sign(-0.0) * 0 does; OR'ing its sign bit into 1/2 costs two passes,
+    `np.copysign` about three. A NaN comes out as v = x / step, the input
+    NaN quieted with its sign and payload kept; sign(v) * floor(...)
+    multiplies two NaNs there, and numpy does not fix whose sign the
+    product keeps. +-inf clamps to +-bound.
     """
     step = 2.0 * bound / levels
     x /= step
-    half = np.add(x, 0.0, out=scratch)
-    np.copysign(0.5, half, out=half)
-    x += half
+    half = np.add(x, 0.0).view(np.uint64)
+    np.bitwise_and(half, _SIGN_BIT, out=half)
+    x += np.bitwise_or(half, _HALF_BITS, out=half).view(np.float64)
     np.trunc(x, out=x)
     x *= step
     np.maximum(x, -bound, out=x)
@@ -224,44 +195,76 @@ def _quantize(x: np.ndarray, bound: float, levels: int,
 
 def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
                     rng: np.random.Generator) -> ProgrammedDecoder:
-    """Map both decoder layers (bias row appended) onto crossbar units.
+    """Map both decoder layers (bias row appended) onto crossbar units, in
+    one pass over all conductances, laid out rec G+ | rec G- | eval G+ |
+    eval G- (the order their noise is drawn in); the G- sides read each
+    weight negated, so a positive entry is programmed, others sit at g_lcs.
 
     Programming order: target conductances, then per-device variability,
     then stuck-at faults. Faults land last so stuck pairs sit at exactly
     g_hcs on both sides and cancel to an effective weight of zero.
     """
-    units = []
-    scales = []
-    for mat, stuck in zip(params.units(), (fmap.recurrent, fmap.evaluation)):
-        w_max = float(np.abs(mat).max())
-        g_plus, g_minus = map_weights(mat, w_max, cfg)
-        g_plus = apply_variability(g_plus, cfg.variability, rng)
-        g_minus = apply_variability(g_minus, cfg.variability, rng)
-        g_plus, g_minus = apply_faults(g_plus, g_minus, stuck, cfg)
-        units.append(ProgrammedUnit(g_plus, g_minus))
-        scales.append(w_max / (cfg.g_hcs - cfg.g_lcs))
-    return ProgrammedDecoder(units[0], units[1], scales[0], scales[1])
+    rec, ev = (params.flat[unit] for unit in UNIT_SLICES)
+    signed = np.concatenate((rec, -rec, ev, -ev))
+    split = 2 * len(rec)
+    g = np.abs(signed)
+    w_max = np.maximum.reduceat(g, (0, split))
+    if (w_max <= 0).any():
+        raise ValueError(f"a unit with no nonzero weight cannot be mapped, w_max {w_max}")
+    g *= cfg.g_hcs - cfg.g_lcs
+    g /= np.repeat(w_max, (split, len(g) - split))
+    g += cfg.g_lcs
+    g = np.where(signed > 0, g, cfg.g_lcs)
+    g += rng.standard_normal(len(g)) * cfg.variability.sigma(g)
+    rec, ev = fmap.recurrent.reshape(-1), fmap.evaluation.reshape(-1)
+    np.putmask(g, np.concatenate((rec, rec, ev, ev)), cfg.g_hcs)
+    return ProgrammedDecoder(ProgrammedUnit(*g[:split].reshape(2, *RECURRENT_UNIT)),
+                             ProgrammedUnit(*g[split:].reshape(2, *EVALUATION_UNIT)),
+                             *(w_max / (cfg.g_hcs - cfg.g_lcs)).tolist())
 
 
-def _convert_in(v: np.ndarray, cfg: CrossbarConfig,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+def _convert_in(v: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
     """The DAC, in place on the float64 array `v`: inputs are scaled into
     [-1, 1] by the ADC bound before conversion, and the factor is restored
     after the analog product."""
     v /= cfg.adc_bound
-    return _quantize(v, cfg.dac_bound, cfg.levels, scratch) if cfg.quantize_io else v
+    return _quantize(v, cfg.dac_bound, cfg.levels) if cfg.quantize_io else v
 
 
-def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
+def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.ndarray:
     """Column currents to layer outputs, in place: de-scale to weight units,
     restore the DAC's factor, then the ADC."""
     current *= scale
     current *= cfg.adc_bound
-    return _quantize(current, cfg.adc_bound, cfg.levels, scratch) if cfg.quantize_io else current
+    return _quantize(current, cfg.adc_bound, cfg.levels) if cfg.quantize_io else current
 
 
-_H0 = np.zeros((1, HIDDEN_SIZE))  # the hidden state every row starts from
+def _convert_hidden(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.ndarray:
+    """`_convert_out`, ReLU, `_convert_in` in place: their bits in 13 passes
+    where they take about 24. Each stage after the ReLU never decreases and
+    keeps values >= 0 at >= 0, so the ReLU goes first (the DAC makes +0.0
+    of a zero of either sign). Then no lower clamp acts, each rounding half
+    is +1/2 (a NaN stays the input NaN quieted), and the ADC's clamp at A
+    commutes with the DAC, becoming a clamp at DAC(A) merged with its own.
+    """
+    current *= scale
+    current *= cfg.adc_bound
+    np.maximum(current, 0.0, out=current)
+    if not cfg.quantize_io:
+        return np.divide(current, cfg.adc_bound, out=current)
+    adc_step, dac_step = (2.0 * bound / cfg.levels for bound in (cfg.adc_bound, cfg.dac_bound))
+    # DAC(A) = trunc(A / A / dac_step + 1/2) * dac_step, within the DAC's range
+    top = min(np.trunc(1.0 / dac_step + 0.5) * dac_step, cfg.dac_bound)
+    current /= adc_step
+    current += 0.5
+    np.trunc(current, out=current)
+    current *= adc_step
+    current /= cfg.adc_bound
+    current /= dac_step
+    current += 0.5
+    np.trunc(current, out=current)
+    current *= dac_step
+    return np.minimum(current, top, out=current)
 
 
 class AnalogPlan:
@@ -280,14 +283,16 @@ class AnalogPlan:
 
     The plan holds what that grouping leaves chip-independent: each step's
     input block [DAC(x_t) | h | DAC(1)] with the DAC'd events and the bias
-    column filled, each run's parent run at the step before, and the final
-    row -> run map. `logits(programmed)` writes only the hidden-state
-    columns of those blocks before each step's product, then runs the
-    matmul, ADC, ReLU and DAC in work buffers it reuses. `work`, when
-    given, is a float64 vector of at least `work_size(len(events))` floats
-    holding those buffers; plans built with one `work` share them, so the
-    logits one of them returns are overwritten by the next `logits` call on
-    any of them. `table_plans` builds the plans of one evaluation so.
+    column filled, and how many runs at each step (rows after the last)
+    continue each run of the step before; runs continue runs in order, so
+    `np.repeat` by those counts gives each its parent's hidden state.
+    `logits(programmed)` writes only the hidden-state columns of those
+    blocks before each step's product, then runs the matmul and
+    `_convert_hidden` in work buffers it reuses. `work`, when given, is a
+    float64 vector of at least `work_size(len(events))` floats holding those
+    buffers; plans built with one `work` share them, so the logits one of
+    them returns are overwritten by the next `logits` call on any of them.
+    `table_plans` builds the plans of one evaluation so.
 
     A one-row product goes to gemv instead of gemm, whose bits can differ,
     so a step with one run inside a batch of several rows is planned as a
@@ -306,16 +311,16 @@ class AnalogPlan:
 
         new = np.zeros(n, bool)
         new[:1] = True
-        run = np.zeros(n, np.intp)      # each row's run at the previous step
+        run, runs = np.zeros(n, np.intp), 1   # each row's run, and the runs, at the step before
         plan = []
         for t in range(steps):
             new[1:] |= (bits[1:, t] != bits[:-1, t]).any(axis=1)
             starts = np.flatnonzero(new)
             if len(starts) == 1 and n > 1:
                 starts = np.zeros(2, np.intp)
-            plan.append((starts, run[starts]))
-            run = np.cumsum(new) - 1
-        self._run = run
+            plan.append((starts, np.bincount(run[starts], minlength=runs)))
+            run, runs = np.cumsum(new) - 1, len(starts)
+        self._head_rows = np.bincount(run, minlength=runs)
 
         inputs = np.empty((sum(len(starts) for starts, _ in plan),
                            width + HIDDEN_SIZE + 1))
@@ -327,23 +332,19 @@ class AnalogPlan:
                              f"a plan of {n} rows")
         cap = max(n, 2)
         out = work[:cap * HIDDEN_SIZE]
-        shared = work[cap * HIDDEN_SIZE:]
         self._steps = []
         first = 0
-        for t, (starts, parents) in enumerate(plan):
+        for t, (starts, repeats) in enumerate(plan):
             k = len(starts)
             inp = inputs[first:first + k]
             first += k
             inp[:, :width] = xv[starts, t]
-            self._steps.append((inp, inp[:, width:-1], parents,
-                                out[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE),
-                                shared[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE)))
-        # after the last step: the evaluation unit's input in the step
-        # scratch, its product and rounding scratch in the step outputs,
-        # which the head has already read
-        self._head = shared[:n * (HIDDEN_SIZE + 1)].reshape(n, HIDDEN_SIZE + 1)
+            self._steps.append((inp, inp[:, width:-1], repeats,
+                                out[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE)))
+        # after the last step: the evaluation unit's input after the step
+        # outputs, its product in the step outputs, which the head has read
+        self._head = work[cap * HIDDEN_SIZE:][:n * (HIDDEN_SIZE + 1)].reshape(n, HIDDEN_SIZE + 1)
         self._logits = out[:2 * n].reshape(n, 2)
-        self._logit_scratch = out[2 * n:4 * n].reshape(n, 2)
 
     @staticmethod
     def work_size(rows: int) -> int:
@@ -357,17 +358,14 @@ class AnalogPlan:
         w_rec = programmed.recurrent.effective()
         w_eval = programmed.evaluation.effective()
         h = _H0
-        for inp, h_cols, parents, out, scratch in self._steps:
-            h_cols[...] = h[parents]
-            h = np.matmul(inp, w_rec, out=out)
-            _convert_out(h, programmed.scale_recurrent, cfg, scratch)
-            np.maximum(h, 0.0, out=h)
-            _convert_in(h, cfg, scratch)
+        for inp, h_cols, repeats, out in self._steps:
+            h_cols[...] = np.repeat(h, repeats, axis=0)
+            h = _convert_hidden(np.matmul(inp, w_rec, out=out), programmed.scale_recurrent, cfg)
         head = self._head
-        head[:, :-1] = h[self._run]
+        head[:, :-1] = np.repeat(h, self._head_rows, axis=0)
         head[:, -1] = self._bias
         logits = np.matmul(head, w_eval, out=self._logits)
-        return _convert_out(logits, programmed.scale_evaluation, cfg, self._logit_scratch)
+        return _convert_out(logits, programmed.scale_evaluation, cfg)
 
 
 def table_plans(tables: Sequence[tuple[np.ndarray, np.ndarray]], cfg: CrossbarConfig,
@@ -382,13 +380,8 @@ def table_plans(tables: Sequence[tuple[np.ndarray, np.ndarray]], cfg: CrossbarCo
 
 def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
                   events: np.ndarray) -> np.ndarray:
-    """Crossbar forward pass; returns post-ADC logits, shape (n, 2).
-
-    Runs an `AnalogPlan` of `events` on one chip. The bits equal those of
-    running every row through every step: the converters act elementwise,
-    so a value sees the same operations whether it is converted once or
-    once per row, and a row of a gemm does not depend on how many rows the
-    product has (see `AnalogPlan` for the one-row gemv case).
+    """Crossbar forward pass; returns post-ADC logits, shape (n, 2), with
+    the bits of running every row through every step (module docstring).
     """
     return AnalogPlan(events, cfg).logits(programmed).copy()
 

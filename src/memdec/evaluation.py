@@ -175,6 +175,8 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed {master_seed} outside [0, 2^64)")
     if base_params is not None and len(base_params) == 0:
         raise ValueError("base_params must hold at least one set of parameters "
                          "when given")

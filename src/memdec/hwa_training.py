@@ -78,6 +78,8 @@ class RetrainConfig:
         if self.clip_scale is not None and not self.clip_scale > 0:
             raise ValueError("clip_scale must be a positive real when present, "
                              f"got {self.clip_scale}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
 
 
 def clip_weights(params: DecoderParams, alpha: float) -> None:

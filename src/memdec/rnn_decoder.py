@@ -174,6 +174,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a real in [0, 1), got {getattr(self, name)}")
         if not self.adam_eps > 0:
             raise ValueError(f"adam_eps must be a positive real, got {self.adam_eps}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
 
 
 def _check_events(events: np.ndarray) -> np.ndarray:

@@ -218,18 +218,18 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
     rows that share a prefix of steps sit next to each other, which
     `analog_model.AnalogPlan` exploits.
 
-    The key of a row is an unsigned integer when every byte of the rows is
-    0 or 1 and a row has at most 64 bytes, as for 0/1 event bits of uint8
-    or bool: row byte i is bit i of the key counted from the most
-    significant end, so two keys compare as their rows' bytes do. Any
-    other rows are keyed on a `np.void` view of their bytes.
+    The key of a row is the narrowest unsigned integer that holds it when
+    every byte of the rows is 0 or 1 and a row has at most 64 bytes, as for
+    0/1 event bits of uint8 or bool: row byte i is bit i of the key counted
+    from the most significant end, so two keys compare as their rows' bytes
+    do. Any other rows are keyed on a `np.void` view of their bytes.
     """
     events = np.ascontiguousarray(events)
     labels = np.asarray(labels).reshape(-1)
     n = events.shape[0]
     if labels.shape[0] != n:
         raise ValueError(f"{n} samples but {labels.shape[0]} labels")
-    if n and not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     raw = events.reshape(n, int(np.prod(events.shape[1:]))).view(np.uint8)
     row_bytes = raw.shape[1]
@@ -245,15 +245,15 @@ def syndrome_table(events: np.ndarray, labels: np.ndarray,
 
 
 def _bit_keys(raw: np.ndarray) -> np.ndarray:
-    """One big-endian uint64 per row of the (n, w) uint8 array `raw` of 0/1
-    bytes, w <= 64: byte i of a row is bit 63 - i of its key."""
+    """One big-endian unsigned integer per row of the (n, w) uint8 array
+    `raw` of 0/1 bytes, w <= 64, in the narrowest of 8, 16, 32 and 64 bits
+    that holds w: byte i of a row is bit i of its key from the most
+    significant end. Keys of up to 16 bits radix-sort in `np.unique`."""
     n, w = raw.shape
-    key_bytes = -(-w // 8)
-    padded = np.zeros((n, 8 * key_bytes), np.uint8)
+    width = 1 << (-(-w // 8) - 1).bit_length()      # bytes per key
+    padded = np.zeros((n, 8 * width), np.uint8)
     padded[:, :w] = raw
-    keys = np.zeros((n, 8), np.uint8)
-    keys[:, :key_bytes] = np.packbits(padded.reshape(-1)).reshape(n, key_bytes)
-    return keys.view(">u8").reshape(-1)
+    return np.packbits(padded.reshape(-1)).view(f">u{width}")
 
 
 def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -280,7 +280,7 @@ def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
     `table_batch(rows, counts)`.
     """
     pred = predict(table_batch(rows, counts))[:len(rows)]
-    return float(counts[np.arange(len(rows)), pred].sum() / int(counts.sum()))
+    return float(np.where(pred, counts[:, 1], counts[:, 0]).sum() / int(counts.sum()))
 
 
 def build_memory_x_circuit(rounds: int, noise: NoiseParams) -> CircuitSpec:

@@ -15,45 +15,107 @@ def default_cfg(**kw):
     return am.CrossbarConfig(**base)
 
 
-class TestMapWeights:
+def reference_program(params: rd.DecoderParams, cfg: am.CrossbarConfig,
+                      fmap: am.FaultMap, rng: np.random.Generator) -> am.ProgrammedDecoder:
+    """The unit-by-unit programming `program_decoder` must reproduce bit for
+    bit: each unit's targets |w| * span / w_max + g_lcs on the side of w's
+    sign, g_lcs elsewhere; then N(0, sigma_prog(G)) per device, drawn for
+    G+ and then G-; then stuck pairs forced to g_hcs on both sides."""
+    units, scales = [], []
+    span = cfg.g_hcs - cfg.g_lcs
+    for mat, stuck in zip(params.units(), (fmap.recurrent, fmap.evaluation)):
+        w_max = float(np.abs(mat).max())
+        if w_max <= 0:
+            raise ValueError(f"w_max must be positive, got {w_max}")
+        programmed = np.abs(mat) * span / w_max + cfg.g_lcs
+        sides = []
+        for g in (np.where(mat > 0, programmed, cfg.g_lcs),
+                  np.where(mat < 0, programmed, cfg.g_lcs)):
+            g = g + rng.standard_normal(g.shape) * cfg.variability.sigma(g)
+            sides.append(np.where(stuck, cfg.g_hcs, g))
+        units.append(am.ProgrammedUnit(*sides))
+        scales.append(w_max / span)
+    return am.ProgrammedDecoder(units[0], units[1], *scales)
+
+
+def conductances(chip: am.ProgrammedDecoder) -> np.ndarray:
+    """rec G+ | rec G- | eval G+ | eval G-, flattened."""
+    return np.concatenate([g.ravel() for g in (chip.recurrent.g_plus, chip.recurrent.g_minus,
+                                               chip.evaluation.g_plus, chip.evaluation.g_minus)])
+
+
+def params_with(rng: np.random.Generator, entries: dict[int, float]) -> rd.DecoderParams:
+    """Random parameters in (-1, 1) with the given entries of `flat` set."""
+    params = rd.DecoderParams.from_flat(rng.uniform(-1, 1, rd.N_PARAMS))
+    for index, value in entries.items():
+        params.flat[index] = value
+    return params
+
+
+class TestProgramTargets:
+    """The targets: variability off, no stuck pair."""
+
+    @staticmethod
+    def program(params):
+        return am.program_decoder(params, default_cfg(), am.FaultMap.none(),
+                                  np.random.default_rng(0))
+
     def test_endpoints(self):
-        cfg = default_cfg()
-        gp, gm = am.map_weights(np.array([[1.5]]), 1.5, cfg)
-        assert gp[0, 0] == 200.0 and gm[0, 0] == 60.0
+        # the largest |w| of each unit sits at g_hcs on its side
+        chip = self.program(params_with(np.random.default_rng(1), {5: 1.5, 340: -1.5}))
+        assert chip.recurrent.g_plus.flat[5] == 200.0 and chip.recurrent.g_minus.flat[5] == 60.0
+        assert chip.evaluation.g_minus.flat[4] == 200.0 and chip.evaluation.g_plus.flat[4] == 60.0
 
     def test_zero_weight(self):
-        gp, gm = am.map_weights(np.array([[0.0]]), 1.0, default_cfg())
-        assert gp[0, 0] == 60.0 and gm[0, 0] == 60.0
+        chip = self.program(params_with(np.random.default_rng(2), {7: 0.0, 341: -0.0}))
+        assert chip.recurrent.g_plus.flat[7] == chip.recurrent.g_minus.flat[7] == 60.0
+        assert chip.evaluation.g_plus.flat[5] == chip.evaluation.g_minus.flat[5] == 60.0
 
     def test_negative_midpoint(self):
-        gp, gm = am.map_weights(np.array([[-0.5]]), 1.0, default_cfg())
-        assert gm[0, 0] == 130.0 and gp[0, 0] == 60.0
+        chip = self.program(params_with(np.random.default_rng(3), {0: 1.0, 9: -0.5}))
+        assert chip.recurrent.g_minus.flat[9] == 130.0 and chip.recurrent.g_plus.flat[9] == 60.0
 
-    def test_nonpositive_w_max_rejected(self):
+    def test_targets_without_variability(self, random_decoder):
+        mat = random_decoder.units()[0]
+        target = np.abs(mat) * 140.0 / np.abs(mat).max() + 60.0
+        chip = self.program(random_decoder)
+        assert np.array_equal(chip.recurrent.g_plus, np.where(mat > 0, target, 60.0))
+        assert np.array_equal(chip.recurrent.g_minus, np.where(mat < 0, target, 60.0))
+
+    @pytest.mark.parametrize("unit", rd.UNIT_SLICES)
+    def test_all_zero_unit_rejected(self, unit):
+        params = params_with(np.random.default_rng(4), {})
+        params.flat[unit] = 0.0
         with pytest.raises(ValueError):
-            am.map_weights(np.zeros((2, 2)), 0.0, default_cfg())
+            self.program(params)
 
 
 class TestVariability:
-    def test_zero_sigma_identity(self):
-        g = np.full((50, 50), 130.0)
-        out = am.apply_variability(g, am.VariabilityModel.disabled(),
-                                   np.random.default_rng(0))
-        assert np.array_equal(out, g)
+    @staticmethod
+    def deviations(params, model):
+        """Programmed minus target conductances of 150 chips, and the
+        targets."""
+        targets = conductances(TestProgramTargets.program(params))
+        cfg = am.CrossbarConfig(variability=model)
+        rng = np.random.default_rng(1)
+        chips = [conductances(am.program_decoder(params, cfg, am.FaultMap.none(), rng))
+                 for _ in range(150)]
+        return np.array(chips) - targets, targets
 
-    def test_fallback_std_at_100us(self):
-        g = np.full(100_000, 100.0)
-        out = am.apply_variability(g, am.VariabilityModel(),
-                                   np.random.default_rng(1))
-        std = (out - g).std()
-        assert abs(std - 0.8) / 0.8 < 0.02
+    def test_fallback_relative_std(self, random_decoder):
+        dev, targets = self.deviations(random_decoder, am.VariabilityModel())
+        assert abs((dev / targets).std() - 0.008) / 0.008 < 0.02
 
-    def test_constant_polynomial_std(self):
-        g = np.full(100_000, 150.0)
-        model = am.VariabilityModel(coefficients=(1.0,))
-        out = am.apply_variability(g, model, np.random.default_rng(2))
-        std = (out - g).std()
-        assert abs(std - 1.0) < 0.02
+    def test_constant_polynomial_std(self, random_decoder):
+        dev, _ = self.deviations(random_decoder, am.VariabilityModel(coefficients=(1.0,)))
+        assert abs(dev.std() - 1.0) < 0.02
+
+    def test_polynomial_clamped_to_zero_adds_no_noise(self, random_decoder):
+        # sigma = G - 100 uS is negative below 100 uS, where it clamps to zero
+        dev, targets = self.deviations(random_decoder,
+                                       am.VariabilityModel(coefficients=(-100.0, 1.0)))
+        assert (dev[:, targets <= 100.0] == 0).all()
+        assert (dev[:, targets > 110.0] != 0).mean() > 0.99
 
     def test_polynomial_evaluation(self):
         model = am.VariabilityModel(coefficients=(0.5, 0.01))
@@ -82,36 +144,27 @@ class TestFaultMap:
         with pytest.raises(ValueError):
             am.sample_fault_map((4, 4), 1.2, np.random.default_rng(0))
 
-    def test_apply_faults(self):
-        cfg = default_cfg()
-        gp = np.full((3, 3), 100.0)
-        gm = np.full((3, 3), 70.0)
-        stuck = np.zeros((3, 3), bool)
-        stuck[1, 2] = True
-        op, om = am.apply_faults(gp, gm, stuck, cfg)
-        assert op[1, 2] == om[1, 2] == 200.0
-        assert (op - om)[1, 2] == 0.0
-        unstuck = ~stuck
-        assert np.array_equal(op[unstuck], gp[unstuck])
+    def test_stuck_pairs_and_only_they_change(self, random_decoder):
+        cfg = am.CrossbarConfig()   # default 0.8% variability on
+        fmap = am.FaultMap.none()
+        fmap.recurrent[1, 2] = fmap.evaluation[16, 1] = True
+        chip = am.program_decoder(random_decoder, cfg, fmap, np.random.default_rng(5))
+        clean = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
+                                   np.random.default_rng(5))
+        stuck = np.concatenate([fmap.recurrent.ravel()] * 2 + [fmap.evaluation.ravel()] * 2)
+        assert (conductances(chip)[stuck] == 200.0).all()
+        assert np.array_equal(conductances(chip)[~stuck], conductances(clean)[~stuck])
+        assert chip.recurrent.effective()[1, 2] == chip.evaluation.effective()[16, 1] == 0.0
 
-    def test_apply_faults_empty_map_is_identity(self):
-        cfg = default_cfg()
-        gp = np.full((2, 2), 90.0)
-        gm = np.full((2, 2), 60.0)
-        op, om = am.apply_faults(gp, gm, np.zeros((2, 2), bool), cfg)
-        assert np.array_equal(op, gp) and np.array_equal(om, gm)
-
-    def test_full_map_kills_output(self):
-        cfg = default_cfg()
-        gp, gm = am.apply_faults(np.full((5, 4), 100.0), np.full((5, 4), 60.0),
-                                 np.ones((5, 4), bool), cfg)
-        v = np.random.default_rng(5).uniform(-1, 1, 5)
-        assert np.array_equal(v @ am.ProgrammedUnit(gp, gm).effective(), np.zeros(4))
+    def test_full_map_kills_output(self, random_decoder):
+        fmap = am.FaultMap(np.ones(rd.RECURRENT_UNIT, bool), np.ones(rd.EVALUATION_UNIT, bool))
+        chip = am.program_decoder(random_decoder, am.CrossbarConfig(), fmap,
+                                  np.random.default_rng(6))
+        assert not chip.recurrent.effective().any() and not chip.evaluation.effective().any()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            am.apply_faults(np.zeros((2, 2)), np.zeros((2, 2)),
-                            np.zeros((3, 2), bool), default_cfg())
+            am.FaultMap(np.zeros((20, 16), bool), np.zeros(rd.EVALUATION_UNIT, bool))
 
 
 class TestQuantize:
@@ -186,13 +239,13 @@ def quantize_edges(bound: float, levels: int) -> np.ndarray:
 
 
 def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> None:
-    """`_quantize` (with and without scratch), array and scalar `quantize`,
-    and retraining's in-place DAC and ADC give the reference bytes; the
-    caller silences the overflow its inputs cause."""
+    """`_quantize`, array and scalar `quantize`, and retraining's in-place
+    DAC and ADC give the reference bytes; the caller silences the overflow
+    its inputs cause."""
     for bound in (cfg.adc_bound, cfg.dac_bound):
         want = reference_quantize(x, bound, cfg.levels).tobytes()
-        for scratch in (None, np.empty_like(x)):
-            assert am._quantize(x.copy(), bound, cfg.levels, scratch).tobytes() == want
+        v = x.copy()
+        assert am._quantize(v, bound, cfg.levels) is v and v.tobytes() == want
         assert am.quantize(x, bound, cfg.levels).tobytes() == want
         scalars = [am.quantize(float(v), bound, cfg.levels) for v in x]
         assert all(type(q) is float for q in scalars)
@@ -249,6 +302,43 @@ class TestQuantizeBits:
                     ref = reference_quantize(x, bound, cfg.levels)
                     assert (ref.view(np.uint64) == quieted).all()
                 assert_quantizers_match_reference(x, cfg)
+
+
+# with a DAC range above 1, the ADC's clamp at A clips below the DAC's own
+HIDDEN_CONFIGS = QUANTIZE_CONFIGS + [am.CrossbarConfig(adc_bound=2.5, dac_bound=1.5, levels=64)]
+
+
+class TestHiddenConverter:
+    """`_convert_hidden`, the recurrent step's clamp-free ADC -> ReLU -> DAC,
+    gives the bytes of `_convert_out`, ReLU and `_convert_in`."""
+
+    @pytest.mark.parametrize("cfg", HIDDEN_CONFIGS)
+    def test_edges_match_the_three_conversions(self, cfg):
+        a = cfg.adc_bound
+        # the grids of both converters (signed zeros, infinities and NaNs of
+        # both signs among them), as column currents that land on them at
+        # scale 1 and at a scale that is no power of two; huge values
+        # overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.concatenate([quantize_edges(a, cfg.levels),
+                                    quantize_edges(cfg.dac_bound, cfg.levels) * a])
+            for scale in (1.0, 0.37):
+                currents = np.concatenate([edges / a, edges / a / scale, edges])
+                want = am._convert_in(np.maximum(am._convert_out(currents.copy(), scale, cfg),
+                                                 0.0), cfg)
+                got = currents.copy()
+                assert am._convert_hidden(got, scale, cfg) is got
+                assert got.tobytes() == want.tobytes()
+
+    @given(cfg=st.sampled_from(HIDDEN_CONFIGS),
+           x=arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)),
+           scale=st.floats(1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats_match_the_three_conversions(self, cfg, x, scale):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = am._convert_in(np.maximum(am._convert_out(x.copy(), scale, cfg), 0.0), cfg)
+            got = am._convert_hidden(x.copy(), scale, cfg)
+        assert got.tobytes() == want.tobytes()
 
 
 def random_chip(rng: np.random.Generator) -> am.ProgrammedDecoder:
@@ -372,6 +462,29 @@ class TestProgramDecoder:
         logits = am.analog_logits(programmed, cfg, events)
         assert np.array_equal(logits, np.zeros((64, 2)))
         assert not rd.logits_to_bits(logits).any()
+
+    @pytest.mark.parametrize("cfg", [
+        am.CrossbarConfig(),
+        default_cfg(),
+        am.CrossbarConfig(variability=am.VariabilityModel(coefficients=(1.0,))),
+        am.CrossbarConfig(variability=am.VariabilityModel(coefficients=(-100.0, 1.0))),
+        am.CrossbarConfig(g_hcs=150.0, g_lcs=20.0,
+                          variability=am.VariabilityModel(coefficients=(0.5, 0.01, -1e-4))),
+    ])
+    @pytest.mark.parametrize("stuck_rate", [0.0, 0.3, 1.0])
+    def test_equals_unit_by_unit_reference(self, random_decoder, cfg, stuck_rate):
+        for seed in range(5):
+            params = random_decoder if seed == 0 else params_with(np.random.default_rng(seed), {})
+            rng = np.random.default_rng(100 + seed)
+            fmap = am.FaultMap.sample(stuck_rate, rng)
+            state = rng.bit_generator.state
+            chip = am.program_decoder(params, cfg, fmap, rng)
+            after, rng.bit_generator.state = rng.bit_generator.state, state
+            want = reference_program(params, cfg, fmap, rng)
+            assert rng.bit_generator.state == after     # 740 normals either way
+            assert conductances(chip).tobytes() == conductances(want).tobytes()
+            assert (chip.scale_recurrent, chip.scale_evaluation) == \
+                (want.scale_recurrent, want.scale_evaluation)
 
     def test_zero_params_rejected(self):
         with pytest.raises(ValueError):

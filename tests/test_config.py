@@ -198,3 +198,14 @@ def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
                 owner(**{name: value})
         else:
             assert getattr(owner(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("owner", [TrainConfig, RetrainConfig])
+def test_seed_fields_outside_the_64_bit_range_rejected(owner):
+    # derive_seed reduces seeds mod 2^64, so seed -1 used to train what
+    # 2^64 - 1 trains
+    for seed in (0, 2**64 - 1):
+        assert owner(seed=seed).seed == seed
+    for seed in (-1, 2**64, float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            owner(seed=seed)

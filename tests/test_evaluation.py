@@ -80,6 +80,28 @@ class TestSyndromeTable:
         assert rows.dtype == events.dtype and np.array_equal(rows, want_rows)
         assert np.array_equal(counts, want_counts)
 
+    @pytest.mark.parametrize("rounds, key_bytes", [(1, 1), (3, 2), (5, 4), (7, 4), (15, 8),
+                                                   (16, None)])
+    def test_sampled_tables_equal_void_keys(self, rounds, key_bytes):
+        """Sampled rows of 8 to 64 events take the narrowest integer key that
+        holds them; a row of 68 events takes the byte key. Either way the
+        rows, their order and the counts are those of the byte keys."""
+        d = sc.generate_dataset([3e-3], 3000, rounds, seed=40 + rounds, split_tag="test")
+        keys, bit_keys = [], sc._bit_keys
+
+        def recording(raw):
+            keys.append(bit_keys(raw))
+            return keys[-1]
+
+        with mock.patch.object(sc, "_bit_keys", recording):
+            rows, counts = sc.syndrome_table(d.events, d.labels)
+        assert [k.dtype for k in keys] == ([] if key_bytes is None
+                                           else [np.dtype(f">u{key_bytes}")])
+        want_rows, want_counts = void_key_table(d.events, d.labels)
+        assert 1 < len(rows) < len(d.events)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert np.array_equal(counts, want_counts)
+
     @pytest.mark.parametrize("case", ["wide", "byte_2", "signed_zero"])
     def test_void_key_fallback(self, case):
         """Rows of more than 64 bytes, or with a byte other than 0 and 1, keep
@@ -344,6 +366,21 @@ class TestEvaluateScheme:
             sets[TEST_P[1]] = sc.generate_dataset([TEST_P[1]], 50, 5, seed=5, split_tag="test")
         with pytest.raises(ValueError, match="rate" if fault == "missing rate" else "rounds"):
             ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, MASTER, test_sets=sets)
+
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_master_seed_outside_the_64_bit_range_rejected(self, setup, monkeypatch,
+                                                           master_seed):
+        # a seed of -1 used to train and program what 2^64 - 1 does
+        configs, _, _, protocol = setup
+
+        def nothing(*args, **kwargs):
+            raise AssertionError("sampled or trained before checking the seed")
+
+        monkeypatch.setattr(rd, "train_fp", nothing)
+        monkeypatch.setattr(sc, "generate_dataset", nothing)
+        with pytest.raises(ValueError, match="master_seed"):
+            ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, master_seed)
 
 
 class TestStuckSweep:

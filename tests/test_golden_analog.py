@@ -5,9 +5,9 @@ crossbar configurations (the default, a coarse 16-level converter, odd
 bounds and level count, and no conversion at all) on syndrome tables of
 1, 3 and 5 rounds at two fault rates, on 1-, 2- and 3-row inputs (a 1-row
 input goes to gemv rather than gemm) and on raw, unsorted events with
-duplicate rows. The `per_run_acc` of `evaluate_scheme` is pinned for
-baseline, fp_mnd and ds_mnd as well. Plans that share one work buffer, run chip after chip,
-must give the bytes of fresh `analog_logits` calls.
+duplicate rows. The `per_run_acc` of `evaluate_scheme` is pinned for all
+four schemes as well. Plans that share one work buffer, run chip after
+chip, must give the bytes of fresh `analog_logits` calls.
 """
 
 import hashlib
@@ -136,6 +136,7 @@ GOLDEN_PER_RUN_ACC = {
     "baseline": "c728cacf377d8e959f01ac82f578defc55843485d402b5cde612729e1eeb08d0",
     "fp_mnd": "ee44aadb017a296439f3944e5b9e5e91e882c136ce6eac401aadd479f1e8ef04",
     "ds_mnd": "b70e16ffce77d1099e8f8bc066428ac6cf332ff82189369b60c42064f3353ab4",
+    "hwa_mnd": "df1cefc3174cd6e7009a87a5c9435f55329ced8b95d2f49b301152fda67b5491",
 }
 
 
