@@ -37,6 +37,7 @@ stays on gemm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,10 +64,13 @@ class VariabilityModel:
     fallback_relative: float = 0.008
 
     def __post_init__(self):
-        # the rule of the crossbar.fallback_relative config key; NaN fails it
-        if not self.fallback_relative >= 0:
+        # the rules of the crossbar.fallback_relative and
+        # crossbar.variability_coeffs config keys; NaN fails both
+        if not 0 <= self.fallback_relative < math.inf:
             raise ValueError("fallback_relative must be a non-negative real, "
                              f"got {self.fallback_relative}")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError(f"coefficients must be finite reals, got {self.coefficients}")
 
     def sigma(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=np.float64)
@@ -93,12 +97,12 @@ class CrossbarConfig:
     quantize_io: bool = True
 
     def __post_init__(self):
-        if not self.g_hcs > self.g_lcs > 0:
-            raise ValueError(f"need g_hcs > g_lcs > 0, got {self.g_hcs}, {self.g_lcs}")
+        if not math.inf > self.g_hcs > self.g_lcs > 0:
+            raise ValueError(f"need finite g_hcs > g_lcs > 0, got {self.g_hcs}, {self.g_lcs}")
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         for name in ("adc_bound", "dac_bound"):   # NaN fails too
-            if not getattr(self, name) > 0:
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be a positive real, got {getattr(self, name)}")
 
 
@@ -309,21 +313,17 @@ class AnalogPlan:
         bits = xv.view(np.uint64)
         self._bias = _convert_in(np.ones(1), cfg)[0]
 
-        new = np.zeros(n, bool)
-        new[:1] = True
-        run, runs = np.zeros(n, np.intp), 1   # each row's run, and the runs, at the step before
-        plan = []
-        for t in range(steps):
-            new[1:] |= (bits[1:, t] != bits[:-1, t]).any(axis=1)
-            starts = np.flatnonzero(new)
-            if len(starts) == 1 and n > 1:
-                starts = np.zeros(2, np.intp)
-            plan.append((starts, np.bincount(run[starts], minlength=runs)))
-            run, runs = np.cumsum(new) - 1, len(starts)
-        self._head_rows = np.bincount(run, minlength=runs)
+        # new[t, i]: row i starts a run at step t, as it differs from the row
+        # above in an input word of step t or before; row 0 starts every step
+        words = bits.reshape(n, steps * width)
+        differs = np.ones(words.shape, bool)
+        np.not_equal(words[1:], words[:-1], out=differs[1:])
+        np.logical_or.accumulate(differs, axis=1, out=differs)
+        new = differs[:, width - 1::width].T
+        # a single run in a batch of several rows is planned as a doubled row
+        sizes = np.maximum(new.sum(axis=1), min(n, 2))
 
-        inputs = np.empty((sum(len(starts) for starts, _ in plan),
-                           width + HIDDEN_SIZE + 1))
+        inputs = np.empty((sizes.sum(), width + HIDDEN_SIZE + 1))
         inputs[:, -1] = self._bias
         if work is None:
             work = np.empty(self.work_size(n))
@@ -333,14 +333,19 @@ class AnalogPlan:
         cap = max(n, 2)
         out = work[:cap * HIDDEN_SIZE]
         self._steps = []
+        run, runs = np.zeros(n, np.intp), 1   # each row's run, and the runs, at the step before
         first = 0
-        for t, (starts, repeats) in enumerate(plan):
-            k = len(starts)
+        for t, k in enumerate(sizes.tolist()):
+            starts = np.flatnonzero(new[t])
+            if len(starts) < k:
+                starts = np.zeros(k, np.intp)
             inp = inputs[first:first + k]
             first += k
             inp[:, :width] = xv[starts, t]
-            self._steps.append((inp, inp[:, width:-1], repeats,
+            self._steps.append((inp, inp[:, width:-1], np.bincount(run[starts], minlength=runs),
                                 out[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE)))
+            run, runs = np.cumsum(new[t]) - 1, k
+        self._head_rows = np.bincount(run, minlength=runs)
         # after the last step: the evaluation unit's input after the step
         # outputs, its product in the step outputs, which the head has read
         self._head = work[cap * HIDDEN_SIZE:][:n * (HIDDEN_SIZE + 1)].reshape(n, HIDDEN_SIZE + 1)

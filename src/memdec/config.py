@@ -16,6 +16,7 @@ rate when unset). `hwa.p_drop` is the only dropconnect key, so there is no
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
@@ -65,24 +66,33 @@ def _parse_bool(text: str) -> bool:
     return low in ("true", "yes", "1", "on")
 
 
+def _parse_finite_reals(text: str) -> tuple[float, ...]:
+    """A comma list of finite reals; empty text is the empty list."""
+    values = tuple(map(float, text.split(","))) if text else ()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected finite reals, got {text!r}")
+    return values
+
+
 _Kind = namedtuple("_Kind", "parse format")  # text -> value, value -> text
 _INT = _Kind(int, str)
 _FLOAT = _Kind(float, repr)
 _BOOL = _Kind(_parse_bool, lambda v: str(v).lower())
-_FLOATS = _Kind(lambda s: tuple(map(float, s.split(","))) if s else (),
-                lambda v: ",".join(map(repr, v)))
+_FLOATS = _Kind(_parse_finite_reals, lambda v: ",".join(map(repr, v)))
 _SCHEME_LIST = _Kind(lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
                      ",".join)
 # one float, held as a 1-tuple
 _FLOAT_TUPLE = _Kind(lambda s: (float(s),), _FLOATS.format)
 
 _COUNT = ("an integer >= 1", lambda x: x >= 1)
-_POSITIVE = ("a positive real", lambda x: x > 0)
-_NON_NEGATIVE = ("a non-negative real", lambda x: x >= 0)
+# reals are finite: an infinite bound, conductance or variability gives NaN
+# analog logits, and an infinite Adam eps leaves the parameters untrained
+_POSITIVE = ("a positive real", lambda x: 0 < x < math.inf)
+_NON_NEGATIVE = ("a non-negative real", lambda x: 0 <= x < math.inf)
 _PROBABILITY = ("a probability in [0, 1]", lambda x: 0 <= x <= 1)
 _RATE = ("a probability in (0, 1]", lambda x: 0 < x <= 1)
 _BETA = ("a real in [0, 1)", lambda x: 0 <= x < 1)
-_CONDUCTANCE = ("a positive conductance in uS", lambda x: x > 0)
+_CONDUCTANCE = ("a positive conductance in uS", _POSITIVE[1])
 _AT_LEAST_2 = ("an integer >= 2", lambda x: x >= 2)
 _ANY = (None, None)
 

@@ -240,18 +240,15 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     acc_mean = per_run.mean(axis=0)
     acc_std = per_run.std(axis=0)
 
-    curve = None
-    p_star = None
-    in_range = None
-    lfr_points = [(p, 1.0 - m) for p, m in zip(protocol.p_values, acc_mean)]
-    usable = sum(1 for p, l in lfr_points if p > 0 and l > 0)
-    if usable >= 2:
-        curve = fit_monomial(lfr_points)
-        try:
-            p_star = pseudo_threshold(curve)
-            in_range = 0.0 < p_star < 1.0
-        except DegenerateFitError:
-            in_range = False
+    curve = p_star = in_range = None
+    try:
+        curve = fit_monomial([(p, 1.0 - m) for p, m in zip(protocol.p_values, acc_mean)])
+        p_star = pseudo_threshold(curve)
+        in_range = 0.0 < p_star < 1.0
+    except InsufficientDataError:
+        pass   # fewer than two points with lfr > 0: no curve
+    except DegenerateFitError:
+        in_range = False
     return EvalReport(scheme, stuck_rate, protocol.p_values,
                       tuple(float(a) for a in acc_mean),
                       tuple(float(s) for s in acc_std),

@@ -72,10 +72,10 @@ class RetrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # the rules of the retrain.* config keys; NaN fails both
-        if not self.noise_relative >= 0:
+        if not 0 <= self.noise_relative < math.inf:
             raise ValueError("noise_relative must be a non-negative real, "
                              f"got {self.noise_relative}")
-        if self.clip_scale is not None and not self.clip_scale > 0:
+        if self.clip_scale is not None and not 0 < self.clip_scale < math.inf:
             raise ValueError("clip_scale must be a positive real when present, "
                              f"got {self.clip_scale}")
         if not 0 <= self.seed < 2**64:
@@ -164,8 +164,8 @@ def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | Non
 def _draws(cfg: RetrainConfig, p_drop: float, keep_fixed: np.ndarray | None, key: int,
            count: int):
     """Draw i < count under `key`: the keep-mask (`keep_fixed`, or dropconnect
-    at `p_drop` from the stream (cfg.seed, MASK, key, i)) and the noise
-    stream (cfg.seed, NOISE, key, i), both valid until the next draw."""
+    at `p_drop` from the stream (cfg.seed, MASK, key, i) in a buffer that
+    the next draw overwrites) and the noise stream (cfg.seed, NOISE, key, i)."""
     noise_rngs = SpawnedGenerators(cfg.seed, (Stage.NOISE, key), count)
     if keep_fixed is not None:
         return lambda i: (keep_fixed, noise_rngs[i])

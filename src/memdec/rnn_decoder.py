@@ -45,6 +45,7 @@ do not depend on how it is batched or buffered:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -163,7 +164,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # the rules of the train.* config keys; NaN fails each real one
-        if not self.learning_rate > 0:
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -172,7 +173,7 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a real in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
+        if not 0 < self.adam_eps < math.inf:
             raise ValueError(f"adam_eps must be a positive real, got {self.adam_eps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} outside [0, 2^64)")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, is_dataclass
 from functools import reduce
 
@@ -167,10 +168,11 @@ def test_serialize_refuses_fields_no_key_writes():
 # The dataclasses that enforce their keys' rules. DatasetConfig and RunConfig
 # do not, so that the serializer's refusals above can be built.
 CHECKED = (TrainConfig, RetrainConfig, CrossbarConfig, VariabilityModel, EvalProtocol)
-# texts of each value kind, inside and outside every rule of that kind
-REALS = ["-inf", "-1", "-0.0", "0", "1e-300", "0.5", "1", "1.5", "200", "inf", "nan"]
-PROBES = {cf._INT: ["-1", "0", "1", "2", "3"], cf._FLOAT: REALS, cf._FLOAT_TUPLE: REALS,
-          cf._FLOATS: ["", "0.5,0.01", "-5", "nan"], cf._BOOL: ["true", "false"]}
+# values of each value kind, inside and outside every rule of that kind
+REALS = [-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 200.0, math.inf, math.nan]
+PROBES = {cf._INT: [-1, 0, 1, 2, 3], cf._FLOAT: REALS, cf._FLOAT_TUPLE: [(x,) for x in REALS],
+          cf._FLOATS: [(), (0.5, 0.01), (-5.0,), (math.nan,), (math.inf,), (0.5, -math.inf)],
+          cf._BOOL: [True, False]}
 
 
 def checked_fields():
@@ -187,17 +189,37 @@ def checked_fields():
 @pytest.mark.parametrize("key, owner, name", list(checked_fields()))
 def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
     # a NaN learning rate, Adam beta or eps, ADC/DAC bound or fallback
-    # variability, a beta outside [0, 1) and zero rounds used to be accepted
+    # variability, a beta outside [0, 1) and zero rounds used to be accepted,
+    # and so were infinite reals and non-finite variability coefficients
     kind = cf._KEYS[key].kind
-    for text in PROBES[kind]:
-        value = kind.parse(text)
+    for value in PROBES[kind]:
         try:
-            cf.validate_config(f"{key} = {text}")
+            cf.validate_config(f"{key} = {kind.format(value)}")
         except ConfigError:
             with pytest.raises(ValueError, match=name):
                 owner(**{name: value})
         else:
             assert getattr(owner(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("key", [
+    "train.learning_rate", "train.adam_eps", "retrain.noise_relative", "retrain.clip_scale",
+    "crossbar.g_hcs", "crossbar.g_lcs", "crossbar.adc_bound", "crossbar.dac_bound",
+    "crossbar.fallback_relative"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_non_finite_reals_rejected(key, text):
+    # an infinite ADC/DAC bound, conductance or fallback variability gave
+    # all-NaN analog logits, and an infinite Adam eps untrained parameters
+    with pytest.raises(ConfigError) as info:
+        cf.validate_config(f"{key} = {text}")
+    assert str(info.value) == f"{key}: {text!r} is not {cf._KEYS[key].rule[0]}"
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "0.5,inf", "nan,0.01"])
+def test_non_finite_variability_coefficients_rejected(text):
+    with pytest.raises(ConfigError) as info:
+        cf.validate_config(f"crossbar.variability_coeffs = {text}")
+    assert str(info.value) == f"crossbar.variability_coeffs: could not parse {text!r}"
 
 
 @pytest.mark.parametrize("owner", [TrainConfig, RetrainConfig])

@@ -348,6 +348,22 @@ class TestEvaluateScheme:
         assert report.pseudo_threshold is None
         assert report.pseudo_threshold_in_range is False
 
+    def test_single_usable_point_gives_no_curve(self, setup):
+        # zero parameters predict 0, so a test set of 0 labels has lfr 0 and
+        # leaves one usable point, which fit_monomial refuses
+        configs, _, tests, protocol = setup
+        low = tests[TEST_P[0]]
+        sets = {**tests, TEST_P[0]: replace(low, labels=np.zeros_like(low.labels))}
+        with mock.patch.object(ev, "fit_monomial", wraps=ev.fit_monomial) as fit:
+            report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
+                                        test_sets=sets,
+                                        base_params=[rd.DecoderParams.zeros()])
+        assert report.acc_mean[0] == 1.0 and report.acc_mean[1] < 1.0
+        assert fit.call_count == 1   # its rule, and no other, decides
+        assert (report.curve, report.pseudo_threshold,
+                report.pseudo_threshold_in_range) == (None, None, None)
+        assert report.to_dict()["curve"] is None
+
 
     @pytest.mark.parametrize("fault", ["missing rate", "other rounds"])
     def test_test_sets_checked_before_training(self, setup, monkeypatch, fault):

@@ -69,14 +69,15 @@ def test_draw_limit_at_random_and_tiny_probs():
 PCG64_KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
-def test_pcg64_state_equals_numpy_seeding():
+def test_pcg64_seed_words_equal_numpy_seeding():
     keys = PCG64_KEYS + [int(k) for k in np.random.default_rng(4).integers(
         0, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True)]
     words = rng.pcg64_seed_words(np.array(keys, dtype=np.uint64))
     assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+    seed_words = rng._seed_words_type()
     for key, row in zip(keys, words):
         assert np.array_equal(row, np.random.SeedSequence(key).generate_state(4, np.uint64))
-        assert rng.pcg64_state(row.tolist()) == np.random.PCG64(key).state
+        assert np.random.PCG64(seed_words(row)).state == np.random.PCG64(key).state
 
 
 def test_spawned_generators_equal_spawn_generator():
@@ -85,3 +86,13 @@ def test_spawned_generators_equal_spawn_generator():
         assert np.array_equal(streams[i].standard_normal(50),
                               rng.spawn_generator(2**64 - 3, rng.Stage.NOISE, 4, i)
                               .standard_normal(50))
+
+
+def test_spawned_streams_are_independent():
+    # taking a stream used to reseed the one generator every index shared
+    streams = rng.SpawnedGenerators(7, (rng.Stage.MASK, 2), 10)
+    third = streams[3]
+    fifth = streams[5]
+    for i, stream in ((3, third), (5, fifth)):
+        assert np.array_equal(stream.random(20),
+                              rng.spawn_generator(7, rng.Stage.MASK, 2, i).random(20))
