@@ -89,8 +89,8 @@ def clip_weights(params: DecoderParams, alpha: float) -> None:
     sigma is computed by the ufunc sequence numpy's `np.std` runs (sum,
     divide by n, subtract, square, sum, divide by n, sqrt), so it has the
     bits of `pool.std()` without its Python-level dispatch."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be a positive real, got {alpha}")
     deviations = np.empty(N_PARAMS)
     for unit in UNIT_SLICES:
         pool, dev = params.flat[unit], deviations[unit]
@@ -194,10 +194,10 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
     def epoch_update(epoch, batches):
         draw = _draws(cfg, p_drop, keep_fixed, epoch, batches)
 
-        def update(batch, events, labels, work, state):
+        def update(batch, events, labels, views, state):
             keep, noise_rng = draw(batch)
             masked = _perturbed(params, keep, cfg.noise_relative, noise_rng, eff)
-            _, grads = rd.loss_and_grads(masked, events, labels, io, work)
+            grads = rd._grads(masked, events, labels, io, views)
             grads.flat *= keep   # no gradient through a dropped weight
             rd.adam_step(params, grads, state, train_cfg)
             if cfg.clip_scale is not None:

@@ -13,7 +13,7 @@ This is the one implementation of the network and of its epoch loop,
 `_train`; hardware-aware retraining reuses both. `forward_batch` and
 `loss_and_grads` take an optional converter pair `io = (dac, adc)`: `dac`
 converts each layer's input and `adc` each layer's output, in place (the
-bias is added digitally, before the ADC). The backward pass treats both as
+bias enters unconverted, before the ADC). The backward pass treats both as
 identity (a straight-through estimator).
 
 Parameter layout: `DecoderParams` keeps all 370 parameters in one contiguous
@@ -40,7 +40,25 @@ do not depend on how it is batched or buffered:
     float; numpy would cast a boolean mask to the same 0.0/1.0;
   * the matrix products of the recurrent step and of BPTT's hidden-state
     gradient run as `np.dot` into contiguous outputs: the same BLAS call as
-    `matmul` with less dispatch.
+    `matmul` with less dispatch;
+  * the recurrent layer runs in its crossbar-unit layout, as in
+    `analog_model`: step t is [x_t | h_t | 1] @ unit, the (21, 16) unit
+    with b_rec as its last row, and BPTT's one batched product of the step
+    inputs with dz_t gives the whole unit's gradient, its bias row the sum
+    of dz over shots. The products by the constant 1.0 are exact, so where
+    BLAS adds a dot's terms in order these are the bits of the (n, 20)
+    product plus b_rec and of a separate `dz` sum (checked with OpenBLAS's
+    SkylakeX and Sandybridge kernels; its Haswell and Prescott kernels give
+    other bits, and already did for the training digests). Under `io` the DAC
+    converts the whole contiguous [x_t | h_t | 1] row and the bias column
+    is set back to 1.0, which costs less than converting a strided
+    [x_t | h_t] view;
+  * the evaluation layer is not folded: (n, 17) @ (17, 2) gave other
+    logits than (n, 16) @ (16, 2) plus b_eval in most random batches of 2
+    to 32 rows, so b_eval is added after its product;
+  * the training step (`_grads`) runs the forward pass, softmax and BPTT
+    pieces of `loss_and_grads` without its loss and its checks, which
+    `_train` makes once per call.
 """
 
 from __future__ import annotations
@@ -53,7 +71,8 @@ import numpy as np
 
 from .errors import NumericError
 from .rng import spawn_generator
-from .surface_code_sim import Dataset, syndrome_table, table_accuracy, table_batch
+from .surface_code_sim import (Dataset, _check_labels, syndrome_table, table_accuracy,
+                               table_batch)
 
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
@@ -194,26 +213,29 @@ class Workspace:
     what those calls return are views into it, overwritten by the next
     call.
 
-    The per-step buffers are step-major: `inputs` is (T+1, rows, 20), `z`,
+    The per-step buffers are step-major: `inputs` is (T+1, rows, 21), `z`,
     `active` and `dz` are (T, rows, 16), so the block a step reads or writes
     for a batch of n <= rows shots is contiguous; callers get (n, T+1, 20)
-    and (n, T, 16) transposed views. The views a step uses (each step's
-    input [x_t | h_t], output z_t and next hidden state, BPTT's dz and ReLU
-    derivative per step, the reversed-input operand of the weight-gradient
-    matmul, and so on) are sliced out of the buffers once per batch size, by
-    `views(n)`, and reused by every later batch of that size; a training
+    and (n, T, 16) transposed views. Row t of `inputs` is the recurrent
+    unit's input [x_t | h_t | 1]: its last column is the constant bias
+    input, written once here and set back to 1.0 after each DAC pass, so
+    the unit's bias row adds b_rec itself. The views a step uses (each
+    step's input, its output z_t and next hidden state, BPTT's dz and ReLU
+    derivative per step, the reversed-input operand of the unit-gradient
+    matmul, and so on) are sliced out of the buffers once per batch size,
+    by `views(n)`, and reused by every later batch of that size; a training
     loop sees at most two sizes, the batch and the ragged last batch."""
 
     def __init__(self, rows: int, steps: int):
-        self.inputs = np.zeros((steps + 1, rows, INPUT_SIZE + HIDDEN_SIZE))
+        self.inputs = np.zeros((steps + 1, rows, RECURRENT_UNIT[0]))
+        self.inputs[..., -1] = 1.0
         self.z = np.empty((steps, rows, HIDDEN_SIZE))
         self.logits = np.empty((rows, OUTPUT_SIZE))
         self.active = np.empty((steps, rows, HIDDEN_SIZE))
         self.dz = np.empty((steps, rows, HIDDEN_SIZE))
         self.dh = np.empty((rows, HIDDEN_SIZE))
         self.dh_rec = np.empty((rows, INPUT_SIZE + HIDDEN_SIZE))
-        self.per_step = np.empty((steps, INPUT_SIZE + HIDDEN_SIZE, HIDDEN_SIZE))
-        self.dz_sum = np.empty((steps, HIDDEN_SIZE))
+        self.per_step = np.empty((steps,) + RECURRENT_UNIT)
         self.column = np.empty((rows, 1))
         self.log_picked = np.empty(rows)
         self.one_hot = np.empty((rows, OUTPUT_SIZE))
@@ -237,20 +259,22 @@ class _BatchViews:
     __slots__ = ("shot_inputs", "shot_z", "z", "logits", "events", "h0",
                  "forward_steps", "last", "last_t", "logit0", "logit1", "column",
                  "log_picked", "one_hot", "rows", "active", "dz", "backward_steps", "dh",
-                 "dh_rec", "dh_rec_hidden", "inputs_reversed", "dz_sum", "per_step",
-                 "grads")
+                 "dh_rec", "dh_rec_hidden", "inputs_reversed", "per_step", "grads",
+                 "unit_grads")
 
     def __init__(self, work: Workspace, n: int):
         steps = work.z.shape[0]
         inputs, z, logits = work.inputs[:, :n], work.z[:, :n], work.logits[:n]
+        xh = inputs[:, :, :INPUT_SIZE + HIDDEN_SIZE]
         # (n, T+1, 20) and (n, T, 16), as `forward_batch` returns them
-        self.shot_inputs, self.shot_z = inputs.transpose(1, 0, 2), z.transpose(1, 0, 2)
+        self.shot_inputs, self.shot_z = xh.transpose(1, 0, 2), z.transpose(1, 0, 2)
         self.z, self.logits = z, logits
         self.events = inputs[:steps, :, :INPUT_SIZE].transpose(1, 0, 2)
-        self.h0 = inputs[0, :, INPUT_SIZE:]
-        self.forward_steps = tuple((inputs[t], z[t], inputs[t + 1, :, INPUT_SIZE:])
-                                   for t in range(steps))
-        self.last = inputs[steps, :, INPUT_SIZE:]
+        self.h0 = xh[0, :, INPUT_SIZE:]
+        # per step: [x_t | h_t | 1], its bias column, z_t and h_t+1
+        self.forward_steps = tuple((inputs[t], inputs[t, :, -1:], z[t],
+                                    xh[t + 1, :, INPUT_SIZE:]) for t in range(steps))
+        self.last = xh[steps, :, INPUT_SIZE:]
         self.last_t = self.last.T
         self.logit0, self.logit1 = logits[:, :1], logits[:, 1:]
         self.column = work.column[:n]
@@ -259,15 +283,17 @@ class _BatchViews:
         self.rows = work.rows[:n]
         self.active = work.active[:, :n]
         # dz of step t is stored at dz[steps-1-t], so the sums over steps
-        # in `loss_and_grads` add the latest step first, in the order BPTT
+        # in `_backward` add the latest step first, in the order BPTT
         # reaches them
         self.dz = work.dz[:, :n]
         self.backward_steps = tuple((self.dz[steps - 1 - t], self.active[t])
                                     for t in range(steps - 1, -1, -1))
         self.dh, self.dh_rec = work.dh[:n], work.dh_rec[:n]
         self.dh_rec_hidden = self.dh_rec[:, INPUT_SIZE:]
+        # (T, 21, n): step t's [x_t | h_t | 1] rows at T-1-t, as dz stores them
         self.inputs_reversed = inputs[steps - 1::-1].transpose(0, 2, 1)
-        self.dz_sum, self.per_step, self.grads = work.dz_sum, work.per_step, work.grads
+        self.per_step, self.grads = work.per_step, work.grads
+        self.unit_grads = work.grads.units()[0]
 
 
 def _batch_views(work: Workspace | None, n: int, steps: int) -> _BatchViews:
@@ -302,12 +328,12 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
     dac, adc = io if io is not None else (None, None)
     v.events[...] = x
     v.h0[...] = 0.0  # h_0; a DAC may have rewritten it in place
-    w_rec, b_rec = params.w_rec, params.b_rec
-    for inp, zt, h_next in v.forward_steps:
+    unit_rec = params.units()[0]
+    for inp, bias, zt, h_next in v.forward_steps:
         if dac is not None:
             dac(inp)
-        np.dot(inp, w_rec, out=zt)
-        zt += b_rec
+            bias[...] = 1.0
+        np.dot(inp, unit_rec, out=zt)
         if adc is not None:
             adc(zt)
         np.maximum(zt, 0.0, out=h_next)
@@ -339,33 +365,63 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
 
     ReLU uses subgradient 0 at z=0; the converters in `io` pass gradients
     straight through. Gradients come back in a DecoderParams-shaped
-    container, `work.grads` when a workspace is given.
+    container, `work.grads` when a workspace is given. Labels must be 0 or
+    1.
     """
     x = _check_events(events)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
     n, steps, _ = x.shape
     if n == 0:
         raise ValueError("batch must be non-empty")
-    if y.shape[0] != n:
-        raise ValueError(f"{n} samples but {y.shape[0]} labels")
+    if labels.shape[0] != n:
+        raise ValueError(f"{n} samples but {labels.shape[0]} labels")
+    _check_labels(labels)
+    y = labels.astype(np.int64)
     v = _batch_views(work, n, steps)
     _forward(params, x, io, v)
-    dlogits = v.logits
-
-    # two-class softmax in place, column by column: the max of two entries
-    # is exact and a two-term add.reduce is a + b, so these are the bits of
-    # `max(axis=1)` and `sum(axis=1)`
-    np.maximum(v.logit0, v.logit1, out=v.column)
-    dlogits -= v.column
-    np.exp(dlogits, out=dlogits)
-    np.add(v.logit0, v.logit1, out=v.column)
-    dlogits /= v.column
-    np.add(dlogits[v.rows, y], 1e-300, out=v.log_picked)
+    probs = _softmax(v)
+    np.add(probs[v.rows, y], 1e-300, out=v.log_picked)
     loss = -float(np.log(v.log_picked, out=v.log_picked).sum()) / n
+    return loss, _backward(params, y, v)
+
+
+def _grads(params: DecoderParams, x: np.ndarray, y: np.ndarray, io: Converters | None,
+           v: _BatchViews) -> DecoderParams:
+    """The gradients of `loss_and_grads` without the loss or the checks: the
+    training step of `_train`'s callers, on a batch of checked events `x`
+    and 0/1 labels `y`, in views `v` sized to it."""
+    _forward(params, x, io, v)
+    _softmax(v)
+    return _backward(params, y, v)
+
+
+def _softmax(v: _BatchViews) -> np.ndarray:
+    """The two-class softmax of the logits, in place, column by column: the
+    max of two entries is exact and a two-term add.reduce is a + b, so these
+    are the bits of `max(axis=1)` and `sum(axis=1)`."""
+    probs = v.logits
+    np.maximum(v.logit0, v.logit1, out=v.column)
+    probs -= v.column
+    np.exp(probs, out=probs)
+    np.add(v.logit0, v.logit1, out=v.column)
+    probs /= v.column
+    return probs
+
+
+def _backward(params: DecoderParams, y: np.ndarray, v: _BatchViews) -> DecoderParams:
+    """BPTT from the softmax in `v.logits` (overwritten by dlogits) and the
+    labels `y`, into `v.grads`.
+
+    The recurrent unit's gradient is one batched matmul of the step inputs
+    [x_t | h_t | 1] with dz_t, summed over steps: the ones row of the inputs
+    makes the bias row the sum of dz over shots: the bits of a separate
+    `dz.sum(axis=1)` where BLAS adds the exact products by 1.0 in shot
+    order (see the module docstring)."""
+    dlogits = v.logits
     # minus the one-hot label rows: the label column becomes p - 1.0, the
     # other q - 0.0 = q
     dlogits -= _ONE_HOT.take(y, axis=0, out=v.one_hot)
-    dlogits /= n
+    dlogits /= len(y)
 
     grads = v.grads
     np.matmul(v.last_t, dlogits, out=grads.w_eval)
@@ -382,10 +438,8 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
     dz_0, active_0 = v.backward_steps[-1]
     np.multiply(dh, active_0, out=dz_0)
     np.matmul(v.inputs_reversed, v.dz, out=v.per_step)
-    np.add.reduce(v.per_step, axis=0, out=grads.w_rec, initial=0.0)
-    np.add.reduce(np.add.reduce(v.dz, axis=1, out=v.dz_sum), axis=0,
-                  out=grads.b_rec, initial=0.0)
-    return loss, grads
+    np.add.reduce(v.per_step, axis=0, out=v.unit_grads, initial=0.0)
+    return grads
 
 
 class AdamState:
@@ -468,16 +522,21 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
     """The epoch loop of FP training and retraining. It trains `params` in
     place for `config.epochs` epochs, each one `shuffle_rng.permutation` then
     `update = epoch_update(epoch, batches)` run per batch as `update(batch,
-    events, labels, work, state)` (one step of this call's `AdamState`), and
-    returns a copy of them after the earliest epoch of best score: the mean
-    accuracy, on the validation syndrome table, of the (parameters,
+    events, labels, views, state)` (one step of this call's `AdamState`, on
+    the batch's `Workspace` views; events and labels are checked here, once),
+    and returns a copy of them after the earliest epoch of best score: the
+    mean accuracy, on the validation syndrome table, of the (parameters,
     converters) pairs `val_draws(epoch)` yields."""
     events, labels = _as_arrays(dataset)
     val_events, val_labels = _as_arrays(val)
+    _check_events(events)
     if events.shape[0] == 0 or val_events.shape[0] == 0:
         raise ValueError("datasets must be non-empty")
     if events.shape[1] != val_events.shape[1]:
         raise ValueError("train and validation datasets disagree on rounds")
+    if labels.shape[0] != events.shape[0]:
+        raise ValueError(f"{events.shape[0]} samples but {labels.shape[0]} labels")
+    _check_labels(labels)
     rows, counts = syndrome_table(val_events, val_labels)
     val_work = Workspace(len(table_batch(rows, counts)), rows.shape[1])
     n, size = events.shape[0], config.batch_size
@@ -489,7 +548,7 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
         update = epoch_update(epoch, -(-n // size))
         for batch, start in enumerate(range(0, n, size)):
             idx = order[start:start + size]
-            update(batch, events[idx], labels[idx], work, state)
+            update(batch, events[idx], labels[idx], work.views(len(idx)), state)
         accs = [table_accuracy(lambda r: logits_to_bits(forward_batch(p, r, io, val_work)[2]),
                                rows, counts) for p, io in val_draws(epoch)]
         acc = sum(accs) / len(accs)
@@ -504,9 +563,8 @@ def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderPara
     (earliest epoch on ties)."""
     params = DecoderParams.initial(config.seed)
 
-    def update(batch, events, labels, work, state):
-        _, grads = loss_and_grads(params, events, labels, None, work)
-        adam_step(params, grads, state, config)
+    def update(batch, events, labels, views, state):
+        adam_step(params, _grads(params, events, labels, None, views), state, config)
 
     return _train(params, dataset, val, config, spawn_generator(config.seed, 1),
                   lambda epoch, batches: update, lambda epoch: [(params, None)])

@@ -92,9 +92,16 @@ class TestClipWeights:
         twice = np.clip(once, -bound, bound)
         assert np.array_equal(once, twice)
 
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            hwa.clip_weights(rd.DecoderParams.zeros(), 0.0)
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.0, -1.5])
+    def test_bad_alpha_rejected(self, alpha):
+        # refused like RetrainConfig.clip_scale, leaving the parameters as
+        # they were
+        params = rd.DecoderParams(*(np.random.default_rng(4).normal(size=shape)
+                                    for shape in ((20, 16), 16, (16, 2), 2)))
+        before = params.flat.tobytes()
+        with pytest.raises(ValueError, match="alpha must be a positive real"):
+            hwa.clip_weights(params, alpha)
+        assert params.flat.tobytes() == before
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6),
@@ -321,36 +328,39 @@ class TestCallerConfigsReachRetraining:
         forward = rd.forward_batch
 
         def record(params, events, io=None, work=None):
+            before = len(converted)
             z, inputs, logits = forward(params, events, io, work)
-            seen.append((io is not None, inputs.copy(), z.copy(), logits.copy()))
+            seen.append((len(converted) - before, inputs.copy(), z.copy(), logits.copy()))
             return z, inputs, logits
 
-        # the training step reaches the forward pass through loss_and_grads:
-        # record what each converter it receives returns
-        trained = []
-        loss_and_grads = rd.loss_and_grads
+        # every forward pass, of a training step or of a validation draw,
+        # converts through the pair `_converters` builds: record what each
+        # converter returns
+        converted = []
+        converters = hwa._converters
 
         def recording(convert):
-            def converted(v):
+            def recorded(v):
                 out = convert(v)
-                trained.append(np.array(out))
+                converted.append(np.array(out))
                 return out
-            return converted
+            return recorded
 
-        def record_step(params, events, labels, io=None, work=None):
-            assert io is not None
-            return loss_and_grads(params, events, labels,
-                                  tuple(recording(c) for c in io), work)
+        def record_converters(cfg, xcfg):
+            return tuple(recording(c) for c in converters(cfg, xcfg))
 
         monkeypatch.setattr(rd, "forward_batch", record)
-        monkeypatch.setattr(rd, "loss_and_grads", record_step)
+        monkeypatch.setattr(hwa, "_converters", record_converters)
         out = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1, crossbar_config=xcfg)
         monkeypatch.undo()
-        assert seen and all(has_io for has_io, *_ in seen)
-        # per batch, the DAC and the ADC each convert T + 1 times
+        # per forward pass, of each batch and each validation draw, the DAC
+        # and the ADC each convert T + 1 times
         n, steps, _ = train.events.shape
-        assert len(trained) == -(-n // rd.TrainConfig().batch_size) * 2 * (steps + 1)
-        for v in [v for _, *values in seen for v in values] + trained:
+        assert len(seen) == cfg.epochs * hwa.VAL_DRAWS
+        assert all(count == 2 * (steps + 1) for count, *_ in seen)
+        batches = -(-n // rd.TrainConfig().batch_size)
+        assert len(converted) == (batches + len(seen)) * 2 * (steps + 1)
+        for v in [v for _, *values in seen for v in values] + converted:
             assert np.abs(v).max() <= xcfg.adc_bound
             assert np.array_equal(v, np.round(v / step) * step)
         default = hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)

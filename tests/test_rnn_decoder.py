@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memdec import analog_model as am
 from memdec import hwa_training as hwa
@@ -157,6 +159,8 @@ class TestWorkspace:
                 z_f, in_f, lg_f = rd.forward_batch(params, events, conv)
                 assert (z_w.tobytes(), in_w.tobytes(), lg_w.tobytes()) == (
                     z_f.tobytes(), in_f.tobytes(), lg_f.tobytes())
+                # the bias input stays exactly 1, the DAC's passes included
+                assert (work.inputs[..., -1] == 1.0).all()
 
     def test_reused_buffers_give_the_same_retraining_bits(self):
         # the masked, noised (and converted) retraining step: one workspace,
@@ -193,6 +197,126 @@ class TestWorkspace:
             rd.forward_batch(rd.DecoderParams.zeros(), events, None, rd.Workspace(8, 3))
 
 
+def unfolded_loss_and_grads(params, events, labels, io=None):
+    """`loss_and_grads` as it was before the recurrent bias was folded into
+    its crossbar unit: the step adds `b_rec` after the (n, 20) @ (20, 16)
+    product, and BPTT reduces the bias gradient from dz on its own, over
+    shots and then over steps. The same operations in the same order, in
+    fresh step-major buffers."""
+    dac, adc = io if io is not None else (None, None)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, steps, _ = events.shape
+    inputs = np.zeros((steps + 1, n, 20))
+    z = np.empty((steps, n, 16))
+    inputs[:steps, :, :4] = events.transpose(1, 0, 2)
+    for t in range(steps):
+        if dac is not None:
+            dac(inputs[t])
+        np.dot(inputs[t], params.w_rec, out=z[t])
+        z[t] += params.b_rec
+        if adc is not None:
+            adc(z[t])
+        np.maximum(z[t], 0.0, out=inputs[t + 1, :, 4:])
+    last = inputs[steps, :, 4:]
+    if dac is not None:
+        dac(last)
+    dlogits = np.matmul(last, params.w_eval)
+    dlogits += params.b_eval
+    if adc is not None:
+        adc(dlogits)
+    dlogits -= np.maximum(dlogits[:, :1], dlogits[:, 1:])
+    np.exp(dlogits, out=dlogits)
+    dlogits /= np.add(dlogits[:, :1], dlogits[:, 1:])
+    loss = -float(np.log(dlogits[np.arange(n), labels] + 1e-300).sum()) / n
+    dlogits -= np.eye(2)[labels]
+    dlogits /= n
+    grads = rd.DecoderParams.zeros()
+    np.matmul(last.T, dlogits, out=grads.w_eval)
+    np.add.reduce(dlogits, axis=0, out=grads.b_eval)
+    dh = np.dot(dlogits, params.w_eval.T)
+    active = np.empty_like(z)
+    np.greater(z, 0.0, out=active)
+    dz = np.empty_like(z)  # step t at steps - 1 - t
+    dh_rec = np.empty((n, 20))
+    for t in range(steps - 1, 0, -1):
+        np.multiply(dh, active[t], out=dz[steps - 1 - t])
+        np.dot(dz[steps - 1 - t], params.w_rec.T, out=dh_rec)
+        dh = dh_rec[:, 4:]
+    np.multiply(dh, active[0], out=dz[steps - 1])
+    per_step = np.matmul(inputs[steps - 1::-1].transpose(0, 2, 1), dz)
+    np.add.reduce(per_step, axis=0, out=grads.w_rec, initial=0.0)
+    np.add.reduce(np.add.reduce(dz, axis=1), axis=0, out=grads.b_rec, initial=0.0)
+    return loss, grads
+
+
+# finite reals of either sign, signed zeros over-represented
+_REALS = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+class TestBiasFold:
+    """The recurrent step runs as [x | h | 1] @ unit and BPTT reduces the
+    whole unit's gradient at once; both keep the bits of the separate bias
+    add and bias reduction under the OpenBLAS kernels the `rnn_decoder`
+    docstring names (not under every kernel)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), spare=st.integers(0, 40), steps=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0),
+           special=st.lists(_REALS, min_size=8, max_size=8))
+    def test_folded_products_equal_separate_bias(self, n, spare, steps, seed, zeros,
+                                                 special):
+        # in the views of a workspace `spare` rows larger than the batch
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            a = rng.uniform(-4, 4, shape)
+            a[rng.random(shape) < zeros] = 0.0
+            a[rng.random(shape) < zeros / 2] = -0.0
+            picks = rng.random(shape) < 0.1
+            a[picks] = rng.choice(special, int(picks.sum()))
+            return a
+
+        work = rd.Workspace(n + spare, steps)
+        v = work.views(n)
+        unit = draw(rd.RECURRENT_UNIT)
+        w_rec, b_rec = np.ascontiguousarray(unit[:-1]), unit[-1].copy()
+        for t, (inp, _, zt, _) in enumerate(v.forward_steps):
+            inp[:, :20] = draw((n, 20))
+            np.dot(inp, unit, out=zt)
+            separate = np.dot(np.ascontiguousarray(inp[:, :20]), w_rec)
+            separate += b_rec
+            assert zt.tobytes() == separate.tobytes(), t
+        v.dz[...] = draw(v.dz.shape)
+        np.matmul(v.inputs_reversed, v.dz, out=v.per_step)
+        np.add.reduce(v.per_step, axis=0, out=v.unit_grads, initial=0.0)
+        # the unfolded operand: [x | h] rows in a 20-wide step-major buffer
+        xh = np.ascontiguousarray(work.inputs[:steps, :, :20])[:, :n]
+        w_grad = np.add.reduce(np.matmul(xh[::-1].transpose(0, 2, 1), v.dz), axis=0,
+                               initial=0.0)
+        b_grad = np.add.reduce(np.add.reduce(v.dz, axis=1), axis=0, initial=0.0)
+        assert v.unit_grads[:-1].tobytes() == w_grad.tobytes()
+        assert v.unit_grads[-1].tobytes() == b_grad.tobytes()
+
+    @pytest.mark.parametrize("io_on", [False, True])
+    def test_loss_and_grads_equal_unfolded_formulation(self, io_on):
+        # random batches, fresh and in a reused workspace, with and without
+        # the crossbar's converters
+        rng = np.random.default_rng(46)
+        io = hwa._converters(hwa.RetrainConfig(io_discretize=True),
+                             am.CrossbarConfig(levels=64, adc_bound=3.0)) if io_on else None
+        works = {steps: rd.Workspace(64, steps) for steps in (2, 4, 6)}
+        for _ in range(60):
+            n, steps = int(rng.integers(1, 65)), int(rng.choice([2, 4, 6]))
+            params = random_params(rng, scale=float(rng.choice([0.3, 1.0, 3.0])))
+            events = rng.integers(0, 2, size=(n, steps, 4)).astype(np.uint8)
+            labels = rng.integers(0, 2, size=n).astype(np.uint8)
+            loss_u, g_u = unfolded_loss_and_grads(params, events, labels, io)
+            for work in (None, works[steps]):
+                loss, g = rd.loss_and_grads(params, events, labels, io, work)
+                assert loss == loss_u and g.flat.tobytes() == g_u.flat.tobytes()
+
+
 class TestPredict:
     @pytest.mark.parametrize("b_eval,expected", [
         ((0.3, -0.3), 0),
@@ -227,6 +351,14 @@ class TestLossAndGrads:
         with pytest.raises(ValueError):
             rd.loss_and_grads(rd.DecoderParams.zeros(),
                               np.zeros((0, 4, 4)), np.zeros(0))
+
+    @pytest.mark.parametrize("label,dtype", [(-1, np.int64), (2, np.int64),
+                                             (255, np.uint8), (0.5, np.float64)])
+    def test_labels_other_than_0_or_1_rejected(self, label, dtype):
+        events = np.zeros((3, 4, 4))
+        labels = np.array([0, label, 1], dtype=dtype)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            rd.loss_and_grads(rd.DecoderParams.zeros(), events, labels)
 
     def test_duplicated_batch_equals_single(self):
         rng = np.random.default_rng(5)
@@ -382,6 +514,40 @@ class TestTraining:
         b = rd.train_fp(train, val, cfg)
         for x, y in zip(a.tensors(), b.tensors()):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("label", [-1, 2, 255])
+    @pytest.mark.parametrize("stage", ["train_fp", "retrain_hwa", "retrain_ds"])
+    def test_training_labels_checked_before_the_first_batch(self, monkeypatch, stage,
+                                                            label):
+        train = sc.generate_dataset([1e-2], 300, 3, seed=40)
+        val = sc.generate_dataset([1e-2], 100, 3, seed=41, split_tag="validation")
+        labels = train.labels.astype(np.uint8 if label == 255 else np.int64)
+        labels[-1] = label
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(rd, "_grads", no_step)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            if stage == "train_fp":
+                rd.train_fp((train.events, labels), val, rd.TrainConfig(epochs=1))
+            elif stage == "retrain_hwa":
+                hwa.retrain_hwa(rd.DecoderParams.zeros(), (train.events, labels), val,
+                                hwa.RetrainConfig(epochs=1), 0.1)
+            else:
+                hwa.retrain_ds(rd.DecoderParams.zeros(), (train.events, labels), val,
+                               hwa.RetrainConfig(epochs=1), am.FaultMap.none())
+
+    @pytest.mark.parametrize("n_labels", [295, 305])
+    def test_label_count_checked_before_the_first_batch(self, monkeypatch, n_labels):
+        # fewer labels than shots raised a bare IndexError mid-epoch, more
+        # trained silently
+        train = sc.generate_dataset([1e-2], 300, 3, seed=40)
+        val = sc.generate_dataset([1e-2], 100, 3, seed=41, split_tag="validation")
+        labels = np.resize(train.labels, n_labels)
+        monkeypatch.setattr(rd, "_grads", None)
+        with pytest.raises(ValueError, match=f"300 samples but {n_labels} labels"):
+            rd.train_fp((train.events, labels), val, rd.TrainConfig(epochs=1))
 
     def test_validation_table_built_once_in_one_workspace(self, monkeypatch):
         # one syndrome table per call, and every validation forward of every
