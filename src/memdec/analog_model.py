@@ -11,9 +11,9 @@ differential pairs are forced to the high-conductance state on both sides,
 cancelling to an effective weight of exactly zero. The analog path quantizes
 DAC inputs (range 1, after scaling by the ADC bound) and ADC outputs (range
 6) at 8 bits. One in-place quantizer, `_quantize`, rounds (half away from
-zero, then the clamp) for `quantize`, the plan executor below and
-retraining's DAC and ADC; the recurrent step's ADC, ReLU and DAC are one
-converter, `_convert_hidden`, with the same bits in fewer passes.
+zero, then the clamp) for the plan executor below and retraining's DAC and
+ADC; the recurrent step's ADC, ReLU and DAC are one converter,
+`_convert_hidden`, with the same bits in fewer passes.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -25,14 +25,14 @@ converter setting, holds what no chip changes: the DAC'd events of each
 prefix run with the bias column filled, how many runs continue each run
 and reused work buffers. Running it on a chip forms each unit's effective
 matrix G+ - G-, copies the hidden states into the plan's inputs and runs
-the matmul and `_convert_hidden`. `analog_logits` builds a plan
-and runs it once; the error-bar protocol builds one per test table
-(`table_plans`) and runs it on every chip. The logits are bit-identical to
-a per-row evaluation: the DAC and ADC act elementwise, so converting a
-value once per table gives the value converting it per chip would; a row
-of a gemm does not depend on the row count; and a step that would be a
-one-row product inside a larger batch is evaluated as a doubled row, so it
-stays on gemm.
+the matmul and `_convert_hidden`. The error-bar protocol builds one plan
+per test table (`table_plans`) and runs it on every chip; one chip's logits
+of any batch are `AnalogPlan(events, cfg).logits(chip)`. They are
+bit-identical to a per-row evaluation: the DAC and ADC act elementwise, so
+converting a value once per table gives the value converting it per chip
+would; a row of a gemm does not depend on the row count; and a step that
+would be a one-row product inside a larger batch is evaluated as a doubled
+row, so it stays on gemm.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class VariabilityModel:
             out = out * g + c
         return np.maximum(out, 0.0)
 
-    @staticmethod
-    def disabled() -> "VariabilityModel":
-        return VariabilityModel(fallback_relative=0.0)
-
 
 @dataclass(frozen=True)
 class CrossbarConfig:
@@ -128,8 +124,12 @@ class FaultMap:
 
     @staticmethod
     def sample(stuck_rate: float, rng: np.random.Generator) -> "FaultMap":
-        return FaultMap(sample_fault_map(RECURRENT_UNIT, stuck_rate, rng),
-                        sample_fault_map(EVALUATION_UNIT, stuck_rate, rng))
+        """i.i.d. Bernoulli(stuck_rate) stuck indicator per differential
+        pair, drawn for the recurrent unit and then the evaluation unit."""
+        if not 0.0 <= stuck_rate <= 1.0:   # NaN fails too
+            raise ValueError(f"stuck_rate must lie in [0, 1], got {stuck_rate}")
+        return FaultMap(rng.random(RECURRENT_UNIT) < stuck_rate,
+                        rng.random(EVALUATION_UNIT) < stuck_rate)
 
 
 @dataclass(frozen=True)
@@ -152,28 +152,11 @@ class ProgrammedDecoder:
     scale_evaluation: float
 
 
-def sample_fault_map(shape: tuple[int, ...], stuck_rate: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. Bernoulli(stuck_rate) stuck indicator per differential pair."""
-    if not 0.0 <= stuck_rate <= 1.0:
-        raise ValueError(f"stuck_rate must lie in [0, 1], got {stuck_rate}")
-    return rng.random(shape) < stuck_rate
-
-
-def quantize(x, bound: float, levels: int):
-    """Clamp to [-bound, bound]; inside, round(x/(2b)*n)*(2b)/n with halves
-    away from zero."""
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    out = np.array(x, dtype=np.float64)
-    _quantize(out.reshape(-1), bound, levels)
-    return out if out.ndim else float(out)
-
-
 def _quantize(x: np.ndarray, bound: float, levels: int) -> np.ndarray:
-    """`quantize` in place on the float64 array `x`; returns `x`.
+    """Quantize the float64 array `x` in place to `levels` levels over
+    [-bound, bound] and return it: clamp to [-bound, bound]; inside,
+    round(x/(2b)*n)*(2b)/n with halves away from zero. The caller's
+    `CrossbarConfig` has checked that bound > 0 and levels >= 2.
 
     Rounds half away from zero as trunc(v + copysign(1/2, v)), which equals
     sign(v) * floor(|v| + 1/2) for every IEEE v but NaN: the sum rounds to
@@ -213,8 +196,8 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
     split = 2 * len(rec)
     g = np.abs(signed)
     w_max = np.maximum.reduceat(g, (0, split))
-    if (w_max <= 0).any():
-        raise ValueError(f"a unit with no nonzero weight cannot be mapped, w_max {w_max}")
+    if not all(0 < w < math.inf for w in w_max.tolist()):   # a NaN weight fails too
+        raise ValueError(f"a unit needs finite weights, not all zero; w_max {w_max}")
     g *= cfg.g_hcs - cfg.g_lcs
     g /= np.repeat(w_max, (split, len(g) - split))
     g += cfg.g_lcs
@@ -272,9 +255,10 @@ def _convert_hidden(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> n
 
 
 class AnalogPlan:
-    """The chip-independent half of `analog_logits` for one batch of event
+    """The chip-independent half of analog inference for one batch of event
     rows under one converter setting (`adc_bound`, `dac_bound`, `levels`,
-    `quantize_io` of `cfg`), built once and run on any number of chips.
+    `quantize_io` of `cfg`), built once and run on any number of chips by
+    `logits`.
 
     Step t of the recurrent unit runs once per run of adjacent rows that
     share the prefix `events[:, :t+1]`: a row starts a run at step t if it
@@ -381,14 +365,6 @@ def table_plans(tables: Sequence[tuple[np.ndarray, np.ndarray]], cfg: CrossbarCo
     batches = [table_batch(rows, counts) for rows, counts in tables]
     work = np.empty(max((AnalogPlan.work_size(len(b)) for b in batches), default=0))
     return [AnalogPlan(batch, cfg, work) for batch in batches]
-
-
-def analog_logits(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                  events: np.ndarray) -> np.ndarray:
-    """Crossbar forward pass; returns post-ADC logits, shape (n, 2), with
-    the bits of running every row through every step (module docstring).
-    """
-    return AnalogPlan(events, cfg).logits(programmed).copy()
 
 
 def _converter_settings(cfg: CrossbarConfig) -> tuple:

@@ -168,18 +168,18 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     """Run the full error-bar protocol for one scheme at one stuck rate.
 
     `base_params` may supply pre-trained floating-point parameters (one per
-    training run) so several scheme evaluations can share their FP stage;
-    otherwise each run trains from scratch with a seed derived from
-    `master_seed`. `p_drop` overrides the dropconnect rate for hwa_mnd
-    (default: the stuck rate, the optimized heuristic).
+    training run, run i taking the i-th; fewer than `n_train_runs` raises)
+    so several scheme evaluations can share their FP stage; otherwise each
+    run trains from scratch with a seed derived from `master_seed`.
+    `p_drop` overrides the dropconnect rate for hwa_mnd (default: the stuck
+    rate, the optimized heuristic).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed {master_seed} outside [0, 2^64)")
-    if base_params is not None and len(base_params) == 0:
-        raise ValueError("base_params must hold at least one set of parameters "
-                         "when given")
+    if base_params is not None and len(base_params) < protocol.n_train_runs:
+        raise ValueError(f"base_params holds {len(base_params)} of {protocol.n_train_runs} runs")
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     missing = [p for p in protocol.p_values if p not in test_sets]
@@ -196,7 +196,7 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     trained = []
     for i in range(protocol.n_train_runs):
         if base_params is not None:
-            params = base_params[i % len(base_params)].copy()
+            params = base_params[i].copy()
         else:
             params = rd.train_fp(configs.train_set, configs.val_set,
                                  replace(configs.train_config,
@@ -219,8 +219,7 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
               for p in protocol.p_values]
     if scheme == "baseline":
-        runs = [[sc.table_accuracy(lambda r: rd.predict_batch(params, r), rows, counts)
-                 for rows, counts in tables]
+        runs = [[rd.accuracy(params, rows, counts) for rows, counts in tables]
                 for params, _ in trained]
     else:
         # every chip of every run decodes the same tables: their DAC'd

@@ -130,6 +130,8 @@ def load_checkpoint(path) -> tuple[DecoderParams, dict]:
             rows, cols = struct.unpack("<HH", _read_exact(fh, 4, "tensor shape"))
             count = rows * (cols if cols else 1)
             data = np.frombuffer(_read_exact(fh, 8 * count, "tensor data"), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise CorruptFileError("checkpoint tensor holds a non-finite value")
             tensors.append(data.reshape(rows, cols) if cols else data.copy())
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
         try:

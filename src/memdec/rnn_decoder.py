@@ -347,11 +347,6 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
     return v.shot_z, v.shot_inputs, logits
 
 
-def predict_batch(params: DecoderParams, events: np.ndarray) -> np.ndarray:
-    _, _, logits = forward_batch(params, events)
-    return logits_to_bits(logits)
-
-
 def logits_to_bits(logits: np.ndarray) -> np.ndarray:
     """Argmax over the two logits of each row; ties resolve to 0 (no
     recovery)."""
@@ -469,19 +464,17 @@ class AdamState:
         return AdamState, (self.moments, self.step)
 
 
-def accuracy(params: DecoderParams, dataset: Dataset | tuple[np.ndarray, np.ndarray],
-             ) -> float:
-    """Fraction of samples whose prediction equals the label; each distinct
-    syndrome is decoded once."""
-    rows, counts = syndrome_table(*_as_arrays(dataset))
-    return table_accuracy(lambda r: predict_batch(params, r), rows, counts)
-
-
-def _as_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(dataset, Dataset):
-        return dataset.events, dataset.labels
-    events, labels = dataset
-    return np.asarray(events), np.asarray(labels).reshape(-1)
+def accuracy(params: DecoderParams, rows: np.ndarray, counts: np.ndarray,
+             io: Converters | None = None, work: Workspace | None = None) -> float:
+    """Digital accuracy over a syndrome table (`rows`, `counts`), as
+    `surface_code_sim.syndrome_table` returns it: the fraction of the shots
+    it stands for whose prediction equals the label, with each distinct row
+    decoded once by `forward_batch` (under `io`, in `work` when given).
+    Equals the per-shot accuracy over the full set. The one digital table
+    scorer: `_train` scores its validation draws and `evaluate_scheme` its
+    baseline with it."""
+    return table_accuracy(lambda r: logits_to_bits(forward_batch(params, r, io, work)[2]),
+                          rows, counts)
 
 
 def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
@@ -525,19 +518,18 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
     events, labels, views, state)` (one step of this call's `AdamState`, on
     the batch's `Workspace` views; events and labels are checked here, once),
     and returns a copy of them after the earliest epoch of best score: the
-    mean accuracy, on the validation syndrome table, of the (parameters,
+    mean `accuracy`, on the validation syndrome table, of the (parameters,
     converters) pairs `val_draws(epoch)` yields."""
-    events, labels = _as_arrays(dataset)
-    val_events, val_labels = _as_arrays(val)
+    events, labels = dataset.events, dataset.labels
     _check_events(events)
-    if events.shape[0] == 0 or val_events.shape[0] == 0:
+    if events.shape[0] == 0 or val.events.shape[0] == 0:
         raise ValueError("datasets must be non-empty")
-    if events.shape[1] != val_events.shape[1]:
+    if events.shape[1] != val.events.shape[1]:
         raise ValueError("train and validation datasets disagree on rounds")
     if labels.shape[0] != events.shape[0]:
         raise ValueError(f"{events.shape[0]} samples but {labels.shape[0]} labels")
     _check_labels(labels)
-    rows, counts = syndrome_table(val_events, val_labels)
+    rows, counts = syndrome_table(val.events, val.labels)
     val_work = Workspace(len(table_batch(rows, counts)), rows.shape[1])
     n, size = events.shape[0], config.batch_size
     work = Workspace(min(size, n), events.shape[1])
@@ -549,8 +541,7 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
         for batch, start in enumerate(range(0, n, size)):
             idx = order[start:start + size]
             update(batch, events[idx], labels[idx], work.views(len(idx)), state)
-        accs = [table_accuracy(lambda r: logits_to_bits(forward_batch(p, r, io, val_work)[2]),
-                               rows, counts) for p, io in val_draws(epoch)]
+        accs = [accuracy(p, rows, counts, io, val_work) for p, io in val_draws(epoch)]
         acc = sum(accs) / len(accs)
         if acc > best_acc:
             best_acc, best = acc, params.copy()

@@ -169,17 +169,6 @@ class Instruction:
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """Physical fault rate p of the circuit-level noise model."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"fault rate must lie in [0, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
 class CircuitSpec:
     qubit_count: int
     rounds: int
@@ -295,13 +284,15 @@ def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
     return float(np.where(pred, counts[:, 1], counts[:, 0]).sum() / int(counts.sum()))
 
 
-def build_memory_x_circuit(rounds: int, noise: NoiseParams) -> CircuitSpec:
-    """Memory-X experiment: prepare data |+>, run `rounds` noisy parity-check
-    rounds, then measure data in X. See the module docstring for the layout
-    and schedule; noise channels follow the circuit-level model exactly."""
+def build_memory_x_circuit(rounds: int, p: float) -> CircuitSpec:
+    """Memory-X experiment at physical fault rate `p`: prepare data |+>, run
+    `rounds` noisy parity-check rounds, then measure data in X. See the
+    module docstring for the layout and schedule; noise channels follow the
+    circuit-level model exactly."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    p = noise.p
+    if not 0.0 <= p <= 1.0:   # NaN fails too
+        raise ValueError(f"fault rate must lie in [0, 1], got {p}")
     flip = 2.0 * p / 3.0
     ins: list[Instruction] = []
 
@@ -482,7 +473,7 @@ def _memory_x_plan(rounds: int, p: float) -> _DrawPlan:
     rounds, which every call at that (rounds, p) would pay again. Keys are
     typed: p = 0.5 and np.float32(0.5) compare and hash equal, but the
     second circuit's flip probability is a float32."""
-    return _draw_plan(build_memory_x_circuit(rounds, NoiseParams(p)))
+    return _draw_plan(build_memory_x_circuit(rounds, p))
 
 
 class _TileBuffers:

@@ -10,7 +10,7 @@ from memdec import rnn_decoder as rd
 
 
 def default_cfg(**kw):
-    base = dict(variability=am.VariabilityModel.disabled())
+    base = dict(variability=am.VariabilityModel(fallback_relative=0.0))
     base.update(kw)
     return am.CrossbarConfig(**base)
 
@@ -129,20 +129,25 @@ class TestVariability:
 class TestFaultMap:
     def test_rate_zero_and_one(self):
         rng = np.random.default_rng(3)
-        assert not am.sample_fault_map((20, 16), 0.0, rng).any()
-        assert am.sample_fault_map((20, 16), 1.0, rng).all()
+        none, full = am.FaultMap.sample(0.0, rng), am.FaultMap.sample(1.0, rng)
+        assert not none.recurrent.any() and not none.evaluation.any()
+        assert full.recurrent.all() and full.evaluation.all()
 
     def test_binomial_count(self):
-        # 99% interval for Binomial(320*400, 0.1)
+        # 99% interval for Binomial(370*400, 0.1)
         rng = np.random.default_rng(4)
-        total = sum(am.sample_fault_map((20, 16), 0.1, rng).sum() for _ in range(400))
-        n = 320 * 400
+        total = 0
+        for _ in range(400):
+            fmap = am.FaultMap.sample(0.1, rng)
+            total += fmap.recurrent.sum() + fmap.evaluation.sum()
+        n = 370 * 400
         sd = np.sqrt(n * 0.1 * 0.9)
         assert abs(total - 0.1 * n) < 2.58 * sd
 
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            am.sample_fault_map((4, 4), 1.2, np.random.default_rng(0))
+    @pytest.mark.parametrize("rate", [1.2, float("nan")])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="stuck_rate"):
+            am.FaultMap.sample(rate, np.random.default_rng(0))
 
     def test_stuck_pairs_and_only_they_change(self, random_decoder):
         cfg = am.CrossbarConfig()   # default 0.8% variability on
@@ -169,31 +174,30 @@ class TestFaultMap:
 
 class TestQuantize:
     def test_clamp_branch(self):
-        assert am.quantize(7.0, 6.0, 256) == 6.0
-        assert am.quantize(-7.0, 6.0, 256) == -6.0
+        assert am._quantize(np.array([7.0, -7.0]), 6.0, 256).tolist() == [6.0, -6.0]
 
     def test_zero(self):
-        assert am.quantize(0.0, 6.0, 256) == 0.0
+        assert am._quantize(np.array([0.0]), 6.0, 256).tolist() == [0.0]
 
     def test_hand_derived_case(self):
         # 0.03 / 12 * 256 = 0.64 -> rounds to 1 -> 12 / 256 = 0.046875
-        assert am.quantize(0.03, 6.0, 256) == 0.046875
+        assert am._quantize(np.array([0.03]), 6.0, 256).tolist() == [0.046875]
 
     def test_half_away_from_zero(self):
         # step = 1.0 at bound 2, levels 4; 0.5 is exactly half a step
-        assert am.quantize(0.5, 2.0, 4) == 1.0
-        assert am.quantize(-0.5, 2.0, 4) == -1.0
+        assert am._quantize(np.array([0.5, -0.5]), 2.0, 4).tolist() == [1.0, -1.0]
 
     @given(st.floats(-20, 20))
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, x):
-        q = am.quantize(x, 6.0, 256)
-        assert am.quantize(q, 6.0, 256) == q
+        q = am._quantize(np.array([x]), 6.0, 256)
+        assert am._quantize(q.copy(), 6.0, 256).tolist() == q.tolist()
 
     @given(st.floats(-20, 20))
     @settings(max_examples=300, deadline=None)
     def test_odd(self, x):
-        assert am.quantize(-x, 6.0, 256) == -am.quantize(x, 6.0, 256)
+        assert (am._quantize(np.array([-x]), 6.0, 256).tolist()
+                == (-am._quantize(np.array([x]), 6.0, 256)).tolist())
 
 
 def reference_quantize(x, bound: float, levels: int) -> np.ndarray:
@@ -239,17 +243,15 @@ def quantize_edges(bound: float, levels: int) -> np.ndarray:
 
 
 def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> None:
-    """`_quantize`, array and scalar `quantize`, and retraining's in-place
-    DAC and ADC give the reference bytes; the caller silences the overflow
-    its inputs cause."""
+    """`_quantize`, on the whole array and on each entry alone, and
+    retraining's in-place DAC and ADC give the reference bytes; the caller
+    silences the overflow its inputs cause."""
     for bound in (cfg.adc_bound, cfg.dac_bound):
         want = reference_quantize(x, bound, cfg.levels).tobytes()
         v = x.copy()
         assert am._quantize(v, bound, cfg.levels) is v and v.tobytes() == want
-        assert am.quantize(x, bound, cfg.levels).tobytes() == want
-        scalars = [am.quantize(float(v), bound, cfg.levels) for v in x]
-        assert all(type(q) is float for q in scalars)
-        assert np.array(scalars).tobytes() == want
+        alone = [am._quantize(x[i:i + 1].copy(), bound, cfg.levels) for i in range(len(x))]
+        assert np.concatenate(alone).tobytes() == want
     scaled = x / cfg.adc_bound
     if cfg.quantize_io:
         dac = reference_quantize(scaled, cfg.dac_bound, cfg.levels)
@@ -274,8 +276,7 @@ class TestQuantizeBits:
                 assert_quantizers_match_reference(quantize_edges(bound, cfg.levels), cfg)
 
     def test_negative_zero_gives_positive_zero(self):
-        assert am.quantize(-0.0, 6.0, 256).hex() == "0x0.0p+0"
-        assert am.quantize(np.array([-0.0, -1e-9]), 6.0, 256).tobytes() == \
+        assert am._quantize(np.array([-0.0, -1e-9]), 6.0, 256).tobytes() == \
             np.array([0.0, -0.0]).tobytes()
 
     @given(cfg=st.sampled_from(QUANTIZE_CONFIGS),
@@ -385,7 +386,7 @@ class TestMvm:
             v = np.concatenate([h, [1.0]]) / cfg.adc_bound
             oracle.append(column_currents(chip.evaluation, v)
                           * chip.scale_evaluation * cfg.adc_bound)
-        assert np.allclose(am.analog_logits(chip, cfg, events), oracle,
+        assert np.allclose(am.AnalogPlan(events, cfg).logits(chip), oracle,
                            rtol=1e-12, atol=1e-12)
 
     def test_differential_symmetry(self):
@@ -400,15 +401,16 @@ class TestMvm:
         assert np.array_equal(swapped.evaluation.effective(), -chip.evaluation.effective())
         events = rng.integers(0, 2, size=(30, 3, 4))
         cfg = default_cfg()
-        assert np.array_equal(am.analog_logits(swapped, cfg, events),
-                              -am.analog_logits(chip, cfg, events))
+        plan = am.AnalogPlan(events, cfg)
+        logits = plan.logits(chip).copy()   # the next run overwrites the plan's logits
+        assert np.array_equal(plan.logits(swapped), -logits)
 
     def test_dimension_mismatch_rejected(self):
         chip = random_chip(np.random.default_rng(10))
         for shape in ((2, 3, 3), (2, 3, 5), (1, 2, 3, 4),
                       (3, 4)):  # one shot is a batch of one row
             with pytest.raises(ValueError, match="events must be"):
-                am.analog_logits(chip, default_cfg(), np.zeros(shape))
+                am.AnalogPlan(np.zeros(shape), default_cfg()).logits(chip)
 
 
 @pytest.fixture(scope="module")
@@ -428,10 +430,10 @@ class TestProgramDecoder:
         programmed = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
                                         np.random.default_rng(11))
         events = np.random.default_rng(12).integers(0, 2, size=(500, 4, 4))
-        analog = am.analog_logits(programmed, cfg, events)
+        analog = am.AnalogPlan(events, cfg).logits(programmed)
         _, _, digital = rd.forward_batch(random_decoder, events)
         assert np.allclose(analog, digital, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(rd.logits_to_bits(analog), rd.predict_batch(random_decoder, events))
+        assert np.array_equal(rd.logits_to_bits(analog), rd.logits_to_bits(digital))
 
     def test_unit_shapes_and_scales(self, random_decoder):
         cfg = default_cfg()
@@ -459,7 +461,7 @@ class TestProgramDecoder:
         programmed = am.program_decoder(random_decoder, cfg, fmap,
                                         np.random.default_rng(15))
         events = np.random.default_rng(16).integers(0, 2, size=(64, 4, 4))
-        logits = am.analog_logits(programmed, cfg, events)
+        logits = am.AnalogPlan(events, cfg).logits(programmed)
         assert np.array_equal(logits, np.zeros((64, 2)))
         assert not rd.logits_to_bits(logits).any()
 
@@ -490,6 +492,17 @@ class TestProgramDecoder:
         with pytest.raises(ValueError):
             am.program_decoder(rd.DecoderParams.zeros(), default_cfg(),
                                am.FaultMap.none(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [0, rd.UNIT_SLICES[1].start + 5])
+    def test_non_finite_weight_rejected(self, random_decoder, value, entry):
+        # one NaN used to make hundreds of its unit's conductances NaN, and
+        # the chip then decoded as the always-0 predictor with no error
+        params = random_decoder.copy()
+        params.flat[entry] = value
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="finite"):
+            am.program_decoder(params, am.CrossbarConfig(), am.FaultMap.none(), rng)
 
     def test_programming_is_deterministic_per_stream(self, random_decoder):
         cfg = am.CrossbarConfig()

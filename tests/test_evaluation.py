@@ -172,11 +172,11 @@ class TestSingleSyndrome:
         for j in range(5):
             rng = spawn_generator(MASTER, j)
             chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
-            bits = rd.logits_to_bits(am.analog_logits(chip, xcfg, self.EVENTS))
+            bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
             per_shot = (bits == self.LABELS).mean()
             assert am.analog_accuracy(chip, xcfg, *table) == per_shot
-        per_shot = (rd.predict_batch(params, self.EVENTS) == self.LABELS).mean()
-        assert rd.accuracy(params, (self.EVENTS, self.LABELS)) == per_shot
+        bits = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS)[2])
+        assert rd.accuracy(params, *table) == (bits == self.LABELS).mean()
 
     def test_plan_decodes_single_row_doubled(self):
         """On the plan path too, a one-row table of several shots is decoded
@@ -191,13 +191,13 @@ class TestSingleSyndrome:
             rng = spawn_generator(MASTER, j)
             chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
             assert (plans[0].logits(chip).tobytes()
-                    == am.analog_logits(chip, xcfg, self.EVENTS[:2]).tobytes())
+                    == am.AnalogPlan(self.EVENTS[:2], xcfg).logits(chip).tobytes())
             assert (plans[1].logits(chip).tobytes()
-                    == am.analog_logits(chip, xcfg, self.EVENTS[:1]).tobytes())
-            bits = rd.logits_to_bits(am.analog_logits(chip, xcfg, self.EVENTS))
+                    == am.AnalogPlan(self.EVENTS[:1], xcfg).logits(chip).tobytes())
+            bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
             per_shot = (bits == self.LABELS).mean()
             assert am.analog_accuracy(chip, xcfg, *several, plans[0]) == per_shot
-            alone = rd.logits_to_bits(am.analog_logits(chip, xcfg, self.EVENTS[:1]))[0] == 1
+            alone = rd.logits_to_bits(am.AnalogPlan(self.EVENTS[:1], xcfg).logits(chip))[0] == 1
             assert am.analog_accuracy(chip, xcfg, *single, plans[1]) == float(alone)
 
 
@@ -229,7 +229,7 @@ def per_shot_reference(scheme, protocol, configs, tests, base):
             rng = spawn_generator(MASTER, Stage.PROGRAM, i, j)
             fmap = chip_map if chip_map is not None else am.FaultMap.sample(STUCK, rng)
             chip = am.program_decoder(params, xcfg, fmap, rng)
-            runs.append([(rd.logits_to_bits(am.analog_logits(chip, xcfg, tests[p].events))
+            runs.append([(rd.logits_to_bits(am.AnalogPlan(tests[p].events, xcfg).logits(chip))
                           == tests[p].labels).mean() for p in protocol.p_values])
     return np.asarray(runs)
 
@@ -287,8 +287,46 @@ class TestEvaluateScheme:
         _, base, tests, _ = setup
         for params in base:
             for d in tests.values():
-                assert (rd.accuracy(params, d)
-                        == (rd.predict_batch(params, d.events) == d.labels).mean())
+                bits = rd.logits_to_bits(rd.forward_batch(params, d.events)[2])
+                assert (rd.accuracy(params, *sc.syndrome_table(d.events, d.labels))
+                        == (bits == d.labels).mean())
+
+    def test_every_digital_table_scored_through_rd_accuracy(self, setup, monkeypatch):
+        """Training's and retraining's validation and the baseline's test
+        tables are all scored by `rd.accuracy`, looked up on the module at
+        each call: once per epoch, once per validation draw per epoch, and
+        once per (training run, fault rate)."""
+        configs, base, tests, protocol = setup
+        scores = []
+        accuracy = rd.accuracy
+
+        def counted(*args):
+            scores.append(accuracy(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(rd, "accuracy", counted)
+        train_cfg = rd.TrainConfig(epochs=2, seed=3)
+        rd.train_fp(configs.train_set, configs.val_set, train_cfg)
+        assert len(scores) == train_cfg.epochs
+        scores.clear()
+        rcfg = hwa.RetrainConfig(epochs=2)
+        hwa.retrain_hwa(base[0], configs.train_set, configs.val_set, rcfg, STUCK)
+        assert len(scores) == rcfg.epochs * hwa.VAL_DRAWS
+        scores.clear()
+        report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
+                                    test_sets=tests, base_params=base)
+        assert len(scores) == protocol.n_train_runs * len(protocol.p_values)
+        assert scores == report.per_run_acc.ravel().tolist()
+
+    @pytest.mark.parametrize("runs", [0, 1])
+    def test_fewer_base_params_than_runs_rejected(self, setup, monkeypatch, runs):
+        # an empty list was refused, but one base run was reused for every
+        # training run, so the report gave one run's spread as that of several
+        configs, base, tests, protocol = setup
+        monkeypatch.setattr(rd, "train_fp", None)
+        with pytest.raises(ValueError, match=f"holds {runs} of {protocol.n_train_runs} runs"):
+            ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, MASTER,
+                               test_sets=tests, base_params=base[:runs])
 
     def test_retrain_validation_equals_per_shot(self, setup, monkeypatch):
         # each validation draw's table accuracy equals its per-shot accuracy,
@@ -341,9 +379,9 @@ class TestEvaluateScheme:
         configs, _, tests, protocol = setup
         monkeypatch.setattr(ev, "fit_monomial",
                             lambda points: ev.CurveFit(a=10.0, b=0.999, residual=0.0))
+        zeros = [rd.DecoderParams.zeros()] * protocol.n_train_runs
         report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
-                                    test_sets=tests,
-                                    base_params=[rd.DecoderParams.zeros()])
+                                    test_sets=tests, base_params=zeros)
         assert report.curve is not None
         assert report.pseudo_threshold is None
         assert report.pseudo_threshold_in_range is False
@@ -354,10 +392,10 @@ class TestEvaluateScheme:
         configs, _, tests, protocol = setup
         low = tests[TEST_P[0]]
         sets = {**tests, TEST_P[0]: replace(low, labels=np.zeros_like(low.labels))}
+        zeros = [rd.DecoderParams.zeros()] * protocol.n_train_runs
         with mock.patch.object(ev, "fit_monomial", wraps=ev.fit_monomial) as fit:
             report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
-                                        test_sets=sets,
-                                        base_params=[rd.DecoderParams.zeros()])
+                                        test_sets=sets, base_params=zeros)
         assert report.acc_mean[0] == 1.0 and report.acc_mean[1] < 1.0
         assert fit.call_count == 1   # its rule, and no other, decides
         assert (report.curve, report.pseudo_threshold,
@@ -417,12 +455,6 @@ class TestStuckSweep:
                            "p_drop": row["p_drop"], "acc_mean": report.acc_mean[0],
                            "acc_std": report.acc_std[0]}
         assert len({r["acc_mean"] for r in rows}) > 1
-
-    def test_empty_base_params_rejected(self, setup):
-        configs, _, tests, protocol = setup
-        with pytest.raises(ValueError, match="base_params"):
-            ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, MASTER,
-                               test_sets=tests, base_params=[])
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_outside_unit_interval_rejected(self, setup, rate):

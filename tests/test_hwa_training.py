@@ -187,8 +187,9 @@ class TestRetrainHwa:
         train, val = small_data
         cfg = hwa.RetrainConfig(noise_relative=0.0, epochs=2, seed=3)
         out = hwa.retrain_hwa(fp_params, train, val, cfg, 0.0)
-        base = rd.accuracy(fp_params, val)
-        tuned = rd.accuracy(out, val)
+        table = sc.syndrome_table(val.events, val.labels)
+        base = rd.accuracy(fp_params, *table)
+        tuned = rd.accuracy(out, *table)
         assert tuned >= base - 0.01
 
     def test_p_drop_one_rejected(self, small_data, fp_params):
@@ -391,11 +392,11 @@ class TestRetrainDs:
         fmap = am.FaultMap.sample(0.2, np.random.default_rng(32))
         cfg = hwa.RetrainConfig(epochs=1, seed=12, noise_relative=0.0)
         out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
-        xcfg = am.CrossbarConfig(variability=am.VariabilityModel.disabled(),
+        xcfg = am.CrossbarConfig(variability=am.VariabilityModel(fallback_relative=0.0),
                                  quantize_io=False)
         programmed = am.program_decoder(out, xcfg, fmap, np.random.default_rng(33))
-        digital = rd.predict_batch(out, val.events)
-        analog = rd.logits_to_bits(am.analog_logits(programmed, xcfg, val.events))
+        digital = rd.logits_to_bits(rd.forward_batch(out, val.events)[2])
+        analog = rd.logits_to_bits(am.AnalogPlan(val.events, xcfg).logits(programmed))
         assert np.array_equal(digital, analog)
 
     def test_empty_mask_equals_hwa_without_dropconnect(self, small_data, fp_params):
@@ -413,4 +414,4 @@ class TestRetrainDs:
         out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
         for t in out.tensors():
             assert not t.any()
-        assert rd.predict_batch(out, val.events[:10]).max() == 0
+        assert rd.logits_to_bits(rd.forward_batch(out, val.events[:10])[2]).max() == 0

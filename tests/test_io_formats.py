@@ -39,6 +39,19 @@ def test_wrong_tensor_shape_is_corrupt(tmp_path):
         iof.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [0, 330, 340, 369])   # w_rec, b_rec, w_eval, b_eval
+def test_non_finite_tensor_is_corrupt(tmp_path, value, entry):
+    # training cannot write one (adam_step refuses non-finite gradients),
+    # and a NaN weight used to load without complaint
+    params = rd.DecoderParams.initial(3)
+    params.flat[entry] = value
+    path = tmp_path / "ck.mdck"
+    iof.save_checkpoint(params, path)
+    with pytest.raises(CorruptFileError, match="non-finite"):
+        iof.load_checkpoint(path)
+
+
 def test_invalid_metadata_is_corrupt(tmp_path):
     path = tmp_path / "ck.mdck"
     iof.save_checkpoint(rd.DecoderParams.initial(3), path, {"k": 1})

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,17 +327,18 @@ class TestPredict:
     def test_tie_rule(self, b_eval, expected):
         params = rd.DecoderParams.zeros()
         params.b_eval[:] = b_eval
-        assert rd.predict_batch(params, np.zeros((1, 4, 4))).tolist() == [expected]
+        _, _, logits = rd.forward_batch(params, np.zeros((1, 4, 4)))
+        assert rd.logits_to_bits(logits).tolist() == [expected]
 
     def test_bias_shift_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             params = random_params(rng)
             events = rng.integers(0, 2, size=(6, 4, 4))
-            base = rd.predict_batch(params, events)
+            base = rd.logits_to_bits(rd.forward_batch(params, events)[2])
             shifted = rd.DecoderParams(params.w_rec, params.b_rec, params.w_eval,
                                        params.b_eval + 0.7)
-            assert np.array_equal(base, rd.predict_batch(shifted, events))
+            assert np.array_equal(base, rd.logits_to_bits(rd.forward_batch(shifted, events)[2]))
 
 
 class TestLossAndGrads:
@@ -497,14 +499,14 @@ class TestTraining:
         train = sc.generate_dataset([0.0], 20000, 3, seed=31)
         val = sc.generate_dataset([0.0], 256, 3, seed=32, split_tag="validation")
         params = rd.train_fp(train, val, rd.TrainConfig(epochs=1, seed=17))
-        assert rd.accuracy(params, train) >= 0.999
+        assert rd.accuracy(params, *sc.syndrome_table(train.events, train.labels)) >= 0.999
 
     def test_training_beats_majority_class(self):
         train = sc.generate_dataset([1e-3, 1e-2], 12000, 3, seed=33)
         val = sc.generate_dataset([1e-3, 1e-2], 2500, 3, seed=34, split_tag="validation")
         params = rd.train_fp(train, val, rd.TrainConfig(epochs=6, seed=18))
         majority = max(val.labels.mean(), 1 - val.labels.mean())
-        assert rd.accuracy(params, val) > majority
+        assert rd.accuracy(params, *sc.syndrome_table(val.events, val.labels)) > majority
 
     def test_same_seed_reproduces_params(self):
         train = sc.generate_dataset([1e-2], 2000, 3, seed=35)
@@ -523,6 +525,7 @@ class TestTraining:
         val = sc.generate_dataset([1e-2], 100, 3, seed=41, split_tag="validation")
         labels = train.labels.astype(np.uint8 if label == 255 else np.int64)
         labels[-1] = label
+        train = replace(train, labels=labels)
 
         def no_step(*args):
             raise AssertionError("a training step ran")
@@ -530,12 +533,12 @@ class TestTraining:
         monkeypatch.setattr(rd, "_grads", no_step)
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             if stage == "train_fp":
-                rd.train_fp((train.events, labels), val, rd.TrainConfig(epochs=1))
+                rd.train_fp(train, val, rd.TrainConfig(epochs=1))
             elif stage == "retrain_hwa":
-                hwa.retrain_hwa(rd.DecoderParams.zeros(), (train.events, labels), val,
+                hwa.retrain_hwa(rd.DecoderParams.zeros(), train, val,
                                 hwa.RetrainConfig(epochs=1), 0.1)
             else:
-                hwa.retrain_ds(rd.DecoderParams.zeros(), (train.events, labels), val,
+                hwa.retrain_ds(rd.DecoderParams.zeros(), train, val,
                                hwa.RetrainConfig(epochs=1), am.FaultMap.none())
 
     @pytest.mark.parametrize("n_labels", [295, 305])
@@ -544,10 +547,10 @@ class TestTraining:
         # trained silently
         train = sc.generate_dataset([1e-2], 300, 3, seed=40)
         val = sc.generate_dataset([1e-2], 100, 3, seed=41, split_tag="validation")
-        labels = np.resize(train.labels, n_labels)
+        train = replace(train, labels=np.resize(train.labels, n_labels))
         monkeypatch.setattr(rd, "_grads", None)
         with pytest.raises(ValueError, match=f"300 samples but {n_labels} labels"):
-            rd.train_fp((train.events, labels), val, rd.TrainConfig(epochs=1))
+            rd.train_fp(train, val, rd.TrainConfig(epochs=1))
 
     def test_validation_table_built_once_in_one_workspace(self, monkeypatch):
         # one syndrome table per call, and every validation forward of every
@@ -579,14 +582,16 @@ class TestTraining:
 class TestAccuracy:
     def test_zero_params_on_zero_label_data(self):
         ds = sc.generate_dataset([0.0], 50, 3, seed=37)
-        assert rd.accuracy(rd.DecoderParams.zeros(), ds) == 1.0
+        table = sc.syndrome_table(ds.events, ds.labels)
+        assert rd.accuracy(rd.DecoderParams.zeros(), *table) == 1.0
 
     def test_single_wrong_sample(self):
         params = rd.DecoderParams.zeros()
         params.b_eval[:] = (1.0, 0.0)   # always predicts 0
-        events = np.zeros((1, 4, 4))
-        assert rd.accuracy(params, (events, np.array([1]))) == 0.0
+        table = sc.syndrome_table(np.zeros((1, 4, 4)), np.array([1]))
+        assert rd.accuracy(params, *table) == 0.0
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            rd.accuracy(rd.DecoderParams.zeros(), (np.zeros((0, 4, 4)), np.zeros(0)))
+        rows, counts = sc.syndrome_table(np.zeros((0, 4, 4)), np.zeros(0))
+        with pytest.raises(ValueError, match="non-empty"):
+            rd.accuracy(rd.DecoderParams.zeros(), rows, counts)

@@ -24,7 +24,7 @@ FAULT_CASES_3_ROUNDS = 72 * 15 + 51 * 3 + 33 + 33
 
 @pytest.fixture(scope="module")
 def noisy_circuit():
-    return sc.build_memory_x_circuit(3, sc.NoiseParams(0.01))
+    return sc.build_memory_x_circuit(3, 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +90,18 @@ class TestBuildCircuit:
         assert live_locations(noisy_circuit) == LOCATIONS_3_ROUNDS
 
     def test_noiseless_circuit_has_zero_prob_tags(self):
-        c = sc.build_memory_x_circuit(1, sc.NoiseParams(0.0))
+        c = sc.build_memory_x_circuit(1, 0.0)
         tagged = [ins.noise.prob for ins in c.instructions if ins.noise is not None]
         assert tagged and all(p == 0.0 for p in tagged)
 
     def test_rounds_below_one_rejected(self):
         with pytest.raises(ValueError):
-            sc.build_memory_x_circuit(0, sc.NoiseParams(0.01))
+            sc.build_memory_x_circuit(0, 0.01)
 
-    def test_bad_fault_rate_rejected(self):
-        with pytest.raises(ValueError):
-            sc.NoiseParams(-0.1)
-        with pytest.raises(ValueError):
-            sc.NoiseParams(1.5)
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_bad_fault_rate_rejected(self, p):
+        with pytest.raises(ValueError, match="fault rate"):
+            sc.build_memory_x_circuit(1, p)
 
     def test_stabilizers_commute(self):
         for xs in sc.X_STABILIZERS:
@@ -113,7 +112,7 @@ class TestBuildCircuit:
 
 class TestSampleShot:
     def test_noiseless_shot_is_all_zero(self):
-        c = sc.build_memory_x_circuit(3, sc.NoiseParams(0.0))
+        c = sc.build_memory_x_circuit(3, 0.0)
         events, label = one_shot(sc._draw_plan(c), 7, 0)
         assert not events.any() and not label
 
@@ -214,7 +213,7 @@ def _key_drawing(h, circuit, shot, loc):
 class TestFaultTableSampler:
     @pytest.mark.parametrize("rounds, p", [(3, 0.05), (3, 1.0), (2, 0.05)])
     def test_batch_matches_multi_fault_replay(self, rounds, p):
-        circuit = sc.build_memory_x_circuit(rounds, sc.NoiseParams(p))
+        circuit = sc.build_memory_x_circuit(rounds, p)
         assert_matches_replay(circuit, 2**64 - 5, 1000, 1050)
 
     @pytest.mark.parametrize("rounds", [2, 7])
@@ -222,7 +221,7 @@ class TestFaultTableSampler:
         # the table is built from each location's X/Z components by XOR; every
         # entry must equal the events and label of the reference simulator
         # run with that one fault
-        circuit = sc.build_memory_x_circuit(rounds, sc.NoiseParams(1e-3))
+        circuit = sc.build_memory_x_circuit(rounds, 1e-3)
         table = sc._fault_table(sc._structure(circuit))
         drawn = {sc.NoiseKind.DEPOL1: range(3), sc.NoiseKind.DEPOL2: range(1, 16)}
         noisy = [(i, ins) for i, ins in enumerate(circuit.instructions)
@@ -261,7 +260,7 @@ class TestFaultTableSampler:
     def test_tile_offsets_refilled_for_another_plan(self, noisy_plan):
         # one worker's buffers serve circuits of different location counts
         buffers = sc._TileBuffers()
-        other = sc._draw_plan(sc.build_memory_x_circuit(2, sc.NoiseParams(0.05)))
+        other = sc._draw_plan(sc.build_memory_x_circuit(2, 0.05))
         for plan in (noisy_plan, other, noisy_plan):
             events, labels = sc._sample_chunk(plan, 5, 300, 900, buffers)
             events_ref, labels_ref = sc._sample_chunk(plan, 5, 300, 900)
@@ -300,7 +299,7 @@ class TestFireTestEdges:
     def test_draws_at_the_bound(self, p):
         # a key that puts the full hash of one draw exactly on its bound (it
         # fires) or one above (it does not)
-        circuit = sc.build_memory_x_circuit(3, sc.NoiseParams(p))
+        circuit = sc.build_memory_x_circuit(3, p)
         plan = sc._draw_plan(circuit)
         loc, shot = _flip_location(circuit, 9, 1), 2**40 + 3
         assert plan.live[loc] == loc
@@ -316,7 +315,7 @@ class TestFireTestEdges:
     def test_candidates_that_do_not_fire(self, y):
         # y is the hash before its last xorshift; at p = 1e-12 every y below
         # 2^33 is a candidate, but none of these fires
-        circuit = sc.build_memory_x_circuit(3, sc.NoiseParams(1e-12))
+        circuit = sc.build_memory_x_circuit(3, 1e-12)
         loc, shot = _flip_location(circuit, 10, 2), 7
         key = _key_drawing(y ^ (y >> 31), circuit, shot, loc)
         events, labels = assert_matches_replay(circuit, key, 0, 20)
@@ -325,7 +324,7 @@ class TestFireTestEdges:
     def test_mixed_zero_and_certain_locations(self):
         # a hand-built circuit with dead, certain and rare locations: the
         # certain one makes every draw a candidate, and the states wrap
-        base = sc.build_memory_x_circuit(3, sc.NoiseParams(0.02))
+        base = sc.build_memory_x_circuit(3, 0.02)
         instructions = []
         for i, ins in enumerate(base.instructions):
             if ins.noise is not None and i % 5 == 0:
@@ -597,7 +596,7 @@ class TestPlanCache:
         assert not np.array_equal(plans[3].prob, plans[0].prob)
         for (rounds, p), plan in zip(keys, plans):
             assert sc._memory_x_plan(rounds, p) is plan
-            want = sc._draw_plan(sc.build_memory_x_circuit(rounds, sc.NoiseParams(p)))
+            want = sc._draw_plan(sc.build_memory_x_circuit(rounds, p))
             assert plan.rounds == want.rounds == rounds
             assert np.array_equal(plan.prob, want.prob)
             assert np.array_equal(plan.bound, want.bound)
@@ -613,7 +612,7 @@ class TestPlanCache:
 
 class TestSingleFaults:
     def test_noiseless_enumeration_is_empty(self):
-        c = sc.build_memory_x_circuit(3, sc.NoiseParams(0.0))
+        c = sc.build_memory_x_circuit(3, 0.0)
         faults, events, labels = sc.enumerate_single_faults(c)
         assert faults == [] and events.shape == (0, 4, 4) and labels.shape == (0,)
 
