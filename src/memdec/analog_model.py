@@ -43,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _check_integers
 from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, UNIT_SLICES,
                           DecoderParams, _check_events, logits_to_bits)
 from .surface_code_sim import table_accuracy, table_batch
@@ -95,6 +96,7 @@ class CrossbarConfig:
     def __post_init__(self):
         if not math.inf > self.g_hcs > self.g_lcs > 0:
             raise ValueError(f"need finite g_hcs > g_lcs > 0, got {self.g_hcs}, {self.g_lcs}")
+        _check_integers(self, "levels")
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         for name in ("adc_bound", "dac_bound"):   # NaN fails too

@@ -1,8 +1,21 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the integer check of the
+config dataclasses.
 
 ValueError is used for plain contract violations (invalid arguments); the
 classes here capture conditions callers are expected to branch on.
 """
+
+import numpy as np
+
+
+def _check_integers(config, *names: str) -> None:
+    """Raise ValueError unless each named field of `config` is an integer:
+    a Python or numpy integer, not a bool and not an integral float, which
+    would pass a range check and then fail where the count is used."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class MemdecError(Exception):

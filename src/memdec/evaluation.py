@@ -33,7 +33,7 @@ from . import analog_model as am
 from . import hwa_training as hwa
 from . import rnn_decoder as rd
 from . import surface_code_sim as sc
-from .errors import DegenerateFitError, InsufficientDataError
+from .errors import DegenerateFitError, InsufficientDataError, _check_integers
 from .rng import SpawnedGenerators, Stage, derive_seed, spawn_generator
 
 SCHEMES = ("baseline", "fp_mnd", "hwa_mnd", "ds_mnd")
@@ -48,7 +48,9 @@ class EvalProtocol:
     rounds: int = 3
 
     def __post_init__(self):
-        for name in ("n_train_runs", "n_infer_runs", "test_shots", "rounds"):
+        counts = ("n_train_runs", "n_infer_runs", "test_shots", "rounds")
+        _check_integers(self, *counts)
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.p_values:

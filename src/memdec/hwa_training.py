@@ -23,9 +23,12 @@ BPTT and Adam) and applies any combination of:
   * weight clipping to [-alpha * sigma, alpha * sigma] per unit after each
     update.
 
-Retraining runs the epoch loop of FP training, `rd._train`, with the
-optimizer meta-parameters (learning rate, batch size, Adam betas and eps)
-of the caller's `TrainConfig` and the epochs and seed of `RetrainConfig`.
+Retraining runs the epoch loop and training step of FP training,
+`rd._train`, with the optimizer meta-parameters (learning rate, batch size,
+Adam betas and eps) of the caller's `TrainConfig` and the epochs and seed
+of `RetrainConfig`. It supplies only what differs: each batch's effective
+parameters and gradient keep-mask, the converters, and clipping after
+each update.
 What an experiment sweeps or draws per run is an argument: the dropconnect
 rate of `retrain_hwa`, the fault map of `retrain_ds`.
 
@@ -51,11 +54,12 @@ import numpy as np
 
 from . import rnn_decoder as rd
 from .analog_model import CrossbarConfig, FaultMap, _convert_in, _quantize
+from .errors import _check_integers
 from .rng import SpawnedGenerators, Stage, spawn_generator
 from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
 from .surface_code_sim import Dataset
 
-_UNIT_STARTS = [unit.start for unit in UNIT_SLICES]
+_UNIT_STARTS = np.array([unit.start for unit in UNIT_SLICES])
 # independent mask and noise draws each validation accuracy averages over
 VAL_DRAWS = 8
 
@@ -69,6 +73,7 @@ class RetrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "epochs", "seed")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # the rules of the retrain.* config keys; NaN fails both
@@ -191,18 +196,15 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
     # draw's effective parameters are used before the next overwrites them
     eff = EffectiveParams()
 
-    def epoch_update(epoch, batches):
+    def batch_params(epoch, batches):
         draw = _draws(cfg, p_drop, keep_fixed, epoch, batches)
-
-        def update(batch, events, labels, views, state):
+        for batch in range(batches):
             keep, noise_rng = draw(batch)
-            masked = _perturbed(params, keep, cfg.noise_relative, noise_rng, eff)
-            grads = rd._grads(masked, events, labels, io, views)
-            grads.flat *= keep   # no gradient through a dropped weight
-            rd.adam_step(params, grads, state, train_cfg)
-            if cfg.clip_scale is not None:
-                clip_weights(params, cfg.clip_scale)
-        return update
+            # the gradient is masked by `keep`: none flows through a
+            # dropped weight
+            yield _perturbed(params, keep, cfg.noise_relative, noise_rng, eff), keep
+
+    clip = None if cfg.clip_scale is None else lambda p: clip_weights(p, cfg.clip_scale)
 
     def val_draws(epoch):
         draw = _draws(cfg, p_drop, keep_fixed, 1_000_000 + epoch, VAL_DRAWS)
@@ -211,7 +213,8 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
             yield _perturbed(params, keep, cfg.noise_relative, noise_rng, eff), io
 
     return rd._train(params, dataset, val, replace(train_cfg, epochs=cfg.epochs),
-                     spawn_generator(cfg.seed, Stage.RETRAIN), epoch_update, val_draws)
+                     spawn_generator(cfg.seed, Stage.RETRAIN), io, batch_params, clip,
+                     val_draws)
 
 
 def retrain_hwa(params: DecoderParams, dataset: Dataset, val: Dataset,

@@ -30,9 +30,21 @@ knows the layout.
 
 The training step is written for few numpy calls per batch, with bits that
 do not depend on how it is batched or buffered:
+  * `_train` gathers the shuffled shots of `_GATHER_BATCHES` batches at a
+    time with `take(out=)` into reused buffers, with their one-hot label
+    rows, so each batch is a contiguous slice of them; the permutation and
+    the batch boundaries are those of a gather per batch, and a block of
+    64 batches of 32 keeps the buffers at about 64 kB;
   * a `Workspace` holds every buffer of the step, stored step-major (step t
     of the batch is one contiguous (n, ·) block), and slices the per-step
-    views out of them once per batch size, not once per call;
+    views out of them once per batch size, not once per call; `_train`
+    binds each batch's views once per call;
+  * per-call work is bound once: the unit views with the parameters,
+    Adam's betas with the config (`AdamState`), and h_0 is reset only
+    after a DAC converted it;
+  * scalar operands that numpy would convert on every call (the ReLU's
+    0.0, the batch size that divides dlogits, Adam's learning rate and
+    eps) are float64 0-d arrays: the same IEEE operations, less dispatch;
   * the two-class softmax runs on the logit columns: `maximum` of the two
     columns is exact, and so gives the bits of `max(axis=1)`, and their
     `add` is the a + b that a two-term `sum(axis=1)` computes;
@@ -40,22 +52,30 @@ do not depend on how it is batched or buffered:
     float; numpy would cast a boolean mask to the same 0.0/1.0;
   * the matrix products of the recurrent step and of BPTT's hidden-state
     gradient run as `np.dot` into contiguous outputs: the same BLAS call as
-    `matmul` with less dispatch;
+    `matmul` with less dispatch. The hidden-state gradient takes only the
+    h rows of w_rec, (n, 16) @ (16, 16): the x rows' columns were never
+    read, and writing 16 contiguous columns makes the next ReLU-derivative
+    product contiguous;
   * the recurrent layer runs in its crossbar-unit layout, as in
     `analog_model`: step t is [x_t | h_t | 1] @ unit, the (21, 16) unit
     with b_rec as its last row, and BPTT's one batched product of the step
     inputs with dz_t gives the whole unit's gradient, its bias row the sum
     of dz over shots. The products by the constant 1.0 are exact, so where
     BLAS adds a dot's terms in order these are the bits of the (n, 20)
-    product plus b_rec and of a separate `dz` sum (checked with OpenBLAS's
-    SkylakeX and Sandybridge kernels; its Haswell and Prescott kernels give
-    other bits, and already did for the training digests). Under `io` the DAC
+    product plus b_rec and of a separate `dz` sum. Under `io` the DAC
     converts the whole contiguous [x_t | h_t | 1] row and the bias column
     is set back to 1.0, which costs less than converting a strided
     [x_t | h_t] view;
-  * the evaluation layer is not folded: (n, 17) @ (17, 2) gave other
-    logits than (n, 16) @ (16, 2) plus b_eval in most random batches of 2
-    to 32 rows, so b_eval is added after its product;
+  * the evaluation layer's forward is not folded: (n, 17) @ (17, 2) gave
+    other logits than (n, 16) @ (16, 2) plus b_eval in most random batches
+    of 2 to 32 rows, so b_eval is added after its product. Its gradient
+    is: [h_T | 1]^T @ dlogits is one product into the evaluation unit's
+    gradient, whose last row, b_eval's, is the sum of dlogits over shots;
+  * these folds and the 16-row hidden-state product give the bits of the
+    separate products, bias adds and sums under OpenBLAS's SkylakeX and
+    Sandybridge dgemm kernels; under its Haswell kernel the recurrent
+    fold does not, and under Prescott neither fold does (`TestBiasFold`).
+    The training digests hold under SkylakeX alone, as they did before;
   * the training step (`_grads`) runs the forward pass, softmax and BPTT
     pieces of `loss_and_grads` without its loss and its checks, which
     `_train` makes once per call.
@@ -63,13 +83,14 @@ do not depend on how it is batched or buffered:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _check_integers
 from .rng import spawn_generator
 from .surface_code_sim import (Dataset, _check_labels, syndrome_table, table_accuracy,
                                table_batch)
@@ -77,9 +98,13 @@ from .surface_code_sim import (Dataset, _check_labels, syndrome_table, table_acc
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
 OUTPUT_SIZE = 2
+# batches whose shots `_train` gathers at once
+_GATHER_BATCHES = 64
 
 # row k is the one-hot row of label k
 _ONE_HOT = np.eye(OUTPUT_SIZE)
+# the ReLU's threshold: a 0-d array dispatches faster than the float 0.0
+_ZERO = np.zeros(())
 
 # (dac, adc): elementwise converters that overwrite each layer's input and
 # output in place and return it
@@ -107,7 +132,7 @@ class DecoderParams:
     """Weights and biases, views into one (370,) vector `flat` (see the module
     docstring); w_rec acts on [syndrome (4) | hidden (16)]."""
 
-    __slots__ = ("flat", "w_rec", "b_rec", "w_eval", "b_eval")
+    __slots__ = ("flat", "w_rec", "b_rec", "w_eval", "b_eval", "_units")
 
     def __init__(self, w_rec: np.ndarray, b_rec: np.ndarray, w_eval: np.ndarray,
                  b_eval: np.ndarray):
@@ -124,6 +149,8 @@ class DecoderParams:
         self.flat = flat
         for name, start, stop, shape in _TENSORS:
             setattr(self, name, flat[start:stop].reshape(shape))
+        self._units = (flat[UNIT_SLICES[0]].reshape(RECURRENT_UNIT),
+                       flat[UNIT_SLICES[1]].reshape(EVALUATION_UNIT))
 
     @staticmethod
     def from_flat(flat: np.ndarray) -> "DecoderParams":
@@ -146,9 +173,9 @@ class DecoderParams:
 
     def units(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the recurrent (21, 16) and evaluation (17, 2) crossbar
-        units, each layer's bias as its last row."""
-        return (self.flat[UNIT_SLICES[0]].reshape(RECURRENT_UNIT),
-                self.flat[UNIT_SLICES[1]].reshape(EVALUATION_UNIT))
+        units, each layer's bias as its last row (bound once, with the
+        tensor views)."""
+        return self._units
 
     def copy(self) -> "DecoderParams":
         return DecoderParams.from_flat(self.flat.copy())
@@ -182,6 +209,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "batch_size", "epochs", "seed")
         # the rules of the train.* config keys; NaN fails each real one
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
@@ -219,22 +247,30 @@ class Workspace:
     and (n, T, 16) transposed views. Row t of `inputs` is the recurrent
     unit's input [x_t | h_t | 1]: its last column is the constant bias
     input, written once here and set back to 1.0 after each DAC pass, so
-    the unit's bias row adds b_rec itself. The views a step uses (each
-    step's input, its output z_t and next hidden state, BPTT's dz and ReLU
-    derivative per step, the reversed-input operand of the unit-gradient
-    matmul, and so on) are sliced out of the buffers once per batch size,
-    by `views(n)`, and reused by every later batch of that size; a training
-    loop sees at most two sizes, the batch and the ragged last batch."""
+    the unit's bias row adds b_rec itself. Row T is [0 | h_T | 1], so its
+    last 17 columns are the evaluation unit's input with its bias input,
+    the operand of that unit's one gradient product. h_0 is zero, and is
+    zeroed again only before the call that follows one whose DAC converted
+    it in place (`_h0_converted`). The views a step uses (each step's input,
+    its output z_t and next hidden state, BPTT's dz and ReLU derivative per
+    step, the operands of the two unit-gradient products, and so on) are
+    sliced out of the buffers once per batch size, by `views(n)`, and
+    reused by every later batch of that size; a training loop sees at most
+    two sizes, the batch and the ragged last batch, and binds both once."""
 
     def __init__(self, rows: int, steps: int):
         self.inputs = np.zeros((steps + 1, rows, RECURRENT_UNIT[0]))
         self.inputs[..., -1] = 1.0
+        # h_0 of every row, and whether a DAC has converted it in place
+        # since it was last zeroed: a one-item list that the views share,
+        # so that they hold no reference to the workspace that caches them
+        self.h0 = self.inputs[0, :, INPUT_SIZE:-1]
+        self._h0_converted = [False]
         self.z = np.empty((steps, rows, HIDDEN_SIZE))
         self.logits = np.empty((rows, OUTPUT_SIZE))
         self.active = np.empty((steps, rows, HIDDEN_SIZE))
         self.dz = np.empty((steps, rows, HIDDEN_SIZE))
         self.dh = np.empty((rows, HIDDEN_SIZE))
-        self.dh_rec = np.empty((rows, INPUT_SIZE + HIDDEN_SIZE))
         self.per_step = np.empty((steps,) + RECURRENT_UNIT)
         self.column = np.empty((rows, 1))
         self.log_picked = np.empty(rows)
@@ -256,26 +292,29 @@ class _BatchViews:
     `Workspace.views`); step tuples are in the order the passes visit them:
     the forward pass from step 0, BPTT from the last step."""
 
-    __slots__ = ("shot_inputs", "shot_z", "z", "logits", "events", "h0",
-                 "forward_steps", "last", "last_t", "logit0", "logit1", "column",
+    __slots__ = ("h0", "h0_converted", "shot_inputs", "shot_z", "z", "logits", "events",
+                 "forward_steps", "last", "last_with_bias_t", "logit0", "logit1", "column",
                  "log_picked", "one_hot", "rows", "active", "dz", "backward_steps", "dh",
-                 "dh_rec", "dh_rec_hidden", "inputs_reversed", "per_step", "grads",
-                 "unit_grads")
+                 "inputs_reversed", "per_step", "grads",
+                 "unit_grads", "eval_unit_grads", "count")
 
     def __init__(self, work: Workspace, n: int):
         steps = work.z.shape[0]
+        self.h0, self.h0_converted = work.h0, work._h0_converted
+        # n as a 0-d array, which dispatches faster than an int
+        self.count = np.array(float(n))
         inputs, z, logits = work.inputs[:, :n], work.z[:, :n], work.logits[:n]
         xh = inputs[:, :, :INPUT_SIZE + HIDDEN_SIZE]
         # (n, T+1, 20) and (n, T, 16), as `forward_batch` returns them
         self.shot_inputs, self.shot_z = xh.transpose(1, 0, 2), z.transpose(1, 0, 2)
         self.z, self.logits = z, logits
         self.events = inputs[:steps, :, :INPUT_SIZE].transpose(1, 0, 2)
-        self.h0 = xh[0, :, INPUT_SIZE:]
         # per step: [x_t | h_t | 1], its bias column, z_t and h_t+1
         self.forward_steps = tuple((inputs[t], inputs[t, :, -1:], z[t],
                                     xh[t + 1, :, INPUT_SIZE:]) for t in range(steps))
         self.last = xh[steps, :, INPUT_SIZE:]
-        self.last_t = self.last.T
+        # (17, n): the evaluation unit's input [h_T | 1], transposed
+        self.last_with_bias_t = inputs[steps, :, INPUT_SIZE:].T
         self.logit0, self.logit1 = logits[:, :1], logits[:, 1:]
         self.column = work.column[:n]
         self.log_picked = work.log_picked[:n]
@@ -286,14 +325,14 @@ class _BatchViews:
         # in `_backward` add the latest step first, in the order BPTT
         # reaches them
         self.dz = work.dz[:, :n]
+        # BPTT's steps T-1 ... 1; step 0 needs no hidden-state gradient
         self.backward_steps = tuple((self.dz[steps - 1 - t], self.active[t])
-                                    for t in range(steps - 1, -1, -1))
-        self.dh, self.dh_rec = work.dh[:n], work.dh_rec[:n]
-        self.dh_rec_hidden = self.dh_rec[:, INPUT_SIZE:]
+                                    for t in range(steps - 1, 0, -1))
+        self.dh = work.dh[:n]
         # (T, 21, n): step t's [x_t | h_t | 1] rows at T-1-t, as dz stores them
         self.inputs_reversed = inputs[steps - 1::-1].transpose(0, 2, 1)
         self.per_step, self.grads = work.per_step, work.grads
-        self.unit_grads = work.grads.units()[0]
+        self.unit_grads, self.eval_unit_grads = work.grads.units()
 
 
 def _batch_views(work: Workspace | None, n: int, steps: int) -> _BatchViews:
@@ -327,8 +366,11 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
              v: _BatchViews) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dac, adc = io if io is not None else (None, None)
     v.events[...] = x
-    v.h0[...] = 0.0  # h_0; a DAC may have rewritten it in place
-    unit_rec = params.units()[0]
+    converted = v.h0_converted
+    if converted[0]:
+        v.h0[...] = 0.0
+    converted[0] = dac is not None
+    unit_rec = params._units[0]
     for inp, bias, zt, h_next in v.forward_steps:
         if dac is not None:
             dac(inp)
@@ -336,7 +378,7 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
         np.dot(inp, unit_rec, out=zt)
         if adc is not None:
             adc(zt)
-        np.maximum(zt, 0.0, out=h_next)
+        np.maximum(zt, _ZERO, out=h_next)
     last, logits = v.last, v.logits
     if dac is not None:
         dac(last)
@@ -377,17 +419,17 @@ def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray
     probs = _softmax(v)
     np.add(probs[v.rows, y], 1e-300, out=v.log_picked)
     loss = -float(np.log(v.log_picked, out=v.log_picked).sum()) / n
-    return loss, _backward(params, y, v)
+    return loss, _backward(params, _ONE_HOT.take(y, axis=0, out=v.one_hot), v)
 
 
-def _grads(params: DecoderParams, x: np.ndarray, y: np.ndarray, io: Converters | None,
-           v: _BatchViews) -> DecoderParams:
+def _grads(params: DecoderParams, x: np.ndarray, one_hot: np.ndarray,
+           io: Converters | None, v: _BatchViews) -> DecoderParams:
     """The gradients of `loss_and_grads` without the loss or the checks: the
-    training step of `_train`'s callers, on a batch of checked events `x`
-    and 0/1 labels `y`, in views `v` sized to it."""
+    training step of `_train`, on a batch of checked events `x` with the
+    one-hot rows `one_hot` of its labels, in views `v` sized to it."""
     _forward(params, x, io, v)
     _softmax(v)
-    return _backward(params, y, v)
+    return _backward(params, one_hot, v)
 
 
 def _softmax(v: _BatchViews) -> np.ndarray:
@@ -403,9 +445,10 @@ def _softmax(v: _BatchViews) -> np.ndarray:
     return probs
 
 
-def _backward(params: DecoderParams, y: np.ndarray, v: _BatchViews) -> DecoderParams:
+def _backward(params: DecoderParams, one_hot: np.ndarray, v: _BatchViews,
+              ) -> DecoderParams:
     """BPTT from the softmax in `v.logits` (overwritten by dlogits) and the
-    labels `y`, into `v.grads`.
+    one-hot rows `one_hot` of the labels, into `v.grads`.
 
     The recurrent unit's gradient is one batched matmul of the step inputs
     [x_t | h_t | 1] with dz_t, summed over steps: the ones row of the inputs
@@ -413,28 +456,24 @@ def _backward(params: DecoderParams, y: np.ndarray, v: _BatchViews) -> DecoderPa
     `dz.sum(axis=1)` where BLAS adds the exact products by 1.0 in shot
     order (see the module docstring)."""
     dlogits = v.logits
-    # minus the one-hot label rows: the label column becomes p - 1.0, the
-    # other q - 0.0 = q
-    dlogits -= _ONE_HOT.take(y, axis=0, out=v.one_hot)
-    dlogits /= len(y)
+    # the label column becomes p - 1.0, the other q - 0.0 = q
+    dlogits -= one_hot
+    dlogits /= v.count
 
-    grads = v.grads
-    np.matmul(v.last_t, dlogits, out=grads.w_eval)
-    np.add.reduce(dlogits, axis=0, out=grads.b_eval)
-    np.dot(dlogits, params.w_eval.T, out=v.dh)
-
-    np.greater(v.z, 0.0, out=v.active)
-    w_rec_t = params.w_rec.T
+    np.matmul(v.last_with_bias_t, dlogits, out=v.eval_unit_grads)
     dh = v.dh
-    for dz_t, active_t in v.backward_steps[:-1]:
+    np.dot(dlogits, params.w_eval.T, out=dh)
+
+    np.greater(v.z, _ZERO, out=v.active)
+    # only h_t's rows of w_rec reach the hidden-state gradient
+    w_hidden_t = params.w_rec[INPUT_SIZE:].T
+    for dz_t, active_t in v.backward_steps:
         np.multiply(dh, active_t, out=dz_t)
-        np.dot(dz_t, w_rec_t, out=v.dh_rec)
-        dh = v.dh_rec_hidden
-    dz_0, active_0 = v.backward_steps[-1]
-    np.multiply(dh, active_0, out=dz_0)
+        np.dot(dz_t, w_hidden_t, out=dh)
+    np.multiply(dh, v.active[0], out=v.dz[-1])
     np.matmul(v.inputs_reversed, v.dz, out=v.per_step)
     np.add.reduce(v.per_step, axis=0, out=v.unit_grads, initial=0.0)
-    return grads
+    return v.grads
 
 
 class AdamState:
@@ -444,7 +483,8 @@ class AdamState:
     copy the buffer and rebuild the views into the copy."""
 
     __slots__ = ("moments", "m", "v", "step", "_coefs", "_beta", "_one_minus_beta",
-                 "_correction", "_scratch", "_update", "_denominator", "_finite")
+                 "_correction", "_learning_rate", "_eps", "_scratch", "_update",
+                 "_denominator", "_finite", "_config")
 
     def __init__(self, moments: np.ndarray | None = None, step: int = 0):
         self.moments = np.zeros((2, N_PARAMS)) if moments is None else moments
@@ -452,10 +492,14 @@ class AdamState:
         self.v = DecoderParams.from_flat(self.moments[1])
         self.step = step
         # (2, 1) columns, one entry per moment: beta, 1 - beta and the bias
-        # correction 1 - beta^t
-        self._coefs = np.empty(6)
+        # correction 1 - beta^t; then the learning rate and eps as 0-d
+        # arrays, which dispatch faster than floats. All but the
+        # corrections are set for `_config`, the config of the last step.
+        self._coefs = np.empty(8)
+        self._config = None
         self._beta, self._one_minus_beta, self._correction = (
             self._coefs[i:i + 2, None] for i in (0, 2, 4))
+        self._learning_rate, self._eps = (self._coefs[i:i + 1].reshape(()) for i in (6, 7))
         self._scratch = np.empty((2, N_PARAMS))
         self._update, self._denominator = self._scratch[0], self._scratch[1]
         self._finite = np.empty(N_PARAMS, dtype=bool)
@@ -488,13 +532,15 @@ def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
     Raises NumericError, leaving both untouched, on a non-finite gradient.
     """
     g = grads.flat
-    if not np.isfinite(g, out=state._finite).all():
+    if np.count_nonzero(np.isfinite(g, out=state._finite)) != N_PARAMS:
         raise NumericError("non-finite gradient in adam_step")
-    state.step += 1
-    t = state.step
+    t = state.step = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     coefs = state._coefs
-    coefs[0], coefs[1], coefs[2], coefs[3] = b1, b2, 1 - b1, 1 - b2
+    if state._config is not config:
+        coefs[[0, 1, 2, 3, 6, 7]] = (b1, b2, 1 - b1, 1 - b2, config.learning_rate,
+                                     config.adam_eps)
+        state._config = config
     coefs[4], coefs[5] = 1 - b1 ** t, 1 - b2 ** t
     moments, tmp = state.moments, state._scratch
     update, denominator = state._update, state._denominator
@@ -504,24 +550,31 @@ def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
     moments += tmp
     np.divide(moments, state._correction, out=tmp)
     np.sqrt(denominator, out=denominator)
-    denominator += config.adam_eps
-    update *= config.learning_rate
+    denominator += state._eps
+    update *= state._learning_rate
     update /= denominator
     params.flat -= update
 
 
 def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainConfig,
-           shuffle_rng: np.random.Generator, epoch_update, val_draws) -> DecoderParams:
-    """The epoch loop of FP training and retraining. It trains `params` in
-    place for `config.epochs` epochs, each one `shuffle_rng.permutation` then
-    `update = epoch_update(epoch, batches)` run per batch as `update(batch,
-    events, labels, views, state)` (one step of this call's `AdamState`, on
-    the batch's `Workspace` views; events and labels are checked here, once),
-    and returns a copy of them after the earliest epoch of best score: the
-    mean `accuracy`, on the validation syndrome table, of the (parameters,
-    converters) pairs `val_draws(epoch)` yields."""
-    events, labels = dataset.events, dataset.labels
-    _check_events(events)
+           shuffle_rng: np.random.Generator, io: Converters | None, batch_params,
+           after_update, val_draws) -> DecoderParams:
+    """The epoch loop and training step of FP training and retraining. It
+    trains `params` in place for `config.epochs` epochs, each one
+    `shuffle_rng.permutation` of the shots, cut into batches of
+    `config.batch_size`, and returns a copy of them after the earliest
+    epoch of best score: the mean `accuracy`, on the validation syndrome
+    table, of the (parameters, converters) pairs `val_draws(epoch)` yields.
+
+    Each batch is one step of this call's `AdamState`: the gradients of the
+    forward pass under `io` with the parameters `forward_params`, times the
+    keep-mask `keep` unless it is None, where `batch_params(epoch, batches)`
+    yields one (forward_params, keep) pair per batch in order; then
+    `after_update(params)` unless it is None. Events and labels are checked
+    here, once. The shuffled shots of `_GATHER_BATCHES` batches at a time
+    are gathered into reused buffers, so each batch is a contiguous slice
+    of them."""
+    events, labels = _check_events(dataset.events), dataset.labels
     if events.shape[0] == 0 or val.events.shape[0] == 0:
         raise ValueError("datasets must be non-empty")
     if events.shape[1] != val.events.shape[1]:
@@ -532,16 +585,39 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
     rows, counts = syndrome_table(val.events, val.labels)
     val_work = Workspace(len(table_batch(rows, counts)), rows.shape[1])
     n, size = events.shape[0], config.batch_size
+    batches, block = -(-n // size), min(_GATHER_BATCHES * size, n)
     work = Workspace(min(size, n), events.shape[1])
+    x_buffer = np.empty((block,) + events.shape[1:], events.dtype)
+    y_buffer = np.empty(block, labels.dtype)
+    one_hot = np.empty((block, OUTPUT_SIZE))
+
+    def layout(shots):
+        # a block's gather buffers, then each of its batches: events,
+        # one-hot label rows and workspace views
+        return x_buffer[:shots], y_buffer[:shots], one_hot[:shots], tuple(
+            (x_buffer[i:min(i + size, shots)], one_hot[i:min(i + size, shots)],
+             work.views(min(size, shots - i))) for i in range(0, shots, size))
+
+    full, last = layout(block), layout(n - (n - 1) // block * block)
     state = AdamState()
     best_acc, best = -1.0, None
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
-        update = epoch_update(epoch, -(-n // size))
-        for batch, start in enumerate(range(0, n, size)):
-            idx = order[start:start + size]
-            update(batch, events[idx], labels[idx], work.views(len(idx)), state)
-        accs = [accuracy(p, rows, counts, io, val_work) for p, io in val_draws(epoch)]
+        draws = iter(batch_params(epoch, batches))
+        for first in range(0, n, block):
+            idx = order[first:first + block]
+            x_block, y_block, one_hot_block, steps = full if len(idx) == block else last
+            events.take(idx, axis=0, out=x_block, mode="clip")
+            _ONE_HOT.take(labels.take(idx, out=y_block, mode="clip"), axis=0,
+                          out=one_hot_block, mode="clip")
+            for (x, one_hot_rows, v), (forward_params, keep) in zip(steps, draws):
+                grads = _grads(forward_params, x, one_hot_rows, io, v)
+                if keep is not None:
+                    grads.flat *= keep
+                adam_step(params, grads, state, config)
+                if after_update is not None:
+                    after_update(params)
+        accs = [accuracy(p, rows, counts, p_io, val_work) for p, p_io in val_draws(epoch)]
         acc = sum(accs) / len(accs)
         if acc > best_acc:
             best_acc, best = acc, params.copy()
@@ -553,9 +629,6 @@ def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderPara
     returns the parameters of the epoch with the best validation accuracy
     (earliest epoch on ties)."""
     params = DecoderParams.initial(config.seed)
-
-    def update(batch, events, labels, views, state):
-        adam_step(params, _grads(params, events, labels, None, views), state, config)
-
-    return _train(params, dataset, val, config, spawn_generator(config.seed, 1),
-                  lambda epoch, batches: update, lambda epoch: [(params, None)])
+    return _train(params, dataset, val, config, spawn_generator(config.seed, 1), None,
+                  lambda epoch, batches: itertools.repeat((params, None)), None,
+                  lambda epoch: [(params, None)])

@@ -2,6 +2,7 @@ import math
 from dataclasses import fields, is_dataclass
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from memdec import config as cf
@@ -231,3 +232,19 @@ def test_seed_fields_outside_the_64_bit_range_rejected(owner):
     for seed in (-1, 2**64, float("nan")):
         with pytest.raises(ValueError, match="seed"):
             owner(seed=seed)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (TrainConfig, "batch_size"), (TrainConfig, "epochs"), (TrainConfig, "seed"),
+    (RetrainConfig, "epochs"), (RetrainConfig, "seed"),
+    (EvalProtocol, "n_train_runs"), (EvalProtocol, "n_infer_runs"),
+    (EvalProtocol, "test_shots"), (EvalProtocol, "rounds"), (CrossbarConfig, "levels")])
+def test_count_fields_must_be_integers(owner, name):
+    # an integral float or a bool passed the range checks, and training then
+    # failed mid-call with a bare TypeError; 64.5 levels quantized to a grid
+    # of step 2 bound / 64.5
+    for value in (2, np.int64(2), np.uint32(2)):
+        assert getattr(owner(**{name: value}), name) == value
+    for value in (2.0, 1.5, True, np.float64(2.0), np.bool_(True), "2"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            owner(**{name: value})
