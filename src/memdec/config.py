@@ -12,6 +12,12 @@ experiment. `dataset.rounds` sets the rounds of datasets and protocol alike;
 the hwa_mnd dropconnect rate that `retrain_hwa` takes per call (the stuck
 rate when unset). `hwa.p_drop` is the only dropconnect key, so there is no
 `retrain.p_drop`.
+
+Every config dataclass checks its fields when it is built, so a config
+built in code obeys the rules that config text does: `DatasetConfig` and
+`RunConfig` run the `_KEYS` rule of each key that sets one of their own
+fields (`_check_fields`), and the dataclasses of the other modules check
+theirs with the same rules.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import reduce
 import numpy as np
 
 from .analog_model import CrossbarConfig
-from .errors import ConfigError
+from .errors import ConfigError, _check_integers
 from .evaluation import SCHEMES, EvalProtocol
 from .hwa_training import RetrainConfig
 from .rnn_decoder import TrainConfig
@@ -38,6 +44,11 @@ class DatasetConfig:
     train_samples: int = 200_000
     val_samples: int = 50_000
     rounds: int = 3
+
+    def __post_init__(self):
+        _check_fields(self, "dataset.")
+        if self.p_min > self.p_max:
+            raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
 
     def p_grid(self) -> tuple[float, ...]:
         return tuple(float(p) for p in np.geomspace(self.p_min, self.p_max, self.points))
@@ -57,6 +68,9 @@ class RunConfig:
     curve_points: int = 8
     stuck_rate: float = 0.1  # stuck-at rate of the evaluated chips
     hwa_p_drop: float | None = None  # hwa_mnd dropconnect rate; default: stuck_rate
+
+    def __post_init__(self):
+        _check_fields(self, "")
 
 
 def _parse_bool(text: str) -> bool:
@@ -140,6 +154,27 @@ _KEYS = {
     "retrain.clip_scale": _Key(_FLOAT, _POSITIVE),
     "hwa.p_drop": _Key(_FLOAT, _PROBABILITY, ("hwa_p_drop",)),
 }
+
+
+def _check_fields(config, prefix: str) -> None:
+    """Raise ValueError unless each field of `config` that a key sets, at
+    path `prefix` + field name, follows that key's rule; an integer key's
+    field must be an integer (`_check_integers`), and a field whose default
+    is None (an optional key's) may be None."""
+    optional = {f.name for f in fields(config) if f.default is None}
+    for key, row in _KEYS.items():
+        expect, check = row.rule
+        for path in row.paths or (key,):
+            name = path[len(prefix):]
+            if not path.startswith(prefix) or "." in name:
+                continue
+            value = getattr(config, name)
+            if row.kind is _INT:
+                _check_integers(config, name)
+            if value is None and name in optional:
+                continue
+            if check is not None and not check(value):
+                raise ValueError(f"{name} must be {expect}, got {value!r}")
 
 
 def _lookup(obj, path: str):

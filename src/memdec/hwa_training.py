@@ -42,7 +42,9 @@ score averages over, takes its keep-mask and noise stream from `_draws`.
 The keep-mask and `_perturbed`'s effective parameters and noise
 (`EffectiveParams`) are reused buffers, filled through
 `Generator.random(out=)` and `standard_normal(out=)`, which give the values
-of the allocating calls.
+of the allocating calls. The dropconnect threshold is a 0-d array, bound
+once per `_draws`: the same comparison as with a Python float, with less
+dispatch.
 """
 
 from __future__ import annotations
@@ -106,12 +108,13 @@ def clip_weights(params: DecoderParams, alpha: float) -> None:
         np.clip(pool, -bound, bound, out=pool)
 
 
-def _random_keep(p_drop: float, rng: np.random.Generator,
+def _random_keep(p_drop: float | np.ndarray, rng: np.random.Generator,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Dropconnect keep-mask over `DecoderParams.flat` as float64 0/1 (in
     `out` when given): entry i is kept, 1.0, iff the i-th of 370 uniform
-    draws of `rng` is >= p_drop, so P(keep) = 1 - p_drop. `retrain_hwa`
-    checks that p_drop lies in [0, 1)."""
+    draws of `rng` is >= p_drop, so P(keep) = 1 - p_drop. p_drop is a
+    float or a float64 0-d array; `retrain_hwa` checks that it lies in
+    [0, 1)."""
     keep = rng.random(N_PARAMS) if out is None else rng.random(out=out)
     return np.greater_equal(keep, p_drop, out=keep)
 
@@ -175,8 +178,8 @@ def _draws(cfg: RetrainConfig, p_drop: float, keep_fixed: np.ndarray | None, key
     if keep_fixed is not None:
         return lambda i: (keep_fixed, noise_rngs[i])
     mask_rngs = SpawnedGenerators(cfg.seed, (Stage.MASK, key), count)
-    keep = np.empty(N_PARAMS)
-    return lambda i: (_random_keep(p_drop, mask_rngs[i], keep), noise_rngs[i])
+    keep, threshold = np.empty(N_PARAMS), np.array(float(p_drop))
+    return lambda i: (_random_keep(threshold, mask_rngs[i], keep), noise_rngs[i])
 
 
 def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,

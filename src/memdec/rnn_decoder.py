@@ -39,20 +39,24 @@ do not depend on how it is batched or buffered:
     of the batch is one contiguous (n, ·) block), and slices the per-step
     views out of them once per batch size, not once per call; `_train`
     binds each batch's views once per call;
-  * per-call work is bound once: the unit views with the parameters,
-    Adam's betas with the config (`AdamState`), and h_0 is reset only
-    after a DAC converted it;
+  * per-call work is bound once: the unit views and BPTT's transposed
+    weight views with the parameters, Adam's coefficients with the config
+    (`AdamState`: beta as a full (2, 370) buffer, so the moments' decay
+    broadcasts nothing, and 1 - beta as a (2, 1) column), and h_0 is reset
+    only after a DAC converted it;
   * scalar operands that numpy would convert on every call (the ReLU's
-    0.0, the batch size that divides dlogits, Adam's learning rate and
-    eps) are float64 0-d arrays: the same IEEE operations, less dispatch;
+    0.0, the batch size that divides dlogits, Adam's learning rate, eps
+    and its two bias corrections, set per step, which divide one moment row
+    each) are float64 0-d arrays: the same IEEE operations, less dispatch;
   * the two-class softmax runs on the logit columns: `maximum` of the two
     columns is exact, and so gives the bits of `max(axis=1)`, and their
     `add` is the a + b that a two-term `sum(axis=1)` computes;
   * the ReLU derivative is held as float64 0/1, so BPTT multiplies float by
     float; numpy would cast a boolean mask to the same 0.0/1.0;
   * the matrix products of the recurrent step and of BPTT's hidden-state
-    gradient run as `np.dot` into contiguous outputs: the same BLAS call as
-    `matmul` with less dispatch. The hidden-state gradient takes only the
+    gradient run as the `ndarray.dot` method into contiguous outputs: the
+    same BLAS call as `matmul`, and as `np.dot`, whose `__array_function__`
+    dispatch the method skips. The hidden-state gradient takes only the
     h rows of w_rec, (n, 16) @ (16, 16): the x rows' columns were never
     read, and writing 16 contiguous columns makes the next ReLU-derivative
     product contiguous;
@@ -132,7 +136,7 @@ class DecoderParams:
     """Weights and biases, views into one (370,) vector `flat` (see the module
     docstring); w_rec acts on [syndrome (4) | hidden (16)]."""
 
-    __slots__ = ("flat", "w_rec", "b_rec", "w_eval", "b_eval", "_units")
+    __slots__ = ("flat", "w_rec", "b_rec", "w_eval", "b_eval", "_units", "_transposed")
 
     def __init__(self, w_rec: np.ndarray, b_rec: np.ndarray, w_eval: np.ndarray,
                  b_eval: np.ndarray):
@@ -151,6 +155,8 @@ class DecoderParams:
             setattr(self, name, flat[start:stop].reshape(shape))
         self._units = (flat[UNIT_SLICES[0]].reshape(RECURRENT_UNIT),
                        flat[UNIT_SLICES[1]].reshape(EVALUATION_UNIT))
+        # BPTT's operands: w_eval and the h rows of w_rec, transposed
+        self._transposed = (self.w_eval.T, self.w_rec[INPUT_SIZE:].T)
 
     @staticmethod
     def from_flat(flat: np.ndarray) -> "DecoderParams":
@@ -375,7 +381,7 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
         if dac is not None:
             dac(inp)
             bias[...] = 1.0
-        np.dot(inp, unit_rec, out=zt)
+        inp.dot(unit_rec, out=zt)
         if adc is not None:
             adc(zt)
         np.maximum(zt, _ZERO, out=h_next)
@@ -455,24 +461,24 @@ def _backward(params: DecoderParams, one_hot: np.ndarray, v: _BatchViews,
     makes the bias row the sum of dz over shots: the bits of a separate
     `dz.sum(axis=1)` where BLAS adds the exact products by 1.0 in shot
     order (see the module docstring)."""
-    dlogits = v.logits
+    dlogits, dh, dz, active = v.logits, v.dh, v.dz, v.active
+    # only h_t's rows of w_rec reach the hidden-state gradient
+    w_eval_t, w_hidden_t = params._transposed
     # the label column becomes p - 1.0, the other q - 0.0 = q
     dlogits -= one_hot
     dlogits /= v.count
 
     np.matmul(v.last_with_bias_t, dlogits, out=v.eval_unit_grads)
-    dh = v.dh
-    np.dot(dlogits, params.w_eval.T, out=dh)
+    dlogits.dot(w_eval_t, out=dh)
 
-    np.greater(v.z, _ZERO, out=v.active)
-    # only h_t's rows of w_rec reach the hidden-state gradient
-    w_hidden_t = params.w_rec[INPUT_SIZE:].T
+    np.greater(v.z, _ZERO, out=active)
     for dz_t, active_t in v.backward_steps:
         np.multiply(dh, active_t, out=dz_t)
-        np.dot(dz_t, w_hidden_t, out=dh)
-    np.multiply(dh, v.active[0], out=v.dz[-1])
-    np.matmul(v.inputs_reversed, v.dz, out=v.per_step)
-    np.add.reduce(v.per_step, axis=0, out=v.unit_grads, initial=0.0)
+        dz_t.dot(w_hidden_t, out=dh)
+    np.multiply(dh, active[0], out=dz[-1])
+    per_step = v.per_step
+    np.matmul(v.inputs_reversed, dz, out=per_step)
+    np.add.reduce(per_step, axis=0, out=v.unit_grads, initial=0.0)
     return v.grads
 
 
@@ -480,29 +486,34 @@ class AdamState:
     """Adam's step count and moment estimates. Both moments are rows of one
     (2, 370) buffer `moments`, so one elementwise op updates the pair; `m`
     and `v` are `DecoderParams` views of rows 0 and 1. Pickle and deepcopy
-    copy the buffer and rebuild the views into the copy."""
+    copy the buffer and rebuild the views into the copy.
 
-    __slots__ = ("moments", "m", "v", "step", "_coefs", "_beta", "_one_minus_beta",
-                 "_correction", "_learning_rate", "_eps", "_scratch", "_update",
-                 "_denominator", "_finite", "_config")
+    The coefficients are set for `_config`, the config of the last step:
+    beta as a full (2, 370) buffer, row k the beta of moment k, so that
+    `moments *= beta` broadcasts nothing; 1 - beta as a (2, 1) column; the
+    learning rate and eps as 0-d arrays, which dispatch faster than floats.
+    Each step sets the bias corrections 1 - beta^t, two more 0-d arrays, so
+    that m / c1 and v / c2 are each a row divided by a 0-d array. The
+    arrays a step reads are bound once, in one tuple `_operands`."""
+
+    __slots__ = ("moments", "m", "v", "step", "_config", "_beta", "_coefs", "_finite",
+                 "_operands")
 
     def __init__(self, moments: np.ndarray | None = None, step: int = 0):
         self.moments = np.zeros((2, N_PARAMS)) if moments is None else moments
         self.m = DecoderParams.from_flat(self.moments[0])
         self.v = DecoderParams.from_flat(self.moments[1])
         self.step = step
-        # (2, 1) columns, one entry per moment: beta, 1 - beta and the bias
-        # correction 1 - beta^t; then the learning rate and eps as 0-d
-        # arrays, which dispatch faster than floats. All but the
-        # corrections are set for `_config`, the config of the last step.
-        self._coefs = np.empty(8)
         self._config = None
-        self._beta, self._one_minus_beta, self._correction = (
-            self._coefs[i:i + 2, None] for i in (0, 2, 4))
-        self._learning_rate, self._eps = (self._coefs[i:i + 1].reshape(()) for i in (6, 7))
-        self._scratch = np.empty((2, N_PARAMS))
-        self._update, self._denominator = self._scratch[0], self._scratch[1]
+        self._beta = np.empty((2, N_PARAMS))
+        # 1 - beta of each moment, then c1, c2, the learning rate and eps
+        self._coefs = np.empty(6)
+        c1, c2, learning_rate, eps = (self._coefs[i:i + 1].reshape(()) for i in range(2, 6))
+        scratch = np.empty((2, N_PARAMS))
         self._finite = np.empty(N_PARAMS, dtype=bool)
+        self._operands = (self.moments, self._beta, self._coefs[:2, None], scratch,
+                          scratch[0], scratch[1], self.moments[0], self.moments[1], c1, c2,
+                          learning_rate, eps)
 
     def __reduce__(self):
         return AdamState, (self.moments, self.step)
@@ -538,20 +549,21 @@ def adam_step(params: DecoderParams, grads: DecoderParams, state: AdamState,
     b1, b2 = config.adam_beta1, config.adam_beta2
     coefs = state._coefs
     if state._config is not config:
-        coefs[[0, 1, 2, 3, 6, 7]] = (b1, b2, 1 - b1, 1 - b2, config.learning_rate,
-                                     config.adam_eps)
+        state._beta[0], state._beta[1] = b1, b2
+        coefs[[0, 1, 4, 5]] = (1 - b1, 1 - b2, config.learning_rate, config.adam_eps)
         state._config = config
-    coefs[4], coefs[5] = 1 - b1 ** t, 1 - b2 ** t
-    moments, tmp = state.moments, state._scratch
-    update, denominator = state._update, state._denominator
-    moments *= state._beta
-    np.multiply(state._one_minus_beta, g, out=tmp)
+    coefs[2], coefs[3] = 1 - b1 ** t, 1 - b2 ** t
+    (moments, beta, one_minus_beta, tmp, update, denominator, m, v, c1, c2, learning_rate,
+     eps) = state._operands
+    moments *= beta
+    np.multiply(one_minus_beta, g, out=tmp)
     denominator *= g
     moments += tmp
-    np.divide(moments, state._correction, out=tmp)
+    np.divide(m, c1, out=update)
+    np.divide(v, c2, out=denominator)
     np.sqrt(denominator, out=denominator)
-    denominator += state._eps
-    update *= state._learning_rate
+    denominator += eps
+    update *= learning_rate
     update /= denominator
     params.flat -= update
 

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import fields, is_dataclass
 from functools import reduce
@@ -132,14 +133,23 @@ def test_conductances_apply_together_in_either_order():
         assert (cfg.crossbar.g_hcs, cfg.crossbar.g_lcs) == (300.0, 250.0)
 
 
+def unchecked(config, **changes):
+    """A copy of the frozen dataclass `config` with `changes` set past its
+    checks, as no constructor would build it."""
+    config = copy.copy(config)
+    for name, value in changes.items():
+        object.__setattr__(config, name, value)
+    return config
+
+
 @pytest.mark.parametrize("cfg,message", [
     (cf.RunConfig(protocol=EvalProtocol(p_values=(0.01, 0.001))),
      "eval.p cannot carry protocol.p_values = (0.01, 0.001)"),
     (cf.RunConfig(protocol=EvalProtocol(rounds=5)),
      "dataset.rounds cannot carry dataset.rounds = 3, protocol.rounds = 5"),
-    (cf.RunConfig(dataset=cf.DatasetConfig(points=0)),
+    (cf.RunConfig(dataset=unchecked(cf.DatasetConfig(), points=0)),
      "dataset.points: '0' is not an integer >= 1"),
-    (cf.RunConfig(dataset=cf.DatasetConfig(p_min=0.1)),
+    (cf.RunConfig(dataset=unchecked(cf.DatasetConfig(), p_min=0.1)),
      "dataset.p_min exceeds dataset.p_max"),
 ])
 def test_serialize_refuses_what_text_cannot_carry(cfg, message):
@@ -166,14 +176,15 @@ def test_serialize_refuses_fields_no_key_writes():
     assert str(info.value) == "no key writes train.seed, retrain.seed"
 
 
-# The dataclasses that enforce their keys' rules. DatasetConfig and RunConfig
-# do not, so that the serializer's refusals above can be built.
-CHECKED = (TrainConfig, RetrainConfig, CrossbarConfig, VariabilityModel, EvalProtocol)
+# The dataclasses that enforce their keys' rules: all of them
+CHECKED = (cf.RunConfig, cf.DatasetConfig, TrainConfig, RetrainConfig, CrossbarConfig,
+           VariabilityModel, EvalProtocol)
 # values of each value kind, inside and outside every rule of that kind
 REALS = [-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 200.0, math.inf, math.nan]
 PROBES = {cf._INT: [-1, 0, 1, 2, 3], cf._FLOAT: REALS, cf._FLOAT_TUPLE: [(x,) for x in REALS],
           cf._FLOATS: [(), (0.5, 0.01), (-5.0,), (math.nan,), (math.inf,), (0.5, -math.inf)],
-          cf._BOOL: [True, False]}
+          cf._BOOL: [True, False],
+          cf._SCHEME_LIST: [(), ("fp_mnd",), ("nope",), ("baseline", "nope"), cf.SCHEMES]}
 
 
 def checked_fields():
@@ -182,7 +193,7 @@ def checked_fields():
     for key, row in cf._KEYS.items():
         for path in row.paths or (key,):
             parent, _, name = path.rpartition(".")
-            owner = reduce(getattr, parent.split("."), cf.RunConfig()) if parent else None
+            owner = reduce(getattr, parent.split("."), cf.RunConfig()) if parent else cf.RunConfig()
             if isinstance(owner, CHECKED):
                 yield key, type(owner), name
 
@@ -238,7 +249,10 @@ def test_seed_fields_outside_the_64_bit_range_rejected(owner):
     (TrainConfig, "batch_size"), (TrainConfig, "epochs"), (TrainConfig, "seed"),
     (RetrainConfig, "epochs"), (RetrainConfig, "seed"),
     (EvalProtocol, "n_train_runs"), (EvalProtocol, "n_infer_runs"),
-    (EvalProtocol, "test_shots"), (EvalProtocol, "rounds"), (CrossbarConfig, "levels")])
+    (EvalProtocol, "test_shots"), (EvalProtocol, "rounds"), (CrossbarConfig, "levels"),
+    (cf.DatasetConfig, "points"), (cf.DatasetConfig, "train_samples"),
+    (cf.DatasetConfig, "val_samples"), (cf.DatasetConfig, "rounds"),
+    (cf.RunConfig, "seed"), (cf.RunConfig, "curve_points")])
 def test_count_fields_must_be_integers(owner, name):
     # an integral float or a bool passed the range checks, and training then
     # failed mid-call with a bare TypeError; 64.5 levels quantized to a grid
@@ -248,3 +262,35 @@ def test_count_fields_must_be_integers(owner, name):
     for value in (2.0, 1.5, True, np.float64(2.0), np.bool_(True), "2"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
             owner(**{name: value})
+
+
+@pytest.mark.parametrize("owner, changes, message", [
+    (cf.DatasetConfig, {"points": 0}, "points must be an integer >= 1, got 0"),
+    (cf.DatasetConfig, {"train_samples": -5}, "train_samples must be an integer >= 1, got -5"),
+    (cf.DatasetConfig, {"points": 2.5}, "points must be an integer, got 2.5"),
+    (cf.DatasetConfig, {"p_min": math.nan}, "p_min must be a probability in (0, 1], got nan"),
+    (cf.DatasetConfig, {"p_max": 0.0}, "p_max must be a probability in (0, 1], got 0.0"),
+    (cf.DatasetConfig, {"p_min": 0.5, "p_max": 0.1}, "p_min 0.5 exceeds p_max 0.1"),
+    (cf.RunConfig, {"curve_points": 1}, "curve_points must be an integer >= 2, got 1"),
+    (cf.RunConfig, {"stuck_rate": 2.0}, "stuck_rate must be a probability in [0, 1], got 2.0"),
+    (cf.RunConfig, {"seed": -3}, "seed must be a non-negative integer, got -3"),
+    (cf.RunConfig, {"hwa_p_drop": 1.5}, "hwa_p_drop must be a probability in [0, 1], got 1.5"),
+    (cf.RunConfig, {"schemes": ("nope",)},
+     f"schemes must be a comma list drawn from {cf.SCHEMES}, got ('nope',)"),
+])
+def test_dataset_and_run_configs_built_in_code_are_checked(owner, changes, message):
+    # these were accepted; points=2.5 then failed in p_grid with a bare
+    # TypeError, and p_min=nan gave a grid of NaNs
+    with pytest.raises(ValueError) as info:
+        owner(**changes)
+    assert str(info.value) == message
+
+
+def test_dataset_and_run_configs_accept_what_their_keys_accept():
+    dataset = cf.DatasetConfig(p_min=0.01, p_max=0.01, points=np.int64(1))
+    assert dataset.p_grid() == (0.01,)
+    assert cf.DatasetConfig(points=np.uint8(4)).p_grid() == cf.DatasetConfig(points=4).p_grid()
+    run = cf.RunConfig(seed=np.uint64(2**64 - 1), hwa_p_drop=None, schemes=("ds_mnd",),
+                       curve_points=2, stuck_rate=0.0)
+    assert run.hwa_p_drop is None and run.seed == 2**64 - 1
+    assert cf.RunConfig(hwa_p_drop=0.0).hwa_p_drop == 0.0

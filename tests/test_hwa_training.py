@@ -7,6 +7,7 @@ from memdec import analog_model as am
 from memdec import hwa_training as hwa
 from memdec import rnn_decoder as rd
 from memdec import surface_code_sim as sc
+from memdec.rng import Stage, spawn_generator
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,25 @@ class TestDropconnectMask:
         for p_drop in (-0.1, 1.2):
             with pytest.raises(ValueError, match="p_drop must lie in"):
                 hwa.retrain_hwa(fp_params, train, val, hwa.RetrainConfig(epochs=1), p_drop)
+
+
+class TestDraws:
+    def test_keep_masks_equal_the_float_threshold_reference(self):
+        # p_drop 0 keeps everything, and an entry whose uniform equals
+        # p_drop is kept; each _draws call compares with its own p_drop
+        cfg, key, count = hwa.RetrainConfig(seed=82), 3, 5
+        uniforms = [spawn_generator(cfg.seed, Stage.MASK, key, i).random(rd.N_PARAMS)
+                    for i in range(count)]
+        tie = float(uniforms[2][17])
+        for p_drop in (0.0, 0.25, tie, 0.9, float(uniforms[4].max()), 0.25):
+            draw = hwa._draws(cfg, p_drop, None, key, count)
+            for i, u in enumerate(uniforms):
+                keep, _ = draw(i)
+                assert keep.tobytes() == (u >= p_drop).astype(np.float64).tobytes()
+                if p_drop == tie and i == 2:
+                    assert keep[17] == 1.0 and 0.0 < keep.sum() < rd.N_PARAMS
+                if p_drop == 0.0:
+                    assert keep.all()
 
 
 class TestClipWeights:

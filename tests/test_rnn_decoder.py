@@ -606,6 +606,75 @@ class TestAdam:
         assert params.flat.tobytes() == fresh_params.flat.tobytes()
         assert state.moments.tobytes() == fresh.moments.tobytes()
 
+    @pytest.mark.parametrize("scale", [1e153, 1e200])
+    def test_finite_gradients_whose_square_sum_overflows_step(self, scale):
+        # the step is PlainAdam's. At 1e153 g . g overflows but no op of
+        # Adam does, so the step must not warn even where overflow raises;
+        # at 1e200 Adam's own ((1 - b2) g) g overflows, as PlainAdam's does
+        rng = np.random.default_rng(15)
+        cfg = rd.TrainConfig()
+        params = random_params(rng)
+        plain, plain_params, state = PlainAdam(cfg), params.copy(), rd.AdamState()
+        for _ in range(3):
+            g = rng.standard_normal(rd.N_PARAMS) * scale
+            with np.errstate(over="ignore"):
+                assert not math.isfinite(g.dot(g))
+            with np.errstate(over="raise" if scale < 1e154 else "ignore"):
+                rd.adam_step(params, rd.DecoderParams.from_flat(g), state, cfg)
+                plain.step(plain_params, g)
+            assert params.flat.tobytes() == plain_params.flat.tobytes()
+            assert state.moments.tobytes() == np.stack([plain.m, plain.v]).tobytes()
+        assert state.step == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_among_huge_ones_raises(self, bad):
+        rng = np.random.default_rng(16)
+        cfg = rd.TrainConfig()
+        params, state = random_params(rng), rd.AdamState()
+        rd.adam_step(params, random_params(rng), state, cfg)
+        before, moments = params.flat.copy(), state.moments.copy()
+        g = np.where(rng.random(rd.N_PARAMS) < 0.5, -1e200, 1e200)
+        g[rng.integers(rd.N_PARAMS)] = bad
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            rd.adam_step(params, rd.DecoderParams.from_flat(g), state, cfg)
+        assert state.step == 1
+        assert params.flat.tobytes() == before.tobytes()
+        assert state.moments.tobytes() == moments.tobytes()
+
+    def test_a_copy_taken_before_the_first_step_continues_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        cfg = rd.TrainConfig()
+        state = rd.AdamState()
+        copies = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        params = random_params(rng)
+        twins = [params.copy() for _ in copies]
+        for _ in range(4):
+            grads = random_params(rng, 0.5)
+            rd.adam_step(params, grads, state, cfg)
+            for c, twin in zip(copies, twins):
+                rd.adam_step(twin, grads, c, cfg)
+                assert twin.flat.tobytes() == params.flat.tobytes()
+                assert c.moments.tobytes() == state.moments.tobytes()
+                assert not np.shares_memory(c.moments, state.moments)
+
+    def test_config_changes_mid_run_give_plain_adams_bits(self):
+        # each change, back to an earlier config object too, replaces every
+        # coefficient, both rows of beta included, at the next step
+        rng = np.random.default_rng(18)
+        first = rd.TrainConfig()
+        other = rd.TrainConfig(learning_rate=0.01, adam_beta1=0.5, adam_beta2=0.9,
+                               adam_eps=1e-4)
+        params, state = random_params(rng), rd.AdamState()
+        plain, plain_params = PlainAdam(first), params.copy()
+        for cfg in (first, other, first, rd.TrainConfig(adam_beta2=0.95), other):
+            plain.config = cfg
+            for _ in range(3):
+                g = rng.standard_normal(rd.N_PARAMS)
+                rd.adam_step(params, rd.DecoderParams.from_flat(g), state, cfg)
+                plain.step(plain_params, g)
+                assert params.flat.tobytes() == plain_params.flat.tobytes()
+                assert state.moments.tobytes() == np.stack([plain.m, plain.v]).tobytes()
+
 
 class TestTraining:
     def test_constant_class_dataset_learned_in_one_epoch(self):
