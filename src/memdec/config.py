@@ -116,7 +116,7 @@ _ANY = (None, None)
 _Key = namedtuple("_Key", "kind rule paths", defaults=((),))
 # In serialization order; optional keys (default None) come last.
 _KEYS = {
-    "seed": _Key(_INT, ("a non-negative integer", lambda x: x >= 0)),
+    "seed": _Key(_INT, ("an integer in [0, 2^64)", lambda x: 0 <= x < 2**64)),
     "schemes": _Key(_SCHEME_LIST, (f"a comma list drawn from {SCHEMES}",
                                    lambda v: v and all(x in SCHEMES for x in v))),
     "dataset.p_min": _Key(_FLOAT, _RATE),

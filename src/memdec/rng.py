@@ -13,9 +13,14 @@ vectorised over numpy uint64 arrays; `counter_uniforms` scales it to [0, 1).
 The vectorised hash is `mix64` (`mix53` keeps its top 53 bits); the syndrome
 sampler applies all of it but the final xorshift (`_mix64_head`) in place to
 blocks of states, and compares the full hash against a shifted `draw_limit`
-only where that partial hash can still fire. `derive_seed` runs the same
-finalizer on Python ints (`_mix`), whose per-call cost stays far below a
-numpy call's.
+only where that partial hash can still fire. The sampler's worker threads
+hold the interpreter lock between numpy calls, so `_mix64_head` makes its
+six and no other: its shifts and multipliers are uint64 constants bound
+once, and it enters no `np.errstate`, since uint64 array arithmetic wraps
+mod 2^64 without a warning (numpy scalar arithmetic warns, which is why
+`counter_draws`, whose indices may be a scalar, keeps one). `derive_seed`
+runs the same finalizer on Python ints (`_mix`), whose per-call cost stays
+far below a numpy call's.
 
 `spawn_generator` seeds a numpy PCG64 Generator from a derived key, through
 numpy's SeedSequence, which costs about 15 µs per stream. Where many
@@ -75,21 +80,26 @@ def spawn_generator(master: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master, *path)))
 
 
+# splitmix64's constants as uint64 scalars, built once: the sampler hashes
+# each tile of draws with them, and building a scalar per call is a Python
+# call under the interpreter lock
 GOLDEN = np.uint64(_GOLDEN)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
+_U64_11, _U64_27, _U64_30, _U64_31 = map(np.uint64, (11, 27, 30, 31))
 
 
 def _mix64_head(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """`mix64` without its final `y ^ (y >> 31)`, in place on `z`; that step
-    leaves the top 31 bits of y as they are. Returns `z`."""
-    with np.errstate(over="ignore"):
-        np.right_shift(z, np.uint64(30), out=scratch)
-        z ^= scratch
-        z *= _U64_MIX1
-        np.right_shift(z, np.uint64(27), out=scratch)
-        z ^= scratch
-        z *= _U64_MIX2
+    """`mix64` without its final `y ^ (y >> 31)`, in place on the uint64
+    array `z`; that step leaves the top 31 bits of y as they are. Returns
+    `z`. Array arithmetic on uint64 wraps mod 2^64 without a warning, so no
+    `np.errstate` is entered (only numpy scalar arithmetic warns)."""
+    np.right_shift(z, _U64_30, out=scratch)
+    z ^= scratch
+    z *= _U64_MIX1
+    np.right_shift(z, _U64_27, out=scratch)
+    z ^= scratch
+    z *= _U64_MIX2
     return z
 
 
@@ -100,7 +110,7 @@ def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     if scratch is None:
         scratch = np.empty_like(z)
     _mix64_head(z, scratch)
-    np.right_shift(z, np.uint64(31), out=scratch)
+    np.right_shift(z, _U64_31, out=scratch)
     z ^= scratch
     return z
 
@@ -109,7 +119,7 @@ def mix53(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """`mix64` keeping the top 53 bits: afterwards `z` holds integer draws in
     [0, 2^53). Returns `z`."""
     mix64(z, scratch)
-    z >>= np.uint64(11)
+    z >>= _U64_11
     return z
 
 

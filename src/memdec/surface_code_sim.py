@@ -69,9 +69,11 @@ samples its chunks on every CPU the process may run on: the calling thread
 and one helper thread per further CPU each run an interleaved share of the
 chunks, and the call joins every helper before it returns or raises. numpy
 releases the interpreter lock in the sampler's array passes, so the shares
-run at once. Each chunk writes only its own rows of the output, and its
-draws depend only on (key, shot), so the bytes are the same for any chunk
-size, CPU count or scheduling.
+run at once; between those passes each worker holds the lock, so the
+sampler makes few numpy calls per tile and per chunk, and cuts the shots
+into equal shares. Each chunk writes only its own rows of the output, and
+its draws depend only on (key, shot), so the bytes are the same for any
+chunk size, CPU count or scheduling.
 
 Draw contract: noise location i of shot s consumes exactly one
 counter-based uniform u = counter_uniforms(key, s * n_locations + i) (see
@@ -84,6 +86,7 @@ of which shots are drawn together.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -92,7 +95,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import _MASK, GOLDEN, Stage, _mix64_head, derive_seed, draw_limit
+from .errors import _check_integer
+from .rng import _MASK, _U64_11, _U64_31, GOLDEN, Stage, _mix64_head, derive_seed, draw_limit
 
 QUBIT_COUNT = 17
 DATA_QUBITS = tuple(range(9))
@@ -328,10 +332,19 @@ def build_memory_x_circuit(rounds: int, p: float) -> CircuitSpec:
 # ---------------------------------------------------------------------------
 
 # Draws are hashed in tiles of this many uint64 states (384 KiB; the tile's
-# buffers stay in a 4 MiB L2). On a 2-vCPU Xeon the 100k-shot grid took
-# 1.37 s at this size, 1.6 s at 96 KiB (more numpy calls) and 2.2 s with
-# 4096-row tiles of 6 MB, which fall out of cache.
+# buffers stay in a 4 MiB L2). A tile costs ten numpy calls, and each worker
+# holds the interpreter lock between them, so with two workers the calls of
+# one queue behind the other's: smaller tiles mean more calls per shot. On a
+# 2-vCPU Xeon, two workers sampled the 8-point grid at 100k shots per rate
+# in 170 ms at this size, 234 ms at half of it (more calls), 176 ms at twice
+# it and 257 ms at four times it (out of cache).
 _TILE_WORDS = 49152
+# `_sample_chunk` tests the candidate draws of its tiles against their
+# bounds once this many have gathered, and at its end. Its arrays then scale
+# with this count, not with the chunk: memory a helper thread allocates
+# stays in that thread's malloc arena (see `generate_dataset`), and at p =
+# 1e-2 a 16384-shot chunk holds about 48k candidates.
+_TAIL_CANDIDATES = 8192
 
 
 @dataclass(frozen=True)
@@ -493,10 +506,14 @@ class _TileBuffers:
 
 def _sample_chunk(plan: _DrawPlan, key: int, start: int, stop: int,
                   buffers: _TileBuffers | None = None,
+                  out: tuple[np.ndarray, np.ndarray] | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Sample shots start..stop-1 of stream `key` from a circuit's draw
     plan; returns their detection events (n, rounds+1, 4) and labels (n,),
     both uint8. `buffers` are overwritten in place of fresh tile buffers.
+    `out`, if given, is the (events, labels) pair to fill and return, of
+    those shapes, C-contiguous and all zero: only the rows of shots where a
+    fault fires are written.
 
     Draw i of a shot is u = counter_uniforms(key, shot*n_locs + i); location
     i fires iff u < prob and then applies Pauli min(u/prob*k, k-1) of its k
@@ -509,46 +526,82 @@ def _sample_chunk(plan: _DrawPlan, key: int, start: int, stop: int,
     h and y agree on every bit from B up. So only draws with y < 2^B
     (`candidate`) can fire; the chunk finishes their hashes and tests them
     against their own bounds.
+
+    A tile runs ten numpy calls, and the interpreter lock is held between
+    them, so the tile loop makes no other: the tile views and the tiles'
+    first states are built once per chunk, and each tile's offset is added
+    to its candidates' indices once per candidate test
+    (`_fire_candidates`).
     """
     n, n_live, tile = stop - start, plan.live.shape[0], plan.tile
+    if out is None:
+        out = np.zeros((n, plan.rounds + 1, 4), np.uint8), np.zeros(n, np.uint8)
+    if n == 0 or n_live == 0:           # no draw to make
+        return out
     words = tile * n_live
     if buffers is None or buffers.states.size < words:
         buffers = _TileBuffers(max(words, 1))
-    offsets = buffers.offsets[:words]
-    hits, states = [np.zeros(0, np.intp)], [np.zeros(0, np.uint64)]
-    with np.errstate(over="ignore"):
-        if buffers.plan is not plan:
-            rows = np.arange(tile, dtype=np.uint64) * np.uint64(plan.row_step)
-            np.add(rows[:, None], plan.col, out=offsets.reshape(tile, n_live))
-            buffers.plan = plan
-        for row in range(0, n, tile):
-            size = min(tile, n - row) * n_live
-            z, scratch, mask = (buffers.states[:size], buffers.scratch[:size],
-                                buffers.mask[:size])
-            np.add(offsets[:size], np.uint64((key + (start + row) * plan.row_step) & _MASK),
-                   out=z)
-            _mix64_head(z, scratch)
-            np.less_equal(z, plan.candidate, out=mask)
-            hit = np.flatnonzero(mask)
-            hits.append(hit + row * n_live)
-            states.append(z[hit])
-        h = np.concatenate(states)
-        h ^= h >> np.uint64(31)
-        shot, j = np.divmod(np.concatenate(hits), n_live)
-        fired = h <= plan.bound[j]
-    shot, j, h = shot[fired], j[fired], h[fired]
+    z, scratch, mask, offsets = (buffers.states[:words], buffers.scratch[:words],
+                                 buffers.mask[:words], buffers.offsets[:words])
+    if buffers.plan is not plan:
+        rows = np.arange(tile, dtype=np.uint64) * np.uint64(plan.row_step)
+        np.add(rows[:, None], plan.col, out=offsets.reshape(tile, n_live))
+        buffers.plan = plan
+    # tile t starts at state key + (start + t*tile) * row_step, mod 2^64
+    firsts = np.arange(0, n, tile, dtype=np.uint64)
+    firsts *= np.uint64(plan.row_step)
+    firsts += np.uint64((key + start * plan.row_step) & _MASK)
+    hits, states, pending, row = [], [], 0, 0
+    for t, first in enumerate(firsts):
+        if (t + 1) * tile > n:          # the last tile is partial
+            size = (n - t * tile) * n_live
+            z, scratch, mask, offsets = z[:size], scratch[:size], mask[:size], offsets[:size]
+        np.add(offsets, first, out=z)
+        _mix64_head(z, scratch)
+        np.less_equal(z, plan.candidate, out=mask)
+        hit = mask.nonzero()[0]
+        hits.append(hit)
+        states.append(z[hit])
+        pending += hit.size
+        if pending >= _TAIL_CANDIDATES:
+            _fire_candidates(plan, row, hits, states, out)
+            pending, row = 0, (t + 1) * tile
+    if hits:
+        _fire_candidates(plan, row, hits, states, out)
+    return out
 
-    signature = np.zeros((n, plan.signatures.shape[2]), dtype=np.uint64)
+
+def _fire_candidates(plan: _DrawPlan, row: int, hits: list, states: list,
+                     out: tuple[np.ndarray, np.ndarray]) -> None:
+    """The tail of `_sample_chunk`: finish the hashes of the candidate
+    draws of consecutive tiles from chunk shot `row` on, test them against
+    their bounds, and write the rows of the shots where any fires into
+    `out`. `hits[t]` holds tile t's candidate indices, `states[t]` their
+    partial hashes; both lists are emptied."""
+    n_live, words = plan.live.shape[0], plan.tile * plan.live.shape[0]
+    counts = [x.size for x in hits]
+    h = np.concatenate(states)
+    states.clear()
+    h ^= h >> _U64_31
+    hit = np.concatenate(hits)
+    hits.clear()
+    start = row * n_live
+    hit += np.repeat(np.arange(start, start + len(counts) * words, words), counts)
+    shot, j = np.divmod(hit, n_live, out=(hit, None))
+    fired = h <= plan.bound.take(j)
+    shot, j, h = shot[fired], j[fired], h[fired]
     if shot.size:
-        u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = (h >> _U64_11).astype(np.float64) * 2.0**-53
         k = plan.paulis[j]
         pick = np.minimum(u / plan.prob[j] * k, k - 1.0).astype(np.intp)
         first = np.flatnonzero(np.diff(shot, prepend=-1))
-        signature[shot[first]] = np.bitwise_xor.reduceat(plan.signatures[j, pick], first,
-                                                         axis=0)
-    bits = np.unpackbits(signature.astype("<u8", copy=False).view(np.uint8), axis=1,
-                         count=plan.bits, bitorder="little")
-    return bits[:, :-1].reshape(n, plan.rounds + 1, 4), bits[:, -1]
+        signature = np.bitwise_xor.reduceat(plan.signatures[j, pick], first, axis=0)
+        bits = np.unpackbits(signature.astype("<u8", copy=False).view(np.uint8), axis=1,
+                             count=plan.bits, bitorder="little")
+        events, labels = out
+        rows = shot[first]
+        events.reshape(len(events), -1)[rows] = bits[:, :-1]
+        labels[rows] = bits[:, -1]
 
 
 _PAULI_X = (1, 0)  # (x, z) components
@@ -652,22 +705,38 @@ def _usable_cpus() -> int:
 
 def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
                      seed: int, split_tag: str = "train",
-                     chunk_size: int = 4096) -> Dataset:
-    """Sample `shots_per_p` shots at each fault rate, `chunk_size` shots per
-    sampler call.
+                     chunk_size: int = 16384) -> Dataset:
+    """Sample `shots_per_p` shots at each fault rate, at most `chunk_size`
+    shots per sampler call.
 
     Each rate's draw plan is built once per (rounds, p) per process, in the
     calling thread, and reused by every later call at the same (rounds, p).
 
-    The (fault rate, chunk) jobs are split over min(usable CPUs, jobs)
-    workers: the calling thread runs every workers-th job from the first and
-    one helper thread per further worker runs the jobs from its own offset.
-    With one usable CPU no thread starts. Every helper is joined before the
-    call returns, and the first exception of a share (in share order) is
-    raised once all have stopped. Shot (p_index, shot_index) draws from its
-    own counter-based stream and each chunk fills only its own rows, so the
-    result is bit-identical for any chunk size and worker count.
+    Jobs: each rate's shots are cut into near-equal pieces of at most
+    `chunk_size` shots, one job each. The piece count per rate is the
+    smallest that also makes the job count a multiple of the worker count,
+    min(usable CPUs, total shots), as far as the shots allow. So a 20k-shot set on
+    two CPUs is two jobs of 10k shots, not 16384 and 3616. The calling
+    thread runs every workers-th job from the first and one helper thread
+    per further worker runs the jobs from its own offset. With one usable
+    CPU no thread starts. Every helper is joined before the call returns,
+    and the first exception of a share (in share order) is raised once all
+    have stopped. Shot (p_index, shot_index) draws from its own
+    counter-based stream and each job writes only its own rows of the
+    dataset, so the result is bit-identical for any chunk size and worker
+    count.
+
+    Fewer, larger jobs make fewer calls under the interpreter lock, where
+    the workers wait on each other: on a 2-vCPU Xeon, two workers sampled
+    the 8-point grid at 100k shots per rate in 182 ms in 4096-shot chunks
+    and 168 ms in 16384-shot ones.
     """
+    integers = {"shots_per_p": shots_per_p, "rounds": rounds, "seed": seed,
+                "chunk_size": chunk_size}
+    for name, value in integers.items():
+        _check_integer(name, value)
+    # as Python ints: numpy integer arithmetic on the 64-bit states overflows
+    shots_per_p, rounds, seed, chunk_size = map(int, integers.values())
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     if split_tag not in _SPLIT_TAGS:
@@ -676,40 +745,50 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
         raise ValueError("p_values must be non-empty")
     if shots_per_p < 1:
         raise ValueError(f"shots_per_p must be >= 1, got {shots_per_p}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"fault rate {p} outside [0, 1]")
 
-    n_total = shots_per_p * len(p_values)
-    events = np.empty((n_total, rounds + 1, 4), dtype=np.uint8)
-    labels = np.empty(n_total, dtype=np.uint8)
+    n_rates = len(p_values)
+    workers = min(_usable_cpus(), n_rates * shots_per_p)
+    step = workers // math.gcd(workers, n_rates)
+    pieces = -(-shots_per_p // chunk_size)
+    pieces = min(pieces + -pieces % step, shots_per_p)
+    n_total = shots_per_p * n_rates
+    # zeroed: a job writes only the rows of shots where a fault fires
+    events = np.zeros((n_total, rounds + 1, 4), dtype=np.uint8)
+    labels = np.zeros(n_total, dtype=np.uint8)
     jobs = []
     for pi, p in enumerate(p_values):
         plan = _memory_x_plan(rounds, p)   # here, so no helper builds one
         key = derive_seed(seed, Stage.DATASET, pi)
-        jobs += [(plan, key, pi * shots_per_p, start, min(start + chunk_size, shots_per_p))
-                 for start in range(0, shots_per_p, chunk_size)]
+        cuts = [k * shots_per_p // pieces for k in range(pieces + 1)]
+        rows = slice(pi * shots_per_p, (pi + 1) * shots_per_p)
+        rate_events, rate_labels = events[rows], labels[rows]
+        jobs += [(plan, key, lo, hi, (rate_events[lo:hi], rate_labels[lo:hi]))
+                 for lo, hi in zip(cuts, cuts[1:])]
 
-    workers = min(_usable_cpus(), len(jobs))
     # Each worker's tile buffers, its tile offsets too, are allocated in this
-    # thread: under glibc, memory a helper thread frees stays in that
-    # thread's malloc arena, where the calling thread cannot reuse it. With
-    # the tiles allocated by the helpers, the benchmark's protocol
-    # peak_rss_mb rose by about 4.5% over one worker instead of 2% (2-vCPU
-    # Xeon).
+    # thread, and so is the dataset the jobs write into: under glibc, memory
+    # a helper thread frees stays in that thread's malloc arena, where the
+    # calling thread cannot reuse it. With the tiles allocated by the
+    # helpers, the benchmark's protocol peak_rss_mb rose by about 4.5% over
+    # one worker instead of 2% (2-vCPU Xeon). What a helper still allocates
+    # scales with `_TAIL_CANDIDATES`, not with the chunk size.
     buffers = [_TileBuffers() for _ in range(workers)]
     errors: list[BaseException | None] = [None] * workers
     stop = threading.Event()
 
     def run_share(w: int) -> None:
         try:
-            for plan, key, offset, start, end in jobs[w::workers]:
+            for plan, key, start, end, out in jobs[w::workers]:
                 if stop.is_set():
                     return
-                at = slice(offset + start, offset + end)
-                events[at], labels[at] = _sample_chunk(plan, key, start, end, buffers[w])
+                _sample_chunk(plan, key, start, end, buffers[w], out)
         except BaseException as exc:   # re-raised by the caller below
             errors[w] = exc
             stop.set()
@@ -730,7 +809,7 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
     for exc in errors:
         if exc is not None:
             raise exc
-    p_index = np.repeat(np.arange(len(p_values), dtype=np.uint16), shots_per_p)
+    p_index = np.repeat(np.arange(n_rates, dtype=np.uint16), shots_per_p)
     return Dataset(events, labels, p_index, tuple(float(p) for p in p_values),
                    rounds, seed, split_tag)
 

@@ -234,15 +234,22 @@ def test_non_finite_variability_coefficients_rejected(text):
     assert str(info.value) == f"crossbar.variability_coeffs: could not parse {text!r}"
 
 
-@pytest.mark.parametrize("owner", [TrainConfig, RetrainConfig])
+@pytest.mark.parametrize("owner", [TrainConfig, RetrainConfig, cf.RunConfig])
 def test_seed_fields_outside_the_64_bit_range_rejected(owner):
     # derive_seed reduces seeds mod 2^64, so seed -1 used to train what
-    # 2^64 - 1 trains
+    # 2^64 - 1 trains, and a run seed of 2^64 ran seed 0
     for seed in (0, 2**64 - 1):
         assert owner(seed=seed).seed == seed
     for seed in (-1, 2**64, float("nan")):
         with pytest.raises(ValueError, match="seed"):
             owner(seed=seed)
+
+
+def test_seed_key_outside_the_64_bit_range_rejected():
+    assert cf.validate_config(f"seed = {2**64 - 1}").seed == 2**64 - 1
+    with pytest.raises(ConfigError) as info:
+        cf.validate_config(f"seed = {2**64}")
+    assert str(info.value) == "seed: '18446744073709551616' is not an integer in [0, 2^64)"
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -273,7 +280,7 @@ def test_count_fields_must_be_integers(owner, name):
     (cf.DatasetConfig, {"p_min": 0.5, "p_max": 0.1}, "p_min 0.5 exceeds p_max 0.1"),
     (cf.RunConfig, {"curve_points": 1}, "curve_points must be an integer >= 2, got 1"),
     (cf.RunConfig, {"stuck_rate": 2.0}, "stuck_rate must be a probability in [0, 1], got 2.0"),
-    (cf.RunConfig, {"seed": -3}, "seed must be a non-negative integer, got -3"),
+    (cf.RunConfig, {"seed": -3}, "seed must be an integer in [0, 2^64), got -3"),
     (cf.RunConfig, {"hwa_p_drop": 1.5}, "hwa_p_drop must be a probability in [0, 1], got 1.5"),
     (cf.RunConfig, {"schemes": ("nope",)},
      f"schemes must be a comma list drawn from {cf.SCHEMES}, got ('nope',)"),

@@ -134,7 +134,7 @@ ERRORS = {
     "unparsable_values": (
         "seed = 1.5\nschemes = fp_mnd,bogus\ncrossbar.quantize_io = maybe\n"
         "crossbar.variability_coeffs = 1,x\neval.p = 0.1,0.2\nretrain.io_discretize =\n",
-        "seed: could not parse '1.5' as a non-negative integer; "
+        "seed: could not parse '1.5' as an integer in [0, 2^64); "
         f"schemes: 'fp_mnd,bogus' is not {_SCHEME_LIST}; "
         "crossbar.quantize_io: could not parse 'maybe'; "
         "crossbar.variability_coeffs: could not parse '1,x'; "
@@ -145,7 +145,7 @@ ERRORS = {
         "retrain.clip_scale = 0\nretrain.noise_relative = -0.1\n"
         "crossbar.stuck_rate = 1.5\ncrossbar.g_lcs = -1\neval.p = 0\n"
         "eval.curve_points = 1\nhwa.p_drop = 2\n",
-        "seed: '-1' is not a non-negative integer; "
+        "seed: '-1' is not an integer in [0, 2^64); "
         f"schemes: ',' is not {_SCHEME_LIST}; "
         "dataset.p_max: '0' is not a probability in (0, 1]; "
         "train.adam_beta1: '1' is not a real in [0, 1); "

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,25 @@ def test_scalar_mix_matches_vector_hash():
     states = np.random.default_rng(1).integers(0, 2**63, size=200, dtype=np.uint64) * np.uint64(2)
     draws = rng.mix53(states.copy())
     assert [rng._mix(int(z)) >> 11 for z in states] == [int(m) for m in draws]
+
+
+@pytest.mark.parametrize("shape", [(3,), ()])
+def test_vector_hash_wraps_without_warning_or_errstate(monkeypatch, shape):
+    # the sampler's hash enters no np.errstate: uint64 array arithmetic
+    # wraps silently, 0-d arrays included, where numpy scalars would warn
+    errstate = np.errstate
+
+    def no_errstate(*args, **kwargs):
+        raise AssertionError("np.errstate entered")
+
+    monkeypatch.setattr(rng.np, "errstate", no_errstate)
+    for value in (0, 2**63, 2**64 - 1):
+        states = np.full(shape, value, dtype=np.uint64)
+        with errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = rng.mix64(states.copy())
+            drawn = rng.mix53(states.copy(), np.empty_like(states))
+        assert (mixed == rng._mix(value)).all() and (drawn == rng._mix(value) >> 11).all()
 
 
 def test_any_subset_or_order_gives_the_same_draws():

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -472,6 +474,27 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match=match):
             sc.generate_dataset([1e-3], 10, 3, seed=seed, split_tag=split_tag)
 
+    @pytest.mark.parametrize("name, value", [
+        ("shots_per_p", 10.0), ("shots_per_p", True), ("rounds", 3.0),
+        ("rounds", np.float64(3.0)), ("chunk_size", 64.5), ("chunk_size", True),
+        ("seed", 1.5), ("seed", np.bool_(True))])
+    def test_counts_must_be_integers(self, monkeypatch, name, value):
+        # the floats failed deep inside with a bare TypeError, and True was
+        # taken as 1
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the arguments")
+
+        monkeypatch.setattr(sc, "_sample_chunk", no_sampling)
+        args = {"shots_per_p": 10, "rounds": 3, "seed": 0, "chunk_size": 64, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            sc.generate_dataset([1e-3], **args)
+
+    def test_numpy_integer_counts_accepted(self):
+        ds = sc.generate_dataset([1e-2], np.int64(300), np.uint8(3), np.int64(5),
+                                 chunk_size=np.int32(64))
+        ref = sc.generate_dataset([1e-2], 300, 3, 5, chunk_size=64)
+        assert np.array_equal(ds.events, ref.events) and np.array_equal(ds.labels, ref.labels)
+
 
 class ChunkFailure(RuntimeError):
     pass
@@ -488,25 +511,27 @@ class TestParallelSampling:
 
     @pytest.fixture
     def sampling_threads(self, monkeypatch):
-        """Idents of the threads that ran each chunk, keyed by first shot."""
+        """The thread that ran each job and the job's shot count, keyed by
+        (key, first shot). Thread objects, not idents: a finished helper's
+        ident may be reused by a later one."""
         seen = {}
         sample = sc._sample_chunk
 
-        def spy(plan, key, start, stop, buffers):
-            seen[(key, start)] = threading.get_ident()
-            return sample(plan, key, start, stop, buffers)
+        def spy(plan, key, start, stop, buffers, out):
+            seen[(key, start)] = threading.current_thread(), stop - start
+            return sample(plan, key, start, stop, buffers, out)
 
         monkeypatch.setattr(sc, "_sample_chunk", spy)
         return seen
 
-    # 2 rates x 500 shots: chunk 4096 gives 2 jobs, fewer than 3 or 8 workers
-    @pytest.mark.parametrize("cpus", [1, 3, 8])
-    @pytest.mark.parametrize("chunk_size", [7, 64, 4096])
+    # 2 rates x 500 shots: each rate is cut into the fewest pieces, at least
+    # ceil(500 / chunk_size), that make 2 * pieces a multiple of the workers
+    @pytest.mark.parametrize("cpus, chunk_size, pieces", [
+        (1, 7, 72), (3, 7, 72), (8, 7, 72), (1, 64, 8), (3, 64, 9), (8, 64, 8),
+        (1, 4096, 1), (3, 4096, 3), (8, 4096, 4)])
     def test_bytes_equal_for_any_worker_count(self, monkeypatch, reference,
-                                              sampling_threads, cpus, chunk_size):
+                                              sampling_threads, cpus, chunk_size, pieces):
         monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
-        jobs = 2 * -(-500 // chunk_size)
-        workers = min(cpus, jobs)
         sc._memory_x_plan.cache_clear()
         for plans in ("cold", "warm"):      # the cold call fills the cache
             sampling_threads.clear()
@@ -520,32 +545,110 @@ class TestParallelSampling:
             assert np.array_equal(ds.events, reference.events), plans
             assert np.array_equal(ds.labels, reference.labels), plans
             assert np.array_equal(ds.p_index, reference.p_index), plans
-            threads = set(sampling_threads.values())
-            assert len(sampling_threads) == jobs
-            assert threading.get_ident() in threads          # the caller runs a share
-            # a finished helper's ident may be reused by a later one
-            assert (len(threads) > 1) == (workers > 1) and len(threads) <= workers
+            sizes = [size for _, size in sampling_threads.values()]
+            assert len(sizes) == 2 * pieces and sum(sizes) == 1000
+            assert max(sizes) <= chunk_size and max(sizes) - min(sizes) <= 1
+            # the caller and one helper per further worker, with equal shares
+            shares = Counter(thread for thread, _ in sampling_threads.values())
+            assert len(shares) == cpus and threading.current_thread() in shares
+            assert set(shares.values()) == {2 * pieces // cpus}
 
-    @pytest.mark.parametrize("failing_chunk", [0, 1, 5])
-    def test_chunk_exception_reaches_caller(self, monkeypatch, failing_chunk):
-        # with 3 workers chunk 0 is the caller's, chunks 1 and 5 are helpers'
+    @pytest.mark.parametrize("p_values, shots, cpus, shares", [
+        ([1e-2], 2, 8, [1, 1]),                  # no more workers than shots
+        ([1e-2, 0.2, 0.0], 1, 2, [2, 1])])      # no empty job to even the shares
+    def test_fewer_shots_than_cpus(self, monkeypatch, sampling_threads, p_values,
+                                   shots, cpus, shares):
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
+        ds = sc.generate_dataset(p_values, shots, 3, seed=9)
+        counts = Counter(thread for thread, _ in sampling_threads.values())
+        assert counts[threading.current_thread()] == shares[0]
+        assert sorted(counts.values(), reverse=True) == shares
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: 1)
+        ref = sc.generate_dataset(p_values, shots, 3, seed=9, chunk_size=1)
+        assert np.array_equal(ds.events, ref.events) and np.array_equal(ds.labels, ref.labels)
+
+    def test_default_chunks_split_a_set_evenly(self, monkeypatch, sampling_threads):
+        # a 20k-shot set on two CPUs: two jobs of 10k, not 16384 and 3616
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: 2)
+        sc.generate_dataset([1e-3], 20_000, 3, seed=4)
+        assert sorted(size for _, size in sampling_threads.values()) == [10_000, 10_000]
+
+    @pytest.mark.parametrize("failing_job", [0, 1, 5])
+    def test_chunk_exception_reaches_caller(self, monkeypatch, failing_job):
+        # 640 shots at chunk_size 64 on 3 workers are 12 jobs of 53 or 54
+        # shots: job 0 is the caller's, jobs 1 and 5 are helpers'
         monkeypatch.setattr(sc, "_usable_cpus", lambda: 3)
         sample = sc._sample_chunk
+        ran_in = []
 
-        def failing(plan, key, start, stop, buffers):
-            if start == 64 * failing_chunk:
-                raise ChunkFailure(f"chunk {failing_chunk}")
-            return sample(plan, key, start, stop, buffers)
+        def failing(plan, key, start, stop, buffers, out):
+            if start == failing_job * 640 // 12:
+                ran_in.append(threading.current_thread())
+                raise ChunkFailure(f"job {failing_job}")
+            return sample(plan, key, start, stop, buffers, out)
 
         monkeypatch.setattr(sc, "_sample_chunk", failing)
         before = threading.active_count()
-        with pytest.raises(ChunkFailure, match=f"chunk {failing_chunk}"):
+        with pytest.raises(ChunkFailure, match=f"job {failing_job}"):
             sc.generate_dataset([1e-2], 640, 3, seed=1, chunk_size=64)
         assert threading.active_count() == before
+        assert len(ran_in) == 1
+        assert (ran_in[0] is threading.current_thread()) == (failing_job == 0)
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(sc.os, "sched_getaffinity", raising=False)
         assert sc._usable_cpus() == (sc.os.cpu_count() or 1)
+
+
+class TestChunkAndTileBoundaries:
+    """`generate_dataset` against a one-worker reference that samples each
+    shot in a chunk of its own, where no chunk spans a tile, tests its
+    candidates before its end or adds a tile's offset to a candidate."""
+
+    # no live location; one candidate test per chunk at these sizes; one
+    # every third tile; certain locations, where every draw is a candidate
+    # and every tile is tested alone
+    P_VALUES = [0.0, 1e-2, 0.05, 1.0]
+
+    @pytest.fixture(scope="class", params=[1001, 1040])
+    def reference(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sc, "_usable_cpus", lambda: 1)
+            return sc.generate_dataset(self.P_VALUES, request.param, 3, seed=21, chunk_size=1)
+
+    @staticmethod
+    def tile():
+        return sc._memory_x_plan(3, 1e-2).tile
+
+    def assert_matches(self, reference, chunk_size):
+        ds = sc.generate_dataset(self.P_VALUES, len(reference) // len(self.P_VALUES), 3,
+                                 seed=21, chunk_size=chunk_size)
+        assert np.array_equal(ds.events, reference.events)
+        assert np.array_equal(ds.labels, reference.labels)
+        assert np.array_equal(ds.p_index, reference.p_index)
+
+    # 1001 shots, which the piece counts here do not divide: pieces of
+    # 250-251 or 500-501 shots (333-334 on 3 workers); 1040 shots: pieces of
+    # exactly one, two or four 260-shot tiles
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("tiles, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_chunks_around_a_tile(self, monkeypatch, reference, cpus, tiles, extra):
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
+        self.assert_matches(reference, tiles * self.tile() + extra)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_chunks_above_the_default(self, monkeypatch, reference, cpus):
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: cpus)
+        default = inspect.signature(sc.generate_dataset).parameters["chunk_size"].default
+        self.assert_matches(reference, default + 1)
+
+    @pytest.mark.parametrize("candidates", [1, 3000, 10**9])
+    def test_any_candidate_count_per_test(self, monkeypatch, reference, candidates):
+        # after every tile, after a few, or once per chunk
+        monkeypatch.setattr(sc, "_TAIL_CANDIDATES", candidates)
+        monkeypatch.setattr(sc, "_usable_cpus", lambda: 2)
+        self.assert_matches(reference, 3 * self.tile() + 7)
+        self.assert_matches(reference, 10**6)
 
 
 class TestPlanCache:
