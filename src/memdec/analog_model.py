@@ -43,9 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _check_integers
 from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, UNIT_SLICES,
                           DecoderParams, _check_events, logits_to_bits)
+from .rules import _PROBABILITY, check_fields, check_value
 from .surface_code_sim import table_accuracy, table_batch
 
 _SIGN_BIT, _HALF_BITS = np.uint64(1 << 63), np.float64(0.5).view(np.uint64)
@@ -65,13 +65,7 @@ class VariabilityModel:
     fallback_relative: float = 0.008
 
     def __post_init__(self):
-        # the rules of the crossbar.fallback_relative and
-        # crossbar.variability_coeffs config keys; NaN fails both
-        if not 0 <= self.fallback_relative < math.inf:
-            raise ValueError("fallback_relative must be a non-negative real, "
-                             f"got {self.fallback_relative}")
-        if not all(map(math.isfinite, self.coefficients)):
-            raise ValueError(f"coefficients must be finite reals, got {self.coefficients}")
+        check_fields(self, "crossbar.variability.")
 
     def sigma(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=np.float64)
@@ -94,14 +88,9 @@ class CrossbarConfig:
     quantize_io: bool = True
 
     def __post_init__(self):
-        if not math.inf > self.g_hcs > self.g_lcs > 0:
-            raise ValueError(f"need finite g_hcs > g_lcs > 0, got {self.g_hcs}, {self.g_lcs}")
-        _check_integers(self, "levels")
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
-        for name in ("adc_bound", "dac_bound"):   # NaN fails too
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be a positive real, got {getattr(self, name)}")
+        check_fields(self, "crossbar.")
+        if not self.g_hcs > self.g_lcs:
+            raise ValueError(f"g_hcs {self.g_hcs} does not exceed g_lcs {self.g_lcs}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +117,7 @@ class FaultMap:
     def sample(stuck_rate: float, rng: np.random.Generator) -> "FaultMap":
         """i.i.d. Bernoulli(stuck_rate) stuck indicator per differential
         pair, drawn for the recurrent unit and then the evaluation unit."""
-        if not 0.0 <= stuck_rate <= 1.0:   # NaN fails too
-            raise ValueError(f"stuck_rate must lie in [0, 1], got {stuck_rate}")
+        check_value("stuck_rate", stuck_rate, _PROBABILITY)
         return FaultMap(rng.random(RECURRENT_UNIT) < stuck_rate,
                         rng.random(EVALUATION_UNIT) < stuck_rate)
 

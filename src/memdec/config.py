@@ -2,27 +2,26 @@
 batch validation, and lossless round-tripping.
 
 Parsing, checking and serializing all read one table, `_KEYS`: per key, its
-value kind (a parser and a formatter), its rule (message and check) and the
-`RunConfig` field(s) it sets. Defaults live only in the dataclasses: a config
-overrides fields of `RunConfig()`, so an empty file is the full default
-experiment. `dataset.rounds` sets the rounds of datasets and protocol alike;
-`eval.p` sets the protocol's one fault rate. `crossbar.stuck_rate` and
-`hwa.p_drop` set rates that `evaluate_scheme` takes as arguments:
-`RunConfig.stuck_rate`, the chips' stuck-at rate, and `RunConfig.hwa_p_drop`,
-the hwa_mnd dropconnect rate that `retrain_hwa` takes per call (the stuck
-rate when unset). `hwa.p_drop` is the only dropconnect key, so there is no
+value kind (a parser and a formatter), its rule and the `RunConfig` field(s)
+it sets. Defaults live only in the dataclasses: a config overrides fields of
+`RunConfig()`, so an empty file is the full default experiment.
+`dataset.rounds` sets the rounds of datasets and protocol alike; `eval.p`
+sets the protocol's one fault rate. `crossbar.stuck_rate` and `hwa.p_drop`
+set rates that `evaluate_scheme` takes as arguments: `RunConfig.stuck_rate`,
+the chips' stuck-at rate, and `RunConfig.hwa_p_drop`, the hwa_mnd
+dropconnect rate that `retrain_hwa` takes per call (the stuck rate when
+unset). `hwa.p_drop` is the only dropconnect key, so there is no
 `retrain.p_drop`.
 
-Every config dataclass checks its fields when it is built, so a config
-built in code obeys the rules that config text does: `DatasetConfig` and
-`RunConfig` run the `_KEYS` rule of each key that sets one of their own
-fields (`_check_fields`), and the dataclasses of the other modules check
-theirs with the same rules.
+The rule of each field lives in `rules.RULES`: every config dataclass checks
+its fields with it when it is built, and each key takes the rule of the
+field it sets, so a config built in code obeys the rules that config text
+does. Where a key's text and its field differ in shape (`eval.p` is one
+float, set as a 1-tuple), the key keeps a rule of its own.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
@@ -30,10 +29,11 @@ from functools import reduce
 import numpy as np
 
 from .analog_model import CrossbarConfig
-from .errors import ConfigError, _check_integers
-from .evaluation import SCHEMES, EvalProtocol
+from .errors import ConfigError
+from .evaluation import EvalProtocol
 from .hwa_training import RetrainConfig
 from .rnn_decoder import TrainConfig
+from .rules import _ANY, _FINITE_REALS, _RATE, RULES, SCHEMES, Rule, check_fields
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class DatasetConfig:
     rounds: int = 3
 
     def __post_init__(self):
-        _check_fields(self, "dataset.")
+        check_fields(self, "dataset.")
         if self.p_min > self.p_max:
             raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
 
@@ -70,7 +70,7 @@ class RunConfig:
     hwa_p_drop: float | None = None  # hwa_mnd dropconnect rate; default: stuck_rate
 
     def __post_init__(self):
-        _check_fields(self, "")
+        check_fields(self, "")
 
 
 def _parse_bool(text: str) -> bool:
@@ -83,7 +83,7 @@ def _parse_bool(text: str) -> bool:
 def _parse_finite_reals(text: str) -> tuple[float, ...]:
     """A comma list of finite reals; empty text is the empty list."""
     values = tuple(map(float, text.split(","))) if text else ()
-    if not all(map(math.isfinite, values)):
+    if not _FINITE_REALS.check(values):
         raise ValueError(f"expected finite reals, got {text!r}")
     return values
 
@@ -98,83 +98,51 @@ _SCHEME_LIST = _Kind(lambda s: tuple(x.strip() for x in s.split(",") if x.strip(
 # one float, held as a 1-tuple
 _FLOAT_TUPLE = _Kind(lambda s: (float(s),), _FLOATS.format)
 
-_COUNT = ("an integer >= 1", lambda x: x >= 1)
-# reals are finite: an infinite bound, conductance or variability gives NaN
-# analog logits, and an infinite Adam eps leaves the parameters untrained
-_POSITIVE = ("a positive real", lambda x: 0 < x < math.inf)
-_NON_NEGATIVE = ("a non-negative real", lambda x: 0 <= x < math.inf)
-_PROBABILITY = ("a probability in [0, 1]", lambda x: 0 <= x <= 1)
-_RATE = ("a probability in (0, 1]", lambda x: 0 < x <= 1)
-_BETA = ("a real in [0, 1)", lambda x: 0 <= x < 1)
-_CONDUCTANCE = ("a positive conductance in uS", _POSITIVE[1])
-_AT_LEAST_2 = ("an integer >= 2", lambda x: x >= 2)
-_ANY = (None, None)
-
-
-# rule: (message, check); paths: the RunConfig fields the key sets, () for
-# the field its own name gives
-_Key = namedtuple("_Key", "kind rule paths", defaults=((),))
+# paths: the RunConfig fields the key sets, by default the one its name
+# gives; rule: by default the `RULES` row of its first field, if any
+_Key = namedtuple("_Key", "kind paths rule", defaults=((), None))
 # In serialization order; optional keys (default None) come last.
 _KEYS = {
-    "seed": _Key(_INT, ("an integer in [0, 2^64)", lambda x: 0 <= x < 2**64)),
-    "schemes": _Key(_SCHEME_LIST, (f"a comma list drawn from {SCHEMES}",
-                                   lambda v: v and all(x in SCHEMES for x in v))),
-    "dataset.p_min": _Key(_FLOAT, _RATE),
-    "dataset.p_max": _Key(_FLOAT, _RATE),
-    "dataset.points": _Key(_INT, _COUNT),
-    "dataset.train_samples": _Key(_INT, _COUNT),
-    "dataset.val_samples": _Key(_INT, _COUNT),
-    "dataset.rounds": _Key(_INT, _COUNT, ("dataset.rounds", "protocol.rounds")),
-    "train.learning_rate": _Key(_FLOAT, _POSITIVE),
-    "train.batch_size": _Key(_INT, _COUNT),
-    "train.epochs": _Key(_INT, _COUNT),
-    "train.adam_beta1": _Key(_FLOAT, _BETA),
-    "train.adam_beta2": _Key(_FLOAT, _BETA),
-    "train.adam_eps": _Key(_FLOAT, _POSITIVE),
-    "retrain.epochs": _Key(_INT, _COUNT),
-    "retrain.noise_relative": _Key(_FLOAT, _NON_NEGATIVE),
-    "retrain.io_discretize": _Key(_BOOL, _ANY),
-    "crossbar.g_hcs": _Key(_FLOAT, _CONDUCTANCE),
-    "crossbar.g_lcs": _Key(_FLOAT, _CONDUCTANCE),
-    "crossbar.stuck_rate": _Key(_FLOAT, _PROBABILITY, ("stuck_rate",)),
-    "crossbar.adc_bound": _Key(_FLOAT, _POSITIVE),
-    "crossbar.dac_bound": _Key(_FLOAT, _POSITIVE),
-    "crossbar.levels": _Key(_INT, _AT_LEAST_2),
-    "crossbar.variability_coeffs": _Key(_FLOATS, _ANY, ("crossbar.variability.coefficients",)),
-    "crossbar.fallback_relative": _Key(_FLOAT, _NON_NEGATIVE,
-                                       ("crossbar.variability.fallback_relative",)),
-    "crossbar.quantize_io": _Key(_BOOL, _ANY),
-    "eval.n_train_runs": _Key(_INT, _COUNT, ("protocol.n_train_runs",)),
-    "eval.n_infer_runs": _Key(_INT, _COUNT, ("protocol.n_infer_runs",)),
-    "eval.test_shots": _Key(_INT, _COUNT, ("protocol.test_shots",)),
-    "eval.p": _Key(_FLOAT_TUPLE, (_RATE[0], lambda v: _RATE[1](v[0])), ("protocol.p_values",)),
-    "eval.curve_p_min": _Key(_FLOAT, _RATE, ("curve_p_min",)),
-    "eval.curve_p_max": _Key(_FLOAT, _RATE, ("curve_p_max",)),
-    "eval.curve_points": _Key(_INT, _AT_LEAST_2, ("curve_points",)),
-    "retrain.clip_scale": _Key(_FLOAT, _POSITIVE),
-    "hwa.p_drop": _Key(_FLOAT, _PROBABILITY, ("hwa_p_drop",)),
+    "seed": _Key(_INT),
+    "schemes": _Key(_SCHEME_LIST),
+    "dataset.p_min": _Key(_FLOAT),
+    "dataset.p_max": _Key(_FLOAT),
+    "dataset.points": _Key(_INT),
+    "dataset.train_samples": _Key(_INT),
+    "dataset.val_samples": _Key(_INT),
+    "dataset.rounds": _Key(_INT, ("dataset.rounds", "protocol.rounds")),
+    "train.learning_rate": _Key(_FLOAT),
+    "train.batch_size": _Key(_INT),
+    "train.epochs": _Key(_INT),
+    "train.adam_beta1": _Key(_FLOAT),
+    "train.adam_beta2": _Key(_FLOAT),
+    "train.adam_eps": _Key(_FLOAT),
+    "retrain.epochs": _Key(_INT),
+    "retrain.noise_relative": _Key(_FLOAT),
+    "retrain.io_discretize": _Key(_BOOL),
+    "crossbar.g_hcs": _Key(_FLOAT),
+    "crossbar.g_lcs": _Key(_FLOAT),
+    "crossbar.stuck_rate": _Key(_FLOAT, ("stuck_rate",)),
+    "crossbar.adc_bound": _Key(_FLOAT),
+    "crossbar.dac_bound": _Key(_FLOAT),
+    "crossbar.levels": _Key(_INT),
+    # its parser rejects a non-finite real, as text it could not parse
+    "crossbar.variability_coeffs": _Key(_FLOATS, ("crossbar.variability.coefficients",), _ANY),
+    "crossbar.fallback_relative": _Key(_FLOAT, ("crossbar.variability.fallback_relative",)),
+    "crossbar.quantize_io": _Key(_BOOL),
+    "eval.n_train_runs": _Key(_INT, ("protocol.n_train_runs",)),
+    "eval.n_infer_runs": _Key(_INT, ("protocol.n_infer_runs",)),
+    "eval.test_shots": _Key(_INT, ("protocol.test_shots",)),
+    "eval.p": _Key(_FLOAT_TUPLE, ("protocol.p_values",),
+                   Rule(_RATE.expect, RULES["protocol.p_values"].check)),
+    "eval.curve_p_min": _Key(_FLOAT, ("curve_p_min",)),
+    "eval.curve_p_max": _Key(_FLOAT, ("curve_p_max",)),
+    "eval.curve_points": _Key(_INT, ("curve_points",)),
+    "retrain.clip_scale": _Key(_FLOAT),
+    "hwa.p_drop": _Key(_FLOAT, ("hwa_p_drop",)),
 }
-
-
-def _check_fields(config, prefix: str) -> None:
-    """Raise ValueError unless each field of `config` that a key sets, at
-    path `prefix` + field name, follows that key's rule; an integer key's
-    field must be an integer (`_check_integers`), and a field whose default
-    is None (an optional key's) may be None."""
-    optional = {f.name for f in fields(config) if f.default is None}
-    for key, row in _KEYS.items():
-        expect, check = row.rule
-        for path in row.paths or (key,):
-            name = path[len(prefix):]
-            if not path.startswith(prefix) or "." in name:
-                continue
-            value = getattr(config, name)
-            if row.kind is _INT:
-                _check_integers(config, name)
-            if value is None and name in optional:
-                continue
-            if check is not None and not check(value):
-                raise ValueError(f"{name} must be {expect}, got {value!r}")
+_KEYS = {key: _Key(row.kind, paths, row.rule or RULES.get(paths[0], _ANY))
+         for key, row in _KEYS.items() for paths in [row.paths or (key,)]}
 
 
 def _lookup(obj, path: str):
@@ -222,7 +190,7 @@ def validate_config(raw: str) -> RunConfig:
         if row is None:
             errors.append(f"unknown key {key!r}")
             continue
-        expect, check = row.rule
+        expect, check, _ = row.rule
         try:
             value = row.kind.parse(text)
         except ValueError:
@@ -232,7 +200,7 @@ def validate_config(raw: str) -> RunConfig:
         if check is not None and not check(value):
             errors.append(f"{key}: {text!r} is not {expect}")
             continue
-        values.update(dict.fromkeys(row.paths or (key,), value))
+        values.update(dict.fromkeys(row.paths, value))
 
     default = RunConfig()  # unset and rejected keys compare at their defaults
     p_min, p_max, g_hcs, g_lcs = (values.get(path, _lookup(default, path)) for path in (
@@ -259,8 +227,7 @@ def serialize_config(cfg: RunConfig) -> str:
     """
     lines, errors = [], []
     for key, row in _KEYS.items():
-        paths = row.paths or (key,)
-        values = [_lookup(cfg, path) for path in paths]
+        values = [_lookup(cfg, path) for path in row.paths]
         if values[0] is None:
             continue
         text = row.kind.format(values[0])
@@ -270,7 +237,7 @@ def serialize_config(cfg: RunConfig) -> str:
         except ValueError:
             carried = False
         if not carried:
-            held = ", ".join(f"{path} = {v!r}" for path, v in zip(paths, values))
+            held = ", ".join(f"{path} = {v!r}" for path, v in zip(row.paths, values))
             errors.append(f"{key} cannot carry {held}")
     if errors:
         raise ConfigError("; ".join(errors))

@@ -1,25 +1,9 @@
-"""Exception types shared across the toolkit, and the integer check of the
-config dataclasses.
+"""Exception types shared across the toolkit. The rules of the config
+fields, and the integer check, are in `rules`.
 
 ValueError is used for plain contract violations (invalid arguments); the
 classes here capture conditions callers are expected to branch on.
 """
-
-import numpy as np
-
-
-def _check_integer(name: str, value) -> None:
-    """Raise ValueError unless `value` is an integer: a Python or numpy
-    integer, not a bool and not an integral float, which would pass a range
-    check and then fail where the count is used."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_integers(config, *names: str) -> None:
-    """`_check_integer` on each named field of `config`."""
-    for name in names:
-        _check_integer(name, getattr(config, name))
 
 
 class MemdecError(Exception):

@@ -23,7 +23,6 @@ p* = a^(1/(1-b)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -33,10 +32,9 @@ from . import analog_model as am
 from . import hwa_training as hwa
 from . import rnn_decoder as rd
 from . import surface_code_sim as sc
-from .errors import DegenerateFitError, InsufficientDataError, _check_integers
+from .errors import DegenerateFitError, InsufficientDataError
 from .rng import SpawnedGenerators, Stage, derive_seed, spawn_generator
-
-SCHEMES = ("baseline", "fp_mnd", "hwa_mnd", "ds_mnd")
+from .rules import _DROP_RATE, _PROBABILITY, _SEED, SCHEMES, check_fields, check_value
 
 
 @dataclass(frozen=True)
@@ -48,15 +46,7 @@ class EvalProtocol:
     rounds: int = 3
 
     def __post_init__(self):
-        counts = ("n_train_runs", "n_infer_runs", "test_shots", "rounds")
-        _check_integers(self, *counts)
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.p_values:
-            raise ValueError("protocol needs at least one fault rate")
-        if not all(0 < p <= 1 for p in self.p_values):   # NaN fails too
-            raise ValueError(f"p_values must be probabilities in (0, 1], got {self.p_values}")
+        check_fields(self, "protocol.")
 
 
 @dataclass(frozen=True)
@@ -178,8 +168,12 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master_seed {master_seed} outside [0, 2^64)")
+    check_value("master_seed", master_seed, _SEED)
+    # the rates are first used after one or more runs have trained
+    check_value("stuck_rate", stuck_rate, _PROBABILITY)
+    drop_rate = stuck_rate if p_drop is None else p_drop
+    if scheme == "hwa_mnd":
+        check_value("p_drop", drop_rate, _DROP_RATE)
     if base_params is not None and len(base_params) < protocol.n_train_runs:
         raise ValueError(f"base_params holds {len(base_params)} of {protocol.n_train_runs} runs")
     if test_sets is None:
@@ -208,9 +202,8 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
         rcfg = replace(configs.retrain_config,
                        seed=derive_seed(master_seed, Stage.RETRAIN, i))
         if scheme == "hwa_mnd":
-            rate = stuck_rate if p_drop is None else p_drop
             params = hwa.retrain_hwa(params, configs.train_set, configs.val_set, rcfg,
-                                     rate, configs.train_config, xcfg)
+                                     drop_rate, configs.train_config, xcfg)
         elif scheme == "ds_mnd":
             chip_rng = spawn_generator(master_seed, Stage.CHIP, i)
             chip_map = am.FaultMap.sample(stuck_rate, chip_rng)
@@ -262,9 +255,8 @@ def stuck_sweep(scheme: str, stuck_rates: Sequence[float], protocol: EvalProtoco
                 test_sets=None, base_params=None) -> list[dict]:
     """Accuracy versus stuck-at rate (single-p protocol); for hwa_mnd a
     p_drop grid may be swept at each rate."""
-    for r in stuck_rates:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"stuck rate {r} outside [0, 1]")
+    for rate in stuck_rates:
+        check_value("stuck_rate", rate, _PROBABILITY)
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     rows = []

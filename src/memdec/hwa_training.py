@@ -56,9 +56,9 @@ import numpy as np
 
 from . import rnn_decoder as rd
 from .analog_model import CrossbarConfig, FaultMap, _convert_in, _quantize
-from .errors import _check_integers
 from .rng import SpawnedGenerators, Stage, spawn_generator
 from .rnn_decoder import N_PARAMS, UNIT_SLICES, DecoderParams, TrainConfig
+from .rules import _DROP_RATE, _POSITIVE, check_fields, check_value
 from .surface_code_sim import Dataset
 
 _UNIT_STARTS = np.array([unit.start for unit in UNIT_SLICES])
@@ -75,18 +75,7 @@ class RetrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self, "epochs", "seed")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        # the rules of the retrain.* config keys; NaN fails both
-        if not 0 <= self.noise_relative < math.inf:
-            raise ValueError("noise_relative must be a non-negative real, "
-                             f"got {self.noise_relative}")
-        if self.clip_scale is not None and not 0 < self.clip_scale < math.inf:
-            raise ValueError("clip_scale must be a positive real when present, "
-                             f"got {self.clip_scale}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
+        check_fields(self, "retrain.")
 
 
 def clip_weights(params: DecoderParams, alpha: float) -> None:
@@ -96,8 +85,7 @@ def clip_weights(params: DecoderParams, alpha: float) -> None:
     sigma is computed by the ufunc sequence numpy's `np.std` runs (sum,
     divide by n, subtract, square, sum, divide by n, sqrt), so it has the
     bits of `pool.std()` without its Python-level dispatch."""
-    if not 0 < alpha < math.inf:  # NaN fails too
-        raise ValueError(f"alpha must be a positive real, got {alpha}")
+    check_value("alpha", alpha, _POSITIVE)
     deviations = np.empty(N_PARAMS)
     for unit in UNIT_SLICES:
         pool, dev = params.flat[unit], deviations[unit]
@@ -227,8 +215,7 @@ def retrain_hwa(params: DecoderParams, dataset: Dataset, val: Dataset,
     """Hardware-aware retraining with random dropconnect at rate `p_drop`
     (plus optional noise injection, IO discretization, and weight
     clipping)."""
-    if not 0.0 <= p_drop < 1.0:
-        raise ValueError(f"p_drop must lie in [0, 1), got {p_drop}")
+    check_value("p_drop", p_drop, _DROP_RATE)
     return _retrain(params, dataset, val, config, p_drop, None, train_config,
                     crossbar_config)
 

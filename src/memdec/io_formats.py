@@ -19,6 +19,7 @@ import numpy as np
 from .analog_model import FaultMap
 from .errors import CorruptFileError, UpgradeNeededError
 from .rnn_decoder import DecoderParams
+from .rules import _SEED, check_value
 from .surface_code_sim import _SPLIT_TAGS, Dataset
 
 DATASET_MAGIC = b"MDDS"
@@ -55,9 +56,7 @@ def _check_header(fh, magic: bytes, what: str) -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    if not 0 <= dataset.seed < 2**64:
-        raise ValueError(f"dataset seed {dataset.seed} does not fit the file's "
-                         "unsigned 64-bit seed field")
+    check_value("seed", dataset.seed, _SEED)  # the file's seed field is a uint64
     if dataset.split_tag not in _SPLIT_TAGS:
         raise ValueError(f"split_tag {dataset.split_tag!r} is not one of {_SPLIT_TAGS}")
     n = len(dataset)

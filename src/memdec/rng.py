@@ -56,9 +56,9 @@ def derive_seed(master: int, *path: int) -> int:
     Stage names are passed as small integers (see `Stage` constants below)
     so the derivation is stable across releases.
     """
-    state = _mix((master + _GOLDEN) & _MASK)
+    state = _mix((int(master) + _GOLDEN) & _MASK)  # numpy integers would overflow
     for part in path:
-        state = _mix(state ^ _mix((part + _GOLDEN) & _MASK))
+        state = _mix(state ^ _mix((int(part) + _GOLDEN) & _MASK))
     return state
 
 

@@ -88,14 +88,14 @@ do not depend on how it is batched or buffered:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, _check_integers
+from .errors import NumericError
 from .rng import spawn_generator
+from .rules import check_fields
 from .surface_code_sim import (Dataset, _check_labels, syndrome_table, table_accuracy,
                                table_batch)
 
@@ -215,21 +215,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self, "batch_size", "epochs", "seed")
-        # the rules of the train.* config keys; NaN fails each real one
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a real in [0, 1), got {getattr(self, name)}")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError(f"adam_eps must be a positive real, got {self.adam_eps}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
+        check_fields(self, "train.")
 
 
 def _check_events(events: np.ndarray) -> np.ndarray:

@@ -95,8 +95,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _check_integer
 from .rng import _MASK, _U64_11, _U64_31, GOLDEN, Stage, _mix64_head, derive_seed, draw_limit
+from .rules import _COUNT, _PROBABILITY, _SEED, check_value
 
 QUBIT_COUNT = 17
 DATA_QUBITS = tuple(range(9))
@@ -293,10 +293,8 @@ def build_memory_x_circuit(rounds: int, p: float) -> CircuitSpec:
     `rounds` noisy parity-check rounds, then measure data in X. See the
     module docstring for the layout and schedule; noise channels follow the
     circuit-level model exactly."""
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if not 0.0 <= p <= 1.0:   # NaN fails too
-        raise ValueError(f"fault rate must lie in [0, 1], got {p}")
+    check_value("rounds", rounds, _COUNT)
+    check_value("fault rate", p, _PROBABILITY)
     flip = 2.0 * p / 3.0
     ins: list[Instruction] = []
 
@@ -731,27 +729,18 @@ def generate_dataset(p_values: Sequence[float], shots_per_p: int, rounds: int,
     the 8-point grid at 100k shots per rate in 182 ms in 4096-shot chunks
     and 168 ms in 16384-shot ones.
     """
-    integers = {"shots_per_p": shots_per_p, "rounds": rounds, "seed": seed,
-                "chunk_size": chunk_size}
-    for name, value in integers.items():
-        _check_integer(name, value)
+    integers = {"shots_per_p": (shots_per_p, _COUNT), "rounds": (rounds, _COUNT),
+                "seed": (seed, _SEED), "chunk_size": (chunk_size, _COUNT)}
+    for name, (value, rule) in integers.items():
+        check_value(name, value, rule)
     # as Python ints: numpy integer arithmetic on the 64-bit states overflows
-    shots_per_p, rounds, seed, chunk_size = map(int, integers.values())
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    shots_per_p, rounds, seed, chunk_size = (int(value) for value, _ in integers.values())
     if split_tag not in _SPLIT_TAGS:
         raise ValueError(f"split_tag {split_tag!r} is not one of {_SPLIT_TAGS}")
     if len(p_values) == 0:
         raise ValueError("p_values must be non-empty")
-    if shots_per_p < 1:
-        raise ValueError(f"shots_per_p must be >= 1, got {shots_per_p}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"fault rate {p} outside [0, 1]")
+        check_value("fault rate", p, _PROBABILITY)
 
     n_rates = len(p_values)
     workers = min(_usable_cpus(), n_rates * shots_per_p)

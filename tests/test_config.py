@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from memdec import config as cf
+from memdec import rules
 from memdec.analog_model import CrossbarConfig, VariabilityModel
 from memdec.errors import ConfigError
 from memdec.evaluation import EvalProtocol
@@ -176,9 +177,6 @@ def test_serialize_refuses_fields_no_key_writes():
     assert str(info.value) == "no key writes train.seed, retrain.seed"
 
 
-# The dataclasses that enforce their keys' rules: all of them
-CHECKED = (cf.RunConfig, cf.DatasetConfig, TrainConfig, RetrainConfig, CrossbarConfig,
-           VariabilityModel, EvalProtocol)
 # values of each value kind, inside and outside every rule of that kind
 REALS = [-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 200.0, math.inf, math.nan]
 PROBES = {cf._INT: [-1, 0, 1, 2, 3], cf._FLOAT: REALS, cf._FLOAT_TUPLE: [(x,) for x in REALS],
@@ -187,15 +185,34 @@ PROBES = {cf._INT: [-1, 0, 1, 2, 3], cf._FLOAT: REALS, cf._FLOAT_TUPLE: [(x,) fo
           cf._SCHEME_LIST: [(), ("fp_mnd",), ("nope",), ("baseline", "nope"), cf.SCHEMES]}
 
 
+def owner_of(path):
+    """The dataclass of `RunConfig()` at the parent of `path`, and the name
+    `path` ends in."""
+    parent, _, name = path.rpartition(".")
+    owner = reduce(getattr, parent.split("."), cf.RunConfig()) if parent else cf.RunConfig()
+    return owner, name
+
+
+# The key whose text each field's values are probed through; the training
+# and retraining seeds have no key, and follow the seed key's rule
+KEY_OF = {path: key for key, row in cf._KEYS.items() for path in row.paths}
+KEY_OF.update({"train.seed": "seed", "retrain.seed": "seed"})
+
+
 def checked_fields():
-    """(key, dataclass, field) of every key path that lands on a CHECKED
-    dataclass."""
-    for key, row in cf._KEYS.items():
-        for path in row.paths or (key,):
-            parent, _, name = path.rpartition(".")
-            owner = reduce(getattr, parent.split("."), cf.RunConfig()) if parent else cf.RunConfig()
-            if isinstance(owner, CHECKED):
-                yield key, type(owner), name
+    """(key, dataclass, field) of every row of the rule table and every field
+    a key sets."""
+    for path in dict.fromkeys([*rules.RULES, *KEY_OF]):
+        owner, name = owner_of(path)
+        yield KEY_OF[path], type(owner), name
+
+
+def test_every_rule_row_is_a_field_of_run_config():
+    # check_fields finds a dataclass's rows by their prefix, so a row with a
+    # mistyped path would check nothing and fail no probe
+    for path in rules.RULES:
+        owner, name = owner_of(path)
+        assert is_dataclass(owner) and name in {f.name for f in fields(owner)}, path
 
 
 @pytest.mark.parametrize("key, owner, name", list(checked_fields()))
@@ -288,6 +305,39 @@ def test_count_fields_must_be_integers(owner, name):
 def test_dataset_and_run_configs_built_in_code_are_checked(owner, changes, message):
     # these were accepted; points=2.5 then failed in p_grid with a bare
     # TypeError, and p_min=nan gave a grid of NaNs
+    with pytest.raises(ValueError) as info:
+        owner(**changes)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("owner, changes, message", [
+    (TrainConfig, {"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+    (TrainConfig, {"learning_rate": math.inf}, "learning_rate must be a positive real, got inf"),
+    (TrainConfig, {"adam_beta2": 1.0}, "adam_beta2 must be a real in [0, 1), got 1.0"),
+    (TrainConfig, {"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
+    (RetrainConfig, {"seed": 2**64},
+     "seed must be an integer in [0, 2^64), got 18446744073709551616"),
+    (RetrainConfig, {"noise_relative": -0.1},
+     "noise_relative must be a non-negative real, got -0.1"),
+    (RetrainConfig, {"clip_scale": 0.0}, "clip_scale must be a positive real, got 0.0"),
+    (CrossbarConfig, {"levels": 1}, "levels must be an integer >= 2, got 1"),
+    (CrossbarConfig, {"g_lcs": 0.0}, "g_lcs must be a positive conductance in uS, got 0.0"),
+    (CrossbarConfig, {"dac_bound": math.nan}, "dac_bound must be a positive real, got nan"),
+    (CrossbarConfig, {"g_hcs": 50.0}, "g_hcs 50.0 does not exceed g_lcs 60.0"),
+    (VariabilityModel, {"fallback_relative": math.inf},
+     "fallback_relative must be a non-negative real, got inf"),
+    (VariabilityModel, {"coefficients": (0.5, math.nan)},
+     "coefficients must be finite reals, got (0.5, nan)"),
+    (EvalProtocol, {"test_shots": 0}, "test_shots must be an integer >= 1, got 0"),
+    (EvalProtocol, {"p_values": ()},
+     "p_values must be one or more probabilities in (0, 1], got ()"),
+    (EvalProtocol, {"p_values": (0.01, 0.0)},
+     "p_values must be one or more probabilities in (0, 1], got (0.01, 0.0)"),
+])
+def test_every_config_dataclass_words_its_rules_alike(owner, changes, message):
+    # the rules were written out by hand in three styles ("epochs must be
+    # >= 1", "seed -1 outside [0, 2^64)", "protocol needs at least one fault
+    # rate"); every message now names the field, its rule and the value
     with pytest.raises(ValueError) as info:
         owner(**changes)
     assert str(info.value) == message

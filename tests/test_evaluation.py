@@ -437,6 +437,26 @@ class TestEvaluateScheme:
             ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, master_seed)
 
 
+    @pytest.mark.parametrize("scheme, stuck_rate, p_drop, message", [
+        ("fp_mnd", 2.0, None, "stuck_rate must be a probability in [0, 1], got 2.0"),
+        ("ds_mnd", float("nan"), None, "stuck_rate must be a probability in [0, 1], got nan"),
+        ("hwa_mnd", 1.0, None, "p_drop must be a probability in [0, 1), got 1.0"),
+        ("hwa_mnd", 0.1, 1.0, "p_drop must be a probability in [0, 1), got 1.0")])
+    def test_rates_checked_before_training(self, setup, monkeypatch, scheme, stuck_rate,
+                                           p_drop, message):
+        # each used to raise only after one or more runs had trained
+        configs, _, tests, protocol = setup
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the rates")
+
+        monkeypatch.setattr(rd, "train_fp", no_training)
+        with pytest.raises(ValueError) as info:
+            ev.evaluate_scheme(scheme, protocol, configs, stuck_rate, MASTER,
+                               test_sets=tests, p_drop=p_drop)
+        assert str(info.value) == message
+
+
 class TestStuckSweep:
     def test_hwa_rows_equal_direct_evaluations(self, setup):
         configs, base, tests, protocol = setup

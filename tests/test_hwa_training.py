@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +54,7 @@ class TestDropconnectMask:
     def test_bad_rate_rejected(self, small_data, fp_params):
         train, val = small_data
         for p_drop in (-0.1, 1.2):
-            with pytest.raises(ValueError, match="p_drop must lie in"):
+            with pytest.raises(ValueError, match="p_drop must be a probability in"):
                 hwa.retrain_hwa(fp_params, train, val, hwa.RetrainConfig(epochs=1), p_drop)
 
 
@@ -254,6 +256,24 @@ class TestRetrainHwa:
             pool = np.concatenate([getattr(out, w_name).ravel(),
                                    getattr(out, b_name).ravel()])
             assert np.abs(pool).max() <= 4.0 * pool.std() + 1e-12
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**63)])
+def test_numpy_integer_seeds_train_as_their_python_ints(small_data, fp_params, seed):
+    # the configs accepted these seeds, and rng.derive_seed then raised
+    # OverflowError on np.int64(5) and warned on overflow for np.uint64(2**63)
+    train, val = small_data
+
+    def same(a, b):
+        return a.flat.tobytes() == b.flat.tobytes()
+
+    cfg = rd.TrainConfig(epochs=1, seed=seed)
+    assert same(rd.DecoderParams.initial(cfg.seed), rd.DecoderParams.initial(int(seed)))
+    assert same(rd.train_fp(train, val, cfg),
+                rd.train_fp(train, val, replace(cfg, seed=int(seed))))
+    rcfg = hwa.RetrainConfig(epochs=1, seed=seed)
+    assert same(hwa.retrain_hwa(fp_params, train, val, rcfg, 0.1),
+                hwa.retrain_hwa(fp_params, train, val, replace(rcfg, seed=int(seed)), 0.1))
 
 
 class TestSharedEpochLoop:
