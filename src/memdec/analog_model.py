@@ -13,7 +13,8 @@ DAC inputs (range 1, after scaling by the ADC bound) and ADC outputs (range
 6) at 8 bits. One in-place quantizer, `_quantize`, rounds (half away from
 zero, then the clamp) for the plan executor below and retraining's DAC and
 ADC; the recurrent step's ADC, ReLU and DAC are one converter,
-`_convert_hidden`, with the same bits in fewer passes.
+`_convert_hidden`, with the same bits in fewer passes: 13, or 8 at the
+default DAC range of 1.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -23,23 +24,24 @@ rather than once per row and step, then the evaluation unit on every row.
 It is split in two. An `AnalogPlan`, built once per batch of event rows and
 converter setting, holds what no chip changes: the DAC'd events of each
 prefix run with the bias column filled, how many runs continue each run
-and reused work buffers. Running it on a chip forms each unit's effective
+and the buffers it reuses. Running it on a chip forms each unit's effective
 matrix G+ - G-, copies the hidden states into the plan's inputs and runs
 the matmul and `_convert_hidden`. The error-bar protocol builds one plan
-per test table (`table_plans`) and runs it on every chip; one chip's logits
-of any batch are `AnalogPlan(events, cfg).logits(chip)`. They are
+per evaluation, over the union of its test sets' distinct rows
+(`surface_code_sim.union_table`), runs it once on every chip and scores
+every fault rate from that one prediction (`analog_accuracy`); one chip's
+logits of any batch are `AnalogPlan(events, cfg).logits(chip)`. They are
 bit-identical to a per-row evaluation: the DAC and ADC act elementwise, so
 converting a value once per table gives the value converting it per chip
-would; a row of a gemm does not depend on the row count; and a step that
-would be a one-row product inside a larger batch is evaluated as a doubled
-row, so it stays on gemm.
+would; a row of a gemm does not depend on the other rows or their count;
+and a step that would be a one-row product inside a larger batch is
+evaluated as a doubled row, so it stays on gemm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -218,11 +220,23 @@ def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.n
 
 def _convert_hidden(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.ndarray:
     """`_convert_out`, ReLU, `_convert_in` in place: their bits in 13 passes
-    where they take about 24. Each stage after the ReLU never decreases and
-    keeps values >= 0 at >= 0, so the ReLU goes first (the DAC makes +0.0
-    of a zero of either sign). Then no lower clamp acts, each rounding half
-    is +1/2 (a NaN stays the input NaN quieted), and the ADC's clamp at A
-    commutes with the DAC, becoming a clamp at DAC(A) merged with its own.
+    where they take about 24, or in 8 when `dac_bound` is 1. Each stage
+    after the ReLU never decreases and keeps values >= 0 at >= 0, so the
+    ReLU goes first (the DAC makes +0.0 of a zero of either sign). Then no
+    lower clamp acts, each rounding half is +1/2 (a NaN stays the input NaN
+    quieted), and the ADC's clamp at A commutes with the DAC, becoming a
+    clamp at DAC(A) merged with its own.
+
+    After the ADC's rounding the value is a * s_A, with a = trunc(v/s_A + 1/2)
+    an integer >= 0 (or inf), and the DAC rounds ((a * s_A) / A) / s_D,
+    which is a / D in exact arithmetic. At D = 1 the five roundings on the
+    way (two of them in the steps s = 2 * bound / levels) move it from a by
+    less than 2^-50 * a, so for a <= 2^48 adding 1/2 and truncating gives a
+    back, and the DAC's output is a * s_D. A larger a is clamped to DAC(A)
+    <= 1 by both when levels <= 2^48, as then both outputs are about 2 or
+    more. So under those two conditions the DAC is one multiply; otherwise
+    the full chain runs (at 2^53 levels and more the shortcut gives other
+    bits).
     """
     current *= scale
     current *= cfg.adc_bound
@@ -235,11 +249,12 @@ def _convert_hidden(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> n
     current /= adc_step
     current += 0.5
     np.trunc(current, out=current)
-    current *= adc_step
-    current /= cfg.adc_bound
-    current /= dac_step
-    current += 0.5
-    np.trunc(current, out=current)
+    if cfg.dac_bound != 1 or cfg.levels > 2**48:
+        current *= adc_step
+        current /= cfg.adc_bound
+        current /= dac_step
+        current += 0.5
+        np.trunc(current, out=current)
     current *= dac_step
     return np.minimum(current, top, out=current)
 
@@ -252,12 +267,15 @@ class AnalogPlan:
 
     Step t of the recurrent unit runs once per run of adjacent rows that
     share the prefix `events[:, :t+1]`: a row starts a run at step t if it
-    started one at step t-1 or if its step-t inputs differ from the row
-    above. Each run reads its hidden state from the run it continues. The
-    evaluation unit then runs on every row. Grouping only adjacent rows is
-    correct for any row order and for duplicate rows;
-    `surface_code_sim.syndrome_table` returns rows in byte order, which puts
-    shared prefixes next to each other.
+    started one at step t-1 or if its step-t events differ in a byte from
+    the row above. Each run reads its hidden state from the run it
+    continues. The evaluation unit then runs on every row. Grouping only
+    adjacent rows is correct for any row order and for duplicate rows;
+    `surface_code_sim.union_table` returns rows in byte order, which puts
+    shared prefixes next to each other, and its rows are distinct, so at
+    the last step each row is a run of its own. Rows whose bytes differ
+    but DAC to the same inputs stay in runs of their own, which costs rows
+    of the product but no bits.
 
     The plan holds what that grouping leaves chip-independent: each step's
     input block [DAC(x_t) | h | DAC(1)] with the DAC'd events and the bias
@@ -266,11 +284,8 @@ class AnalogPlan:
     `np.repeat` by those counts gives each its parent's hidden state.
     `logits(programmed)` writes only the hidden-state columns of those
     blocks before each step's product, then runs the matmul and
-    `_convert_hidden` in work buffers it reuses. `work`, when given, is a
-    float64 vector of at least `work_size(len(events))` floats holding those
-    buffers; plans built with one `work` share them, so the logits one of
-    them returns are overwritten by the next `logits` call on any of them.
-    `table_plans` builds the plans of one evaluation so.
+    `_convert_hidden` in buffers the plan owns and reuses, so the logits one
+    call returns are overwritten by the next.
 
     A one-row product goes to gemv instead of gemm, whose bits can differ,
     so a step with one run inside a batch of several rows is planned as a
@@ -278,34 +293,31 @@ class AnalogPlan:
     it would on its own.
     """
 
-    def __init__(self, events: np.ndarray, cfg: CrossbarConfig,
-                 work: np.ndarray | None = None):
-        x = _check_events(events)
+    def __init__(self, events: np.ndarray, cfg: CrossbarConfig):
+        x = np.ascontiguousarray(_check_events(events))
         n, steps, width = x.shape
         self.rows, self.cfg = n, cfg
-        xv = _convert_in(x.astype(np.float64), cfg)
-        bits = xv.view(np.uint64)
-        self._bias = _convert_in(np.ones(1), cfg)[0]
+        bias = _convert_in(np.ones(1), cfg)[0]
 
-        # new[t, i]: row i starts a run at step t, as it differs from the row
-        # above in an input word of step t or before; row 0 starts every step
-        words = bits.reshape(n, steps * width)
-        differs = np.ones(words.shape, bool)
-        np.not_equal(words[1:], words[:-1], out=differs[1:])
-        np.logical_or.accumulate(differs, axis=1, out=differs)
-        new = differs[:, width - 1::width].T
+        # new[t, i]: row i starts a run at step t, as its events of step t or
+        # before differ in a byte from the row above's; row 0 starts every
+        # step. Each step's bytes are compared as the widest words that
+        # tile them.
+        step_bytes = width * x.itemsize
+        words = x.view(np.uint8).view(f"u{min(8, step_bytes & -step_bytes)}")
+        new = np.ones((steps, n), bool)
+        new[:, 1:] = np.any(words[1:] != words[:-1], axis=2).T
+        for t in range(1, steps):
+            np.logical_or(new[t - 1], new[t], out=new[t])
         # a single run in a batch of several rows is planned as a doubled row
         sizes = np.maximum(new.sum(axis=1), min(n, 2))
 
-        inputs = np.empty((sizes.sum(), width + HIDDEN_SIZE + 1))
-        inputs[:, -1] = self._bias
-        if work is None:
-            work = np.empty(self.work_size(n))
-        elif len(work) < self.work_size(n):
-            raise ValueError(f"work buffer of {len(work)} floats cannot hold "
-                             f"a plan of {n} rows")
-        cap = max(n, 2)
-        out = work[:cap * HIDDEN_SIZE]
+        # each run's events, then DAC'd in one contiguous pass: the DAC acts
+        # elementwise, so this gives the bits of converting the whole batch
+        dac = np.empty((sizes.sum(), width))
+        inputs = np.empty((len(dac), width + HIDDEN_SIZE + 1))
+        inputs[:, -1] = bias
+        out = np.empty((max(n, 2), HIDDEN_SIZE))
         self._steps = []
         run, runs = np.zeros(n, np.intp), 1   # each row's run, and the runs, at the step before
         first = 0
@@ -313,25 +325,24 @@ class AnalogPlan:
             starts = np.flatnonzero(new[t])
             if len(starts) < k:
                 starts = np.zeros(k, np.intp)
+            dac[first:first + k] = x[starts, t]
             inp = inputs[first:first + k]
             first += k
-            inp[:, :width] = xv[starts, t]
             self._steps.append((inp, inp[:, width:-1], np.bincount(run[starts], minlength=runs),
-                                out[:k * HIDDEN_SIZE].reshape(k, HIDDEN_SIZE)))
+                                out[:k]))
             run, runs = np.cumsum(new[t]) - 1, k
-        self._head_rows = np.bincount(run, minlength=runs)
-        # after the last step: the evaluation unit's input after the step
-        # outputs, its product in the step outputs, which the head has read
-        self._head = work[cap * HIDDEN_SIZE:][:n * (HIDDEN_SIZE + 1)].reshape(n, HIDDEN_SIZE + 1)
-        self._logits = out[:2 * n].reshape(n, 2)
-
-    @staticmethod
-    def work_size(rows: int) -> int:
-        """Floats of work buffer a plan of `rows` rows uses."""
-        return max(rows, 2) * (2 * HIDDEN_SIZE + 1)
+        inputs[:, :width] = _convert_in(dac, cfg)
+        # after the last step: the evaluation unit's input, bias column
+        # filled, and the hidden state of each row's run; None when each row
+        # is a run of its own
+        self._head = np.empty((n, HIDDEN_SIZE + 1))
+        self._head[:, -1] = bias
+        self._head_rows = None if steps and new[-1].all() else np.bincount(run, minlength=runs)
+        # the logits overwrite the step outputs, which the head has read
+        self._logits = out.reshape(-1)[:2 * n].reshape(n, 2)
 
     def logits(self, programmed: ProgrammedDecoder) -> np.ndarray:
-        """Post-ADC logits (rows, 2) of one chip, a view into the work
+        """Post-ADC logits (rows, 2) of one chip, a view into the plan's
         buffers."""
         cfg = self.cfg
         w_rec = programmed.recurrent.effective()
@@ -341,20 +352,9 @@ class AnalogPlan:
             h_cols[...] = np.repeat(h, repeats, axis=0)
             h = _convert_hidden(np.matmul(inp, w_rec, out=out), programmed.scale_recurrent, cfg)
         head = self._head
-        head[:, :-1] = np.repeat(h, self._head_rows, axis=0)
-        head[:, -1] = self._bias
+        head[:, :-1] = h if self._head_rows is None else np.repeat(h, self._head_rows, axis=0)
         logits = np.matmul(head, w_eval, out=self._logits)
         return _convert_out(logits, programmed.scale_evaluation, cfg)
-
-
-def table_plans(tables: Sequence[tuple[np.ndarray, np.ndarray]], cfg: CrossbarConfig,
-                ) -> list[AnalogPlan]:
-    """One `AnalogPlan` per syndrome table (rows, counts), for the batch
-    `surface_code_sim.table_batch` decodes, all sharing one work buffer sized
-    to the largest."""
-    batches = [table_batch(rows, counts) for rows, counts in tables]
-    work = np.empty(max((AnalogPlan.work_size(len(b)) for b in batches), default=0))
-    return [AnalogPlan(batch, cfg, work) for batch in batches]
 
 
 def _converter_settings(cfg: CrossbarConfig) -> tuple:
@@ -363,15 +363,18 @@ def _converter_settings(cfg: CrossbarConfig) -> tuple:
 
 def analog_accuracy(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
                     rows: np.ndarray, counts: np.ndarray,
-                    plan: AnalogPlan | None = None) -> float:
+                    plan: AnalogPlan | None = None) -> float | np.ndarray:
     """Accuracy of one programmed chip over a syndrome table: `rows` are the
-    distinct event rows of a test set and `counts` (u, 2) their label-0 and
-    label-1 shot counts, as `surface_code_sim.syndrome_table` returns them.
-    Equals the per-shot accuracy over the full set.
+    distinct event rows and `counts` their label-0 and label-1 shot counts,
+    (u, 2) for one test set as `surface_code_sim.syndrome_table` returns
+    them, or (u, k, 2) for k sets as `surface_code_sim.union_table` does,
+    which gives the k accuracies from one run of the plan. Equals the
+    per-shot accuracy over each full set (see `table_accuracy`).
 
-    `plan` is the table's plan from `table_plans` (built here when None):
-    the DAC'd events, prefix runs and bias column are the same for every
-    chip, so a caller scoring many chips on one table builds them once.
+    `plan` is `AnalogPlan(table_batch(rows, counts), cfg)`, built here when
+    None: the DAC'd events, prefix runs and bias column are the same for
+    every chip, so a caller scoring many chips on one table builds it once.
+    A one-shot set of a larger table is decoded on a plan of its own row.
     """
     if plan is None:
         plan = AnalogPlan(table_batch(rows, counts), cfg)
@@ -379,8 +382,10 @@ def analog_accuracy(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
         raise ValueError("the plan was built for other converter settings")
 
     def predict(batch: np.ndarray) -> np.ndarray:
-        if len(batch) != plan.rows:
-            raise ValueError(f"the plan has {plan.rows} rows, the table decodes {len(batch)}")
-        return logits_to_bits(plan.logits(programmed))
+        if len(batch) == plan.rows:
+            return logits_to_bits(plan.logits(programmed))
+        if len(batch) == 1:
+            return logits_to_bits(AnalogPlan(batch, cfg).logits(programmed))
+        raise ValueError(f"the plan has {plan.rows} rows, the table decodes {len(batch)}")
 
     return table_accuracy(predict, rows, counts)

@@ -5,8 +5,11 @@ training runs, each measured under many fresh programming draws ("inference
 runs"), with accuracy aggregated per fault rate across every (training,
 inference) pair. One inference run = one complete re-programming of both
 crossbar units (variability plus, where applicable, a fresh fault map),
-after which the run classifies the test set's distinct syndromes, weighted
-by their label counts; that equals the per-shot accuracy exactly.
+after which the run classifies the distinct syndromes of all the test sets
+at once, from one table of their union (`surface_code_sim.union_table`),
+and scores each fault rate from that one prediction, weighting every
+syndrome by its label counts in that rate's set; that equals the per-shot
+accuracy of each set exactly. The digital baseline scores the same table.
 
 Schemes:
   * baseline  — digital inference, no analog channel (one run per training),
@@ -188,7 +191,7 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     xcfg = configs.crossbar_config
 
     # every run is trained (and retrained) before any chip is evaluated, so
-    # the analog plans below are not held through training's allocations
+    # the analog plan below is not held through training's allocations
     trained = []
     for i in range(protocol.n_train_runs):
         if base_params is not None:
@@ -211,15 +214,17 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                                     chip_map, configs.train_config, xcfg)
         trained.append((params, chip_map))
 
-    tables = [sc.syndrome_table(test_sets[p].events, test_sets[p].labels)
-              for p in protocol.p_values]
+    # one table of every test set's distinct rows: each decoder runs once per
+    # chip (or training run) and is scored at every fault rate from that
+    # one prediction
+    rows, counts = sc.union_table([(test_sets[p].events, test_sets[p].labels)
+                                   for p in protocol.p_values])
     if scheme == "baseline":
-        runs = [[rd.accuracy(params, rows, counts) for rows, counts in tables]
-                for params, _ in trained]
+        runs = [rd.accuracy(params, rows, counts) for params, _ in trained]
     else:
-        # every chip of every run decodes the same tables: their DAC'd
-        # events, prefix runs and work buffers are built once
-        plans = am.table_plans(tables, xcfg)
+        # every chip of every run decodes the same table: its DAC'd events,
+        # prefix runs and buffers are built once
+        plan = am.AnalogPlan(sc.table_batch(rows, counts), xcfg)
         runs = []
         for i, (params, chip_map) in enumerate(trained):
             streams = SpawnedGenerators(master_seed, (Stage.PROGRAM, i), protocol.n_infer_runs)
@@ -227,8 +232,7 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                 rng = streams[j]
                 fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
                 programmed = am.program_decoder(params, xcfg, fmap, rng)
-                runs.append([am.analog_accuracy(programmed, xcfg, rows, counts, plan)
-                             for (rows, counts), plan in zip(tables, plans)])
+                runs.append(am.analog_accuracy(programmed, xcfg, rows, counts, plan))
 
     per_run = np.asarray(runs)
     acc_mean = per_run.mean(axis=0)
@@ -255,13 +259,17 @@ def stuck_sweep(scheme: str, stuck_rates: Sequence[float], protocol: EvalProtoco
                 test_sets=None, base_params=None) -> list[dict]:
     """Accuracy versus stuck-at rate (single-p protocol); for hwa_mnd a
     p_drop grid may be swept at each rate."""
+    drops: Sequence[float | None]
+    drops = p_drop_values if (scheme == "hwa_mnd" and p_drop_values) else (None,)
+    # every rate is checked before the first run trains
     for rate in stuck_rates:
         check_value("stuck_rate", rate, _PROBABILITY)
+        if scheme == "hwa_mnd":
+            for d in drops:
+                check_value("p_drop", rate if d is None else d, _DROP_RATE)
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     rows = []
-    drops: Sequence[float | None]
-    drops = p_drop_values if (scheme == "hwa_mnd" and p_drop_values) else (None,)
     for rate in stuck_rates:
         for d in drops:
             report = evaluate_scheme(scheme, protocol, configs, rate, master_seed,

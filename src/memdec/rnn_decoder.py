@@ -506,12 +506,14 @@ class AdamState:
 
 
 def accuracy(params: DecoderParams, rows: np.ndarray, counts: np.ndarray,
-             io: Converters | None = None, work: Workspace | None = None) -> float:
+             io: Converters | None = None, work: Workspace | None = None,
+             ) -> float | np.ndarray:
     """Digital accuracy over a syndrome table (`rows`, `counts`), as
-    `surface_code_sim.syndrome_table` returns it: the fraction of the shots
-    it stands for whose prediction equals the label, with each distinct row
-    decoded once by `forward_batch` (under `io`, in `work` when given).
-    Equals the per-shot accuracy over the full set. The one digital table
+    `surface_code_sim.syndrome_table` returns it, or the accuracy of each
+    set of a `surface_code_sim.union_table`: the fraction of the shots a
+    set stands for whose prediction equals the label, with each distinct
+    row decoded once by `forward_batch` (under `io`, in `work` when given).
+    Equals the per-shot accuracy over each full set. The one digital table
     scorer: `_train` scores its validation draws and `evaluate_scheme` its
     baseline with it."""
     return table_accuracy(lambda r: logits_to_bits(forward_batch(params, r, io, work)[2]),

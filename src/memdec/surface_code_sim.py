@@ -215,50 +215,124 @@ def _check_labels(labels: np.ndarray) -> None:
 
 def syndrome_table(events: np.ndarray, labels: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a labelled set to its distinct event rows.
+    """Reduce a labelled set to its distinct event rows: `union_table` of
+    the one set.
 
     Returns (rows, counts): `rows` (u, ...) holds each distinct row of
     `events` once, in byte order; `counts` (u, 2) int64 holds how many shots
-    with that row carry label 0 and label 1. Rows are keyed on their raw
-    bytes, so any dtype works. Byte order compares rows step by step, so
-    rows that share a prefix of steps sit next to each other, which
-    `analog_model.AnalogPlan` exploits.
+    with that row carry label 0 and label 1.
+    """
+    rows, counts = union_table([(events, labels)])
+    return rows, counts[:, 0]
+
+
+def union_table(sets: Sequence[tuple[np.ndarray, np.ndarray]],
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce k labelled sets (events, labels), whose rows share one shape
+    and dtype, to the distinct event rows of their union.
+
+    Returns (rows, counts): `rows` (u, ...) holds each row that occurs in
+    any set once, in byte order; `counts` (u, k, 2) int64 holds how many
+    shots of set j with that row carry label 0 and label 1, (0, 0) where
+    set j lacks the row. Rows are keyed on their raw bytes, so any dtype
+    works. Byte order compares rows step by step, so rows that share a
+    prefix of steps sit next to each other, which `analog_model.AnalogPlan`
+    exploits.
 
     The key of a row is the narrowest unsigned integer that holds it when
     every byte of the rows is 0 or 1 and a row has at most 64 bytes, as for
     0/1 event bits of uint8 or bool: row byte i is bit i of the key counted
     from the most significant end, so two keys compare as their rows' bytes
-    do. Any other rows are keyed on a `np.void` view of their bytes.
+    do. Any other rows are keyed on a `np.void` view of their bytes. When a
+    row's bits and its shot's code, 2 * set + label, fit in 64 bits
+    together, one sort of the joined keys gives the rows in key order and
+    the counts as run lengths; otherwise `np.unique` finds the rows and
+    `np.bincount` counts them.
     """
-    events = np.ascontiguousarray(events)
-    labels = np.asarray(labels).reshape(-1)
-    n = events.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError(f"{n} samples but {labels.shape[0]} labels")
-    _check_labels(labels)
-    raw = events.reshape(n, int(np.prod(events.shape[1:]))).view(np.uint8)
-    row_bytes = raw.shape[1]
-    if row_bytes <= 64 and raw.max(initial=0) <= 1:
-        keys = _bit_keys(raw)
-    else:
-        keys = raw.view(np.dtype((np.void, row_bytes))).reshape(-1)
+    if not sets:
+        raise ValueError("union_table needs one or more sets")
+    sets = [(np.ascontiguousarray(e), np.asarray(y).reshape(-1)) for e, y in sets]
+    kinds = {(e.shape[1:], e.dtype) for e, _ in sets}
+    if len(kinds) > 1:
+        raise ValueError(f"the sets' rows differ in shape or dtype: {sorted(map(str, kinds))}")
+    for e, y in sets:
+        if y.shape[0] != e.shape[0]:
+            raise ValueError(f"{e.shape[0]} samples but {y.shape[0]} labels")
+        _check_labels(y)
+    k, shape, size = len(sets), sets[0][0].shape[1:], int(np.prod(sets[0][0].shape[1:]))
+    raws = [e.reshape(len(e), size).view(np.uint8) for e, _ in sets]
+    row_bytes = size * sets[0][0].itemsize
+    code_bits = (2 * k - 1).bit_length()
+    bits = row_bytes <= 64 and all(r.max(initial=0) <= 1 for r in raws)
+    if bits and row_bytes + code_bits <= 64:
+        return _sorted_table([_bit_keys(r) for r in raws], [y for _, y in sets], row_bytes,
+                             code_bits, shape, sets[0][0].dtype)
+    raw = np.concatenate(raws)
+    keys = _bit_keys(raw) if bits else raw.view(np.dtype((np.void, row_bytes))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    code = np.concatenate([y.astype(np.intp) + 2 * j for j, (_, y) in enumerate(sets)])
     u = len(first)
-    counts = np.bincount(inverse * 2 + labels.astype(np.int64),
-                         minlength=2 * u).reshape(u, 2)
-    return events[first], counts
+    counts = np.bincount(inverse.reshape(-1) * (2 * k) + code, minlength=2 * k * u)
+    return np.concatenate([e for e, _ in sets])[first], counts.reshape(u, k, 2)
+
+
+def _sorted_table(keys: list[np.ndarray], labels: list[np.ndarray], row_bytes: int,
+                  code_bits: int, shape: tuple, dtype: np.dtype,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """`union_table` by one sort, from each set's `_bit_keys` and labels:
+    each shot's row key, right-aligned, with its code in the `code_bits`
+    bits below it. A run of equal joined keys is one (row, set, label)
+    count, a run of equal row bits one row, and the rows are unpacked from
+    their keys as `_bit_keys` packed them."""
+    width = keys[0].dtype.itemsize
+    pad = 8 * width - row_bytes
+    n, k = sum(map(len, keys)), len(keys)
+    joined = np.empty(n, f"u{_uint_bytes(row_bytes + code_bits)}")
+    start = 0
+    for j, (key, y) in enumerate(zip(keys, labels)):
+        part = joined[start:start + len(key)]
+        start += len(key)
+        part[...] = key
+        part >>= pad
+        part <<= code_bits
+        np.bitwise_or(part, y, out=part, dtype=part.dtype, casting="unsafe")
+        part |= 2 * j
+    joined.sort()
+    new = np.empty(n, bool)
+    new[:1] = True
+    np.not_equal(joined[1:], joined[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    joined = joined[starts]
+    row_keys = joined >> code_bits
+    new_row = np.empty(len(joined), bool)
+    new_row[:1] = True
+    np.not_equal(row_keys[1:], row_keys[:-1], out=new_row[1:])
+    row = np.cumsum(new_row) - 1
+    u = int(np.count_nonzero(new_row))
+    counts = np.zeros((u, 2 * k), np.int64)
+    counts[row, joined & (2 ** code_bits - 1)] = np.diff(starts, append=n)
+    row_keys = (row_keys[new_row] << pad).astype(keys[0].dtype)
+    bits = np.unpackbits(row_keys.view(np.uint8).reshape(u, width), axis=1, count=row_bytes)
+    return bits.view(dtype).reshape((u,) + shape), counts.reshape(u, k, 2)
+
+
+def _uint_bytes(bits: int) -> int:
+    """Bytes of the narrowest of 8, 16, 32 and 64 bits that holds `bits`."""
+    return 1 << ((bits - 1) // 8).bit_length()
 
 
 def _bit_keys(raw: np.ndarray) -> np.ndarray:
     """One big-endian unsigned integer per row of the (n, w) uint8 array
     `raw` of 0/1 bytes, w <= 64, in the narrowest of 8, 16, 32 and 64 bits
     that holds w: byte i of a row is bit i of its key from the most
-    significant end. Keys of up to 16 bits radix-sort in `np.unique`."""
+    significant end."""
     n, w = raw.shape
-    width = 1 << (-(-w // 8) - 1).bit_length()      # bytes per key
-    padded = np.zeros((n, 8 * width), np.uint8)
-    padded[:, :w] = raw
-    return np.packbits(padded.reshape(-1)).view(f">u{width}")
+    width = _uint_bytes(w)      # bytes per key
+    if w < 8 * width:
+        padded = np.zeros((n, 8 * width), np.uint8)
+        padded[:, :w] = raw
+        raw = padded
+    return np.packbits(raw.reshape(-1)).view(f">u{width}")
 
 
 def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -278,14 +352,36 @@ def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float:
+def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float | np.ndarray:
     """Fraction of the shots a syndrome table stands for that `predict`
-    (rows -> bits) classifies correctly; equal to the per-shot
+    (rows -> 0/1 bits) classifies correctly; equal to the per-shot
     `(predict(events) == labels).mean()`. `predict` receives
     `table_batch(rows, counts)`.
+
+    `counts` (u, 2) gives one float. `counts` (u, k, 2), a `union_table`
+    of k sets, gives the k accuracies as float64 from the one prediction
+    of every row: a row's bits do not depend on the rows decoded with it.
+    A set of one shot in a batch of several rows is decoded again on its
+    own, as its per-shot batch of one row is (see `table_batch`).
     """
-    pred = predict(table_batch(rows, counts))[:len(rows)]
-    return float(np.where(pred, counts[:, 1], counts[:, 0]).sum() / int(counts.sum()))
+    batch = table_batch(rows, counts)
+    pred = predict(batch)[:len(rows)]
+    per_set = counts.reshape(len(rows), -1)
+    # per (set, label): every shot, and the shots predicted 1, which turn
+    # label-0 hits into misses and label-1 misses into hits
+    weights = np.ones((2, len(rows)), np.int64)
+    weights[1] = pred
+    totals, flips = (weights @ per_set).reshape(2, -1, 2)
+    shots = totals.sum(axis=1)
+    if not shots.all():
+        raise ValueError("every set of a syndrome table must be non-empty")
+    hits = totals[:, 0] - flips[:, 0] + flips[:, 1]
+    if len(batch) > 1:
+        for j in np.flatnonzero(shots == 1).tolist():
+            i = int(np.flatnonzero(per_set[:, 2 * j:2 * j + 2].any(axis=1))[0])
+            hits[j] = per_set[i, 2 * j + int(predict(rows[i:i + 1])[0])]
+    accuracy = hits / shots
+    return float(accuracy[0]) if counts.ndim == 2 else accuracy
 
 
 def build_memory_x_circuit(rounds: int, p: float) -> CircuitSpec:

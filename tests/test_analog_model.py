@@ -305,8 +305,16 @@ class TestQuantizeBits:
                 assert_quantizers_match_reference(x, cfg)
 
 
-# with a DAC range above 1, the ADC's clamp at A clips below the DAC's own
-HIDDEN_CONFIGS = QUANTIZE_CONFIGS + [am.CrossbarConfig(adc_bound=2.5, dac_bound=1.5, levels=64)]
+# with a DAC range above 1, the ADC's clamp at A clips below the DAC's own;
+# at a DAC range of 1 the DAC is one multiply, checked at ADC bounds that are
+# no power of two and odd or large level counts
+HIDDEN_CONFIGS = QUANTIZE_CONFIGS + [
+    am.CrossbarConfig(adc_bound=2.5, dac_bound=1.5, levels=64),
+    am.CrossbarConfig(adc_bound=3.7, levels=100),
+    am.CrossbarConfig(adc_bound=0.3, levels=1023),
+    am.CrossbarConfig(adc_bound=123.456, levels=4096),
+    am.CrossbarConfig(adc_bound=5.0, levels=2),
+]
 
 
 class TestHiddenConverter:
@@ -339,6 +347,16 @@ class TestHiddenConverter:
         with np.errstate(over="ignore", invalid="ignore"):
             want = am._convert_in(np.maximum(am._convert_out(x.copy(), scale, cfg), 0.0), cfg)
             got = am._convert_hidden(x.copy(), scale, cfg)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("levels", [2**48, 2**53, 10**17 + 3])
+    @pytest.mark.parametrize("adc_bound", [0.3, 3.7])
+    def test_fine_converters_match_the_three_conversions(self, levels, adc_bound):
+        # at 2^53 levels and more, a DAC of one multiply gives other bits
+        cfg = am.CrossbarConfig(adc_bound=adc_bound, levels=levels)
+        x = np.random.default_rng(levels % 1000).random(20_000) * 1.2
+        want = am._convert_in(np.maximum(am._convert_out(x.copy(), 1.0, cfg), 0.0), cfg)
+        got = am._convert_hidden(x.copy(), 1.0, cfg)
         assert got.tobytes() == want.tobytes()
 
 

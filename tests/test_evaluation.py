@@ -126,6 +126,67 @@ class TestSyndromeTable:
         if case == "signed_zero":
             assert len(rows) == 4 and np.signbit(rows).any()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), steps=st.integers(1, 8),
+           density=st.floats(0.0, 0.5), dtype=st.sampled_from([np.uint8, np.float64, np.bool_]))
+    def test_union_equals_byte_keys_of_every_set(self, seed, k, steps, density, dtype):
+        """The union of k sets holds each row of any set once, in byte
+        order, with each set's counts (zero where a set lacks the row),
+        whether one sort of joined keys (a row's bits and its code fit in 64
+        bits), `np.unique` on integer keys or on byte keys built it."""
+        rng = np.random.default_rng(seed)
+        sets = [((rng.random((n, steps, 8)) < density).astype(dtype), rng.integers(0, 2, n))
+                for n in rng.integers(1, 120, k)]
+        rows, counts = sc.union_table(sets)
+        assert rows.dtype == np.dtype(dtype) and counts.shape == (len(rows), k, 2)
+        events = np.concatenate([e for e, _ in sets])
+        codes = np.concatenate([y + 2 * j for j, (_, y) in enumerate(sets)])
+        want_rows, _ = void_key_table(events, np.zeros(len(events), np.intp))
+        assert rows.tobytes() == want_rows.tobytes()
+        inverse = {r.tobytes(): i for i, r in enumerate(rows)}
+        want = np.zeros((len(rows), 2 * k), np.int64)
+        for e, c in zip(events, codes):
+            want[inverse[e.tobytes()], c] += 1
+        assert np.array_equal(counts.reshape(len(rows), -1), want)
+        for j, (e, y) in enumerate(sets):
+            present = counts[:, j].any(axis=1)
+            alone = sc.syndrome_table(e, y)
+            assert rows[present].tobytes() == alone[0].tobytes()
+            assert np.array_equal(counts[present, j], alone[1])
+
+    def test_union_of_unlike_rows_rejected(self):
+        with pytest.raises(ValueError, match="one or more sets"):
+            sc.union_table([])
+        for other in (np.zeros((2, 3, 4), np.uint8), np.zeros((2, 4, 4), np.float64)):
+            with pytest.raises(ValueError, match="differ in shape or dtype"):
+                sc.union_table([(np.zeros((2, 4, 4), np.uint8), [0, 1]), (other, [0, 1])])
+
+    def test_union_with_an_empty_set_not_scored(self):
+        events = np.zeros((3, 4, 4), np.uint8)
+        rows, counts = sc.union_table([(events, [0, 1, 1]), (events[:0], [])])
+        assert counts.tolist() == [[[1, 2], [0, 0]]]
+        with pytest.raises(ValueError, match="every set"):
+            sc.table_accuracy(lambda r: np.zeros(len(r), int), rows, counts)
+
+    def test_one_shot_set_of_a_union_predicted_alone(self):
+        """A one-shot set of a union batch of several rows is scored by a
+        prediction of its row alone: a one-row batch may take other bits
+        (gemv), and here the predictor flips them."""
+        rng = np.random.default_rng(8)
+        big = (rng.random((50, 3, 4)) < 0.3).astype(np.uint8)
+        one = big[7:8]
+        seen = []
+
+        def predict(r):
+            seen.append(len(r))
+            return np.full(len(r), int(len(r) == 1))
+
+        rows, counts = sc.union_table([(big, rng.integers(0, 2, 50)), (one, [1])])
+        accuracy = sc.table_accuracy(predict, rows, counts)
+        assert seen == [len(rows), 1]
+        assert accuracy[1] == 1.0
+        assert accuracy[0] == (counts[:, 0, 0].sum() / 50)
+
     def test_labels_must_be_bits(self):
         with pytest.raises(ValueError):
             sc.syndrome_table(np.zeros((2, 4, 4)), [0, 2])
@@ -179,26 +240,29 @@ class TestSingleSyndrome:
         assert rd.accuracy(params, *table) == (bits == self.LABELS).mean()
 
     def test_plan_decodes_single_row_doubled(self):
-        """On the plan path too, a one-row table of several shots is decoded
-        as a doubled row (gemm) and a one-shot table as one row (gemv)."""
+        """On the plan path too, a one-row union table of several shots is
+        decoded as a doubled row (gemm), and a one-shot set in it once more
+        as one row (gemv), as each set is decoded on its own."""
         params = rd.DecoderParams.initial(5)
         xcfg = am.CrossbarConfig()
-        several = sc.syndrome_table(self.EVENTS, self.LABELS)
-        single = sc.syndrome_table(self.EVENTS[:1], self.LABELS[1:2])
-        plans = am.table_plans([several, single], xcfg)
-        assert [plan.rows for plan in plans] == [2, 1]
+        rows, counts = sc.union_table([(self.EVENTS, self.LABELS),
+                                       (self.EVENTS[:1], self.LABELS[1:2])])
+        assert len(rows) == 1 and counts.tolist() == [[[2, 3], [0, 1]]]
+        plan = am.AnalogPlan(sc.table_batch(rows, counts), xcfg)
+        assert plan.rows == 2
         for j in range(5):
             rng = spawn_generator(MASTER, j)
             chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
-            assert (plans[0].logits(chip).tobytes()
+            assert (plan.logits(chip).tobytes()
                     == am.AnalogPlan(self.EVENTS[:2], xcfg).logits(chip).tobytes())
-            assert (plans[1].logits(chip).tobytes()
-                    == am.AnalogPlan(self.EVENTS[:1], xcfg).logits(chip).tobytes())
             bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
-            per_shot = (bits == self.LABELS).mean()
-            assert am.analog_accuracy(chip, xcfg, *several, plans[0]) == per_shot
             alone = rd.logits_to_bits(am.AnalogPlan(self.EVENTS[:1], xcfg).logits(chip))[0] == 1
-            assert am.analog_accuracy(chip, xcfg, *single, plans[1]) == float(alone)
+            assert (am.analog_accuracy(chip, xcfg, rows, counts, plan).tolist()
+                    == [(bits == self.LABELS).mean(), float(alone)])
+        bits = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS)[2])
+        alone = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS[:1])[2])[0] == 1
+        assert (rd.accuracy(params, rows, counts).tolist()
+                == [(bits == self.LABELS).mean(), float(alone)])
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +298,13 @@ def per_shot_reference(scheme, protocol, configs, tests, base):
     return np.asarray(runs)
 
 
+def per_shot_baseline(protocol, tests, base):
+    """The baseline's runs with every test set decoded digitally on its own."""
+    return np.asarray([[(rd.logits_to_bits(rd.forward_batch(base[i], tests[p].events)[2])
+                         == tests[p].labels).mean() for p in protocol.p_values]
+                       for i in range(protocol.n_train_runs)])
+
+
 class TestEvaluateScheme:
     @pytest.mark.parametrize("scheme", ["fp_mnd", "ds_mnd"])
     def test_per_run_acc_equals_per_shot_reference(self, setup, scheme):
@@ -261,27 +332,56 @@ class TestEvaluateScheme:
             ceiling = counts.max(axis=1).sum() / counts.sum()
             assert (report.per_run_acc[:, k] <= ceiling).all()
 
-    def test_one_plan_per_test_table(self, setup, monkeypatch):
-        """Every chip of every run shares one analog plan per p; the digital
-        baseline builds none."""
+    @pytest.mark.parametrize("case", ["one_shot_beside_larger", "one_row_of_several_shots",
+                                      "three_rates"])
+    @pytest.mark.parametrize("scheme", ["baseline", "fp_mnd"])
+    def test_union_table_equals_per_shot_reference(self, setup, scheme, case):
+        """Every fault rate scored from one union table equals decoding each
+        set on its own: a one-shot set is decoded on gemv beside a larger
+        set, and a set of one row of several shots as a doubled row."""
+        configs, base, tests, protocol = setup
+        sets = dict(tests)
+        low = tests[TEST_P[0]]
+        if case == "one_shot_beside_larger":
+            sets[TEST_P[0]] = low.subset(np.arange(1))
+            # its one row is also a row of the larger set
+            assert (low.events[0] == tests[TEST_P[1]].events).all(axis=(1, 2)).any()
+        elif case == "one_row_of_several_shots":
+            sets[TEST_P[0]] = low.subset(np.zeros(7, np.intp))
+            sets[TEST_P[0]].labels[:] = [0, 1, 0, 0, 1, 1, 0]
+        else:
+            sets[5e-3] = sc.generate_dataset([5e-3], 3000, 3, seed=75, split_tag="test")
+            protocol = replace(protocol, p_values=(TEST_P[0], 5e-3, TEST_P[1]))
+        report = ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
+                                    test_sets=sets, base_params=base)
+        if scheme == "baseline":
+            want = per_shot_baseline(protocol, sets, base)
+        else:
+            want = per_shot_reference(scheme, protocol, configs, sets, base)
+        assert report.per_run_acc.shape == want.shape
+        assert np.array_equal(report.per_run_acc, want)
+
+    def test_one_plan_per_evaluation(self, setup, monkeypatch):
+        """Every chip of every run shares one analog plan, over the union of
+        the test sets' distinct rows; the digital baseline builds none."""
         configs, base, tests, protocol = setup
         protocol = replace(protocol, n_train_runs=1)
         built = []
 
         class CountingPlan(am.AnalogPlan):
-            def __init__(self, events, cfg, work=None):
+            def __init__(self, events, cfg):
                 built.append(len(events))
-                super().__init__(events, cfg, work)
+                super().__init__(events, cfg)
 
         monkeypatch.setattr(am, "AnalogPlan", CountingPlan)
+        union = sc.union_table([(tests[p].events, tests[p].labels) for p in protocol.p_values])
         for scheme in ev.SCHEMES:
             built.clear()
             ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
                                test_sets=tests, base_params=base)
-            expected = ([] if scheme == "baseline" else
-                        [len(sc.syndrome_table(tests[p].events, tests[p].labels)[0])
-                         for p in protocol.p_values])
-            assert built == expected, scheme
+            assert built == ([] if scheme == "baseline" else [len(union[0])]), scheme
+        assert len(union[0]) < sum(len(sc.syndrome_table(tests[p].events, tests[p].labels)[0])
+                                   for p in protocol.p_values)
 
     def test_digital_accuracy_equals_per_shot(self, setup):
         _, base, tests, _ = setup
@@ -295,7 +395,7 @@ class TestEvaluateScheme:
         """Training's and retraining's validation and the baseline's test
         tables are all scored by `rd.accuracy`, looked up on the module at
         each call: once per epoch, once per validation draw per epoch, and
-        once per (training run, fault rate)."""
+        once per training run, over every fault rate at once."""
         configs, base, tests, protocol = setup
         scores = []
         accuracy = rd.accuracy
@@ -315,8 +415,8 @@ class TestEvaluateScheme:
         scores.clear()
         report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
                                     test_sets=tests, base_params=base)
-        assert len(scores) == protocol.n_train_runs * len(protocol.p_values)
-        assert scores == report.per_run_acc.ravel().tolist()
+        assert len(scores) == protocol.n_train_runs
+        assert np.array_equal(np.asarray(scores), report.per_run_acc)
 
     @pytest.mark.parametrize("runs", [0, 1])
     def test_fewer_base_params_than_runs_rejected(self, setup, monkeypatch, runs):
@@ -475,6 +575,21 @@ class TestStuckSweep:
                            "p_drop": row["p_drop"], "acc_mean": report.acc_mean[0],
                            "acc_std": report.acc_std[0]}
         assert len({r["acc_mean"] for r in rows}) > 1
+
+    @pytest.mark.parametrize("rates, drops", [([0.1], [0.1, 1.0]), ([0.1, 1.0], None)])
+    def test_drop_rates_checked_before_training(self, setup, monkeypatch, rates, drops):
+        # a drop rate of 1, given or taken from a later stuck rate, used to
+        # raise only after the evaluations before it had trained
+        configs, _, tests, protocol = setup
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the drop rates")
+
+        monkeypatch.setattr(rd, "train_fp", no_training)
+        with pytest.raises(ValueError) as info:
+            ev.stuck_sweep("hwa_mnd", rates, protocol, configs, MASTER,
+                           p_drop_values=drops, test_sets=tests)
+        assert str(info.value) == "p_drop must be a probability in [0, 1), got 1.0"
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_outside_unit_interval_rejected(self, setup, rate):

@@ -6,8 +6,8 @@ coarse 16-level converter, odd bounds and level count, and no conversion at
 all) on syndrome tables of 1, 3 and 5 rounds at two fault rates, on 1-, 2-
 and 3-row inputs (a 1-row input goes to gemv rather than gemm) and on raw,
 unsorted events with duplicate rows. The `per_run_acc` of `evaluate_scheme`
-is pinned for all four schemes as well. Plans that share one work buffer,
-run chip after chip, must give the bytes of fresh plans.
+is pinned for all four schemes as well. Plans built once and run chip after
+chip must give the bytes of fresh plans.
 
 The `no_io` digests pin OpenBLAS's dgemm kernel: they were recorded under
 its SkylakeX kernel, and under its Haswell, SandyBridge or Prescott kernel
@@ -167,16 +167,15 @@ def test_per_run_acc_digest(scheme):
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("kind", ["tables", "rows_1", "rows_2", "rows_3", "raw"])
 def test_shared_plans_equal_fresh_logits_chip_after_chip(chips, inputs, config, kind):
-    """Plans sharing one work buffer, run over chips A, B, A, give the bytes
-    of fresh plans: no chip's hidden states or logits leak into the next run
-    through the reused buffers."""
+    """Plans built once and shared by chips A, B, A give the bytes of fresh
+    plans: no chip's hidden states or logits leak into the next run through
+    a plan's reused buffers."""
     cfg = CONFIGS[config]
     other = am.program_decoder(random_params(np.random.default_rng(97)), cfg,
                                am.FaultMap.sample(0.1, np.random.default_rng(98)),
                                np.random.default_rng(99))
     batches = inputs[kind]
-    work = np.empty(max(am.AnalogPlan.work_size(len(b)) for b in batches))
-    plans = [am.AnalogPlan(b, cfg, work) for b in batches]
+    plans = [am.AnalogPlan(b, cfg) for b in batches]
     for chip in (chips[config], other, chips[config]):
         for events, plan in zip(batches, plans):
             assert plan.rows == len(events)
