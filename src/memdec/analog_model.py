@@ -9,12 +9,13 @@ sigma_prog(G): a polynomial in G (the paper's Fig. 2(b), after Mouny et al.
 key, or, when that is empty, the constant-relative 0.8% fallback. Stuck
 differential pairs are forced to the high-conductance state on both sides,
 cancelling to an effective weight of exactly zero. The analog path quantizes
-DAC inputs (range 1, after scaling by the ADC bound) and ADC outputs (range
-6) at 8 bits. One in-place quantizer, `_quantize`, rounds (half away from
-zero, then the clamp) for the plan executor below and retraining's DAC and
-ADC; the recurrent step's ADC, ReLU and DAC are one converter,
-`_convert_hidden`, with the same bits in fewer passes: 13, or 8 at the
-default DAC range of 1.
+DAC inputs and ADC outputs at `levels` levels (8 bits by default). The DAC
+range is the paper's normalized [-1, 1]: inputs are scaled into it by the
+ADC bound, and the ADC's range is [-adc_bound, adc_bound] (6 by default).
+One in-place quantizer, `_quantize`, rounds (half away from zero, then the
+clamp) for the plan executor below and retraining's DAC and ADC; the
+recurrent step's ADC, ReLU and DAC are one converter, `_convert_hidden`,
+with the same bits in one chain of 8 passes.
 
 Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
@@ -22,20 +23,21 @@ mapping, variability, and faults like any weight row.
 Inference runs the recurrent unit once per distinct prefix of adjacent rows
 rather than once per row and step, then the evaluation unit on every row.
 It is split in two. An `AnalogPlan`, built once per batch of event rows and
-converter setting, holds what no chip changes: the DAC'd events of each
-prefix run with the bias column filled, how many runs continue each run
-and the buffers it reuses. Running it on a chip forms each unit's effective
-matrix G+ - G-, copies the hidden states into the plan's inputs and runs
-the matmul and `_convert_hidden`. The error-bar protocol builds one plan
-per evaluation, over the union of its test sets' distinct rows
+converter setting (its `cfg`), holds what no chip changes: the DAC'd events
+of each prefix run with the bias column filled, how many runs continue each
+run and the buffers it reuses. Running it on a chip forms each unit's
+effective matrix G+ - G-, copies the hidden states into the plan's inputs
+and runs the matmul and `_convert_hidden`. The error-bar protocol builds
+one plan per evaluation, over the union of its test sets' distinct rows
 (`surface_code_sim.union_table`), runs it once on every chip and scores
-every fault rate from that one prediction (`analog_accuracy`); one chip's
-logits of any batch are `AnalogPlan(events, cfg).logits(chip)`. They are
-bit-identical to a per-row evaluation: the DAC and ADC act elementwise, so
-converting a value once per table gives the value converting it per chip
-would; a row of a gemm does not depend on the other rows or their count;
-and a step that would be a one-row product inside a larger batch is
-evaluated as a doubled row, so it stays on gemm.
+every fault rate from that one prediction (`analog_accuracy`, which takes
+the converter settings from the plan); one chip's logits of any batch are
+`AnalogPlan(events, cfg).logits(chip)`. They are bit-identical to a
+per-row evaluation: the DAC and ADC act elementwise, so converting a value
+once per table gives the value converting it per chip would; a row of a
+gemm does not depend on the other rows or their count; and a step that
+would be a one-row product inside a larger batch is evaluated as a doubled
+row, so it stays on gemm.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 from .rnn_decoder import (EVALUATION_UNIT, HIDDEN_SIZE, RECURRENT_UNIT, UNIT_SLICES,
                           DecoderParams, _check_events, logits_to_bits)
 from .rules import _PROBABILITY, check_fields, check_value
-from .surface_code_sim import table_accuracy, table_batch
+from .surface_code_sim import table_accuracy
 
 _SIGN_BIT, _HALF_BITS = np.uint64(1 << 63), np.float64(0.5).view(np.uint64)
 _H0 = np.zeros((1, HIDDEN_SIZE))  # the hidden state every row starts from
@@ -85,7 +87,6 @@ class CrossbarConfig:
     g_lcs: float = 60.0         # uS
     variability: VariabilityModel = field(default_factory=VariabilityModel)
     adc_bound: float = 6.0
-    dac_bound: float = 1.0
     levels: int = 256
     quantize_io: bool = True
 
@@ -204,10 +205,10 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
 
 def _convert_in(v: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
     """The DAC, in place on the float64 array `v`: inputs are scaled into
-    [-1, 1] by the ADC bound before conversion, and the factor is restored
-    after the analog product."""
+    its range [-1, 1] by the ADC bound before conversion, and the factor is
+    restored after the analog product."""
     v /= cfg.adc_bound
-    return _quantize(v, cfg.dac_bound, cfg.levels) if cfg.quantize_io else v
+    return _quantize(v, 1.0, cfg.levels) if cfg.quantize_io else v
 
 
 def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.ndarray:
@@ -219,49 +220,40 @@ def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.n
 
 
 def _convert_hidden(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.ndarray:
-    """`_convert_out`, ReLU, `_convert_in` in place: their bits in 13 passes
-    where they take about 24, or in 8 when `dac_bound` is 1. Each stage
-    after the ReLU never decreases and keeps values >= 0 at >= 0, so the
-    ReLU goes first (the DAC makes +0.0 of a zero of either sign). Then no
-    lower clamp acts, each rounding half is +1/2 (a NaN stays the input NaN
-    quieted), and the ADC's clamp at A commutes with the DAC, becoming a
-    clamp at DAC(A) merged with its own.
+    """`_convert_out`, ReLU, `_convert_in` in place: their bits in 8 passes
+    where they take about 24. Each stage after the ReLU never decreases and
+    keeps values >= 0 at >= 0, so the ReLU goes first (the DAC makes +0.0
+    of a zero of either sign). Then no lower clamp acts, each rounding half
+    is +1/2 (a NaN stays the input NaN quieted), and the ADC's clamp at A
+    commutes with the DAC, becoming a clamp at DAC(A) merged with its own.
 
     After the ADC's rounding the value is a * s_A, with a = trunc(v/s_A + 1/2)
     an integer >= 0 (or inf), and the DAC rounds ((a * s_A) / A) / s_D,
-    which is a / D in exact arithmetic. At D = 1 the five roundings on the
-    way (two of them in the steps s = 2 * bound / levels) move it from a by
-    less than 2^-50 * a, so for a <= 2^48 adding 1/2 and truncating gives a
-    back, and the DAC's output is a * s_D. A larger a is clamped to DAC(A)
-    <= 1 by both when levels <= 2^48, as then both outputs are about 2 or
-    more. So under those two conditions the DAC is one multiply; otherwise
-    the full chain runs (at 2^53 levels and more the shortcut gives other
-    bits).
+    which is a / D = a in exact arithmetic for the DAC range D = 1. The five
+    roundings on the way (two of them in the steps s = 2 * bound / levels)
+    move it from a by less than 2^-50 * a, so for a <= 2^48 adding 1/2 and
+    truncating gives a back, and the DAC's output is a * s_D. A larger a is
+    clamped to DAC(A) <= 1 by both, as `levels` <= 2^48 (its rule) makes
+    both outputs about 2 or more. So the DAC is one multiply.
     """
     current *= scale
     current *= cfg.adc_bound
     np.maximum(current, 0.0, out=current)
     if not cfg.quantize_io:
         return np.divide(current, cfg.adc_bound, out=current)
-    adc_step, dac_step = (2.0 * bound / cfg.levels for bound in (cfg.adc_bound, cfg.dac_bound))
+    adc_step, dac_step = 2.0 * cfg.adc_bound / cfg.levels, 2.0 / cfg.levels
     # DAC(A) = trunc(A / A / dac_step + 1/2) * dac_step, within the DAC's range
-    top = min(np.trunc(1.0 / dac_step + 0.5) * dac_step, cfg.dac_bound)
+    top = min(np.trunc(1.0 / dac_step + 0.5) * dac_step, 1.0)
     current /= adc_step
     current += 0.5
     np.trunc(current, out=current)
-    if cfg.dac_bound != 1 or cfg.levels > 2**48:
-        current *= adc_step
-        current /= cfg.adc_bound
-        current /= dac_step
-        current += 0.5
-        np.trunc(current, out=current)
     current *= dac_step
     return np.minimum(current, top, out=current)
 
 
 class AnalogPlan:
     """The chip-independent half of analog inference for one batch of event
-    rows under one converter setting (`adc_bound`, `dac_bound`, `levels`,
+    rows under one converter setting (`adc_bound`, `levels` and
     `quantize_io` of `cfg`), built once and run on any number of chips by
     `logits`.
 
@@ -357,35 +349,25 @@ class AnalogPlan:
         return _convert_out(logits, programmed.scale_evaluation, cfg)
 
 
-def _converter_settings(cfg: CrossbarConfig) -> tuple:
-    return cfg.adc_bound, cfg.dac_bound, cfg.levels, cfg.quantize_io
+def analog_accuracy(programmed: ProgrammedDecoder, plan: AnalogPlan,
+                    rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Accuracy of one programmed chip on each set of a syndrome table, as
+    k float64: `rows` are the distinct event rows and `counts` (u, k, 2)
+    their label-0 and label-1 shot counts per set, as
+    `surface_code_sim.union_table` returns them. Equals the per-shot
+    accuracy over each full set (see `table_accuracy`).
 
-
-def analog_accuracy(programmed: ProgrammedDecoder, cfg: CrossbarConfig,
-                    rows: np.ndarray, counts: np.ndarray,
-                    plan: AnalogPlan | None = None) -> float | np.ndarray:
-    """Accuracy of one programmed chip over a syndrome table: `rows` are the
-    distinct event rows and `counts` their label-0 and label-1 shot counts,
-    (u, 2) for one test set as `surface_code_sim.syndrome_table` returns
-    them, or (u, k, 2) for k sets as `surface_code_sim.union_table` does,
-    which gives the k accuracies from one run of the plan. Equals the
-    per-shot accuracy over each full set (see `table_accuracy`).
-
-    `plan` is `AnalogPlan(table_batch(rows, counts), cfg)`, built here when
-    None: the DAC'd events, prefix runs and bias column are the same for
-    every chip, so a caller scoring many chips on one table builds it once.
-    A one-shot set of a larger table is decoded on a plan of its own row.
+    `plan` is `AnalogPlan(table_batch(rows, counts), cfg)`, whose `cfg`
+    sets the converters: the DAC'd events, prefix runs and bias column are
+    the same for every chip, so a caller scoring many chips on one table
+    builds it once. A one-shot set of a larger table is decoded on a plan
+    of its own row.
     """
-    if plan is None:
-        plan = AnalogPlan(table_batch(rows, counts), cfg)
-    elif _converter_settings(plan.cfg) != _converter_settings(cfg):
-        raise ValueError("the plan was built for other converter settings")
-
     def predict(batch: np.ndarray) -> np.ndarray:
         if len(batch) == plan.rows:
             return logits_to_bits(plan.logits(programmed))
         if len(batch) == 1:
-            return logits_to_bits(AnalogPlan(batch, cfg).logits(programmed))
+            return logits_to_bits(AnalogPlan(batch, plan.cfg).logits(programmed))
         raise ValueError(f"the plan has {plan.rows} rows, the table decodes {len(batch)}")
 
     return table_accuracy(predict, rows, counts)

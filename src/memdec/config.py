@@ -124,7 +124,6 @@ _KEYS = {
     "crossbar.g_lcs": _Key(_FLOAT),
     "crossbar.stuck_rate": _Key(_FLOAT, ("stuck_rate",)),
     "crossbar.adc_bound": _Key(_FLOAT),
-    "crossbar.dac_bound": _Key(_FLOAT),
     "crossbar.levels": _Key(_INT),
     # its parser rejects a non-finite real, as text it could not parse
     "crossbar.variability_coeffs": _Key(_FLOATS, ("crossbar.variability.coefficients",), _ANY),

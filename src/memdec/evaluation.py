@@ -103,12 +103,15 @@ class EvalReport:
 
 def fit_monomial(points: Sequence[tuple[float, float]]) -> CurveFit:
     """Least squares of log(lfr) = log(a) + b log(p); zero-lfr points are
-    excluded and counted."""
+    excluded and counted. The usable points must span two or more distinct
+    fault rates: at one rate the slope b is not determined."""
     usable = [(p, l) for p, l in points if p > 0 and l > 0]
     excluded = len(points) - len(usable)
-    if len(usable) < 2:
+    rates = len({p for p, _ in usable})
+    if rates < 2:
         raise InsufficientDataError(
-            f"monomial fit needs >= 2 points with p > 0 and lfr > 0, got {len(usable)}")
+            f"monomial fit needs points with p > 0 and lfr > 0 at >= 2 distinct p, "
+            f"got {rates}")
     logp = np.log([p for p, _ in usable])
     logl = np.log([l for _, l in usable])
     design = np.column_stack([np.ones_like(logp), logp])
@@ -232,7 +235,7 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                 rng = streams[j]
                 fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
                 programmed = am.program_decoder(params, xcfg, fmap, rng)
-                runs.append(am.analog_accuracy(programmed, xcfg, rows, counts, plan))
+                runs.append(am.analog_accuracy(programmed, plan, rows, counts))
 
     per_run = np.asarray(runs)
     acc_mean = per_run.mean(axis=0)
@@ -257,8 +260,8 @@ def stuck_sweep(scheme: str, stuck_rates: Sequence[float], protocol: EvalProtoco
                 configs: SchemeConfigs, master_seed: int,
                 p_drop_values: Sequence[float] | None = None,
                 test_sets=None, base_params=None) -> list[dict]:
-    """Accuracy versus stuck-at rate (single-p protocol); for hwa_mnd a
-    p_drop grid may be swept at each rate."""
+    """Accuracy versus stuck-at rate at the protocol's one fault rate; for
+    hwa_mnd a p_drop grid may be swept at each rate."""
     drops: Sequence[float | None]
     drops = p_drop_values if (scheme == "hwa_mnd" and p_drop_values) else (None,)
     # every rate is checked before the first run trains
@@ -267,6 +270,10 @@ def stuck_sweep(scheme: str, stuck_rates: Sequence[float], protocol: EvalProtoco
         if scheme == "hwa_mnd":
             for d in drops:
                 check_value("p_drop", rate if d is None else d, _DROP_RATE)
+    # a row reports one fault rate's accuracy
+    if len(protocol.p_values) != 1:
+        raise ValueError(f"stuck_sweep needs a protocol of one fault rate, "
+                         f"got p_values {protocol.p_values}")
     if test_sets is None:
         test_sets = _default_test_sets(protocol, master_seed)
     rows = []

@@ -18,8 +18,7 @@ BPTT and Adam) and applies any combination of:
     inference; the perturbation is not kept,
   * input/output discretization by the crossbar's DAC and ADC, i.e.
     `analog_model`'s in-place quantizer under the caller's `CrossbarConfig`
-    (levels, adc_bound, dac_bound, quantize_io), with a straight-through
-    gradient,
+    (levels, adc_bound, quantize_io), with a straight-through gradient,
   * weight clipping to [-alpha * sigma, alpha * sigma] per unit after each
     update.
 
@@ -147,10 +146,10 @@ def _perturbed(params: DecoderParams, keep: np.ndarray, noise_relative: float,
 
 
 def _converters(cfg: RetrainConfig, xcfg: CrossbarConfig) -> rd.Converters | None:
-    """The crossbar's DAC (inputs scaled into the DAC range by the ADC bound
-    and restored after conversion) and ADC, as `rd.forward_batch` applies
-    them: each converts its float64 argument in place and returns it. None
-    when IO discretization is off."""
+    """The crossbar's DAC (inputs scaled into its range [-1, 1] by the ADC
+    bound and restored after conversion) and ADC, as `rd.forward_batch`
+    applies them: each converts its float64 argument in place and returns
+    it. None when IO discretization is off."""
     if not cfg.io_discretize:
         return None
     return (lambda v: np.multiply(_convert_in(v, xcfg), xcfg.adc_bound, out=v),

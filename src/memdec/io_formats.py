@@ -20,7 +20,7 @@ from .analog_model import FaultMap
 from .errors import CorruptFileError, UpgradeNeededError
 from .rnn_decoder import DecoderParams
 from .rules import _SEED, check_value
-from .surface_code_sim import _SPLIT_TAGS, Dataset
+from .surface_code_sim import _SPLIT_TAGS, Dataset, _check_labels
 
 DATASET_MAGIC = b"MDDS"
 CHECKPOINT_MAGIC = b"MDCK"
@@ -56,10 +56,23 @@ def _check_header(fh, magic: bytes, what: str) -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write `dataset` to `path`. Raises ValueError, writing nothing, unless
+    the file would load back equal to it: events 0/1 of the shape `rounds`
+    gives, labels 0/1 and p indices naming p values, checked by their min
+    and max, which make no temporary array."""
     check_value("seed", dataset.seed, _SEED)  # the file's seed field is a uint64
     if dataset.split_tag not in _SPLIT_TAGS:
         raise ValueError(f"split_tag {dataset.split_tag!r} is not one of {_SPLIT_TAGS}")
-    n = len(dataset)
+    n, events, p_index, n_p = len(dataset), dataset.events, dataset.p_index, len(dataset.p_values)
+    shapes = (events.shape, dataset.labels.shape, p_index.shape)
+    if shapes != ((n, dataset.rounds + 1, 4), (n,), (n,)):
+        raise ValueError(f"events, labels and p_index of {dataset.rounds} rounds must have "
+                         f"shapes ({n}, {dataset.rounds + 1}, 4), ({n},), ({n},), got {shapes}")
+    if n and not (events.min() >= 0 and events.max() <= 1):
+        raise ValueError("events must be 0 or 1")
+    _check_labels(dataset.labels)
+    if n and not (p_index.min() >= 0 and p_index.max() < n_p):
+        raise ValueError(f"p_index must lie in [0, {n_p}), got [{p_index.min()}, {p_index.max()}]")
     buf = io.BytesIO()
     buf.write(DATASET_MAGIC)
     buf.write(struct.pack("<H", FORMAT_VERSION))

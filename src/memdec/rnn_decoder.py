@@ -96,8 +96,7 @@ import numpy as np
 from .errors import NumericError
 from .rng import spawn_generator
 from .rules import check_fields
-from .surface_code_sim import (Dataset, _check_labels, syndrome_table, table_accuracy,
-                               table_batch)
+from .surface_code_sim import Dataset, _check_labels, table_accuracy, table_batch, union_table
 
 INPUT_SIZE = 4
 HIDDEN_SIZE = 16
@@ -507,15 +506,14 @@ class AdamState:
 
 def accuracy(params: DecoderParams, rows: np.ndarray, counts: np.ndarray,
              io: Converters | None = None, work: Workspace | None = None,
-             ) -> float | np.ndarray:
-    """Digital accuracy over a syndrome table (`rows`, `counts`), as
-    `surface_code_sim.syndrome_table` returns it, or the accuracy of each
-    set of a `surface_code_sim.union_table`: the fraction of the shots a
-    set stands for whose prediction equals the label, with each distinct
-    row decoded once by `forward_batch` (under `io`, in `work` when given).
+             ) -> np.ndarray:
+    """Digital accuracy of each set of a `surface_code_sim.union_table`
+    (`rows`, `counts` (u, k, 2)), as k float64: the fraction of the shots
+    of a set whose prediction equals the label, with each distinct row
+    decoded once by `forward_batch` (under `io`, in `work` when given).
     Equals the per-shot accuracy over each full set. The one digital table
-    scorer: `_train` scores its validation draws and `evaluate_scheme` its
-    baseline with it."""
+    scorer: `_train` scores its validation draws, a union of one set, and
+    `evaluate_scheme` its baseline with it."""
     return table_accuracy(lambda r: logits_to_bits(forward_batch(params, r, io, work)[2]),
                           rows, counts)
 
@@ -582,7 +580,7 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
     if labels.shape[0] != events.shape[0]:
         raise ValueError(f"{events.shape[0]} samples but {labels.shape[0]} labels")
     _check_labels(labels)
-    rows, counts = syndrome_table(val.events, val.labels)
+    rows, counts = union_table([(val.events, val.labels)])
     val_work = Workspace(len(table_batch(rows, counts)), rows.shape[1])
     n, size = events.shape[0], config.batch_size
     batches, block = -(-n // size), min(_GATHER_BATCHES * size, n)
@@ -617,7 +615,7 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
                 adam_step(params, grads, state, config)
                 if after_update is not None:
                     after_update(params)
-        accs = [accuracy(p, rows, counts, p_io, val_work) for p, p_io in val_draws(epoch)]
+        accs = [accuracy(p, rows, counts, p_io, val_work)[0] for p, p_io in val_draws(epoch)]
         acc = sum(accs) / len(accs)
         if acc > best_acc:
             best_acc, best = acc, params.copy()

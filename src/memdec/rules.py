@@ -64,8 +64,8 @@ RULES = {
     "crossbar.g_hcs": _CONDUCTANCE,
     "crossbar.g_lcs": _CONDUCTANCE,
     "crossbar.adc_bound": _POSITIVE,
-    "crossbar.dac_bound": _POSITIVE,
-    "crossbar.levels": _AT_LEAST_2,
+    # `analog_model._convert_hidden`'s DAC of one multiply is exact up to 2^48
+    "crossbar.levels": Rule("an integer in [2, 2^48]", lambda x: 2 <= x <= 2**48, True),
     "crossbar.variability.coefficients": _FINITE_REALS,
     "crossbar.variability.fallback_relative": _NON_NEGATIVE,
     "protocol.n_train_runs": _COUNT,

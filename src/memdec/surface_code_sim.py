@@ -81,6 +81,14 @@ counter-based uniform u = counter_uniforms(key, s * n_locations + i) (see
 then applies Pauli min(u/prob * k, k-1) of its k = 3 (X, Y, Z) or k = 15
 (two-qubit pairs 1..15). Samples are therefore independent of batching and
 of which shots are drawn together.
+
+Syndrome tables have one layout: `union_table` reduces k labelled sets to
+their distinct event rows, in byte order, with (u, k, 2) counts of each
+row's label-0 and label-1 shots per set; one set is a union of one.
+`table_accuracy` scores a predictor on such a table, one float64 accuracy
+per set, each equal to the per-shot accuracy over its set. Digital
+(`rnn_decoder.accuracy`) and analog (`analog_model.analog_accuracy`)
+scoring both go through it.
 """
 
 from __future__ import annotations
@@ -213,19 +221,6 @@ def _check_labels(labels: np.ndarray) -> None:
         raise ValueError("labels must be 0 or 1")
 
 
-def syndrome_table(events: np.ndarray, labels: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a labelled set to its distinct event rows: `union_table` of
-    the one set.
-
-    Returns (rows, counts): `rows` (u, ...) holds each distinct row of
-    `events` once, in byte order; `counts` (u, 2) int64 holds how many shots
-    with that row carry label 0 and label 1.
-    """
-    rows, counts = union_table([(events, labels)])
-    return rows, counts[:, 0]
-
-
 def union_table(sets: Sequence[tuple[np.ndarray, np.ndarray]],
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce k labelled sets (events, labels), whose rows share one shape
@@ -352,17 +347,15 @@ def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float | np.ndarray:
-    """Fraction of the shots a syndrome table stands for that `predict`
-    (rows -> 0/1 bits) classifies correctly; equal to the per-shot
-    `(predict(events) == labels).mean()`. `predict` receives
-    `table_batch(rows, counts)`.
-
-    `counts` (u, 2) gives one float. `counts` (u, k, 2), a `union_table`
-    of k sets, gives the k accuracies as float64 from the one prediction
-    of every row: a row's bits do not depend on the rows decoded with it.
-    A set of one shot in a batch of several rows is decoded again on its
-    own, as its per-shot batch of one row is (see `table_batch`).
+def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Fraction of the shots of each set of a `union_table` (`rows`,
+    `counts` (u, k, 2)) that `predict` (rows -> 0/1 bits) classifies
+    correctly: k float64 accuracies, each equal to the per-shot
+    `(predict(events) == labels).mean()` over its set. `predict` receives
+    `table_batch(rows, counts)`, and every set is scored from that one
+    prediction of every row: a row's bits do not depend on the rows decoded
+    with it. A set of one shot in a batch of several rows is decoded again
+    on its own, as its per-shot batch of one row is (see `table_batch`).
     """
     batch = table_batch(rows, counts)
     pred = predict(batch)[:len(rows)]
@@ -380,8 +373,7 @@ def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> float | np.
         for j in np.flatnonzero(shots == 1).tolist():
             i = int(np.flatnonzero(per_set[:, 2 * j:2 * j + 2].any(axis=1))[0])
             hits[j] = per_set[i, 2 * j + int(predict(rows[i:i + 1])[0])]
-    accuracy = hits / shots
-    return float(accuracy[0]) if counts.ndim == 2 else accuracy
+    return hits / shots
 
 
 def build_memory_x_circuit(rounds: int, p: float) -> CircuitSpec:

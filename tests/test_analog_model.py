@@ -222,7 +222,7 @@ def reference_quantize(x, bound: float, levels: int) -> np.ndarray:
 QUANTIZE_CONFIGS = [
     am.CrossbarConfig(),
     am.CrossbarConfig(levels=16, adc_bound=2.0),
-    am.CrossbarConfig(adc_bound=3.3, dac_bound=0.7, levels=100),
+    am.CrossbarConfig(adc_bound=3.3, levels=100),
     am.CrossbarConfig(quantize_io=False),
     am.CrossbarConfig(levels=3),
     am.CrossbarConfig(levels=255),
@@ -246,7 +246,7 @@ def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> 
     """`_quantize`, on the whole array and on each entry alone, and
     retraining's in-place DAC and ADC give the reference bytes; the caller
     silences the overflow its inputs cause."""
-    for bound in (cfg.adc_bound, cfg.dac_bound):
+    for bound in (cfg.adc_bound, 1.0):
         want = reference_quantize(x, bound, cfg.levels).tobytes()
         v = x.copy()
         assert am._quantize(v, bound, cfg.levels) is v and v.tobytes() == want
@@ -254,7 +254,7 @@ def assert_quantizers_match_reference(x: np.ndarray, cfg: am.CrossbarConfig) -> 
         assert np.concatenate(alone).tobytes() == want
     scaled = x / cfg.adc_bound
     if cfg.quantize_io:
-        dac = reference_quantize(scaled, cfg.dac_bound, cfg.levels)
+        dac = reference_quantize(scaled, 1.0, cfg.levels)
         adc = reference_quantize(x, cfg.adc_bound, cfg.levels)
     else:
         dac, adc = scaled, x
@@ -271,7 +271,7 @@ class TestQuantizeBits:
 
     @pytest.mark.parametrize("cfg", QUANTIZE_CONFIGS)
     def test_edges_match_reference(self, cfg):
-        for bound in (cfg.adc_bound, cfg.dac_bound):
+        for bound in (cfg.adc_bound, 1.0):
             with np.errstate(over="ignore"):  # 1e308 / step overflows to inf
                 assert_quantizers_match_reference(quantize_edges(bound, cfg.levels), cfg)
 
@@ -299,17 +299,15 @@ class TestQuantizeBits:
             x = np.full(n, nan_bits, dtype=np.uint64).view(np.float64)
             # quieting a signalling NaN raises the invalid flag
             with np.errstate(invalid="ignore"):
-                for bound in (cfg.adc_bound, cfg.dac_bound):
+                for bound in (cfg.adc_bound, 1.0):
                     ref = reference_quantize(x, bound, cfg.levels)
                     assert (ref.view(np.uint64) == quieted).all()
                 assert_quantizers_match_reference(x, cfg)
 
 
-# with a DAC range above 1, the ADC's clamp at A clips below the DAC's own;
-# at a DAC range of 1 the DAC is one multiply, checked at ADC bounds that are
-# no power of two and odd or large level counts
+# the DAC is one multiply, checked at ADC bounds that are no power of two and
+# odd or large level counts
 HIDDEN_CONFIGS = QUANTIZE_CONFIGS + [
-    am.CrossbarConfig(adc_bound=2.5, dac_bound=1.5, levels=64),
     am.CrossbarConfig(adc_bound=3.7, levels=100),
     am.CrossbarConfig(adc_bound=0.3, levels=1023),
     am.CrossbarConfig(adc_bound=123.456, levels=4096),
@@ -330,7 +328,7 @@ class TestHiddenConverter:
         # overflow
         with np.errstate(over="ignore", invalid="ignore"):
             edges = np.concatenate([quantize_edges(a, cfg.levels),
-                                    quantize_edges(cfg.dac_bound, cfg.levels) * a])
+                                    quantize_edges(1.0, cfg.levels) * a])
             for scale in (1.0, 0.37):
                 currents = np.concatenate([edges / a, edges / a / scale, edges])
                 want = am._convert_in(np.maximum(am._convert_out(currents.copy(), scale, cfg),
@@ -349,10 +347,11 @@ class TestHiddenConverter:
             got = am._convert_hidden(x.copy(), scale, cfg)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("levels", [2**48, 2**53, 10**17 + 3])
+    @pytest.mark.parametrize("levels", [2**48])
     @pytest.mark.parametrize("adc_bound", [0.3, 3.7])
     def test_fine_converters_match_the_three_conversions(self, levels, adc_bound):
-        # at 2^53 levels and more, a DAC of one multiply gives other bits
+        # the finest converter `crossbar.levels` allows; at 2^53 levels and
+        # more, a DAC of one multiply gives other bits
         cfg = am.CrossbarConfig(adc_bound=adc_bound, levels=levels)
         x = np.random.default_rng(levels % 1000).random(20_000) * 1.2
         want = am._convert_in(np.maximum(am._convert_out(x.copy(), 1.0, cfg), 0.0), cfg)

@@ -217,7 +217,7 @@ def test_every_rule_row_is_a_field_of_run_config():
 
 @pytest.mark.parametrize("key, owner, name", list(checked_fields()))
 def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
-    # a NaN learning rate, Adam beta or eps, ADC/DAC bound or fallback
+    # a NaN learning rate, Adam beta or eps, ADC bound or fallback
     # variability, a beta outside [0, 1) and zero rounds used to be accepted,
     # and so were infinite reals and non-finite variability coefficients
     kind = cf._KEYS[key].kind
@@ -233,11 +233,10 @@ def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
 
 @pytest.mark.parametrize("key", [
     "train.learning_rate", "train.adam_eps", "retrain.noise_relative", "retrain.clip_scale",
-    "crossbar.g_hcs", "crossbar.g_lcs", "crossbar.adc_bound", "crossbar.dac_bound",
-    "crossbar.fallback_relative"])
+    "crossbar.g_hcs", "crossbar.g_lcs", "crossbar.adc_bound", "crossbar.fallback_relative"])
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
 def test_non_finite_reals_rejected(key, text):
-    # an infinite ADC/DAC bound, conductance or fallback variability gave
+    # an infinite ADC bound, conductance or fallback variability gave
     # all-NaN analog logits, and an infinite Adam eps untrained parameters
     with pytest.raises(ConfigError) as info:
         cf.validate_config(f"{key} = {text}")
@@ -320,9 +319,10 @@ def test_dataset_and_run_configs_built_in_code_are_checked(owner, changes, messa
     (RetrainConfig, {"noise_relative": -0.1},
      "noise_relative must be a non-negative real, got -0.1"),
     (RetrainConfig, {"clip_scale": 0.0}, "clip_scale must be a positive real, got 0.0"),
-    (CrossbarConfig, {"levels": 1}, "levels must be an integer >= 2, got 1"),
+    (CrossbarConfig, {"levels": 1}, "levels must be an integer in [2, 2^48], got 1"),
+    (CrossbarConfig, {"levels": 2**48 + 1},
+     "levels must be an integer in [2, 2^48], got 281474976710657"),
     (CrossbarConfig, {"g_lcs": 0.0}, "g_lcs must be a positive conductance in uS, got 0.0"),
-    (CrossbarConfig, {"dac_bound": math.nan}, "dac_bound must be a positive real, got nan"),
     (CrossbarConfig, {"g_hcs": 50.0}, "g_hcs 50.0 does not exceed g_lcs 60.0"),
     (VariabilityModel, {"fallback_relative": math.inf},
      "fallback_relative must be a non-negative real, got inf"),

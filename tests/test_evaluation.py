@@ -26,12 +26,12 @@ CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def void_key_table(events: np.ndarray, labels: np.ndarray):
-    """`sc.syndrome_table` keyed on a void view of each row's bytes."""
+    """`sc.union_table` of one set, keyed on a void view of each row's bytes."""
     raw = np.ascontiguousarray(events).reshape(len(events), -1)
     keys = raw.view(np.dtype((np.void, raw.shape[1] * raw.itemsize))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     counts = np.bincount(inverse * 2 + labels, minlength=2 * len(first))
-    return events[first], counts.reshape(-1, 2)
+    return events[first], counts.reshape(-1, 1, 2)
 
 
 class TestSyndromeTable:
@@ -44,15 +44,15 @@ class TestSyndromeTable:
         rng = np.random.default_rng(seed)
         events = (rng.random((n, steps, 4)) < density).astype(dtype)
         labels = rng.integers(0, 2, n)
-        rows, counts = sc.syndrome_table(events, labels)
+        rows, counts = sc.union_table([(events, labels)])
         u = len(rows)
         assert rows.shape == (u, steps, 4) and rows.dtype == events.dtype
-        assert counts.shape == (u, 2) and counts.dtype == np.int64
+        assert counts.shape == (u, 1, 2) and counts.dtype == np.int64
         keys = [r.tobytes() for r in rows]
         assert len(set(keys)) == u and keys == sorted(keys)
-        assert counts.sum() == n and (counts.sum(axis=1) >= 1).all()
+        assert counts.sum() == n and (counts.sum(axis=(1, 2)) >= 1).all()
         shots = Counter((e.tobytes(), int(y)) for e, y in zip(events, labels))
-        for key, (c0, c1) in zip(keys, counts):
+        for key, (c0, c1) in zip(keys, counts[:, 0]):
             assert (shots[key, 0], shots[key, 1]) == (c0, c1)
 
         weights = rng.integers(-3, 4, steps * 4)
@@ -60,8 +60,9 @@ class TestSyndromeTable:
         def predict(x):
             return (x.reshape(len(x), -1).astype(np.int64) @ weights) % 2
 
-        assert (sc.table_accuracy(predict, rows, counts)
-                == (predict(events) == labels).mean())
+        accuracy = sc.table_accuracy(predict, rows, counts)
+        assert accuracy.dtype == np.float64
+        assert accuracy.tolist() == [(predict(events) == labels).mean()]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
@@ -74,7 +75,7 @@ class TestSyndromeTable:
         events = (rng.random((n, steps, 8)) < density).astype(dtype)
         labels = rng.integers(0, 2, n)
         with mock.patch.object(sc, "_bit_keys", wraps=sc._bit_keys) as bit_keys:
-            rows, counts = sc.syndrome_table(events, labels)
+            rows, counts = sc.union_table([(events, labels)])
         assert bit_keys.call_count == 1
         want_rows, want_counts = void_key_table(events, labels)
         assert rows.dtype == events.dtype and np.array_equal(rows, want_rows)
@@ -94,7 +95,7 @@ class TestSyndromeTable:
             return keys[-1]
 
         with mock.patch.object(sc, "_bit_keys", recording):
-            rows, counts = sc.syndrome_table(d.events, d.labels)
+            rows, counts = sc.union_table([(d.events, d.labels)])
         assert [k.dtype for k in keys] == ([] if key_bytes is None
                                            else [np.dtype(f">u{key_bytes}")])
         want_rows, want_counts = void_key_table(d.events, d.labels)
@@ -118,7 +119,7 @@ class TestSyndromeTable:
             events[::5, 1, 0] = 1.0
         labels = rng.integers(0, 2, len(events))
         with mock.patch.object(sc, "_bit_keys", wraps=sc._bit_keys) as bit_keys:
-            rows, counts = sc.syndrome_table(events, labels)
+            rows, counts = sc.union_table([(events, labels)])
         assert bit_keys.call_count == 0
         want_rows, want_counts = void_key_table(events, labels)
         assert np.array_equal(rows.view(np.uint8), want_rows.view(np.uint8))
@@ -150,9 +151,9 @@ class TestSyndromeTable:
         assert np.array_equal(counts.reshape(len(rows), -1), want)
         for j, (e, y) in enumerate(sets):
             present = counts[:, j].any(axis=1)
-            alone = sc.syndrome_table(e, y)
+            alone = sc.union_table([(e, y)])
             assert rows[present].tobytes() == alone[0].tobytes()
-            assert np.array_equal(counts[present, j], alone[1])
+            assert np.array_equal(counts[present, j], alone[1][:, 0])
 
     def test_union_of_unlike_rows_rejected(self):
         with pytest.raises(ValueError, match="one or more sets"):
@@ -189,13 +190,13 @@ class TestSyndromeTable:
 
     def test_labels_must_be_bits(self):
         with pytest.raises(ValueError):
-            sc.syndrome_table(np.zeros((2, 4, 4)), [0, 2])
+            sc.union_table([(np.zeros((2, 4, 4)), [0, 2])])
         with pytest.raises(ValueError):
-            sc.syndrome_table(np.zeros((2, 4, 4)), [0])
+            sc.union_table([(np.zeros((2, 4, 4)), [0])])
 
     def test_empty_table_rejected(self):
-        rows, counts = sc.syndrome_table(np.zeros((0, 4, 4), np.uint8), np.zeros(0))
-        assert rows.shape == (0, 4, 4) and counts.shape == (0, 2)
+        rows, counts = sc.union_table([(np.zeros((0, 4, 4), np.uint8), np.zeros(0))])
+        assert rows.shape == (0, 4, 4) and counts.shape == (0, 1, 2)
         with pytest.raises(ValueError):
             sc.table_accuracy(lambda r: np.zeros(len(r), int), rows, counts)
 
@@ -216,28 +217,29 @@ class TestSingleSyndrome:
             seen.append(len(r))
             return np.zeros(len(r), np.int64)
 
-        rows, counts = sc.syndrome_table(self.EVENTS, self.LABELS)
+        rows, counts = sc.union_table([(self.EVENTS, self.LABELS)])
         assert len(rows) == 1
-        assert sc.table_accuracy(predict, rows, counts) == 0.4
+        assert sc.table_accuracy(predict, rows, counts).tolist() == [0.4]
         assert seen == [2]
         # one shot is one row on the per-shot path too
         seen.clear()
-        rows, counts = sc.syndrome_table(self.EVENTS[:1], self.LABELS[1:2])
-        assert sc.table_accuracy(predict, rows, counts) == 0.0
+        rows, counts = sc.union_table([(self.EVENTS[:1], self.LABELS[1:2])])
+        assert sc.table_accuracy(predict, rows, counts).tolist() == [0.0]
         assert seen == [1]
 
     def test_analog_and_digital_match_per_shot(self):
         params = rd.DecoderParams.initial(5)
         xcfg = am.CrossbarConfig()
-        table = sc.syndrome_table(self.EVENTS, self.LABELS)
+        table = sc.union_table([(self.EVENTS, self.LABELS)])
+        plan = am.AnalogPlan(sc.table_batch(*table), xcfg)
         for j in range(5):
             rng = spawn_generator(MASTER, j)
             chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
             bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
             per_shot = (bits == self.LABELS).mean()
-            assert am.analog_accuracy(chip, xcfg, *table) == per_shot
+            assert am.analog_accuracy(chip, plan, *table).tolist() == [per_shot]
         bits = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS)[2])
-        assert rd.accuracy(params, *table) == (bits == self.LABELS).mean()
+        assert rd.accuracy(params, *table).tolist() == [(bits == self.LABELS).mean()]
 
     def test_plan_decodes_single_row_doubled(self):
         """On the plan path too, a one-row union table of several shots is
@@ -257,7 +259,7 @@ class TestSingleSyndrome:
                     == am.AnalogPlan(self.EVENTS[:2], xcfg).logits(chip).tobytes())
             bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
             alone = rd.logits_to_bits(am.AnalogPlan(self.EVENTS[:1], xcfg).logits(chip))[0] == 1
-            assert (am.analog_accuracy(chip, xcfg, rows, counts, plan).tolist()
+            assert (am.analog_accuracy(chip, plan, rows, counts).tolist()
                     == [(bits == self.LABELS).mean(), float(alone)])
         bits = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS)[2])
         alone = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS[:1])[2])[0] == 1
@@ -328,7 +330,7 @@ class TestEvaluateScheme:
         report = ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
                                     test_sets=tests, base_params=base)
         for k, p in enumerate(protocol.p_values):
-            _, counts = sc.syndrome_table(tests[p].events, tests[p].labels)
+            counts = sc.union_table([(tests[p].events, tests[p].labels)])[1][:, 0]
             ceiling = counts.max(axis=1).sum() / counts.sum()
             assert (report.per_run_acc[:, k] <= ceiling).all()
 
@@ -380,7 +382,7 @@ class TestEvaluateScheme:
             ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER,
                                test_sets=tests, base_params=base)
             assert built == ([] if scheme == "baseline" else [len(union[0])]), scheme
-        assert len(union[0]) < sum(len(sc.syndrome_table(tests[p].events, tests[p].labels)[0])
+        assert len(union[0]) < sum(len(sc.union_table([(tests[p].events, tests[p].labels)])[0])
                                    for p in protocol.p_values)
 
     def test_digital_accuracy_equals_per_shot(self, setup):
@@ -388,8 +390,8 @@ class TestEvaluateScheme:
         for params in base:
             for d in tests.values():
                 bits = rd.logits_to_bits(rd.forward_batch(params, d.events)[2])
-                assert (rd.accuracy(params, *sc.syndrome_table(d.events, d.labels))
-                        == (bits == d.labels).mean())
+                assert (rd.accuracy(params, *sc.union_table([(d.events, d.labels)])).tolist()
+                        == [(bits == d.labels).mean()])
 
     def test_every_digital_table_scored_through_rd_accuracy(self, setup, monkeypatch):
         """Training's and retraining's validation and the baseline's test
@@ -453,7 +455,7 @@ class TestEvaluateScheme:
             eff = hwa._perturbed(out, keep, cfg.noise_relative, noise_rng)
             logits = rd.forward_batch(eff, val.events, io)[2]
             per_shot.append(float((rd.logits_to_bits(logits) == val.labels).mean()))
-        assert scored == per_shot
+        assert np.concatenate(scored).tolist() == per_shot
 
     @pytest.mark.parametrize("scheme,fn", [("hwa_mnd", "retrain_hwa"),
                                            ("ds_mnd", "retrain_ds")])
@@ -502,6 +504,16 @@ class TestEvaluateScheme:
                 report.pseudo_threshold_in_range) == (None, None, None)
         assert report.to_dict()["curve"] is None
 
+    def test_repeated_fault_rate_gives_no_curve(self, setup):
+        # both points sit at one p, where the slope is not determined; a
+        # minimum-norm least-squares fit used to report one
+        configs, base, tests, protocol = setup
+        protocol = replace(protocol, p_values=(TEST_P[1], TEST_P[1]))
+        report = ev.evaluate_scheme("baseline", protocol, configs, STUCK, MASTER,
+                                    test_sets=tests, base_params=base)
+        assert report.acc_mean[0] == report.acc_mean[1] < 1.0
+        assert (report.curve, report.pseudo_threshold,
+                report.pseudo_threshold_in_range) == (None, None, None)
 
     @pytest.mark.parametrize("fault", ["missing rate", "other rounds"])
     def test_test_sets_checked_before_training(self, setup, monkeypatch, fault):
@@ -591,10 +603,26 @@ class TestStuckSweep:
                            p_drop_values=drops, test_sets=tests)
         assert str(info.value) == "p_drop must be a probability in [0, 1), got 1.0"
 
+    def test_protocol_of_several_rates_rejected_before_sampling(self, setup, monkeypatch):
+        # a row holds one accuracy: the first rate's was reported and the
+        # others dropped
+        configs, _, _, protocol = setup
+
+        def nothing(*args, **kwargs):
+            raise AssertionError("sampled or trained before checking the protocol")
+
+        monkeypatch.setattr(rd, "train_fp", nothing)
+        monkeypatch.setattr(sc, "generate_dataset", nothing)
+        with pytest.raises(ValueError) as info:
+            ev.stuck_sweep("fp_mnd", [0.0, 0.1], protocol, configs, MASTER)
+        assert str(info.value) == ("stuck_sweep needs a protocol of one fault rate, "
+                                   f"got p_values {TEST_P}")
+
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_outside_unit_interval_rejected(self, setup, rate):
         configs, base, tests, protocol = setup
-        with pytest.raises(ValueError):
+        protocol = replace(protocol, p_values=(1e-2,))
+        with pytest.raises(ValueError, match="stuck_rate must be"):
             ev.stuck_sweep("fp_mnd", [0.1, rate], protocol, configs, MASTER,
                            test_sets=tests, base_params=base)
 
@@ -613,6 +641,14 @@ class TestCurveFit:
         assert fit.b == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(InsufficientDataError):
             ev.fit_monomial([(1e-3, 0.0), (1e-2, 1e-2)])
+
+    @pytest.mark.parametrize("points", [[(1e-3, 1e-4), (1e-3, 2e-4)],
+                                        [(1e-3, 1e-4), (1e-3, 2e-4), (1e-2, 0.0)]])
+    def test_one_distinct_rate_refused(self, points):
+        # lstsq's minimum-norm solution of the rank-1 design gave b = 1.2568
+        # and a pseudo-threshold of 2.03
+        with pytest.raises(InsufficientDataError, match="got 1$"):
+            ev.fit_monomial(points)
 
     def test_pseudo_threshold_crosses_lfr_equals_p(self):
         fit = ev.fit_monomial([(p, 100.0 * p ** 2) for p in (1e-4, 1e-3, 1e-2)])

@@ -34,7 +34,6 @@ crossbar.g_hcs = 200.0
 crossbar.g_lcs = 60.0
 crossbar.stuck_rate = 0.1
 crossbar.adc_bound = 6.0
-crossbar.dac_bound = 1.0
 crossbar.levels = 256
 crossbar.variability_coeffs =\x20
 crossbar.fallback_relative = 0.008
@@ -72,12 +71,16 @@ CASES = {
          "retrain.io_discretize = true", "retrain.clip_scale = 2.5"]),
     "crossbar_no_coeffs": (
         "crossbar.g_lcs = 250\ncrossbar.g_hcs = 300\ncrossbar.stuck_rate = 0.05\n"
-        "crossbar.adc_bound = 4\ncrossbar.dac_bound = 0.5\ncrossbar.levels = 16\n"
+        "crossbar.adc_bound = 4\ncrossbar.levels = 16\n"
         "crossbar.variability_coeffs =\ncrossbar.fallback_relative = 0.01\n"
         "crossbar.quantize_io = false\n",
         ["crossbar.g_hcs = 300.0", "crossbar.g_lcs = 250.0", "crossbar.stuck_rate = 0.05",
-         "crossbar.adc_bound = 4.0", "crossbar.dac_bound = 0.5", "crossbar.levels = 16",
+         "crossbar.adc_bound = 4.0", "crossbar.levels = 16",
          "crossbar.fallback_relative = 0.01", "crossbar.quantize_io = false"]),
+    # the finest converter: the recurrent step's DAC of one multiply gives
+    # the full DAC's bits up to 2^48 levels
+    "crossbar_levels_2_48": (
+        "crossbar.levels = 281474976710656\n", ["crossbar.levels = 281474976710656"]),
     "crossbar_one_coeff": (
         "crossbar.variability_coeffs = 1.5\ncrossbar.quantize_io = No\n"
         "retrain.io_discretize = YES\n",
@@ -125,9 +128,12 @@ ERRORS = {
     "every_violation": (
         "bogus.key = 1\ncrossbar.levels = 1\ntrain.epochs = many\n"
         "dataset.p_min = 0.2\ndataset.p_max = 0.1\ncrossbar.g_hcs = 10",
-        "unknown key 'bogus.key'; crossbar.levels: '1' is not an integer >= 2; "
+        "unknown key 'bogus.key'; crossbar.levels: '1' is not an integer in [2, 2^48]; "
         "train.epochs: could not parse 'many' as an integer >= 1; "
         "dataset.p_min exceeds dataset.p_max; crossbar.g_hcs must exceed crossbar.g_lcs"),
+    "levels_beyond_2_48": (
+        "crossbar.levels = 281474976710657",
+        "crossbar.levels: '281474976710657' is not an integer in [2, 2^48]"),
     "malformed_lines": (
         "seed 7\nseed = 1\nseed = 2\n",
         "line 1: expected 'key = value', got 'seed 7'; line 3: duplicate key 'seed'"),

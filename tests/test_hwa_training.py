@@ -209,9 +209,9 @@ class TestRetrainHwa:
         train, val = small_data
         cfg = hwa.RetrainConfig(noise_relative=0.0, epochs=2, seed=3)
         out = hwa.retrain_hwa(fp_params, train, val, cfg, 0.0)
-        table = sc.syndrome_table(val.events, val.labels)
-        base = rd.accuracy(fp_params, *table)
-        tuned = rd.accuracy(out, *table)
+        table = sc.union_table([(val.events, val.labels)])
+        base = rd.accuracy(fp_params, *table)[0]
+        tuned = rd.accuracy(out, *table)[0]
         assert tuned >= base - 0.01
 
     def test_p_drop_one_rejected(self, small_data, fp_params):
@@ -243,7 +243,7 @@ class TestRetrainHwa:
 
         monkeypatch.setattr(rd, "forward_batch", record)
         hwa.retrain_hwa(fp_params, train, val, cfg, 0.1)
-        rows = len(sc.syndrome_table(val.events, val.labels)[0])
+        rows = len(sc.union_table([(val.events, val.labels)])[0])
         assert len(works) == cfg.epochs * hwa.VAL_DRAWS
         assert all(n == rows and work is works[0][1] for n, work in works)
         assert works[0][1].inputs.shape[1] == rows
@@ -300,9 +300,9 @@ class TestSharedEpochLoop:
             return loop(params, *args, recorded)
 
         def score(predict, rows, counts):
-            acc = table_accuracy(predict, rows, counts)
+            (acc,) = table_accuracy(predict, rows, counts)
             accs[-1].append(acc if scores is None else scores[len(accs) - 1])
-            return accs[-1][-1]
+            return np.array([accs[-1][-1]])
 
         monkeypatch.setattr(rd, "_train", spy)
         monkeypatch.setattr(rd, "table_accuracy", score)
@@ -363,7 +363,7 @@ class TestCallerConfigsReachRetraining:
                                                         monkeypatch):
         train, val = small_data
         xcfg = am.CrossbarConfig(levels=16, adc_bound=2.0)
-        step = 2.0 * xcfg.adc_bound / xcfg.levels  # DAC and ADC grid, dac_bound = 1
+        step = 2.0 * xcfg.adc_bound / xcfg.levels  # DAC and ADC grid, DAC range 1
         cfg = hwa.RetrainConfig(io_discretize=True, epochs=1, seed=5)
         seen = []
         forward = rd.forward_batch

@@ -130,13 +130,35 @@ def test_wrong_fault_map_shape_is_corrupt(tmp_path):
 
 
 def test_p_index_out_of_range_is_corrupt(tmp_path):
-    """A dataset of one p value whose p index names a seventh."""
+    """A file of one p value whose p index names an eighth; `save_dataset`
+    refuses to write one, so the index is written into the file."""
     path = tmp_path / "data.mdds"
-    data = sc.generate_dataset([1e-2], 20, 3, seed=5)
-    data.p_index[4] = 7
-    iof.save_dataset(data, path)
-    with pytest.raises(CorruptFileError):
+    iof.save_dataset(sc.generate_dataset([1e-2], 20, 3, seed=5), path)
+    raw = bytearray(path.read_bytes())
+    # the p index (u16 per shot) follows the one p value and the shot count
+    struct.pack_into("<H", raw, 19 + 8 + 8 + 2 * 4, 7)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="p index 7 out of range for 1 p values"):
         iof.load_dataset(path)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    # packed as bits, a 2 came back as 1 and a label of 5 as 1
+    (lambda data: np.put(data.events, 13, 2), "events must be 0 or 1"),
+    (lambda data: np.put(data.labels, 3, 5), "labels must be 0 or 1"),
+    # the file was refused by load_dataset
+    (lambda data: np.put(data.p_index, 3, 3), r"p_index must lie in \[0, 1\), got \[0, 3\]"),
+    # events of 3 rounds under a header of 2: refused as a truncated file
+    (lambda data: setattr(data, "rounds", 2),
+     r"events, labels and p_index of 2 rounds must have shapes \(20, 3, 4\), \(20,\), "
+     r"\(20,\), got \(\(20, 4, 4\), \(20,\), \(20,\)\)"),
+], ids=["event_byte_2", "label_5", "p_index_3", "rounds_disagree"])
+def test_dataset_that_would_not_load_back_rejected(tmp_path, spoil, message):
+    data = sc.generate_dataset([1e-2], 20, 3, seed=5)
+    spoil(data)
+    with pytest.raises(ValueError, match=message):
+        iof.save_dataset(data, tmp_path / "d.mdds")
+    assert not (tmp_path / "d.mdds").exists()
 
 
 # a saved dataset's header: magic (4), version (2), then rounds (u16) at

@@ -681,14 +681,14 @@ class TestTraining:
         train = sc.generate_dataset([0.0], 20000, 3, seed=31)
         val = sc.generate_dataset([0.0], 256, 3, seed=32, split_tag="validation")
         params = rd.train_fp(train, val, rd.TrainConfig(epochs=1, seed=17))
-        assert rd.accuracy(params, *sc.syndrome_table(train.events, train.labels)) >= 0.999
+        assert rd.accuracy(params, *sc.union_table([(train.events, train.labels)]))[0] >= 0.999
 
     def test_training_beats_majority_class(self):
         train = sc.generate_dataset([1e-3, 1e-2], 12000, 3, seed=33)
         val = sc.generate_dataset([1e-3, 1e-2], 2500, 3, seed=34, split_tag="validation")
         params = rd.train_fp(train, val, rd.TrainConfig(epochs=6, seed=18))
         majority = max(val.labels.mean(), 1 - val.labels.mean())
-        assert rd.accuracy(params, *sc.syndrome_table(val.events, val.labels)) > majority
+        assert rd.accuracy(params, *sc.union_table([(val.events, val.labels)]))[0] > majority
 
     def test_same_seed_reproduces_params(self):
         train = sc.generate_dataset([1e-2], 2000, 3, seed=35)
@@ -741,21 +741,21 @@ class TestTraining:
         val = sc.generate_dataset([1e-2], 300, 3, seed=39, split_tag="validation")
         cfg = rd.TrainConfig(epochs=3, seed=20)
         tables, works = [], []
-        syndrome_table, forward = rd.syndrome_table, rd.forward_batch
+        union_table, forward = rd.union_table, rd.forward_batch
 
-        def count_table(events, labels):
-            tables.append(len(events))
-            return syndrome_table(events, labels)
+        def count_table(sets):
+            tables.append([len(events) for events, _ in sets])
+            return union_table(sets)
 
         def record(params, events, io=None, work=None):
             works.append((len(events), work))
             return forward(params, events, io, work)
 
-        monkeypatch.setattr(rd, "syndrome_table", count_table)
+        monkeypatch.setattr(rd, "union_table", count_table)
         monkeypatch.setattr(rd, "forward_batch", record)
         rd.train_fp(train, val, cfg)
-        assert tables == [len(val)]
-        rows = len(sc.table_batch(*syndrome_table(val.events, val.labels)))
+        assert tables == [[len(val)]]
+        rows = len(sc.table_batch(*union_table([(val.events, val.labels)])))
         assert len(works) == cfg.epochs
         assert all(n == rows and work is works[0][1] for n, work in works)
         assert works[0][1].inputs.shape[1] == rows
@@ -764,17 +764,17 @@ class TestTraining:
 class TestAccuracy:
     def test_zero_params_on_zero_label_data(self):
         ds = sc.generate_dataset([0.0], 50, 3, seed=37)
-        table = sc.syndrome_table(ds.events, ds.labels)
-        assert rd.accuracy(rd.DecoderParams.zeros(), *table) == 1.0
+        table = sc.union_table([(ds.events, ds.labels)])
+        assert rd.accuracy(rd.DecoderParams.zeros(), *table).tolist() == [1.0]
 
     def test_single_wrong_sample(self):
         params = rd.DecoderParams.zeros()
         params.b_eval[:] = (1.0, 0.0)   # always predicts 0
-        table = sc.syndrome_table(np.zeros((1, 4, 4)), np.array([1]))
-        assert rd.accuracy(params, *table) == 0.0
+        table = sc.union_table([(np.zeros((1, 4, 4)), np.array([1]))])
+        assert rd.accuracy(params, *table).tolist() == [0.0]
 
     def test_empty_dataset_rejected(self):
-        rows, counts = sc.syndrome_table(np.zeros((0, 4, 4)), np.zeros(0))
+        rows, counts = sc.union_table([(np.zeros((0, 4, 4)), np.zeros(0))])
         with pytest.raises(ValueError, match="non-empty"):
             rd.accuracy(rd.DecoderParams.zeros(), rows, counts)
 
@@ -803,7 +803,7 @@ def per_batch_train(params, dataset, val, config, shuffle_rng, step, val_draws):
     batches, events, labels)`; the copy after the earliest best epoch is
     returned, scored as `rd._train` scores it."""
     events, labels = dataset.events, dataset.labels
-    rows, counts = sc.syndrome_table(val.events, val.labels)
+    rows, counts = sc.union_table([(val.events, val.labels)])
     n, size = len(labels), config.batch_size
     batches = -(-n // size)
     best_acc, best = -1.0, None
@@ -812,7 +812,7 @@ def per_batch_train(params, dataset, val, config, shuffle_rng, step, val_draws):
         for batch, start in enumerate(range(0, n, size)):
             idx = order[start:start + size]
             step(epoch, batch, batches, events[idx], labels[idx])
-        accs = [rd.accuracy(p, rows, counts, io) for p, io in val_draws(epoch)]
+        accs = [rd.accuracy(p, rows, counts, io)[0] for p, io in val_draws(epoch)]
         acc = sum(accs) / len(accs)
         if acc > best_acc:
             best_acc, best = acc, params.copy()
