@@ -29,21 +29,32 @@ run and the buffers it reuses. Running it on a chip forms each unit's
 effective matrix G+ - G-, copies the hidden states into the plan's inputs
 and runs the matmul and `_convert_hidden`. The error-bar protocol builds
 one plan per evaluation, over the union of its test sets' distinct rows
-(`surface_code_sim.union_table`), runs it once on every chip and scores
-every fault rate from that one prediction (`analog_accuracy`, which takes
-the converter settings from the plan); one chip's logits of any batch are
+(`surface_code_sim.union_table`). It programs each training run's chips
+with one `program_decoder` call, which computes the target conductances
+once and applies variability and faults over one (chips, conductances)
+block, and scores them with one `analog_accuracy` call: each chip's
+recurrent unit runs on its own products, its logits fill a row of one
+block, and one ADC, one decision and one product with the label counts
+score every chip at every fault rate (`analog_accuracy` takes the
+converter settings from the plan). One chip's logits of any batch are
 `AnalogPlan(events, cfg).logits(chip)`. They are bit-identical to a
 per-row evaluation: the DAC and ADC act elementwise, so converting a value
-once per table gives the value converting it per chip would; a row of a
-gemm does not depend on the other rows or their count; and a step that
+once per table, or once per block of chips, gives the value converting it
+per chip would; a row of a gemm does not depend on the other rows or their
+count under OpenBLAS's SkylakeX and SandyBridge kernels; and a step that
 would be a one-row product inside a larger batch is evaluated as a doubled
-row, so it stays on gemm.
+row, so it stays on gemm. Under its Haswell and Prescott kernels the rows
+of a product of an odd row count can differ in their last bits from the
+same rows in a larger product; the quantized converters have absorbed that
+in every test, but unquantized logits (`quantize_io=False`) then differ
+from a per-row evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +65,11 @@ from .surface_code_sim import table_accuracy
 
 _SIGN_BIT, _HALF_BITS = np.uint64(1 << 63), np.float64(0.5).view(np.uint64)
 _H0 = np.zeros((1, HIDDEN_SIZE))  # the hidden state every row starts from
+# `analog_accuracy` scores chips in groups whose logits block holds at most
+# this many float64 words (1 MiB); each chip of a group also takes an int64
+# row of `table_accuracy`'s weights. 8 chips of a 2k-row table fit one
+# group, and a paper-scale table of about 20k rows is scored 3 chips at a time
+_BLOCK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -173,17 +189,24 @@ def _quantize(x: np.ndarray, bound: float, levels: int) -> np.ndarray:
     return np.minimum(x, bound, out=x)
 
 
-def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
-                    rng: np.random.Generator) -> ProgrammedDecoder:
-    """Map both decoder layers (bias row appended) onto crossbar units, in
-    one pass over all conductances, laid out rec G+ | rec G- | eval G+ |
-    eval G- (the order their noise is drawn in); the G- sides read each
-    weight negated, so a positive entry is programmed, others sit at g_lcs.
+def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmaps: Sequence[FaultMap],
+                    rngs: Sequence[np.random.Generator]) -> list[ProgrammedDecoder]:
+    """Program one chip per fault map and generator: chip c has stuck pairs
+    `fmaps[c]` and draws its variability from `rngs[c]`, after whatever the
+    caller drew from that stream (its fault map). One chip is a one-element
+    list of each; several chips may share one map.
 
-    Programming order: target conductances, then per-device variability,
-    then stuck-at faults. Faults land last so stuck pairs sit at exactly
-    g_hcs on both sides and cancel to an effective weight of zero.
+    Both decoder layers (bias row appended) map onto crossbar units, laid
+    out rec G+ | rec G- | eval G+ | eval G- (the order their noise is drawn
+    in); the G- sides read each weight negated, so a positive entry is
+    programmed, others sit at g_lcs. Programming order: target
+    conductances, once for every chip, then per-device variability, then
+    stuck-at faults, both over one (chips, conductances) block. Faults land
+    last so stuck pairs sit at exactly g_hcs on both sides and cancel to an
+    effective weight of zero. Each chip's units are views into the block.
     """
+    if len(fmaps) != len(rngs):
+        raise ValueError(f"{len(fmaps)} fault maps for {len(rngs)} generators")
     rec, ev = (params.flat[unit] for unit in UNIT_SLICES)
     signed = np.concatenate((rec, -rec, ev, -ev))
     split = 2 * len(rec)
@@ -195,12 +218,19 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmap: FaultMap,
     g /= np.repeat(w_max, (split, len(g) - split))
     g += cfg.g_lcs
     g = np.where(signed > 0, g, cfg.g_lcs)
-    g += rng.standard_normal(len(g)) * cfg.variability.sigma(g)
-    rec, ev = fmap.recurrent.reshape(-1), fmap.evaluation.reshape(-1)
-    np.putmask(g, np.concatenate((rec, rec, ev, ev)), cfg.g_hcs)
-    return ProgrammedDecoder(ProgrammedUnit(*g[:split].reshape(2, *RECURRENT_UNIT)),
-                             ProgrammedUnit(*g[split:].reshape(2, *EVALUATION_UNIT)),
-                             *(w_max / (cfg.g_hcs - cfg.g_lcs)).tolist())
+    block = np.empty((len(rngs), len(g)))
+    for rng, noise in zip(rngs, block):
+        rng.standard_normal(out=noise)
+    block *= cfg.variability.sigma(g)
+    block += g
+    rec = np.stack([f.recurrent for f in fmaps]).reshape(len(fmaps), -1)
+    ev = np.stack([f.evaluation for f in fmaps]).reshape(len(fmaps), -1)
+    np.putmask(block, np.concatenate((rec, rec, ev, ev), axis=1), cfg.g_hcs)
+    scales = (w_max / (cfg.g_hcs - cfg.g_lcs)).tolist()
+    return [ProgrammedDecoder(ProgrammedUnit(*chip[:split].reshape(2, *RECURRENT_UNIT)),
+                              ProgrammedUnit(*chip[split:].reshape(2, *EVALUATION_UNIT)),
+                              *scales)
+            for chip in block]
 
 
 def _convert_in(v: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
@@ -211,9 +241,11 @@ def _convert_in(v: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
     return _quantize(v, 1.0, cfg.levels) if cfg.quantize_io else v
 
 
-def _convert_out(current: np.ndarray, scale: float, cfg: CrossbarConfig) -> np.ndarray:
-    """Column currents to layer outputs, in place: de-scale to weight units,
-    restore the DAC's factor, then the ADC."""
+def _convert_out(current: np.ndarray, scale: float | np.ndarray,
+                 cfg: CrossbarConfig) -> np.ndarray:
+    """Column currents to layer outputs, in place: de-scale to weight units
+    (`scale` broadcasts against `current`), restore the DAC's factor, then
+    the ADC, which acts elementwise."""
     current *= scale
     current *= cfg.adc_bound
     return _quantize(current, cfg.adc_bound, cfg.levels) if cfg.quantize_io else current
@@ -255,7 +287,7 @@ class AnalogPlan:
     """The chip-independent half of analog inference for one batch of event
     rows under one converter setting (`adc_bound`, `levels` and
     `quantize_io` of `cfg`), built once and run on any number of chips by
-    `logits`.
+    `chip_logits`.
 
     Step t of the recurrent unit runs once per run of adjacent rows that
     share the prefix `events[:, :t+1]`: a row starts a run at step t if it
@@ -274,10 +306,16 @@ class AnalogPlan:
     column filled, and how many runs at each step (rows after the last)
     continue each run of the step before; runs continue runs in order, so
     `np.repeat` by those counts gives each its parent's hidden state.
-    `logits(programmed)` writes only the hidden-state columns of those
-    blocks before each step's product, then runs the matmul and
-    `_convert_hidden` in buffers the plan owns and reuses, so the logits one
-    call returns are overwritten by the next.
+    `chip_logits(chips)` runs the chips one after another in buffers the
+    plan owns and reuses: for each it writes only the hidden-state columns
+    of those blocks before each step's product, then runs the matmul and
+    `_convert_hidden`, and the evaluation unit writes the chip's currents
+    into its row of one (chips, rows, 2) block, which one ADC then
+    converts. When each row is a run of its own at the last step, as in a
+    union table, that step's product goes straight into the evaluation
+    unit's input (a gemm writing rows 17 columns apart, the bits of a plain
+    product), `_convert_hidden` runs over all of that contiguous buffer and
+    the bias column is written back. `logits(programmed)` is one chip's.
 
     A one-row product goes to gemv instead of gemm, whose bits can differ,
     so a step with one run inside a batch of several rows is planned as a
@@ -310,6 +348,12 @@ class AnalogPlan:
         inputs = np.empty((len(dac), width + HIDDEN_SIZE + 1))
         inputs[:, -1] = bias
         out = np.empty((max(n, 2), HIDDEN_SIZE))
+        # after the last step: the evaluation unit's input, bias column
+        # filled, and the hidden state of each row's run, or, when each row
+        # is a run of its own, the last step's product itself
+        self._head, self._bias = np.empty((n, HIDDEN_SIZE + 1)), bias
+        self._head[:, -1] = bias
+        into_head = steps and new[-1].all()
         self._steps = []
         run, runs = np.zeros(n, np.intp), 1   # each row's run, and the runs, at the step before
         first = 0
@@ -320,54 +364,77 @@ class AnalogPlan:
             dac[first:first + k] = x[starts, t]
             inp = inputs[first:first + k]
             first += k
+            # the product's buffer, and the contiguous buffer that holds it
+            # for `_convert_hidden`: the whole head, bias column included,
+            # when the last step writes there
+            if into_head and t == steps - 1:
+                product, converted = self._head[:, :-1], self._head
+            else:
+                product = converted = out[:k]
             self._steps.append((inp, inp[:, width:-1], np.bincount(run[starts], minlength=runs),
-                                out[:k]))
+                                product, converted))
             run, runs = np.cumsum(new[t]) - 1, k
         inputs[:, :width] = _convert_in(dac, cfg)
-        # after the last step: the evaluation unit's input, bias column
-        # filled, and the hidden state of each row's run; None when each row
-        # is a run of its own
-        self._head = np.empty((n, HIDDEN_SIZE + 1))
-        self._head[:, -1] = bias
-        self._head_rows = None if steps and new[-1].all() else np.bincount(run, minlength=runs)
-        # the logits overwrite the step outputs, which the head has read
-        self._logits = out.reshape(-1)[:2 * n].reshape(n, 2)
+        self._head_rows = None if into_head else np.bincount(run, minlength=runs)
+
+    def _currents(self, programmed: ProgrammedDecoder, out: np.ndarray) -> np.ndarray:
+        """The evaluation unit's column currents (rows, 2) of one chip,
+        written into `out`, before the ADC."""
+        cfg, scale = self.cfg, programmed.scale_recurrent
+        w_rec = programmed.recurrent.effective()
+        h, head = _H0, self._head
+        for inp, h_cols, repeats, product, converted in self._steps:
+            h_cols[...] = np.repeat(h, repeats, axis=0)
+            np.matmul(inp, w_rec, out=product)
+            _convert_hidden(converted, scale, cfg)
+            h = product
+        if self._head_rows is None:
+            head[:, -1] = self._bias
+        else:
+            head[:, :-1] = np.repeat(h, self._head_rows, axis=0)
+        return np.matmul(head, programmed.evaluation.effective(), out=out)
+
+    def chip_logits(self, chips: Sequence[ProgrammedDecoder]) -> np.ndarray:
+        """Post-ADC logits (chips, rows, 2), a new array: each chip's
+        recurrent and evaluation units run on their own products, writing
+        chip c's currents into row c of the block, and then one ADC
+        converts the block, with each chip's scale broadcast over its row."""
+        block = np.empty((len(chips), self.rows, 2))
+        for chip, out in zip(chips, block):
+            self._currents(chip, out)
+        scales = np.array([chip.scale_evaluation for chip in chips])
+        return _convert_out(block, scales[:, None, None], self.cfg)
 
     def logits(self, programmed: ProgrammedDecoder) -> np.ndarray:
-        """Post-ADC logits (rows, 2) of one chip, a view into the plan's
-        buffers."""
-        cfg = self.cfg
-        w_rec = programmed.recurrent.effective()
-        w_eval = programmed.evaluation.effective()
-        h = _H0
-        for inp, h_cols, repeats, out in self._steps:
-            h_cols[...] = np.repeat(h, repeats, axis=0)
-            h = _convert_hidden(np.matmul(inp, w_rec, out=out), programmed.scale_recurrent, cfg)
-        head = self._head
-        head[:, :-1] = h if self._head_rows is None else np.repeat(h, self._head_rows, axis=0)
-        logits = np.matmul(head, w_eval, out=self._logits)
-        return _convert_out(logits, programmed.scale_evaluation, cfg)
+        """Post-ADC logits (rows, 2) of one chip, a new array."""
+        return self.chip_logits([programmed])[0]
 
 
-def analog_accuracy(programmed: ProgrammedDecoder, plan: AnalogPlan,
+def analog_accuracy(chips: Sequence[ProgrammedDecoder], plan: AnalogPlan,
                     rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Accuracy of one programmed chip on each set of a syndrome table, as
-    k float64: `rows` are the distinct event rows and `counts` (u, k, 2)
-    their label-0 and label-1 shot counts per set, as
-    `surface_code_sim.union_table` returns them. Equals the per-shot
-    accuracy over each full set (see `table_accuracy`).
+    """Accuracy of each programmed chip on each set of a syndrome table, as
+    (chips, k) float64: `rows` are the distinct event rows and `counts`
+    (u, k, 2) their label-0 and label-1 shot counts per set, as
+    `surface_code_sim.union_table` returns them. Each equals the per-shot
+    accuracy of one chip over one full set (see `table_accuracy`).
 
     `plan` is `AnalogPlan(table_batch(rows, counts), cfg)`, whose `cfg`
     sets the converters: the DAC'd events, prefix runs and bias column are
     the same for every chip, so a caller scoring many chips on one table
-    builds it once. A one-shot set of a larger table is decoded on a plan
-    of its own row.
+    builds it once. The chips are scored in groups whose logits block holds
+    at most `_BLOCK_WORDS` words, each group with one ADC, one decision and
+    one product with the counts. A one-shot set of a larger table is
+    decoded on a plan of its own row.
     """
-    def predict(batch: np.ndarray) -> np.ndarray:
-        if len(batch) == plan.rows:
-            return logits_to_bits(plan.logits(programmed))
-        if len(batch) == 1:
-            return logits_to_bits(AnalogPlan(batch, plan.cfg).logits(programmed))
-        raise ValueError(f"the plan has {plan.rows} rows, the table decodes {len(batch)}")
+    def scored(group: Sequence[ProgrammedDecoder]) -> np.ndarray:
+        def predict(batch: np.ndarray) -> np.ndarray:
+            if len(batch) == plan.rows:
+                return logits_to_bits(plan.chip_logits(group))
+            if len(batch) == 1:
+                return logits_to_bits(AnalogPlan(batch, plan.cfg).chip_logits(group))
+            raise ValueError(f"the plan has {plan.rows} rows, the table decodes {len(batch)}")
 
-    return table_accuracy(predict, rows, counts)
+        return table_accuracy(predict, rows, counts)
+
+    size = max(1, _BLOCK_WORDS // (2 * plan.rows))
+    return np.concatenate([scored(chips[i:i + size]) for i in range(0, len(chips), size)])

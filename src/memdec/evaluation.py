@@ -5,11 +5,16 @@ training runs, each measured under many fresh programming draws ("inference
 runs"), with accuracy aggregated per fault rate across every (training,
 inference) pair. One inference run = one complete re-programming of both
 crossbar units (variability plus, where applicable, a fresh fault map),
-after which the run classifies the distinct syndromes of all the test sets
+after which the chip classifies the distinct syndromes of all the test sets
 at once, from one table of their union (`surface_code_sim.union_table`),
-and scores each fault rate from that one prediction, weighting every
+and each fault rate is scored from that one prediction, weighting every
 syndrome by its label counts in that rate's set; that equals the per-shot
-accuracy of each set exactly. The digital baseline scores the same table.
+accuracy of each set exactly. A training run's `n_infer_runs` chips are
+programmed with one `analog_model.program_decoder` call and scored with
+one `analog_model.analog_accuracy` call, chip j drawing its fault map and
+then its variability from its own stream; each chip's recurrent unit
+still runs on its own products. The digital baseline scores the same
+table.
 
 Schemes:
   * baseline  — digital inference, no analog channel (one run per training),
@@ -230,12 +235,13 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
         plan = am.AnalogPlan(sc.table_batch(rows, counts), xcfg)
         runs = []
         for i, (params, chip_map) in enumerate(trained):
+            # chip j's stream draws its fault map, then its variability
             streams = SpawnedGenerators(master_seed, (Stage.PROGRAM, i), protocol.n_infer_runs)
-            for j in range(protocol.n_infer_runs):
-                rng = streams[j]
-                fmap = chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
-                programmed = am.program_decoder(params, xcfg, fmap, rng)
-                runs.append(am.analog_accuracy(programmed, plan, rows, counts))
+            rngs = [streams[j] for j in range(protocol.n_infer_runs)]
+            fmaps = [chip_map if chip_map is not None else am.FaultMap.sample(stuck_rate, rng)
+                     for rng in rngs]
+            chips = am.program_decoder(params, xcfg, fmaps, rngs)
+            runs.extend(am.analog_accuracy(chips, plan, rows, counts))
 
     per_run = np.asarray(runs)
     acc_mean = per_run.mean(axis=0)

@@ -57,9 +57,11 @@ def _check_header(fh, magic: bytes, what: str) -> None:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write `dataset` to `path`. Raises ValueError, writing nothing, unless
-    the file would load back equal to it: events 0/1 of the shape `rounds`
-    gives, labels 0/1 and p indices naming p values, checked by their min
-    and max, which make no temporary array."""
+    the file would load back equal to it: integer or bool events 0/1 of the
+    shape `rounds` gives, labels 0/1 and p indices naming p values, checked
+    by their min and max, which make no temporary array. A float array is
+    refused whatever its values: a p index of 0.5 would be written as 0,
+    and float events or labels would fail inside `np.packbits`."""
     check_value("seed", dataset.seed, _SEED)  # the file's seed field is a uint64
     if dataset.split_tag not in _SPLIT_TAGS:
         raise ValueError(f"split_tag {dataset.split_tag!r} is not one of {_SPLIT_TAGS}")
@@ -68,6 +70,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     if shapes != ((n, dataset.rounds + 1, 4), (n,), (n,)):
         raise ValueError(f"events, labels and p_index of {dataset.rounds} rounds must have "
                          f"shapes ({n}, {dataset.rounds + 1}, 4), ({n},), ({n},), got {shapes}")
+    for name, values in (("events", events), ("labels", dataset.labels), ("p_index", p_index)):
+        if values.dtype.kind not in "biu":
+            raise ValueError(f"{name} must be integers or bools, got dtype {values.dtype}")
     if n and not (events.min() >= 0 and events.max() <= 1):
         raise ValueError("events must be 0 or 1")
     _check_labels(dataset.labels)

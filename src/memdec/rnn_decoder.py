@@ -381,9 +381,9 @@ def _forward(params: DecoderParams, x: np.ndarray, io: Converters | None,
 
 
 def logits_to_bits(logits: np.ndarray) -> np.ndarray:
-    """Argmax over the two logits of each row; ties resolve to 0 (no
-    recovery)."""
-    return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
+    """Argmax over the two logits of each row, over the last axis; ties
+    resolve to 0 (no recovery)."""
+    return (logits[..., 1] > logits[..., 0]).astype(np.uint8)
 
 
 def loss_and_grads(params: DecoderParams, events: np.ndarray, labels: np.ndarray,

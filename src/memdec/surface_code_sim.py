@@ -349,30 +349,35 @@ def table_batch(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def table_accuracy(predict, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Fraction of the shots of each set of a `union_table` (`rows`,
-    `counts` (u, k, 2)) that `predict` (rows -> 0/1 bits) classifies
-    correctly: k float64 accuracies, each equal to the per-shot
-    `(predict(events) == labels).mean()` over its set. `predict` receives
+    `counts` (u, k, 2)) that `predict` classifies correctly. `predict` maps
+    a batch of event rows to 0/1 bits over its last axis: (rows,) for one
+    decoder, giving k float64 accuracies, or (d, rows) for d decoders,
+    giving (d, k). Each equals the per-shot `(predict(events) ==
+    labels).mean()` of one decoder over one set. `predict` receives
     `table_batch(rows, counts)`, and every set is scored from that one
     prediction of every row: a row's bits do not depend on the rows decoded
     with it. A set of one shot in a batch of several rows is decoded again
     on its own, as its per-shot batch of one row is (see `table_batch`).
     """
     batch = table_batch(rows, counts)
-    pred = predict(batch)[:len(rows)]
+    pred = predict(batch)[..., :len(rows)]
     per_set = counts.reshape(len(rows), -1)
-    # per (set, label): every shot, and the shots predicted 1, which turn
-    # label-0 hits into misses and label-1 misses into hits
-    weights = np.ones((2, len(rows)), np.int64)
-    weights[1] = pred
-    totals, flips = (weights @ per_set).reshape(2, -1, 2)
+    # per (set, label): every shot, then each decoder's shots predicted 1,
+    # which turn label-0 hits into misses and label-1 misses into hits; the
+    # integer product is exact
+    weights = np.ones((1 + pred.size // len(rows), len(rows)), np.int64)
+    weights[1:] = pred.reshape(-1, len(rows))
+    product = weights @ per_set
+    totals = product[0].reshape(-1, 2)
+    flips = product[1:].reshape(*pred.shape[:-1], -1, 2)
     shots = totals.sum(axis=1)
     if not shots.all():
         raise ValueError("every set of a syndrome table must be non-empty")
-    hits = totals[:, 0] - flips[:, 0] + flips[:, 1]
+    hits = totals[:, 0] - flips[..., 0] + flips[..., 1]
     if len(batch) > 1:
         for j in np.flatnonzero(shots == 1).tolist():
             i = int(np.flatnonzero(per_set[:, 2 * j:2 * j + 2].any(axis=1))[0])
-            hits[j] = per_set[i, 2 * j + int(predict(rows[i:i + 1])[0])]
+            hits[..., j] = per_set[i, 2 * j:2 * j + 2][predict(rows[i:i + 1])[..., 0]]
     return hits / shots
 
 

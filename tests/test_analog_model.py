@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from memdec import analog_model as am
 from memdec import hwa_training as hwa
 from memdec import rnn_decoder as rd
+from memdec import surface_code_sim as sc
 
 
 def default_cfg(**kw):
@@ -57,8 +58,8 @@ class TestProgramTargets:
 
     @staticmethod
     def program(params):
-        return am.program_decoder(params, default_cfg(), am.FaultMap.none(),
-                                  np.random.default_rng(0))
+        return am.program_decoder(params, default_cfg(), [am.FaultMap.none()],
+                                  [np.random.default_rng(0)])[0]
 
     def test_endpoints(self):
         # the largest |w| of each unit sits at g_hcs on its side
@@ -98,7 +99,7 @@ class TestVariability:
         targets = conductances(TestProgramTargets.program(params))
         cfg = am.CrossbarConfig(variability=model)
         rng = np.random.default_rng(1)
-        chips = [conductances(am.program_decoder(params, cfg, am.FaultMap.none(), rng))
+        chips = [conductances(am.program_decoder(params, cfg, [am.FaultMap.none()], [rng])[0])
                  for _ in range(150)]
         return np.array(chips) - targets, targets
 
@@ -153,9 +154,9 @@ class TestFaultMap:
         cfg = am.CrossbarConfig()   # default 0.8% variability on
         fmap = am.FaultMap.none()
         fmap.recurrent[1, 2] = fmap.evaluation[16, 1] = True
-        chip = am.program_decoder(random_decoder, cfg, fmap, np.random.default_rng(5))
-        clean = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
-                                   np.random.default_rng(5))
+        chip = am.program_decoder(random_decoder, cfg, [fmap], [np.random.default_rng(5)])[0]
+        clean = am.program_decoder(random_decoder, cfg, [am.FaultMap.none()],
+                                   [np.random.default_rng(5)])[0]
         stuck = np.concatenate([fmap.recurrent.ravel()] * 2 + [fmap.evaluation.ravel()] * 2)
         assert (conductances(chip)[stuck] == 200.0).all()
         assert np.array_equal(conductances(chip)[~stuck], conductances(clean)[~stuck])
@@ -163,8 +164,8 @@ class TestFaultMap:
 
     def test_full_map_kills_output(self, random_decoder):
         fmap = am.FaultMap(np.ones(rd.RECURRENT_UNIT, bool), np.ones(rd.EVALUATION_UNIT, bool))
-        chip = am.program_decoder(random_decoder, am.CrossbarConfig(), fmap,
-                                  np.random.default_rng(6))
+        chip = am.program_decoder(random_decoder, am.CrossbarConfig(), [fmap],
+                                  [np.random.default_rng(6)])[0]
         assert not chip.recurrent.effective().any() and not chip.evaluation.effective().any()
 
     def test_shape_mismatch_rejected(self):
@@ -419,7 +420,7 @@ class TestMvm:
         events = rng.integers(0, 2, size=(30, 3, 4))
         cfg = default_cfg()
         plan = am.AnalogPlan(events, cfg)
-        logits = plan.logits(chip).copy()   # the next run overwrites the plan's logits
+        logits = plan.logits(chip)
         assert np.array_equal(plan.logits(swapped), -logits)
 
     def test_dimension_mismatch_rejected(self):
@@ -444,8 +445,8 @@ def random_decoder():
 class TestProgramDecoder:
     def test_ideal_mapping_round_trip(self, random_decoder):
         cfg = default_cfg(quantize_io=False)
-        programmed = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
-                                        np.random.default_rng(11))
+        programmed = am.program_decoder(random_decoder, cfg, [am.FaultMap.none()],
+                                        [np.random.default_rng(11)])[0]
         events = np.random.default_rng(12).integers(0, 2, size=(500, 4, 4))
         analog = am.AnalogPlan(events, cfg).logits(programmed)
         _, _, digital = rd.forward_batch(random_decoder, events)
@@ -454,8 +455,8 @@ class TestProgramDecoder:
 
     def test_unit_shapes_and_scales(self, random_decoder):
         cfg = default_cfg()
-        programmed = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
-                                        np.random.default_rng(13))
+        programmed = am.program_decoder(random_decoder, cfg, [am.FaultMap.none()],
+                                        [np.random.default_rng(13)])[0]
         assert programmed.recurrent.g_plus.shape == (21, 16)
         assert programmed.evaluation.g_plus.shape == (17, 2)
         mat = np.vstack([random_decoder.w_rec, random_decoder.b_rec[None, :]])
@@ -465,7 +466,7 @@ class TestProgramDecoder:
         cfg = am.CrossbarConfig()  # default 0.8% variability on
         rng = np.random.default_rng(14)
         fmap = am.FaultMap.sample(0.5, rng)
-        programmed = am.program_decoder(random_decoder, cfg, fmap, rng)
+        programmed = am.program_decoder(random_decoder, cfg, [fmap], [rng])[0]
         stuck = fmap.recurrent
         assert np.array_equal(programmed.recurrent.g_plus[stuck],
                               np.full(stuck.sum(), 200.0))
@@ -475,8 +476,8 @@ class TestProgramDecoder:
     def test_all_stuck_predicts_zero(self, random_decoder):
         cfg = am.CrossbarConfig()
         fmap = am.FaultMap(np.ones((21, 16), bool), np.ones((17, 2), bool))
-        programmed = am.program_decoder(random_decoder, cfg, fmap,
-                                        np.random.default_rng(15))
+        programmed = am.program_decoder(random_decoder, cfg, [fmap],
+                                        [np.random.default_rng(15)])[0]
         events = np.random.default_rng(16).integers(0, 2, size=(64, 4, 4))
         logits = am.AnalogPlan(events, cfg).logits(programmed)
         assert np.array_equal(logits, np.zeros((64, 2)))
@@ -497,7 +498,7 @@ class TestProgramDecoder:
             rng = np.random.default_rng(100 + seed)
             fmap = am.FaultMap.sample(stuck_rate, rng)
             state = rng.bit_generator.state
-            chip = am.program_decoder(params, cfg, fmap, rng)
+            chip = am.program_decoder(params, cfg, [fmap], [rng])[0]
             after, rng.bit_generator.state = rng.bit_generator.state, state
             want = reference_program(params, cfg, fmap, rng)
             assert rng.bit_generator.state == after     # 740 normals either way
@@ -508,7 +509,7 @@ class TestProgramDecoder:
     def test_zero_params_rejected(self):
         with pytest.raises(ValueError):
             am.program_decoder(rd.DecoderParams.zeros(), default_cfg(),
-                               am.FaultMap.none(), np.random.default_rng(0))
+                               [am.FaultMap.none()], [np.random.default_rng(0)])[0]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [0, rd.UNIT_SLICES[1].start + 5])
@@ -519,14 +520,155 @@ class TestProgramDecoder:
         params.flat[entry] = value
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="finite"):
-            am.program_decoder(params, am.CrossbarConfig(), am.FaultMap.none(), rng)
+            am.program_decoder(params, am.CrossbarConfig(), [am.FaultMap.none()], [rng])[0]
 
     def test_programming_is_deterministic_per_stream(self, random_decoder):
         cfg = am.CrossbarConfig()
-        a = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
-                               np.random.default_rng(77))
-        b = am.program_decoder(random_decoder, cfg, am.FaultMap.none(),
-                               np.random.default_rng(77))
+        a = am.program_decoder(random_decoder, cfg, [am.FaultMap.none()],
+                               [np.random.default_rng(77)])[0]
+        b = am.program_decoder(random_decoder, cfg, [am.FaultMap.none()],
+                               [np.random.default_rng(77)])[0]
         assert np.array_equal(a.recurrent.g_plus, b.recurrent.g_plus)
         assert np.array_equal(a.evaluation.g_minus, b.evaluation.g_minus)
 
+
+
+def run_logits(events: np.ndarray, chip: am.ProgrammedDecoder,
+               cfg: am.CrossbarConfig) -> np.ndarray:
+    """Analog logits by plain products: step t multiplies one input row
+    [DAC(x_t) | h | DAC(1)] per run of adjacent rows sharing events[:, :t+1]
+    (a single run of several rows twice), as `AnalogPlan` plans its steps,
+    each from fresh arrays into a fresh array; then the evaluation unit on
+    every row. gemm's bits differ with the row count under some OpenBLAS
+    kernels, which is why the runs mirror the plan's."""
+    n, steps, width = events.shape
+    x = am._convert_in(events.astype(np.float64), cfg)
+    bias = am._convert_in(np.ones(1), cfg)[0]
+    flat = events.reshape(n, -1)
+    h = np.zeros((n, rd.HIDDEN_SIZE))   # each row's hidden state
+    for t in range(steps):
+        prefix = flat[:, :(t + 1) * width]
+        new = np.concatenate([[True], (prefix[1:] != prefix[:-1]).any(axis=1)])
+        starts = np.flatnonzero(new)
+        if len(starts) == 1 < n:
+            starts = np.zeros(2, np.intp)
+        inp = np.concatenate([x[starts, t], h[starts], np.full((len(starts), 1), bias)], axis=1)
+        out = am._convert_hidden(inp @ chip.recurrent.effective(), chip.scale_recurrent, cfg)
+        h = out[np.cumsum(new) - 1]
+    head = np.concatenate([h, np.full((n, 1), bias)], axis=1)
+    return am._convert_out(head @ chip.evaluation.effective(), chip.scale_evaluation, cfg)
+
+
+BATCHED_CONFIGS = {
+    "default": am.CrossbarConfig(),
+    "odd_bounds": am.CrossbarConfig(adc_bound=3.3, levels=100),
+    "no_io": am.CrossbarConfig(quantize_io=False),
+}
+
+
+@pytest.fixture(scope="module")
+def batched_sets():
+    """Two test sets of 3 rounds, at p = 1e-3 and 1e-2."""
+    return [sc.generate_dataset([p], 1500, 3, seed=120 + i) for i, p in enumerate((1e-3, 1e-2))]
+
+
+def sampled_chips(params, cfg, count):
+    """`count` chips at stuck rate 0.1, the last two of other parameters,
+    so that the chips' de-scaling factors differ too."""
+    streams = [np.random.default_rng(130 + c) for c in range(count)]
+    fmaps = [am.FaultMap.sample(0.1, rng) for rng in streams]
+    other = params_with(np.random.default_rng(129), {})
+    return (am.program_decoder(params, cfg, fmaps[:-2], streams[:-2])
+            + am.program_decoder(other, cfg, fmaps[-2:], streams[-2:]))
+
+
+class TestBatchedChips:
+    """Programming and scoring a batch of chips gives, bit for bit, what
+    programming and decoding each chip on its own gives. The plain-product
+    references keep these checks meaningful under any BLAS kernel, the
+    no_io cases included: the last step's product, written straight into
+    the evaluation unit's input, must give a plain product's bits."""
+
+    @pytest.mark.parametrize("shared_map", [False, True], ids=["sampled_maps", "chip_map"])
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    def test_programming_equals_per_chip_reference(self, random_decoder, count, shared_map):
+        cfg = am.CrossbarConfig()
+        streams = [np.random.default_rng(140 + c) for c in range(count)]
+        shared = am.FaultMap.sample(0.3, np.random.default_rng(139))
+        fmaps = [shared if shared_map else am.FaultMap.sample(0.3, rng) for rng in streams]
+        states = [rng.bit_generator.state for rng in streams]
+        chips = am.program_decoder(random_decoder, cfg, fmaps, streams)
+        assert len(chips) == count
+        for chip, fmap, rng, state in zip(chips, fmaps, streams, states):
+            after = rng.bit_generator.state
+            for reference in (reference_program,
+                              lambda p, c, f, r: am.program_decoder(p, c, [f], [r])[0]):
+                rng.bit_generator.state = state
+                want = reference(random_decoder, cfg, fmap, rng)
+                assert rng.bit_generator.state == after     # 740 normals after the map
+                assert conductances(chip).tobytes() == conductances(want).tobytes()
+                assert (chip.scale_recurrent, chip.scale_evaluation) == \
+                    (want.scale_recurrent, want.scale_evaluation)
+
+    def test_programming_needs_a_generator_per_map(self, random_decoder):
+        with pytest.raises(ValueError, match="2 fault maps for 1 generators"):
+            am.program_decoder(random_decoder, am.CrossbarConfig(), [am.FaultMap.none()] * 2,
+                               [np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("config", BATCHED_CONFIGS)
+    @pytest.mark.parametrize("kind", ["union_table", "raw", "rows_1", "rows_2"])
+    def test_logits_equal_plain_products_per_run(self, random_decoder, batched_sets, config, kind):
+        """A union table's last step writes straight into the evaluation
+        unit's input; raw rows with duplicates copy their runs' hidden
+        states there; one row stays on gemv."""
+        cfg = BATCHED_CONFIGS[config]
+        rows = sc.union_table([(d.events, d.labels) for d in batched_sets])[0]
+        events = {"union_table": rows, "raw": batched_sets[1].events,
+                  "rows_1": rows[-1:], "rows_2": rows[[0, -1]]}[kind]
+        chips = sampled_chips(random_decoder, cfg, 5)
+        plan = am.AnalogPlan(events, cfg)
+        block = plan.chip_logits(chips)
+        assert block.shape == (5, len(events), 2)
+        for chip, logits in zip(chips, block):
+            want = run_logits(events, chip, cfg).tobytes()
+            assert logits.tobytes() == want
+            assert plan.logits(chip).tobytes() == want
+
+    @pytest.mark.parametrize("config", BATCHED_CONFIGS)
+    @pytest.mark.parametrize("case", ["one_shot_beside_larger", "one_row_of_several_shots",
+                                      "two_sets", "groups"])
+    def test_scoring_equals_per_chip_per_shot(self, random_decoder, batched_sets, monkeypatch,
+                                              config, case):
+        """(chips, k) accuracies equal each chip's per-shot accuracy on
+        each set decoded on its own: a one-shot set on gemv beside a larger
+        set, a set of one row of several shots as a doubled row, and chips
+        scored in several groups of a smaller block."""
+        cfg = BATCHED_CONFIGS[config]
+        low, high = batched_sets
+        sets = [(low.events, low.labels), (high.events, high.labels)]
+        if case == "one_shot_beside_larger":
+            # its one row is also a row of the larger set
+            sets[0] = (high.events[5:6], high.labels[5:6])
+        elif case == "one_row_of_several_shots":
+            sets = [(np.repeat(low.events[:1], 7, axis=0),
+                     np.array([0, 1, 0, 0, 1, 1, 0], np.uint8))]
+        rows, counts = sc.union_table(sets)
+        plan = am.AnalogPlan(sc.table_batch(rows, counts), cfg)
+        chips = sampled_chips(random_decoder, cfg, 8)
+        groups = []
+        if case == "groups":
+            monkeypatch.setattr(am, "_BLOCK_WORDS", 2 * plan.rows * 3)
+            chip_logits = am.AnalogPlan.chip_logits
+            monkeypatch.setattr(am.AnalogPlan, "chip_logits",
+                                lambda self, group: groups.append(len(group))
+                                or chip_logits(self, group))
+        got = am.analog_accuracy(chips, plan, rows, counts)
+        assert groups == ([3, 3, 2] if case == "groups" else [])
+        want = [[(rd.logits_to_bits(run_logits(events, chip, cfg)) == labels).mean()
+                 for events, labels in sets] for chip in chips]
+        assert got.shape == (8, len(sets))
+        assert got.tolist() == want
+        assert [am.analog_accuracy([chip], plan, rows, counts)[0].tolist()
+                for chip in chips] == want
+        # the chips decode differently, so the comparison can see a mix-up
+        assert len(set(map(tuple, want))) > 1 or case == "one_row_of_several_shots"

@@ -234,10 +234,10 @@ class TestSingleSyndrome:
         plan = am.AnalogPlan(sc.table_batch(*table), xcfg)
         for j in range(5):
             rng = spawn_generator(MASTER, j)
-            chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
+            chip = am.program_decoder(params, xcfg, [am.FaultMap.sample(STUCK, rng)], [rng])[0]
             bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
             per_shot = (bits == self.LABELS).mean()
-            assert am.analog_accuracy(chip, plan, *table).tolist() == [per_shot]
+            assert am.analog_accuracy([chip], plan, *table).tolist() == [[per_shot]]
         bits = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS)[2])
         assert rd.accuracy(params, *table).tolist() == [(bits == self.LABELS).mean()]
 
@@ -254,13 +254,13 @@ class TestSingleSyndrome:
         assert plan.rows == 2
         for j in range(5):
             rng = spawn_generator(MASTER, j)
-            chip = am.program_decoder(params, xcfg, am.FaultMap.sample(STUCK, rng), rng)
+            chip = am.program_decoder(params, xcfg, [am.FaultMap.sample(STUCK, rng)], [rng])[0]
             assert (plan.logits(chip).tobytes()
                     == am.AnalogPlan(self.EVENTS[:2], xcfg).logits(chip).tobytes())
             bits = rd.logits_to_bits(am.AnalogPlan(self.EVENTS, xcfg).logits(chip))
             alone = rd.logits_to_bits(am.AnalogPlan(self.EVENTS[:1], xcfg).logits(chip))[0] == 1
-            assert (am.analog_accuracy(chip, plan, rows, counts).tolist()
-                    == [(bits == self.LABELS).mean(), float(alone)])
+            assert (am.analog_accuracy([chip], plan, rows, counts).tolist()
+                    == [[(bits == self.LABELS).mean(), float(alone)]])
         bits = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS)[2])
         alone = rd.logits_to_bits(rd.forward_batch(params, self.EVENTS[:1])[2])[0] == 1
         assert (rd.accuracy(params, rows, counts).tolist()
@@ -294,7 +294,7 @@ def per_shot_reference(scheme, protocol, configs, tests, base):
         for j in range(protocol.n_infer_runs):
             rng = spawn_generator(MASTER, Stage.PROGRAM, i, j)
             fmap = chip_map if chip_map is not None else am.FaultMap.sample(STUCK, rng)
-            chip = am.program_decoder(params, xcfg, fmap, rng)
+            chip = am.program_decoder(params, xcfg, [fmap], [rng])[0]
             runs.append([(rd.logits_to_bits(am.AnalogPlan(tests[p].events, xcfg).logits(chip))
                           == tests[p].labels).mean() for p in protocol.p_values])
     return np.asarray(runs)

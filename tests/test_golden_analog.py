@@ -51,7 +51,7 @@ def chips():
     rng = np.random.default_rng(81)
     params = random_params(rng)
     fmap = am.FaultMap.sample(0.1, rng)
-    return {name: am.program_decoder(params, cfg, fmap, np.random.default_rng(82))
+    return {name: am.program_decoder(params, cfg, [fmap], [np.random.default_rng(82)])[0]
             for name, cfg in CONFIGS.items()}
 
 
@@ -173,8 +173,8 @@ def test_shared_plans_equal_fresh_logits_chip_after_chip(chips, inputs, config, 
     a plan's reused buffers."""
     cfg = CONFIGS[config]
     other = am.program_decoder(random_params(np.random.default_rng(97)), cfg,
-                               am.FaultMap.sample(0.1, np.random.default_rng(98)),
-                               np.random.default_rng(99))
+                               [am.FaultMap.sample(0.1, np.random.default_rng(98))],
+                               [np.random.default_rng(99)])[0]
     batches = inputs[kind]
     plans = [am.AnalogPlan(b, cfg) for b in batches]
     for chip in (chips[config], other, chips[config]):

@@ -434,7 +434,7 @@ class TestRetrainDs:
         out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
         xcfg = am.CrossbarConfig(variability=am.VariabilityModel(fallback_relative=0.0),
                                  quantize_io=False)
-        programmed = am.program_decoder(out, xcfg, fmap, np.random.default_rng(33))
+        programmed = am.program_decoder(out, xcfg, [fmap], [np.random.default_rng(33)])[0]
         digital = rd.logits_to_bits(rd.forward_batch(out, val.events)[2])
         analog = rd.logits_to_bits(am.AnalogPlan(val.events, xcfg).logits(programmed))
         assert np.array_equal(digital, analog)

@@ -152,7 +152,16 @@ def test_p_index_out_of_range_is_corrupt(tmp_path):
     (lambda data: setattr(data, "rounds", 2),
      r"events, labels and p_index of 2 rounds must have shapes \(20, 3, 4\), \(20,\), "
      r"\(20,\), got \(\(20, 4, 4\), \(20,\), \(20,\)\)"),
-], ids=["event_byte_2", "label_5", "p_index_3", "rounds_disagree"])
+    # a p index of 0.5 was written as 0; float events and labels passed the
+    # value checks and then failed inside np.packbits with a TypeError
+    (lambda data: setattr(data, "p_index", np.where(np.arange(20) == 3, 0.5, 0.0)),
+     "p_index must be integers or bools, got dtype float64"),
+    (lambda data: setattr(data, "events", data.events * 0.5),
+     "events must be integers or bools, got dtype float64"),
+    (lambda data: setattr(data, "labels", data.labels.astype(np.float32)),
+     "labels must be integers or bools, got dtype float32"),
+], ids=["event_byte_2", "label_5", "p_index_3", "rounds_disagree", "float_p_index",
+        "float_events", "float_labels"])
 def test_dataset_that_would_not_load_back_rejected(tmp_path, spoil, message):
     data = sc.generate_dataset([1e-2], 20, 3, seed=5)
     spoil(data)
