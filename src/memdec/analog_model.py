@@ -6,9 +6,11 @@ states default to 200/60 uS): the signed side programs to
 adds Gaussian variability with a conductance-dependent standard deviation
 sigma_prog(G): a polynomial in G (the paper's Fig. 2(b), after Mouny et al.
 2023) whose coefficients come from the `crossbar.variability_coeffs` config
-key, or, when that is empty, the constant-relative 0.8% fallback. Stuck
-differential pairs are forced to the high-conductance state on both sides,
-cancelling to an effective weight of exactly zero. The analog path quantizes
+key. A constant relative variability r is the polynomial (0, r): the
+default (0, 0.008) is the paper's median 0.8% for TiOx, and (0, 0.038) its
+3.8% for PCM; (0,) programs no variability. Stuck differential pairs are
+forced to the high-conductance state on both sides, cancelling to an
+effective weight of exactly zero. The analog path quantizes
 DAC inputs and ADC outputs at `levels` levels (8 bits by default). The DAC
 range is the paper's normalized [-1, 1]: inputs are scaled into it by the
 ADC bound, and the ADC's range is [-adc_bound, adc_bound] (6 by default).
@@ -21,7 +23,8 @@ Each crossbar unit carries one extra bias row; the bias participates in
 mapping, variability, and faults like any weight row.
 
 Inference runs the recurrent unit once per distinct prefix of adjacent rows
-rather than once per row and step, then the evaluation unit on every row.
+rather than once per row and step, but on every row at the last step, then
+the evaluation unit on every row.
 It is split in two. An `AnalogPlan`, built once per batch of event rows and
 converter setting (its `cfg`), holds what no chip changes: the DAC'd events
 of each prefix run with the bias column filled, how many runs continue each
@@ -53,7 +56,7 @@ from a per-row evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -73,35 +76,11 @@ _BLOCK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
-class VariabilityModel:
-    """sigma_prog(G) in uS for G in uS.
-
-    `coefficients` are ascending polynomial coefficients (c0, c1, ...); when
-    empty, sigma = fallback_relative * G. Negative polynomial values clamp
-    to zero.
-    """
-
-    coefficients: tuple[float, ...] = ()
-    fallback_relative: float = 0.008
-
-    def __post_init__(self):
-        check_fields(self, "crossbar.variability.")
-
-    def sigma(self, g: np.ndarray) -> np.ndarray:
-        g = np.asarray(g, dtype=np.float64)
-        if not self.coefficients:
-            return self.fallback_relative * g
-        out = np.zeros_like(g)
-        for c in reversed(self.coefficients):
-            out = out * g + c
-        return np.maximum(out, 0.0)
-
-
-@dataclass(frozen=True)
 class CrossbarConfig:
     g_hcs: float = 200.0        # uS
     g_lcs: float = 60.0         # uS
-    variability: VariabilityModel = field(default_factory=VariabilityModel)
+    # sigma_prog(G) in uS, ascending polynomial coefficients (c0, c1, ...)
+    variability_coeffs: tuple[float, ...] = (0.0, 0.008)
     adc_bound: float = 6.0
     levels: int = 256
     quantize_io: bool = True
@@ -110,6 +89,15 @@ class CrossbarConfig:
         check_fields(self, "crossbar.")
         if not self.g_hcs > self.g_lcs:
             raise ValueError(f"g_hcs {self.g_hcs} does not exceed g_lcs {self.g_lcs}")
+
+    def sigma(self, g: np.ndarray) -> np.ndarray:
+        """sigma_prog(G) in uS for G in uS: the polynomial of
+        `variability_coeffs` by Horner's rule, clamped at zero."""
+        g = np.asarray(g, dtype=np.float64)
+        out = np.zeros_like(g)
+        for c in reversed(self.variability_coeffs):
+            out = out * g + c
+        return np.maximum(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,7 +209,7 @@ def program_decoder(params: DecoderParams, cfg: CrossbarConfig, fmaps: Sequence[
     block = np.empty((len(rngs), len(g)))
     for rng, noise in zip(rngs, block):
         rng.standard_normal(out=noise)
-    block *= cfg.variability.sigma(g)
+    block *= cfg.sigma(g)
     block += g
     rec = np.stack([f.recurrent for f in fmaps]).reshape(len(fmaps), -1)
     ev = np.stack([f.evaluation for f in fmaps]).reshape(len(fmaps), -1)
@@ -293,29 +281,29 @@ class AnalogPlan:
     share the prefix `events[:, :t+1]`: a row starts a run at step t if it
     started one at step t-1 or if its step-t events differ in a byte from
     the row above. Each run reads its hidden state from the run it
-    continues. The evaluation unit then runs on every row. Grouping only
-    adjacent rows is correct for any row order and for duplicate rows;
-    `surface_code_sim.union_table` returns rows in byte order, which puts
-    shared prefixes next to each other, and its rows are distinct, so at
-    the last step each row is a run of its own. Rows whose bytes differ
+    continues. At the last step every row is a run of its own, duplicate
+    rows included, and the evaluation unit then runs on every row. Grouping
+    only adjacent rows is correct for any row order;
+    `surface_code_sim.union_table` returns distinct rows in byte order,
+    which puts shared prefixes next to each other. Rows whose bytes differ
     but DAC to the same inputs stay in runs of their own, which costs rows
     of the product but no bits.
 
     The plan holds what that grouping leaves chip-independent: each step's
     input block [DAC(x_t) | h | DAC(1)] with the DAC'd events and the bias
-    column filled, and how many runs at each step (rows after the last)
-    continue each run of the step before; runs continue runs in order, so
+    column filled, and how many runs at each step continue each run of the
+    step before; runs continue runs in order, so
     `np.repeat` by those counts gives each its parent's hidden state.
     `chip_logits(chips)` runs the chips one after another in buffers the
     plan owns and reuses: for each it writes only the hidden-state columns
     of those blocks before each step's product, then runs the matmul and
     `_convert_hidden`, and the evaluation unit writes the chip's currents
     into its row of one (chips, rows, 2) block, which one ADC then
-    converts. When each row is a run of its own at the last step, as in a
-    union table, that step's product goes straight into the evaluation
-    unit's input (a gemm writing rows 17 columns apart, the bits of a plain
-    product), `_convert_hidden` runs over all of that contiguous buffer and
-    the bias column is written back. `logits(programmed)` is one chip's.
+    converts. There is one head layout: the last step's product goes
+    straight into the evaluation unit's input (a gemm writing rows 17
+    columns apart, the bits of a plain product), `_convert_hidden` runs
+    over all of that contiguous buffer and the bias column is written back.
+    `logits(programmed)` is one chip's.
 
     A one-row product goes to gemv instead of gemm, whose bits can differ,
     so a step with one run inside a batch of several rows is planned as a
@@ -339,7 +327,9 @@ class AnalogPlan:
         new[:, 1:] = np.any(words[1:] != words[:-1], axis=2).T
         for t in range(1, steps):
             np.logical_or(new[t - 1], new[t], out=new[t])
-        # a single run in a batch of several rows is planned as a doubled row
+        # each row is a run of its own at the last step; a single run in a
+        # batch of several rows is planned as a doubled row
+        new[-1:] = True
         sizes = np.maximum(new.sum(axis=1), min(n, 2))
 
         # each run's events, then DAC'd in one contiguous pass: the DAC acts
@@ -348,12 +338,9 @@ class AnalogPlan:
         inputs = np.empty((len(dac), width + HIDDEN_SIZE + 1))
         inputs[:, -1] = bias
         out = np.empty((max(n, 2), HIDDEN_SIZE))
-        # after the last step: the evaluation unit's input, bias column
-        # filled, and the hidden state of each row's run, or, when each row
-        # is a run of its own, the last step's product itself
-        self._head, self._bias = np.empty((n, HIDDEN_SIZE + 1)), bias
-        self._head[:, -1] = bias
-        into_head = steps and new[-1].all()
+        # the evaluation unit's input [h | DAC(1)], its bias column written
+        # per chip: zeros, a batch of 0 steps' h, until the last step writes h
+        self._head, self._bias = np.zeros((n, HIDDEN_SIZE + 1)), bias
         self._steps = []
         run, runs = np.zeros(n, np.intp), 1   # each row's run, and the runs, at the step before
         first = 0
@@ -364,10 +351,9 @@ class AnalogPlan:
             dac[first:first + k] = x[starts, t]
             inp = inputs[first:first + k]
             first += k
-            # the product's buffer, and the contiguous buffer that holds it
-            # for `_convert_hidden`: the whole head, bias column included,
-            # when the last step writes there
-            if into_head and t == steps - 1:
+            # the product's buffer, and the contiguous one `_convert_hidden`
+            # converts: at the last step the whole head, bias column included
+            if t == steps - 1:
                 product, converted = self._head[:, :-1], self._head
             else:
                 product = converted = out[:k]
@@ -375,24 +361,20 @@ class AnalogPlan:
                                 product, converted))
             run, runs = np.cumsum(new[t]) - 1, k
         inputs[:, :width] = _convert_in(dac, cfg)
-        self._head_rows = None if into_head else np.bincount(run, minlength=runs)
 
     def _currents(self, programmed: ProgrammedDecoder, out: np.ndarray) -> np.ndarray:
         """The evaluation unit's column currents (rows, 2) of one chip,
         written into `out`, before the ADC."""
         cfg, scale = self.cfg, programmed.scale_recurrent
         w_rec = programmed.recurrent.effective()
-        h, head = _H0, self._head
+        h = _H0
         for inp, h_cols, repeats, product, converted in self._steps:
             h_cols[...] = np.repeat(h, repeats, axis=0)
             np.matmul(inp, w_rec, out=product)
             _convert_hidden(converted, scale, cfg)
             h = product
-        if self._head_rows is None:
-            head[:, -1] = self._bias
-        else:
-            head[:, :-1] = np.repeat(h, self._head_rows, axis=0)
-        return np.matmul(head, programmed.evaluation.effective(), out=out)
+        self._head[:, -1] = self._bias
+        return np.matmul(self._head, programmed.evaluation.effective(), out=out)
 
     def chip_logits(self, chips: Sequence[ProgrammedDecoder]) -> np.ndarray:
         """Post-ADC logits (chips, rows, 2), a new array: each chip's

@@ -11,7 +11,8 @@ set rates that `evaluate_scheme` takes as arguments: `RunConfig.stuck_rate`,
 the chips' stuck-at rate, and `RunConfig.hwa_p_drop`, the hwa_mnd
 dropconnect rate that `retrain_hwa` takes per call (the stuck rate when
 unset). `hwa.p_drop` is the only dropconnect key, so there is no
-`retrain.p_drop`.
+`retrain.p_drop`. `crossbar.variability_coeffs` is the one device model, the
+polynomial sigma_prog(G): `0,0.008` (TiOx, the default), `0,0.038` (PCM), `0`.
 
 The rule of each field lives in `rules.RULES`: every config dataclass checks
 its fields with it when it is built, and each key takes the rule of the
@@ -81,8 +82,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_finite_reals(text: str) -> tuple[float, ...]:
-    """A comma list of finite reals; empty text is the empty list."""
-    values = tuple(map(float, text.split(","))) if text else ()
+    """A comma list of one or more finite reals."""
+    values = tuple(map(float, text.split(",")))
     if not _FINITE_REALS.check(values):
         raise ValueError(f"expected finite reals, got {text!r}")
     return values
@@ -125,9 +126,9 @@ _KEYS = {
     "crossbar.stuck_rate": _Key(_FLOAT, ("stuck_rate",)),
     "crossbar.adc_bound": _Key(_FLOAT),
     "crossbar.levels": _Key(_INT),
-    # its parser rejects a non-finite real, as text it could not parse
-    "crossbar.variability_coeffs": _Key(_FLOATS, ("crossbar.variability.coefficients",), _ANY),
-    "crossbar.fallback_relative": _Key(_FLOAT, ("crossbar.variability.fallback_relative",)),
+    # its parser rejects empty text and a non-finite real, as text it
+    # could not parse
+    "crossbar.variability_coeffs": _Key(_FLOATS, rule=_ANY),
     "crossbar.quantize_io": _Key(_BOOL),
     "eval.n_train_runs": _Key(_INT, ("protocol.n_train_runs",)),
     "eval.n_infer_runs": _Key(_INT, ("protocol.n_infer_runs",)),

@@ -163,6 +163,17 @@ class SchemeConfigs:
     crossbar_config: am.CrossbarConfig = field(default_factory=am.CrossbarConfig)
 
 
+def _check_scheme(scheme: str, master_seed: int, drop: str | None) -> None:
+    """Raise ValueError for an unknown scheme, a master seed outside
+    [0, 2^64), or dropconnect rates (argument `drop`) given to a scheme but
+    hwa_mnd."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    check_value("master_seed", master_seed, _SEED)
+    if drop is not None and scheme != "hwa_mnd":
+        raise ValueError(f"{drop} sets the hwa_mnd dropconnect rate; {scheme} has none")
+
+
 def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
                     stuck_rate: float, master_seed: int,
                     test_sets: dict[float, sc.Dataset] | None = None,
@@ -175,11 +186,9 @@ def evaluate_scheme(scheme: str, protocol: EvalProtocol, configs: SchemeConfigs,
     so several scheme evaluations can share their FP stage; otherwise each
     run trains from scratch with a seed derived from `master_seed`.
     `p_drop` overrides the dropconnect rate for hwa_mnd (default: the stuck
-    rate, the optimized heuristic).
+    rate, the optimized heuristic); other schemes refuse it.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    check_value("master_seed", master_seed, _SEED)
+    _check_scheme(scheme, master_seed, None if p_drop is None else "p_drop")
     # the rates are first used after one or more runs have trained
     check_value("stuck_rate", stuck_rate, _PROBABILITY)
     drop_rate = stuck_rate if p_drop is None else p_drop
@@ -267,9 +276,10 @@ def stuck_sweep(scheme: str, stuck_rates: Sequence[float], protocol: EvalProtoco
                 p_drop_values: Sequence[float] | None = None,
                 test_sets=None, base_params=None) -> list[dict]:
     """Accuracy versus stuck-at rate at the protocol's one fault rate; for
-    hwa_mnd a p_drop grid may be swept at each rate."""
-    drops: Sequence[float | None]
-    drops = p_drop_values if (scheme == "hwa_mnd" and p_drop_values) else (None,)
+    hwa_mnd a p_drop grid may be swept at each rate, and other schemes
+    refuse one."""
+    _check_scheme(scheme, master_seed, "p_drop_values" if p_drop_values else None)
+    drops: Sequence[float | None] = p_drop_values or (None,)
     # every rate is checked before the first run trains
     for rate in stuck_rates:
         check_value("stuck_rate", rate, _PROBABILITY)

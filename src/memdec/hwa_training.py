@@ -200,7 +200,7 @@ def _retrain(params: DecoderParams, dataset: Dataset, val: Dataset,
         draw = _draws(cfg, p_drop, keep_fixed, 1_000_000 + epoch, VAL_DRAWS)
         for i in range(VAL_DRAWS):
             keep, noise_rng = draw(i)
-            yield _perturbed(params, keep, cfg.noise_relative, noise_rng, eff), io
+            yield _perturbed(params, keep, cfg.noise_relative, noise_rng, eff)
 
     return rd._train(params, dataset, val, replace(train_cfg, epochs=cfg.epochs),
                      spawn_generator(cfg.seed, Stage.RETRAIN), io, batch_params, clip,

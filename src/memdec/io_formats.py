@@ -126,6 +126,12 @@ def load_dataset(path) -> Dataset:
 
 
 def save_checkpoint(params: DecoderParams, path, metadata: dict | None = None) -> None:
+    """Write `params` and the dict `metadata` to `path`. Raises ValueError,
+    writing nothing, for a file `load_checkpoint` would refuse."""
+    if not np.isfinite(params.flat).all():
+        raise ValueError("checkpoint parameters must be finite")
+    if not isinstance(metadata, (dict, type(None))):
+        raise ValueError(f"checkpoint metadata must be a dict, got {type(metadata).__name__}")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<H", FORMAT_VERSION))

@@ -562,7 +562,7 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
     `shuffle_rng.permutation` of the shots, cut into batches of
     `config.batch_size`, and returns a copy of them after the earliest
     epoch of best score: the mean `accuracy`, on the validation syndrome
-    table, of the (parameters, converters) pairs `val_draws(epoch)` yields.
+    table under `io`, of the parameters `val_draws(epoch)` yields.
 
     Each batch is one step of this call's `AdamState`: the gradients of the
     forward pass under `io` with the parameters `forward_params`, times the
@@ -615,7 +615,7 @@ def _train(params: DecoderParams, dataset: Dataset, val: Dataset, config: TrainC
                 adam_step(params, grads, state, config)
                 if after_update is not None:
                     after_update(params)
-        accs = [accuracy(p, rows, counts, p_io, val_work)[0] for p, p_io in val_draws(epoch)]
+        accs = [accuracy(p, rows, counts, io, val_work)[0] for p in val_draws(epoch)]
         acc = sum(accs) / len(accs)
         if acc > best_acc:
             best_acc, best = acc, params.copy()
@@ -629,4 +629,4 @@ def train_fp(dataset: Dataset, val: Dataset, config: TrainConfig) -> DecoderPara
     params = DecoderParams.initial(config.seed)
     return _train(params, dataset, val, config, spawn_generator(config.seed, 1), None,
                   lambda epoch, batches: itertools.repeat((params, None)), None,
-                  lambda epoch: [(params, None)])
+                  lambda epoch: [params])

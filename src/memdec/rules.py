@@ -37,7 +37,7 @@ _RATE = Rule("a probability in (0, 1]", lambda x: 0 < x <= 1)
 _BETA = Rule("a real in [0, 1)", lambda x: 0 <= x < 1)
 # a dropconnect rate of 1 would drop every weight
 _DROP_RATE = Rule("a probability in [0, 1)", _BETA.check)
-_FINITE_REALS = Rule("finite reals", lambda v: all(map(math.isfinite, v)))
+_FINITE_REALS = Rule("one or more finite reals", lambda v: v and all(map(math.isfinite, v)))
 _ANY = Rule(None, None)
 
 RULES = {
@@ -66,8 +66,7 @@ RULES = {
     "crossbar.adc_bound": _POSITIVE,
     # `analog_model._convert_hidden`'s DAC of one multiply is exact up to 2^48
     "crossbar.levels": Rule("an integer in [2, 2^48]", lambda x: 2 <= x <= 2**48, True),
-    "crossbar.variability.coefficients": _FINITE_REALS,
-    "crossbar.variability.fallback_relative": _NON_NEGATIVE,
+    "crossbar.variability_coeffs": _FINITE_REALS,
     "protocol.n_train_runs": _COUNT,
     "protocol.n_infer_runs": _COUNT,
     "protocol.test_shots": _COUNT,

@@ -11,7 +11,7 @@ from memdec import surface_code_sim as sc
 
 
 def default_cfg(**kw):
-    base = dict(variability=am.VariabilityModel(fallback_relative=0.0))
+    base = dict(variability_coeffs=(0.0,))
     base.update(kw)
     return am.CrossbarConfig(**base)
 
@@ -32,7 +32,7 @@ def reference_program(params: rd.DecoderParams, cfg: am.CrossbarConfig,
         sides = []
         for g in (np.where(mat > 0, programmed, cfg.g_lcs),
                   np.where(mat < 0, programmed, cfg.g_lcs)):
-            g = g + rng.standard_normal(g.shape) * cfg.variability.sigma(g)
+            g = g + rng.standard_normal(g.shape) * cfg.sigma(g)
             sides.append(np.where(stuck, cfg.g_hcs, g))
         units.append(am.ProgrammedUnit(*sides))
         scales.append(w_max / span)
@@ -93,38 +93,53 @@ class TestProgramTargets:
 
 class TestVariability:
     @staticmethod
-    def deviations(params, model):
-        """Programmed minus target conductances of 150 chips, and the
-        targets."""
+    def deviations(params, coeffs):
+        """Programmed minus target conductances of 150 chips under
+        sigma_prog(G) of `coeffs`, and the targets."""
         targets = conductances(TestProgramTargets.program(params))
-        cfg = am.CrossbarConfig(variability=model)
+        cfg = am.CrossbarConfig(variability_coeffs=coeffs)
         rng = np.random.default_rng(1)
         chips = [conductances(am.program_decoder(params, cfg, [am.FaultMap.none()], [rng])[0])
                  for _ in range(150)]
         return np.array(chips) - targets, targets
 
-    def test_fallback_relative_std(self, random_decoder):
-        dev, targets = self.deviations(random_decoder, am.VariabilityModel())
+    def test_default_relative_std(self, random_decoder):
+        dev, targets = self.deviations(random_decoder, am.CrossbarConfig().variability_coeffs)
         assert abs((dev / targets).std() - 0.008) / 0.008 < 0.02
 
     def test_constant_polynomial_std(self, random_decoder):
-        dev, _ = self.deviations(random_decoder, am.VariabilityModel(coefficients=(1.0,)))
+        dev, _ = self.deviations(random_decoder, (1.0,))
         assert abs(dev.std() - 1.0) < 0.02
 
     def test_polynomial_clamped_to_zero_adds_no_noise(self, random_decoder):
         # sigma = G - 100 uS is negative below 100 uS, where it clamps to zero
-        dev, targets = self.deviations(random_decoder,
-                                       am.VariabilityModel(coefficients=(-100.0, 1.0)))
+        dev, targets = self.deviations(random_decoder, (-100.0, 1.0))
         assert (dev[:, targets <= 100.0] == 0).all()
         assert (dev[:, targets > 110.0] != 0).mean() > 0.99
 
     def test_polynomial_evaluation(self):
-        model = am.VariabilityModel(coefficients=(0.5, 0.01))
-        assert np.allclose(model.sigma(np.array([100.0])), [1.5])
+        cfg = am.CrossbarConfig(variability_coeffs=(0.5, 0.01))
+        assert np.allclose(cfg.sigma(np.array([100.0])), [1.5])
 
     def test_negative_polynomial_clamped(self):
-        model = am.VariabilityModel(coefficients=(-5.0,))
-        assert model.sigma(np.array([100.0]))[0] == 0.0
+        cfg = am.CrossbarConfig(variability_coeffs=(-5.0,))
+        assert cfg.sigma(np.array([100.0]))[0] == 0.0
+
+    @given(g=arrays(np.float64, st.integers(1, 40),
+                    elements=st.one_of(st.floats(60.0, 200.0), st.floats(0.0, 1e300))))
+    @settings(max_examples=300, deadline=None)
+    def test_default_has_the_bytes_of_relative_0_8_percent(self, g):
+        # sigma = 0.008 G was a second device model beside the polynomial;
+        # the polynomial (0, 0.008) gives its bytes on [g_lcs, g_hcs] and
+        # beyond
+        assert am.CrossbarConfig().sigma(g).tobytes() == (0.008 * g).tobytes()
+
+    @given(g=arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_zero_polynomial_is_positive_zero_everywhere(self, g):
+        sigma = am.CrossbarConfig(variability_coeffs=(0.0,)).sigma(g)
+        assert sigma.tobytes() == np.zeros_like(g).tobytes()
 
 
 class TestFaultMap:
@@ -423,6 +438,21 @@ class TestMvm:
         logits = plan.logits(chip)
         assert np.array_equal(plan.logits(swapped), -logits)
 
+    @pytest.mark.parametrize("cfg", [am.CrossbarConfig(), default_cfg(quantize_io=False)],
+                             ids=["default", "no_io"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_zero_steps_give_bias_only_logits(self, cfg, n):
+        """With no recurrent step every row's hidden state is zero, so its
+        logits come through the evaluation unit's bias row alone."""
+        chip = random_chip(np.random.default_rng(11))
+        head = np.zeros((n, rd.HIDDEN_SIZE + 1))
+        head[:, -1] = am._convert_in(np.ones(1), cfg)[0]
+        want = am._convert_out(head @ chip.evaluation.effective(), chip.scale_evaluation, cfg)
+        plan = am.AnalogPlan(np.zeros((n, 0, 4), np.uint8), cfg)
+        for _ in range(2):   # the plan's buffers are reused
+            assert plan.logits(chip).tobytes() == want.tobytes()
+        assert (want == want[:1]).all()
+
     def test_dimension_mismatch_rejected(self):
         chip = random_chip(np.random.default_rng(10))
         for shape in ((2, 3, 3), (2, 3, 5), (1, 2, 3, 4),
@@ -486,10 +516,9 @@ class TestProgramDecoder:
     @pytest.mark.parametrize("cfg", [
         am.CrossbarConfig(),
         default_cfg(),
-        am.CrossbarConfig(variability=am.VariabilityModel(coefficients=(1.0,))),
-        am.CrossbarConfig(variability=am.VariabilityModel(coefficients=(-100.0, 1.0))),
-        am.CrossbarConfig(g_hcs=150.0, g_lcs=20.0,
-                          variability=am.VariabilityModel(coefficients=(0.5, 0.01, -1e-4))),
+        am.CrossbarConfig(variability_coeffs=(1.0,)),
+        am.CrossbarConfig(variability_coeffs=(-100.0, 1.0)),
+        am.CrossbarConfig(g_hcs=150.0, g_lcs=20.0, variability_coeffs=(0.5, 0.01, -1e-4)),
     ])
     @pytest.mark.parametrize("stuck_rate", [0.0, 0.3, 1.0])
     def test_equals_unit_by_unit_reference(self, random_decoder, cfg, stuck_rate):
@@ -537,7 +566,8 @@ def run_logits(events: np.ndarray, chip: am.ProgrammedDecoder,
                cfg: am.CrossbarConfig) -> np.ndarray:
     """Analog logits by plain products: step t multiplies one input row
     [DAC(x_t) | h | DAC(1)] per run of adjacent rows sharing events[:, :t+1]
-    (a single run of several rows twice), as `AnalogPlan` plans its steps,
+    (a single run of several rows twice), every row at the last step, as
+    `AnalogPlan` plans its steps,
     each from fresh arrays into a fresh array; then the evaluation unit on
     every row. gemm's bits differ with the row count under some OpenBLAS
     kernels, which is why the runs mirror the plan's."""
@@ -549,6 +579,8 @@ def run_logits(events: np.ndarray, chip: am.ProgrammedDecoder,
     for t in range(steps):
         prefix = flat[:, :(t + 1) * width]
         new = np.concatenate([[True], (prefix[1:] != prefix[:-1]).any(axis=1)])
+        if t == steps - 1:
+            new[:] = True
         starts = np.flatnonzero(new)
         if len(starts) == 1 < n:
             starts = np.zeros(2, np.intp)
@@ -618,9 +650,9 @@ class TestBatchedChips:
     @pytest.mark.parametrize("config", BATCHED_CONFIGS)
     @pytest.mark.parametrize("kind", ["union_table", "raw", "rows_1", "rows_2"])
     def test_logits_equal_plain_products_per_run(self, random_decoder, batched_sets, config, kind):
-        """A union table's last step writes straight into the evaluation
-        unit's input; raw rows with duplicates copy their runs' hidden
-        states there; one row stays on gemv."""
+        """Every plan's last step, on every row, writes straight into the
+        evaluation unit's input: a union table's, and also that of raw rows
+        with duplicates; one row stays on gemv."""
         cfg = BATCHED_CONFIGS[config]
         rows = sc.union_table([(d.events, d.labels) for d in batched_sets])[0]
         events = {"union_table": rows, "raw": batched_sets[1].events,

@@ -8,7 +8,7 @@ import pytest
 
 from memdec import config as cf
 from memdec import rules
-from memdec.analog_model import CrossbarConfig, VariabilityModel
+from memdec.analog_model import CrossbarConfig
 from memdec.errors import ConfigError
 from memdec.evaluation import EvalProtocol
 from memdec.hwa_training import RetrainConfig
@@ -102,8 +102,6 @@ def other_value(default) -> str:
         return str(default + 1)
     if isinstance(default, float):  # halving keeps every float rule and order
         return repr(default / 2)
-    if not default:  # variability coefficients
-        return "0.5,0.01"
     return default[0] if isinstance(default[0], str) else repr(default[0] / 2)
 
 
@@ -217,9 +215,9 @@ def test_every_rule_row_is_a_field_of_run_config():
 
 @pytest.mark.parametrize("key, owner, name", list(checked_fields()))
 def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
-    # a NaN learning rate, Adam beta or eps, ADC bound or fallback
-    # variability, a beta outside [0, 1) and zero rounds used to be accepted,
-    # and so were infinite reals and non-finite variability coefficients
+    # a NaN learning rate, Adam beta or eps or ADC bound, a beta outside
+    # [0, 1) and zero rounds used to be accepted, and so were infinite reals
+    # and non-finite variability coefficients
     kind = cf._KEYS[key].kind
     for value in PROBES[kind]:
         try:
@@ -233,10 +231,10 @@ def test_dataclass_fields_follow_their_config_key_rules(key, owner, name):
 
 @pytest.mark.parametrize("key", [
     "train.learning_rate", "train.adam_eps", "retrain.noise_relative", "retrain.clip_scale",
-    "crossbar.g_hcs", "crossbar.g_lcs", "crossbar.adc_bound", "crossbar.fallback_relative"])
+    "crossbar.g_hcs", "crossbar.g_lcs", "crossbar.adc_bound"])
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
 def test_non_finite_reals_rejected(key, text):
-    # an infinite ADC bound, conductance or fallback variability gave
+    # an infinite ADC bound or conductance gave
     # all-NaN analog logits, and an infinite Adam eps untrained parameters
     with pytest.raises(ConfigError) as info:
         cf.validate_config(f"{key} = {text}")
@@ -324,10 +322,11 @@ def test_dataset_and_run_configs_built_in_code_are_checked(owner, changes, messa
      "levels must be an integer in [2, 2^48], got 281474976710657"),
     (CrossbarConfig, {"g_lcs": 0.0}, "g_lcs must be a positive conductance in uS, got 0.0"),
     (CrossbarConfig, {"g_hcs": 50.0}, "g_hcs 50.0 does not exceed g_lcs 60.0"),
-    (VariabilityModel, {"fallback_relative": math.inf},
-     "fallback_relative must be a non-negative real, got inf"),
-    (VariabilityModel, {"coefficients": (0.5, math.nan)},
-     "coefficients must be finite reals, got (0.5, nan)"),
+    (CrossbarConfig, {"variability_coeffs": (0.5, math.nan)},
+     "variability_coeffs must be one or more finite reals, got (0.5, nan)"),
+    # an empty list used to select a constant-relative 0.8% variability
+    (CrossbarConfig, {"variability_coeffs": ()},
+     "variability_coeffs must be one or more finite reals, got ()"),
     (EvalProtocol, {"test_shots": 0}, "test_shots must be an integer >= 1, got 0"),
     (EvalProtocol, {"p_values": ()},
      "p_values must be one or more probabilities in (0, 1], got ()"),

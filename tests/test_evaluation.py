@@ -549,6 +549,22 @@ class TestEvaluateScheme:
             ev.evaluate_scheme("fp_mnd", protocol, configs, STUCK, master_seed)
 
 
+    @pytest.mark.parametrize("scheme", ["baseline", "fp_mnd", "ds_mnd"])
+    def test_drop_rate_of_another_scheme_rejected_before_sampling(self, setup, monkeypatch,
+                                                                 scheme):
+        # only hwa_mnd reads p_drop: fp_mnd with p_drop 0.9 gave the report
+        # it gives without one
+        configs, _, _, protocol = setup
+
+        def nothing(*args, **kwargs):
+            raise AssertionError("sampled or trained before checking p_drop")
+
+        monkeypatch.setattr(rd, "train_fp", nothing)
+        monkeypatch.setattr(sc, "generate_dataset", nothing)
+        with pytest.raises(ValueError) as info:
+            ev.evaluate_scheme(scheme, protocol, configs, STUCK, MASTER, p_drop=0.9)
+        assert str(info.value) == f"p_drop sets the hwa_mnd dropconnect rate; {scheme} has none"
+
     @pytest.mark.parametrize("scheme, stuck_rate, p_drop, message", [
         ("fp_mnd", 2.0, None, "stuck_rate must be a probability in [0, 1], got 2.0"),
         ("ds_mnd", float("nan"), None, "stuck_rate must be a probability in [0, 1], got nan"),
@@ -617,6 +633,33 @@ class TestStuckSweep:
             ev.stuck_sweep("fp_mnd", [0.0, 0.1], protocol, configs, MASTER)
         assert str(info.value) == ("stuck_sweep needs a protocol of one fault rate, "
                                    f"got p_values {TEST_P}")
+
+    @pytest.mark.parametrize("scheme, master_seed, drops, message", [
+        ("bogus", MASTER, None,
+         "unknown scheme 'bogus'; expected one of ('baseline', 'fp_mnd', 'hwa_mnd', 'ds_mnd')"),
+        ("fp_mnd", -1, None, "master_seed must be an integer in [0, 2^64), got -1"),
+        ("hwa_mnd", 2**64, [0.1],
+         "master_seed must be an integer in [0, 2^64), got 18446744073709551616"),
+        ("fp_mnd", MASTER, [0.2, 0.3],
+         "p_drop_values sets the hwa_mnd dropconnect rate; fp_mnd has none"),
+        ("baseline", MASTER, [0.1],
+         "p_drop_values sets the hwa_mnd dropconnect rate; baseline has none")],
+        ids=["unknown_scheme", "seed_-1", "seed_2^64", "fp_mnd_drops", "baseline_drops"])
+    def test_arguments_checked_before_sampling(self, setup, monkeypatch, scheme, master_seed,
+                                               drops, message):
+        # each used to sample the test set first; a drop grid for a scheme
+        # other than hwa_mnd was ignored, giving one row with p_drop None
+        configs, _, _, protocol = setup
+        protocol = replace(protocol, p_values=(1e-2,))
+
+        def nothing(*args, **kwargs):
+            raise AssertionError("sampled or trained before checking the arguments")
+
+        monkeypatch.setattr(rd, "train_fp", nothing)
+        monkeypatch.setattr(sc, "generate_dataset", nothing)
+        with pytest.raises(ValueError) as info:
+            ev.stuck_sweep(scheme, [0.1], protocol, configs, master_seed, p_drop_values=drops)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rate_outside_unit_interval_rejected(self, setup, rate):

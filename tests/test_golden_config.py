@@ -3,8 +3,7 @@ byte, and the exact `ConfigError` text of malformed configs.
 
 Every case's expected output is `DEFAULT` with the lines of the keys it sets
 replaced, in place, by the lines given; lines of optional keys that `DEFAULT`
-lacks follow it in the order given. An empty coefficient list serializes
-with a trailing space, written `\\x20` in `DEFAULT`.
+lacks follow it in the order given.
 """
 
 import pytest
@@ -35,8 +34,7 @@ crossbar.g_lcs = 60.0
 crossbar.stuck_rate = 0.1
 crossbar.adc_bound = 6.0
 crossbar.levels = 256
-crossbar.variability_coeffs =\x20
-crossbar.fallback_relative = 0.008
+crossbar.variability_coeffs = 0.0,0.008
 crossbar.quantize_io = true
 eval.n_train_runs = 10
 eval.n_infer_runs = 100
@@ -69,14 +67,14 @@ CASES = {
         "retrain.io_discretize = true\nretrain.clip_scale = 2.5\n",
         ["retrain.epochs = 4", "retrain.noise_relative = 0.0",
          "retrain.io_discretize = true", "retrain.clip_scale = 2.5"]),
-    "crossbar_no_coeffs": (
+    "crossbar_no_variability": (
         "crossbar.g_lcs = 250\ncrossbar.g_hcs = 300\ncrossbar.stuck_rate = 0.05\n"
         "crossbar.adc_bound = 4\ncrossbar.levels = 16\n"
-        "crossbar.variability_coeffs =\ncrossbar.fallback_relative = 0.01\n"
+        "crossbar.variability_coeffs = 0\n"
         "crossbar.quantize_io = false\n",
         ["crossbar.g_hcs = 300.0", "crossbar.g_lcs = 250.0", "crossbar.stuck_rate = 0.05",
          "crossbar.adc_bound = 4.0", "crossbar.levels = 16",
-         "crossbar.fallback_relative = 0.01", "crossbar.quantize_io = false"]),
+         "crossbar.variability_coeffs = 0.0", "crossbar.quantize_io = false"]),
     # the finest converter: the recurrent step's DAC of one multiply gives
     # the full DAC's bits up to 2^48 levels
     "crossbar_levels_2_48": (
@@ -134,6 +132,13 @@ ERRORS = {
     "levels_beyond_2_48": (
         "crossbar.levels = 281474976710657",
         "crossbar.levels: '281474976710657' is not an integer in [2, 2^48]"),
+    # empty coefficients selected a second device model, a constant relative
+    # variability r set by crossbar.fallback_relative; r is now the
+    # polynomial 0,r
+    "empty_coeffs_and_fallback_relative": (
+        "crossbar.variability_coeffs =\ncrossbar.fallback_relative = 0.01",
+        "crossbar.variability_coeffs: could not parse ''; "
+        "unknown key 'crossbar.fallback_relative'"),
     "malformed_lines": (
         "seed 7\nseed = 1\nseed = 2\n",
         "line 1: expected 'key = value', got 'seed 7'; line 3: duplicate key 'seed'"),

@@ -432,8 +432,7 @@ class TestRetrainDs:
         fmap = am.FaultMap.sample(0.2, np.random.default_rng(32))
         cfg = hwa.RetrainConfig(epochs=1, seed=12, noise_relative=0.0)
         out = hwa.retrain_ds(fp_params, train, val, cfg, fmap)
-        xcfg = am.CrossbarConfig(variability=am.VariabilityModel(fallback_relative=0.0),
-                                 quantize_io=False)
+        xcfg = am.CrossbarConfig(variability_coeffs=(0.0,), quantize_io=False)
         programmed = am.program_decoder(out, xcfg, [fmap], [np.random.default_rng(33)])[0]
         digital = rd.logits_to_bits(rd.forward_batch(out, val.events)[2])
         analog = rd.logits_to_bits(am.AnalogPlan(val.events, xcfg).logits(programmed))

@@ -44,12 +44,37 @@ def test_wrong_tensor_shape_is_corrupt(tmp_path):
 def test_non_finite_tensor_is_corrupt(tmp_path, value, entry):
     # training cannot write one (adam_step refuses non-finite gradients),
     # and a NaN weight used to load without complaint
-    params = rd.DecoderParams.initial(3)
-    params.flat[entry] = value
     path = tmp_path / "ck.mdck"
-    iof.save_checkpoint(params, path)
+    iof.save_checkpoint(rd.DecoderParams.initial(3), path)
+    # after the 6 header bytes, each tensor's 4-byte shape and then its
+    # float64 entries, in the order of `flat`
+    tensor = int(np.searchsorted([320, 336, 368], entry, side="right"))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 6 + 4 * (tensor + 1) + 8 * entry, value)
+    path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFileError, match="non-finite"):
         iof.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [0, 330, 340, 369])
+def test_non_finite_checkpoint_rejected(tmp_path, value, entry):
+    # it was written, and load_checkpoint then refused it as corrupt
+    params = rd.DecoderParams.initial(3)
+    params.flat[entry] = value
+    with pytest.raises(ValueError, match="checkpoint parameters must be finite"):
+        iof.save_checkpoint(params, tmp_path / "ck.mdck")
+    assert not (tmp_path / "ck.mdck").exists()
+
+
+@pytest.mark.parametrize("metadata, message", [
+    ([1, 2], "checkpoint metadata must be a dict, got list"),
+    ("x", "checkpoint metadata must be a dict, got str")], ids=["list", "str"])
+def test_checkpoint_metadata_that_is_not_a_dict_rejected(tmp_path, metadata, message):
+    # it was written, and load_checkpoint then refused it as corrupt
+    with pytest.raises(ValueError, match=message):
+        iof.save_checkpoint(rd.DecoderParams.initial(3), tmp_path / "ck.mdck", metadata)
+    assert not (tmp_path / "ck.mdck").exists()
 
 
 def test_invalid_metadata_is_corrupt(tmp_path):

@@ -796,12 +796,13 @@ class PlainAdam:
         params.flat -= (self.m / c1) * c.learning_rate / (np.sqrt(self.v / c2) + c.adam_eps)
 
 
-def per_batch_train(params, dataset, val, config, shuffle_rng, step, val_draws):
+def per_batch_train(params, dataset, val, config, shuffle_rng, io, step, val_draws):
     """The epoch loop of `rd._train` as it was before it gathered the shots
     of many batches at once: each batch indexed out of the dataset by its
     slice of the epoch's permutation and passed to `step(epoch, batch,
     batches, events, labels)`; the copy after the earliest best epoch is
-    returned, scored as `rd._train` scores it."""
+    returned, scored as `rd._train` scores it, each of the parameters
+    `val_draws(epoch)` yields under `io`."""
     events, labels = dataset.events, dataset.labels
     rows, counts = sc.union_table([(val.events, val.labels)])
     n, size = len(labels), config.batch_size
@@ -812,7 +813,7 @@ def per_batch_train(params, dataset, val, config, shuffle_rng, step, val_draws):
         for batch, start in enumerate(range(0, n, size)):
             idx = order[start:start + size]
             step(epoch, batch, batches, events[idx], labels[idx])
-        accs = [rd.accuracy(p, rows, counts, io)[0] for p, io in val_draws(epoch)]
+        accs = [rd.accuracy(p, rows, counts, io)[0] for p in val_draws(epoch)]
         acc = sum(accs) / len(accs)
         if acc > best_acc:
             best_acc, best = acc, params.copy()
@@ -829,7 +830,7 @@ def per_batch_train_fp(dataset, val, config):
         adam.step(params, rd.loss_and_grads(params, events, labels)[1].flat)
 
     return per_batch_train(params, dataset, val, config, spawn_generator(config.seed, 1),
-                           step, lambda epoch: [(params, None)])
+                           None, step, lambda epoch: [params])
 
 
 def per_batch_retrain(params, dataset, val, cfg, p_drop, keep_fixed, train_cfg, xcfg):
@@ -858,11 +859,11 @@ def per_batch_retrain(params, dataset, val, cfg, p_drop, keep_fixed, train_cfg, 
         effective = []
         for i in range(hwa.VAL_DRAWS):
             keep, noise_rng = draw(i)
-            effective.append((hwa._perturbed(params, keep, cfg.noise_relative, noise_rng), io))
+            effective.append(hwa._perturbed(params, keep, cfg.noise_relative, noise_rng))
         return effective
 
     return per_batch_train(params, dataset, val, config,
-                           spawn_generator(cfg.seed, hwa.Stage.RETRAIN), step, val_draws)
+                           spawn_generator(cfg.seed, hwa.Stage.RETRAIN), io, step, val_draws)
 
 
 class TestBlockGather:
